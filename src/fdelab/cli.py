@@ -118,7 +118,10 @@ def _initial_field(cfg: ExperimentConfig, setup):
             if not (1 <= k <= k_max and 1 <= j <= setup.eigs.multiplicities[k - 1]):
                 raise ConfigError(f"initial.modes references mode ({k},{j}) "
                                   f"outside the computed spectrum")
-        return mode_perturbed_field(setup, cfg["initial.modes"])
+        try:
+            return mode_perturbed_field(setup, cfg["initial.modes"])
+        except ValueError as exc:   # the datum left the positive cone
+            raise ConfigError(f"initial.modes: {exc}") from exc
     return read_field_csv(cfg["initial.path"], setup.grid.n)
 
 

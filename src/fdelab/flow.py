@@ -4,11 +4,13 @@ original:    u_t = lap u^m                      (extinction in finite time)
 rescaled:    d/dt v^p = lap v + c v^p           (stationary profile V)
 linearized:  p V^(p-1) f_t = lap f + c p V^(p-1) f
 
-All steppers are implicit Euler.  The rescaled flow is advanced in the
-conserved variable w = v^p, which obeys w_t = lap w^m + c w and has a maximum
-principle; v is derived output.  Nonlinear steps use damped Newton with a
-positivity-preserving line search (iterates are clipped at 1e-300 only inside
-the search; an accepted step must be strictly positive).
+All steppers are implicit Euler.  The two nonlinear flows share one stepper
+for w_t = lap w^m + c w: the rescaled flow is advanced in the conserved
+variable w = v^p, which has a maximum principle, and returns v = w^m; the
+original flow is the case c = 0 with w = u.  The stepper uses damped Newton
+with a positivity-preserving line search (iterates are clipped at 1e-300
+only inside the search; an accepted step must be strictly positive), and
+solves each tridiagonal Newton system directly with LAPACK dgtsv.
 
 Original runs stop near extinction (default sup u < 1e-6 sup u0); the
 extinction time itself is always extrapolated from the exact linearity of
@@ -20,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import solveh_banded
 
-from .grid import Grid
+from .grid import Grid, apply_A, solve_tridiagonal
 from .stationary import Exponents
 
 _FLOOR = 1e-300
+_EPS = np.finfo(float).eps
 
 
 class StepFailure(RuntimeError):
@@ -91,49 +94,63 @@ class Trajectory:
         }
 
 
-def _newton_implicit(scale_hint, guess, residual, jac_banded, max_iters=30,
-                     require_positive=True):
-    """Damped Newton for F(x) = 0, iterated to the rounding floor.
+def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float,
+                    v_max: float, max_iters: int = 30):
+    """One implicit Euler step of w_t = lap w^m + c w by damped Newton.
 
-    scale_hint estimates the magnitude of the terms composing F, so that
-    eps * scale_hint is the evaluation noise: convergence is declared below a
-    small multiple of it, and stagnation (no line-search progress) is accepted
-    as converged while the residual sits within a larger multiple.  Stopping
-    at a loose absolute tolerance instead would inject per-step noise into
-    the entropy traces (visible for large-amplitude profiles at p near 1).
+    Solves F(w) = w - dt (lap w^m + c w) - w_old = 0, starting from w_old
+    floored at 1e-300 (where w^(m-1) is finite) and iterating to the rounding
+    floor.  scale = sup w_old + 4 dt v_max / h^2 + dt c sup w_old estimates
+    the terms composing F (v_max is sup w_old^m), so that eps * scale is the
+    evaluation noise: convergence is declared below a small multiple of it,
+    and stagnation (no line-search progress) is accepted as converged while
+    the residual sits within a larger multiple.  Stopping at a loose absolute
+    tolerance instead would inject per-step noise into the entropy traces
+    (visible for large-amplitude profiles at p near 1).  Returns
+    (w, Newton iterations).
     """
-    eps = np.finfo(float).eps
-    floor = 2.0 * eps * scale_hint
-    guard = 512.0 * eps * scale_hint
-    x = guess.copy()
-    res = residual(x)
-    rnorm = float(np.max(np.abs(res)))
+    w_max = w_old.max()
+    scale = w_max + 4.0 * dt * v_max / grid.h ** 2 + dt * c * w_max
+    floor = 2.0 * _EPS * scale
+    guard = 512.0 * _EPS * scale
+    qw = grid.quad_weights
+    # Jacobian I - dt (-lap diag(m w^(m-1)) + c): fixed parts formed once per step
+    dt_lower = dt * grid.neglap_lower
+    dt_diag = dt * grid.neglap_diag
+    dt_upper = dt * grid.neglap_upper
+    one_minus = 1.0 - dt * c
+
+    def residual(w):
+        return w - dt * (-apply_A(grid, w ** m) / qw + c * w) - w_old
 
     def accept(iters):
-        if require_positive and x.min() <= _FLOOR * 10:
+        if x.min() <= _FLOOR * 10:
             raise PositivityLoss("converged step is not strictly positive")
         return x, iters
 
+    x = np.maximum(w_old, _FLOOR)
+    res = residual(x)
+    rnorm = np.abs(res).max()
+    if not np.isfinite(rnorm):
+        raise ValueError("implicit step residual is not finite")
     for it in range(1, max_iters + 1):
         if rnorm <= floor:
             return accept(it - 1)
-        step = solve_banded((1, 1), jac_banded(x), -res)
+        dmu = m * x ** (m - 1.0)
+        step = solve_tridiagonal(dt_lower * dmu[:-1], one_minus + dt_diag * dmu,
+                                 dt_upper * dmu[1:], -res)
         lam = 1.0
-        improved = False
         while lam >= 1e-12:
-            xt = x + lam * step
-            if require_positive:
-                xt = np.maximum(xt, _FLOOR)
+            xt = np.maximum(x + lam * step, _FLOOR)
             rt = residual(xt)
-            if np.max(np.abs(rt)) < rnorm:
-                x, res = xt, rt
-                rnorm = float(np.max(np.abs(res)))
-                improved = True
+            rtn = np.abs(rt).max()
+            if rtn < rnorm:
+                x, res, rnorm = xt, rt, rtn
                 break
             if lam == 1.0 and rnorm <= guard:
                 return accept(it)      # stagnation at the rounding floor
             lam *= 0.5
-        if not improved:
+        else:
             if rnorm <= guard:
                 return accept(it)
             raise StepFailure(f"line search stalled (residual {rnorm:.3e})")
@@ -149,36 +166,14 @@ def step_rescaled(grid: Grid, exps: Exponents, state: FlowState, dt: float) -> F
     v = grid.check_field(state.field)
     if v.min() <= 0:
         raise PositivityLoss("rescaled state must be positive")
-    p, m, c = exps.p, exps.m, exps.c
-    w_old = v ** p
-    qw, lo, di = grid.quad_weights, grid.lap_offdiag, grid.lap_diag
-
-    def lap(f):
-        af = di * f
-        af[1:] += lo * f[:-1]
-        af[:-1] += lo * f[1:]
-        return -af / qw
-
-    def residual(w):
-        return w - dt * (lap(w ** m) + c * w) - w_old
-
-    def jac(w):
-        dmu = m * w ** (m - 1.0)
-        ab = np.zeros((3, grid.n))
-        ab[0, 1:] = dt * (lo / qw[:-1]) * dmu[1:]
-        ab[1, :] = 1.0 - dt * c + dt * (di / qw) * dmu
-        ab[2, :-1] = dt * (lo / qw[1:]) * dmu[:-1]
-        return ab
-
-    scale = float(np.max(w_old) + 4.0 * dt * np.max(v) / grid.h ** 2
-                  + dt * c * np.max(w_old))
-    w_new, iters = _newton_implicit(scale, w_old, residual, jac)
-    return FlowState(kind="rescaled", field=w_new ** m, time=state.time + dt,
+    w_old = v ** exps.p
+    w_new, iters = _implicit_euler(grid, w_old, dt, exps.m, exps.c, v.max())
+    return FlowState(kind="rescaled", field=w_new ** exps.m, time=state.time + dt,
                      newton_iters=iters)
 
 
 def step_original(grid: Grid, exps: Exponents, state: FlowState, dt: float) -> FlowState:
-    """One implicit Euler step of u_t = lap u^m."""
+    """One implicit Euler step of u_t = lap u^m: the stepper above with c = 0."""
     if state.kind != "original":
         raise ValueError("step_original needs an original state")
     u_old = grid.check_field(state.field)
@@ -186,29 +181,8 @@ def step_original(grid: Grid, exps: Exponents, state: FlowState, dt: float) -> F
         raise PositivityLoss("original state must be nonnegative")
     if u_old.max() == 0.0:
         return FlowState(kind="original", field=u_old.copy(), time=state.time + dt)
-    m = exps.m
-    qw, lo, di = grid.quad_weights, grid.lap_offdiag, grid.lap_diag
-
-    def lap(f):
-        af = di * f
-        af[1:] += lo * f[:-1]
-        af[:-1] += lo * f[1:]
-        return -af / qw
-
-    def residual(u):
-        return u - dt * lap(u ** m) - u_old
-
-    def jac(u):
-        dmu = m * u ** (m - 1.0)
-        ab = np.zeros((3, grid.n))
-        ab[0, 1:] = dt * (lo / qw[:-1]) * dmu[1:]
-        ab[1, :] = 1.0 + dt * (di / qw) * dmu
-        ab[2, :-1] = dt * (lo / qw[1:]) * dmu[:-1]
-        return ab
-
-    guess = np.maximum(u_old, _FLOOR)
-    scale = float(np.max(u_old) + 4.0 * dt * np.max(u_old ** m) / grid.h ** 2)
-    u_new, iters = _newton_implicit(scale, guess, residual, jac)
+    u_new, iters = _implicit_euler(grid, u_old, dt, exps.m, 0.0,
+                                   (u_old ** exps.m).max())
     return FlowState(kind="original", field=u_new, time=state.time + dt,
                      newton_iters=iters)
 
@@ -235,11 +209,12 @@ def step_linearized(grid: Grid, V, exps: Exponents, state: FlowState,
     return FlowState(kind="linearized", field=f_new, time=state.time + dt)
 
 
-_STEPPERS = {
-    "rescaled": lambda grid, exps, V, s, dt: step_rescaled(grid, exps, s, dt),
-    "original": lambda grid, exps, V, s, dt: step_original(grid, exps, s, dt),
-    "linearized": lambda grid, exps, V, s, dt: step_linearized(grid, V, exps, s, dt),
-}
+def _step(grid: Grid, exps: Exponents, V, state: FlowState, dt: float) -> FlowState:
+    if state.kind == "rescaled":
+        return step_rescaled(grid, exps, state, dt)
+    if state.kind == "original":
+        return step_original(grid, exps, state, dt)
+    return step_linearized(grid, V, exps, state, dt)
 
 
 def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
@@ -272,7 +247,6 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
     traj = Trajectory(kind=initial.kind, initial_field=initial.field.copy())
     state = initial
     dt = pol.dt
-    stepper = _STEPPERS[initial.kind]
     for target in sample_times:
         if target > horizon + 1e-12:
             break
@@ -280,7 +254,7 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
             dt_eff = min(dt, target - state.time)
             clipped = dt_eff < dt
             try:
-                new_state = stepper(grid, exps, V, state, dt_eff)
+                new_state = _step(grid, exps, V, state, dt_eff)
             except StepFailure:
                 if dt <= pol.dt_min:
                     raise

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 from math import gamma, pi
 
 import numpy as np
+from numpy.linalg import LinAlgError
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dgtsv
 
 
 class GridError(ValueError):
@@ -65,6 +67,9 @@ class Grid:
     quad_weights:      positive weights realizing int_Omega . dx
     boundary_distance: dist(x_i, boundary), positive at interior nodes
     lap_offdiag/lap_diag: the symmetric tridiagonal A = W_quad * (-lap)
+    neglap_lower/neglap_diag/neglap_upper: the three diagonals of
+                       -lap = W_quad^-1 A (sub, main, super), built once here
+                       for the tridiagonal Jacobians of the Newton solvers
     """
 
     spec: DomainSpec
@@ -74,6 +79,9 @@ class Grid:
     boundary_distance: np.ndarray
     lap_diag: np.ndarray       # diagonal of A
     lap_offdiag: np.ndarray    # sub/superdiagonal of A (length n-1)
+    neglap_lower: np.ndarray = field(repr=False)   # lap_offdiag / quad_weights[1:]
+    neglap_diag: np.ndarray = field(repr=False)    # lap_diag / quad_weights
+    neglap_upper: np.ndarray = field(repr=False)   # lap_offdiag / quad_weights[:-1]
     _cho: tuple = field(default=None, repr=False, compare=False)
 
     @property
@@ -124,16 +132,33 @@ def build_domain(spec: DomainSpec) -> Grid:
 
     return Grid(spec=spec, h=h, coords=coords, quad_weights=quad,
                 boundary_distance=dist, lap_diag=diag, lap_offdiag=off,
-                _cho=(cb,))
+                neglap_lower=off / quad[1:], neglap_diag=diag / quad,
+                neglap_upper=off / quad[:-1], _cho=(cb,))
+
+
+def apply_A(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """A f for the weighted tridiagonal A = W_quad * (-lap); f is not checked."""
+    af = grid.lap_diag * f
+    af[1:] += grid.lap_offdiag * f[:-1]
+    af[:-1] += grid.lap_offdiag * f[1:]
+    return af
+
+
+def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve the tridiagonal system (sub, main, super diagonals) by LAPACK
+    dgtsv, Gaussian elimination with partial pivoting.  The four arrays may
+    be overwritten."""
+    *_, x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgtsv")
+    return x
 
 
 def apply_laplacian(grid: Grid, field) -> np.ndarray:
     """Discrete Laplacian (NOT negated) with homogeneous Dirichlet data."""
-    f = grid.check_field(field)
-    af = grid.lap_diag * f
-    af[1:] += grid.lap_offdiag * f[:-1]
-    af[:-1] += grid.lap_offdiag * f[1:]
-    return -af / grid.quad_weights
+    return -apply_A(grid, grid.check_field(field)) / grid.quad_weights
 
 
 def solve_poisson(grid: Grid, rhs) -> np.ndarray:
@@ -158,7 +183,4 @@ def inner_product_weighted(grid: Grid, f, g, w) -> float:
 def dirichlet_energy(grid: Grid, f) -> float:
     """int |grad f|^2 dx as the quadratic form <-lap f, f>_quad (f^T A f)."""
     f = grid.check_field(f)
-    af = grid.lap_diag * f
-    af[1:] += grid.lap_offdiag * f[:-1]
-    af[:-1] += grid.lap_offdiag * f[1:]
-    return float(np.dot(f, af))
+    return float(np.dot(f, apply_A(grid, f)))

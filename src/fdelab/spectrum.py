@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .grid import Grid, dirichlet_energy
+from .grid import Grid, apply_A, dirichlet_energy
 
 _MULT_RTOL = 1e-6   # eigenvalues closer than this (relative) form one eigenspace
 
@@ -112,9 +112,7 @@ def weighted_eigensystem(grid: Grid, V, p: float, K: int) -> EigenSystem:
     res = np.empty(K)
     for j in range(K):
         phi = phis[:, j]
-        Aphi = grid.lap_diag * phi
-        Aphi[1:] += grid.lap_offdiag * phi[:-1]
-        Aphi[:-1] += grid.lap_offdiag * phi[1:]
+        Aphi = apply_A(grid, phi)
         Wphi = grid.quad_weights * weight * phi
         res[j] = np.linalg.norm(Aphi - vals[j] * Wphi) / (vals[j] * np.linalg.norm(Wphi))
 

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from .grid import Grid, apply_laplacian, dirichlet_energy, integrate
+from .grid import (Grid, apply_laplacian, dirichlet_energy, integrate,
+                   solve_tridiagonal)
 
 _EPS = np.finfo(float).eps
 
@@ -102,7 +103,7 @@ class StationaryProfile:
 
 def first_dirichlet_eigenpair(grid: Grid) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of -lap on the grid (unweighted), max-normalized."""
-    d = grid.lap_diag / grid.quad_weights
+    d = grid.neglap_diag
     e = grid.lap_offdiag / np.sqrt(grid.quad_weights[:-1] * grid.quad_weights[1:])
     vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
     phi = vecs[:, 0] / np.sqrt(grid.quad_weights)
@@ -122,7 +123,6 @@ def solve_stationary(grid: Grid, exps: Exponents, init=None,
     """
     p, c = exps.p, exps.c
     exps.check_subcritical(grid.spec.dimension if grid.spec.geometry == "ball" else 1)
-    n = grid.n
     if init is None:
         lam1, phi = first_dirichlet_eigenpair(grid)
         V = (lam1 / c) ** (1.0 / (p - 1.0)) * phi
@@ -137,25 +137,25 @@ def solve_stationary(grid: Grid, exps: Exponents, init=None,
         return 1e-13 * c * vmax ** p + 32.0 * _EPS * vmax / grid.h ** 2
 
     res = _residual(grid, V, p, c)
-    rnorm = float(np.max(np.abs(res)))
+    rnorm = float(np.abs(res).max())
+    if not np.isfinite(rnorm):
+        raise ValueError("stationary residual is not finite")
     iters = 0
     for iters in range(1, max_iters + 1):
         if rnorm <= tol(V):
             break
-        # J = lap + c p V^(p-1); rows of -lap are -A[i,:] / quad_weights[i]
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -grid.lap_offdiag / grid.quad_weights[:-1]
-        ab[1, :] = -grid.lap_diag / grid.quad_weights + c * p * V ** (p - 1.0)
-        ab[2, :-1] = -grid.lap_offdiag / grid.quad_weights[1:]
-        step = solve_banded((1, 1), ab, -res)
+        # J = lap + c p V^(p-1), from the per-grid diagonals of -lap
+        step = solve_tridiagonal(-grid.neglap_lower,
+                                 -grid.neglap_diag + c * p * V ** (p - 1.0),
+                                 -grid.neglap_upper, -res)
         lam = 1.0
         while lam >= 1e-10:
             Vt = V + lam * step
             if Vt.min() > 0:
                 rt = _residual(grid, Vt, p, c)
-                if np.max(np.abs(rt)) < rnorm:
-                    V, res = Vt, rt
-                    rnorm = float(np.max(np.abs(res)))
+                rtn = float(np.abs(rt).max())
+                if rtn < rnorm:
+                    V, res, rnorm = Vt, rt, rtn
                     break
             lam *= 0.5
         else:

@@ -238,6 +238,14 @@ class TestMain:
                          "--out", str(tmp_path / "m2")])
         assert code == 3
 
+    def test_nonpositive_perturbed_datum_is_config_error(self, tmp_path, capsys):
+        cfg = BASE_CFG.replace("initial.modes     = 2:1:0.1",
+                               "initial.modes     = 2:1:50.0")
+        path = write_cfg(tmp_path, cfg)
+        assert cli.main(["evolve", "--config", str(path),
+                         "--out", str(tmp_path / "m4")]) == 2
+        assert "initial.modes" in capsys.readouterr().err
+
     def test_supercritical_ball_is_config_error(self, tmp_path):
         cfg = BASE_CFG.replace("domain.geometry   = interval",
                                "domain.geometry   = ball")

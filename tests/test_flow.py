@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_banded
 
 import fdelab as F
-from fdelab.flow import PositivityLoss
+from fdelab.flow import PositivityLoss, StepFailure
 
 
 def interval(n):
@@ -295,3 +298,146 @@ class TestExtinction:
             traj.fields.append(s.profile.S.copy())
         with pytest.raises(F.InsufficientDecay):
             F.estimate_extinction_time(traj, s.exps.m)
+
+
+# Reference copy of the original solve_banded steppers, one closure set per
+# kind; the shared dgtsv stepper must reproduce it bit for bit.
+def _reference_newton(scale_hint, guess, residual, jac_banded, max_iters=30):
+    eps = np.finfo(float).eps
+    floor = 2.0 * eps * scale_hint
+    guard = 512.0 * eps * scale_hint
+    x = guess.copy()
+    res = residual(x)
+    rnorm = float(np.max(np.abs(res)))
+
+    def accept(iters):
+        if x.min() <= 1e-300 * 10:
+            raise PositivityLoss("converged step is not strictly positive")
+        return x, iters
+
+    for it in range(1, max_iters + 1):
+        if rnorm <= floor:
+            return accept(it - 1)
+        step = solve_banded((1, 1), jac_banded(x), -res)
+        lam = 1.0
+        improved = False
+        while lam >= 1e-12:
+            xt = np.maximum(x + lam * step, 1e-300)
+            rt = residual(xt)
+            if np.max(np.abs(rt)) < rnorm:
+                x, res = xt, rt
+                rnorm = float(np.max(np.abs(res)))
+                improved = True
+                break
+            if lam == 1.0 and rnorm <= guard:
+                return accept(it)
+            lam *= 0.5
+        if not improved:
+            if rnorm <= guard:
+                return accept(it)
+            raise StepFailure(f"line search stalled (residual {rnorm:.3e})")
+    if rnorm <= guard:
+        return accept(max_iters)
+    raise StepFailure(f"Newton did not converge (residual {rnorm:.3e})")
+
+
+def _reference_step(grid, exps, field, dt, kind):
+    """(new field, Newton iterations) of the original per-kind steppers."""
+    qw, lo, di = grid.quad_weights, grid.lap_offdiag, grid.lap_diag
+    m = exps.m
+    c = exps.c if kind == "rescaled" else None
+
+    def lap(f):
+        af = di * f
+        af[1:] += lo * f[:-1]
+        af[:-1] += lo * f[1:]
+        return -af / qw
+
+    if kind == "rescaled":
+        w_old = field ** exps.p
+
+        def residual(w):
+            return w - dt * (lap(w ** m) + c * w) - w_old
+
+        def jac(w):
+            dmu = m * w ** (m - 1.0)
+            ab = np.zeros((3, grid.n))
+            ab[0, 1:] = dt * (lo / qw[:-1]) * dmu[1:]
+            ab[1, :] = 1.0 - dt * c + dt * (di / qw) * dmu
+            ab[2, :-1] = dt * (lo / qw[1:]) * dmu[:-1]
+            return ab
+
+        scale = float(np.max(w_old) + 4.0 * dt * np.max(field) / grid.h ** 2
+                      + dt * c * np.max(w_old))
+        w_new, iters = _reference_newton(scale, w_old, residual, jac)
+        return w_new ** m, iters
+
+    def residual(u):
+        return u - dt * lap(u ** m) - field
+
+    def jac(u):
+        dmu = m * u ** (m - 1.0)
+        ab = np.zeros((3, grid.n))
+        ab[0, 1:] = dt * (lo / qw[:-1]) * dmu[1:]
+        ab[1, :] = 1.0 + dt * (di / qw) * dmu
+        ab[2, :-1] = dt * (lo / qw[1:]) * dmu[:-1]
+        return ab
+
+    scale = float(np.max(field) + 4.0 * dt * np.max(field ** m) / grid.h ** 2)
+    return _reference_newton(scale, np.maximum(field, 1e-300), residual, jac)
+
+
+class TestSharedStepper:
+    @pytest.mark.parametrize("kind", ["rescaled", "original"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_bit_identical_to_reference(self, kind, p):
+        s = F.prepare(F.DomainSpec(geometry="interval", nodes=129),
+                      F.Exponents.make(p=p, c=1.0))
+        v0 = F.mode_perturbed_field(s, [(2, 1, 0.3)])
+        if kind == "rescaled":
+            field, dt, step = v0, 1e-3, F.step_rescaled
+        else:
+            field, dt, step = v0 ** p, s.exps.T / 400.0, F.step_original
+        state = F.FlowState(kind=kind, field=field.copy(), time=0.0)
+        for _ in range(200):
+            field, iters = _reference_step(s.grid, s.exps, field, dt, kind)
+            state = step(s.grid, s.exps, state, dt)
+            assert np.array_equal(state.field, field)
+            assert state.newton_iters == iters
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.floats(1.2, 4.0),
+           dt=st.floats(1e-5, 1e-2),
+           field=arrays(np.float64, 33, elements=st.floats(1e-3, 10.0)))
+    def test_positivity_fixed_point_and_residual(self, p, dt, field):
+        grid = F.build_domain(F.DomainSpec(geometry="interval", nodes=33))
+        exps = F.Exponents.make(p=p, c=1.0)
+        eps = np.finfo(float).eps
+
+        def guard(v):
+            w = v ** p
+            return 512.0 * eps * (w.max() + 4.0 * dt * v.max() / grid.h ** 2
+                                  + dt * exps.c * w.max())
+
+        def residual(v0, v1):
+            w0, w1 = v0 ** p, v1 ** p
+            return w1 - dt * (F.apply_laplacian(grid, v1) + exps.c * w1) - w0
+
+        V = F.solve_stationary(grid, exps).V
+        fixed = F.step_rescaled(grid, exps,
+                                F.FlowState(kind="rescaled", field=V, time=0.0), dt)
+        assert np.abs(fixed.field ** p - V ** p).max() <= guard(V)
+
+        # a datum far from the profile may stall Newton (StepFailure); the
+        # step is then retried at half the dt, as evolve does
+        state = F.FlowState(kind="rescaled", field=field, time=0.0)
+        for _ in range(40):
+            try:
+                out = F.step_rescaled(grid, exps, state, dt)
+                break
+            except StepFailure:
+                dt /= 2.0
+        else:
+            pytest.fail("no dt down to 2^-40 of the drawn one converged")
+        assert out.field.min() > 0
+        assert np.abs(residual(field, out.field)).max() <= guard(field)
