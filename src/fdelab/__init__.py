@@ -9,35 +9,30 @@ diagnostics, and exponential-rate extraction with the delay-ODE barrier.
 
 __version__ = "0.1.0"
 
-from .grid import (DomainSpec, Grid, GridError, apply_laplacian, build_domain,
+from .errors import ConfigError, NumericalFailure, StepFailure
+from .grid import (DomainSpec, Grid, apply_laplacian, build_domain,
                    dirichlet_energy, inner_product_weighted, integrate,
                    solve_poisson)
-from .stationary import (Exponents, NegativeIterate, NonConvergence,
-                         RootBracketFailure, StationaryProfile,
-                         boundary_slope_bounds, oracle_profile_1d,
-                         solve_stationary)
-from .spectrum import (EigenSystem, EigensolverFailure, GapReport,
-                       PoincareMargins, SpectrumTooShort, check_improved_poincare,
-                       classify_gap, deflate, project_coefficients,
-                       weighted_eigensystem)
-from .flow import (DtPolicy, ExtinctionEstimate, FlowState, InsufficientDecay,
-                   PositivityLoss, StepFailure, Trajectory,
+from .stationary import (Exponents, StationaryProfile, boundary_slope_bounds,
+                         oracle_profile_1d, solve_stationary)
+from .spectrum import (EigenSystem, GapReport, PoincareMargins,
+                       check_improved_poincare, classify_gap, deflate,
+                       project_coefficients, weighted_eigensystem)
+from .flow import (ExtinctionEstimate, FlowState, Trajectory,
                    estimate_extinction_time, evolve, original_time_of,
                    original_to_rescaled, rescaled_time_of, step_linearized,
                    step_original, step_rescaled)
-from .diagnostics import (ComparisonConstants, EntropyReport, InsufficientTrace,
-                          WindowTooCoarse, benilan_crandall_margin,
-                          delayed_ratio_sup, entropy_density, entropy_report,
-                          nonlinear_entropy, power_difference,
-                          production_residual, quotient_smallness_times,
-                          rayleigh_compare, sandwich_check, smoothing_check,
+from .diagnostics import (ComparisonConstants, EntropyReport,
+                          benilan_crandall_margin, delayed_ratio_sup,
+                          entropy_density, entropy_report, nonlinear_entropy,
+                          power_difference, production_residual,
+                          quotient_smallness_times, rayleigh_compare,
+                          sandwich_check, smoothing_check,
                           time_monotonicity_check, trace_rows)
-from .rates import (BlowUp, DelayOdeRun, EmptyWindow, EntropyBand,
-                    ExplicitWindow, H2Violated, NonpositiveC, RateFit,
+from .rates import (DelayOdeRun, EntropyBand, ExplicitWindow, RateFit,
                     RateVerdict, delay_supersolution, fit_rate,
                     integrate_delay_ode, sharp_rate_verdict,
                     supersolution_residual)
-from .pipeline import (CalibrationFailure, ClockCalibration, StageSetup,
-                       match_extinction_clock, mode_perturbed_field, prepare,
-                       run_extinction_pipeline, run_linearized,
-                       run_nonlinear_rate_case, run_rescaled)
+from .pipeline import (ClockCalibration, StageSetup, match_extinction_clock,
+                       mode_perturbed_field, prepare, run_extinction_pipeline,
+                       run_linearized, run_nonlinear_rate_case, run_rescaled)

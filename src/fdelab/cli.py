@@ -13,7 +13,8 @@ Every run writes manifest.json echoing the fully resolved config (defaults
 made explicit) and the library versions.  Outputs are written atomically and
 byte-identical across reruns of the same config.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 verdict FAIL.
+Exit codes: 0 success, 2 config error, 3 numerical failure, 4 verdict FAIL
+(see fdelab.errors); any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -30,20 +31,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config
 from .diagnostics import trace_rows
-from .flow import InsufficientDecay, PositivityLoss, StepFailure
-from .pipeline import (CalibrationFailure, mode_perturbed_field, prepare,
-                       run_linearized, run_nonlinear_rate_case)
-from .rates import BlowUp, EmptyWindow, EntropyBand, H2Violated
-from .spectrum import EigensolverFailure, SpectrumTooShort
-from .stationary import NegativeIterate, NonConvergence, RootBracketFailure
-
-NUMERICAL_ERRORS = (NonConvergence, NegativeIterate, RootBracketFailure,
-                    EigensolverFailure, SpectrumTooShort, StepFailure,
-                    PositivityLoss, InsufficientDecay, BlowUp, EmptyWindow,
-                    H2Violated, CalibrationFailure, FloatingPointError,
-                    ValueError)
+from .errors import ConfigError, NumericalFailure
+from .pipeline import (mode_perturbed_field, prepare, run_linearized,
+                       run_nonlinear_rate_case)
+from .rates import EntropyBand
 
 STAGES = ("stationary", "spectrum", "linear", "evolve", "rates")
 
@@ -95,24 +88,32 @@ def write_json(path: Path, obj) -> None:
 
 def read_field_csv(path, n: int) -> np.ndarray:
     """Initial field from a CSV with a 'v' (or second) column of length n."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        col = header.index("v") if "v" in header else 1
-        vals = [float(line.strip().split(",")[col]) for line in fh if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            col = header.index("v") if "v" in header else 1
+            vals = [float(line.strip().split(",")[col]) for line in fh if line.strip()]
+    except OSError as exc:
+        raise ConfigError(f"cannot read initial field {path}: {exc}") from exc
+    except (ValueError, IndexError) as exc:   # a short row or a non-numeric cell
+        raise ConfigError(f"{path}: bad initial field entry: {exc}") from exc
     field = np.array(vals)
     if field.size != n:
         raise ConfigError(f"{path}: initial field has {field.size} rows, "
                           f"expected {n}")
+    if not np.isfinite(field).all():
+        raise ConfigError(f"{path}: initial field has a non-finite entry")
     return field
 
 
-def _initial_field(cfg: ExperimentConfig, setup):
+def _initial_field(cfg: ExperimentConfig, setup, stage: str):
+    """The configured initial datum; the nonlinear stages need it positive."""
     kind = cfg["initial.kind"]
     if kind == "stationary":
         return setup.profile.V.copy()
     if kind == "scaled_stationary":
-        return cfg["initial.factor"] * setup.profile.V
-    if kind == "mode_perturbed":
+        field, origin = cfg["initial.factor"] * setup.profile.V, "initial.factor"
+    elif kind == "mode_perturbed":
         k_max = len(setup.eigs.eigenvalues)
         for k, j, _ in cfg["initial.modes"]:
             if not (1 <= k <= k_max and 1 <= j <= setup.eigs.multiplicities[k - 1]):
@@ -122,7 +123,13 @@ def _initial_field(cfg: ExperimentConfig, setup):
             return mode_perturbed_field(setup, cfg["initial.modes"])
         except ValueError as exc:   # the datum left the positive cone
             raise ConfigError(f"initial.modes: {exc}") from exc
-    return read_field_csv(cfg["initial.path"], setup.grid.n)
+    else:
+        field = read_field_csv(cfg["initial.path"], setup.grid.n)
+        origin = f"initial.path {cfg['initial.path']}"
+    if stage != "linear" and field.min() <= 0:
+        raise ConfigError(f"{origin}: the {stage} stage needs a positive "
+                          f"initial field")
+    return field
 
 
 def _manifest(cfg: ExperimentConfig, stage: str) -> dict:
@@ -173,7 +180,7 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         return summary
 
     if stage == "linear":
-        f0 = _initial_field(cfg, setup) - profile.V
+        f0 = _initial_field(cfg, setup, stage) - profile.V
         tr = run_linearized(setup, f0, horizon=cfg["flow.horizon"],
                             dt=cfg["flow.dt"], cadence=cfg["sampler.cadence"])
         header = ["t", "E_lin", "I_lin"]
@@ -189,7 +196,7 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         write_csv(out / "trace.csv", header, rows)
         return summary
 
-    base = _initial_field(cfg, setup)
+    base = _initial_field(cfg, setup, stage)
     result = run_nonlinear_rate_case(
         setup, base, horizon=cfg["flow.horizon"], dt=cfg["flow.dt"],
         cadence=cfg["sampler.cadence"],
@@ -323,7 +330,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

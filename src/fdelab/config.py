@@ -24,12 +24,11 @@ the schema is an error, reported with its line number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from sys import float_info
+
+from .errors import ConfigError
 
 _BOOL = {"true": True, "false": False}
-
-
-class ConfigError(ValueError):
-    """Schema or syntax error; message carries file/line/field context."""
 
 
 def _parse_token(tok: str):
@@ -87,8 +86,6 @@ _DEFAULTS = {
     "spectrum.modes": 8,
     "spectrum.gap_tol": 1e-3,
     "flow.dt": 1e-3,
-    "flow.dt_min": 1e-8,
-    "flow.dt_max": 1e-2,
     "flow.horizon": 10.0,
     "initial.kind": "stationary",
     "initial.factor": 1.0,
@@ -169,34 +166,46 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
 
     def check_type(key, types, desc):
         v = resolved.get(key)
-        if v is not None and not isinstance(v, types):
+        if v is not None and (not isinstance(v, types)
+                              or (isinstance(v, bool) and types is not bool)):
             _fail(source, lines.get(key), f"{key} must be {desc}, got {v!r}")
 
-    check_type("domain.nodes", int, "an integer")
-    check_type("spectrum.modes", int, "an integer")
-    check_type("seed", int, "an integer")
+    for key in ("domain.nodes", "domain.dimension", "spectrum.modes", "seed"):
+        check_type(key, int, "an integer")
+    for key in ("initial.path", "output.dir"):
+        check_type(key, str, "a string")
+    check_type("initial.match_clock", bool, "true or false")
     for key in ("domain.length", "domain.radius", "spectrum.gap_tol", "flow.dt",
-                "flow.dt_min", "flow.dt_max", "flow.horizon", "initial.factor",
-                "sampler.cadence", "rates.band_lo", "rates.band_hi", "rates.tol",
+                "flow.horizon", "initial.factor", "sampler.cadence",
+                "rates.band_lo", "rates.band_hi", "rates.tol",
                 "exponents.p", "exponents.m", "exponents.c", "exponents.T"):
+        check_type(key, (int, float), "a number")
         v = resolved.get(key)
         if v is not None:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                _fail(source, lines.get(key), f"{key} must be a number, got {v!r}")
+            if not abs(v) <= float_info.max:   # nan, inf or an int beyond float
+                _fail(source, lines.get(key), f"{key} must be finite, got {v!r}")
             resolved[key] = float(v)
-    check_type("initial.match_clock", bool, "true or false")
+    for key in ("flow.dt", "flow.horizon", "sampler.cadence"):
+        if resolved[key] <= 0:
+            _fail(source, lines.get(key), f"{key} must be positive")
 
-    if resolved["domain.geometry"] not in ("interval", "ball"):
-        _fail(source, lines.get("domain.geometry"),
-              f"domain.geometry must be interval or ball, "
-              f"got {resolved['domain.geometry']!r}")
+    try:   # DomainSpec leads its message with the offending field's name
+        ExperimentConfig(source, resolved).domain_spec()
+    except ConfigError as exc:
+        key = "domain." + str(exc).split()[0]
+        _fail(source, lines.get(key), f"domain.{exc}")
+    k_max = resolved["domain.nodes"] // 4   # the bound weighted_eigensystem enforces
+    if not 1 <= resolved["spectrum.modes"] <= k_max:
+        _fail(source, lines.get("spectrum.modes"),
+              f"spectrum.modes must lie in [1, {k_max}] for "
+              f"domain.nodes = {resolved['domain.nodes']}")
     if resolved["initial.kind"] not in _INITIAL_KINDS:
         _fail(source, lines.get("initial.kind"),
               f"initial.kind must be one of {_INITIAL_KINDS}, "
               f"got {resolved['initial.kind']!r}")
 
     modes = resolved["initial.modes"]
-    if modes and not isinstance(modes, list):
+    if not isinstance(modes, list):
         modes = [modes]
     for m in modes:
         if not (isinstance(m, tuple) and len(m) == 3):
@@ -231,7 +240,11 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
     for key in _SWEEP_KEYS:
         if key in resolved:
             v = resolved.pop(key)
-            sweep[key.split(".", 1)[1]] = v if isinstance(v, list) else [v]
+            axis = v if isinstance(v, list) else [v]
+            kind = int if key == "sweep.nodes" else (int, float)
+            if any(isinstance(a, bool) or not isinstance(a, kind) for a in axis):
+                _fail(source, lines.get(key), f"{key} must list numbers, got {v!r}")
+            sweep[key.split(".", 1)[1]] = axis
     return ExperimentConfig(source=source, resolved=resolved, sweep_axes=sweep)
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .grid import Grid, dirichlet_energy, integrate
 from .spectrum import EigenSystem, GapReport
 from .stationary import Exponents
@@ -34,14 +35,17 @@ QN_ENTROPY_FLOOR = 1e-14   # below this, nonlinear quotients are undefined (0/0 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _GL_X = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
+_GL_WX = np.stack([_GL_W, _GL_W * _GL_X], axis=1)[:, :, None]   # (8, 2, 1)
 
 
-class WindowTooCoarse(RuntimeError):
-    """Finite-difference noise dominates the quantity being estimated."""
-
-
-class InsufficientTrace(RuntimeError):
-    """The sampled trace does not cover the needed time window."""
+def _kernel_sums(V, f, q: float):
+    """Gauss-Legendre sums for int_0^1 (V + s f)^(q-1) ds and
+    int_0^1 (V + s f)^(q-1) s ds, forming each power (V + x_i f)^(q-1) once
+    and accumulating both sums in one (2, n) array."""
+    acc = np.zeros((2,) + np.shape(V))
+    for x, wx in zip(_GL_X, _GL_WX):
+        acc += wx * (V + x * f) ** (q - 1.0)
+    return acc[0], acc[1]
 
 
 def power_difference(V, f, q: float) -> np.ndarray:
@@ -49,18 +53,12 @@ def power_difference(V, f, q: float) -> np.ndarray:
 
     Requires V > 0 and V + f > 0 nodewise.
     """
-    acc = np.zeros_like(np.asarray(V, dtype=float))
-    for x, w in zip(_GL_X, _GL_W):
-        acc += w * (V + x * f) ** (q - 1.0)
-    return q * f * acc
+    return q * f * _kernel_sums(V, f, q)[0]
 
 
 def entropy_density(V, f, p: float) -> np.ndarray:
     """Pointwise entropy integrand: (p+1) f^2 int_0^1 (V + s f)^(p-1) s ds >= 0."""
-    acc = np.zeros_like(np.asarray(V, dtype=float))
-    for x, w in zip(_GL_X, _GL_W):
-        acc += (w * x) * (V + x * f) ** (p - 1.0)
-    return (p + 1.0) * f * f * acc
+    return (p + 1.0) * f * f * _kernel_sums(V, f, p)[1]
 
 
 def nonlinear_entropy(grid: Grid, V, p: float, v) -> float:
@@ -113,13 +111,14 @@ def entropy_report(grid: Grid, V, exps: Exponents, eigs: EigenSystem,
     e_lin = float(np.dot(wq, f * f * V ** (p - 1.0)))
     h_l2v_sq = float(np.dot(wq, h * h * V ** (p + 1.0)))
     i_lin = dirichlet_energy(grid, f) - p * c * e_lin
-    e_nl = float(np.dot(wq, entropy_density(V, f, p)))
+    acc, acc_s = _kernel_sums(V, f, p)
+    e_nl = float(np.dot(wq, (p + 1.0) * f * f * acc_s))
     cubic = float(np.dot(wq, np.abs(f) ** 3 * V ** (p - 2.0)))
     h_inf = float(np.max(np.abs(h)))
 
     k_p = gap.k_p
     q_lin, a_nl = [], []
-    vpdiff = power_difference(V, f, p)
+    vpdiff = p * f * acc
     sqrt_e_lin = np.sqrt(e_lin) if e_lin > 0 else 0.0
     for k in range(k_p):
         block = eigs.eigenfunctions[k]
@@ -162,16 +161,16 @@ def measure_comparison_constants(reports, p: float, ndim: int) -> ComparisonCons
     ratios = [2.0 * r.E_nl / ((p + 1.0) * r.E_lin)
               for r in reports if r.E_lin > 1e-22]
     if not ratios:
-        raise InsufficientTrace("no samples with measurable linear entropy")
+        raise NumericalFailure("no samples with measurable linear entropy")
     try:
         prod = production_residual(reports, p)
         kap = prod.kappa[prod.valid & np.isfinite(prod.kappa)]
         remainder = float(np.median(kap)) if kap.size else np.nan
-    except (WindowTooCoarse, InsufficientTrace):
+    except NumericalFailure:
         remainder = np.nan
     try:
         smoothing, _, _ = smoothing_check(reports, ndim)
-    except InsufficientTrace:
+    except NumericalFailure:
         smoothing = np.nan
     return ComparisonConstants(sandwich_lo=float(min(ratios)),
                                sandwich_hi=float(max(ratios)),
@@ -199,12 +198,12 @@ class ProductionSeries:
 def production_residual(reports, p: float, require_valid: bool = True) -> ProductionSeries:
     """Estimate R_p = dE_nl/dt + (p+1)/p I_lin from consecutive reports.
 
-    Needs uniform sampling; raises WindowTooCoarse when no sample passes the
+    Needs uniform sampling; raises NumericalFailure when no sample passes the
     Richardson check (finite differences dominated by curvature error).
     """
     ts = np.array([r.t for r in reports])
     if ts.size < 5:
-        raise InsufficientTrace("need at least 5 uniformly spaced reports")
+        raise NumericalFailure("need at least 5 uniformly spaced reports")
     dts = np.diff(ts)
     if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
         raise ValueError("production residual needs uniform sampling")
@@ -222,7 +221,7 @@ def production_residual(reports, p: float, require_valid: bool = True) -> Produc
         kappa = np.where(cub[idx] > 0, np.abs(resid) / cub[idx], np.nan)
     valid = fd_err <= 0.3 * np.abs(resid)
     if require_valid and not valid.any():
-        raise WindowTooCoarse("finite-difference error dominates R_p everywhere")
+        raise NumericalFailure("finite-difference error dominates R_p everywhere")
     return ProductionSeries(times=ts[idx], dE_dt=d1, residual=resid,
                             kappa=kappa, fd_error=fd_err, valid=valid)
 
@@ -290,10 +289,10 @@ def delayed_ratio_sup(reports, numerator, exponent: float, t_start: float,
     ts = np.array([r.t for r in reports])
     Es = np.array([r.E_nl for r in reports])
     if ts.size < 3 or ts[-1] < t_start:
-        raise InsufficientTrace("trace does not reach the requested start time")
+        raise NumericalFailure("trace does not reach the requested start time")
     pos = Es > 0
     if not pos.any():
-        raise InsufficientTrace("entropy vanishes along the whole trace (0/0)")
+        raise NumericalFailure("entropy vanishes along the whole trace (0/0)")
     sup, arg, series = 0.0, None, []
     for r in reports:
         if r.t < t_start or r.t - 1.0 < ts[pos][0]:
@@ -309,7 +308,7 @@ def delayed_ratio_sup(reports, numerator, exponent: float, t_start: float,
         if val > sup:
             sup, arg = val, r.t
     if not series:
-        raise InsufficientTrace("no admissible samples for the delayed ratio")
+        raise NumericalFailure("no admissible samples for the delayed ratio")
     return sup, arg, series
 
 
@@ -379,7 +378,7 @@ def time_monotonicity_check(reports, exps: Exponents, t_min: float | None = None
         t_min = exps.T * np.log(2.0)
     eligible = [r for r in reports if r.t >= t_min]
     if len(eligible) < span + 1:
-        raise InsufficientTrace("not enough samples beyond T log 2")
+        raise NumericalFailure("not enough samples beyond T log 2")
     twocm = 2.0 * c * m
     worst = 0.0
     for i0 in range(0, len(eligible) - span, span):
@@ -406,7 +405,7 @@ def benilan_crandall_margin(reports, exps: Exponents, t_min: float | None = None
         t_min = exps.T * np.log(2.0)
     eligible = [r for r in reports if r.t >= t_min]
     if len(eligible) < 2:
-        raise InsufficientTrace("not enough samples beyond T log 2")
+        raise NumericalFailure("not enough samples beyond T log 2")
     worst = -np.inf
     for r0, r1 in zip(eligible, eligible[1:]):
         dt = r1.t - r0.t

@@ -24,23 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solveh_banded
 
+from .errors import NumericalFailure, StepFailure
 from .grid import Grid, apply_A, solve_tridiagonal
 from .stationary import Exponents
 
 _FLOOR = 1e-300
 _EPS = np.finfo(float).eps
-
-
-class StepFailure(RuntimeError):
-    """Newton did not converge within the step (caller may halve dt)."""
-
-
-class PositivityLoss(RuntimeError):
-    """A converged step left the positive cone."""
-
-
-class InsufficientDecay(RuntimeError):
-    """Trajectory never decayed enough to extrapolate the extinction time."""
+_DT_MIN = 1e-8       # evolve halves dt on StepFailure down to this,
+_DT_GROW = 1.2       # then regrows it by this factor, up to the given dt,
+_EASY_ITERS = 3      # after each step of at most this many Newton iterations
 
 
 @dataclass
@@ -53,17 +45,6 @@ class FlowState:
     def __post_init__(self):
         if self.kind not in ("original", "rescaled", "linearized"):
             raise ValueError(f"unknown flow kind {self.kind!r}")
-
-
-@dataclass
-class DtPolicy:
-    """Adaptive step control: halve on StepFailure, grow on easy steps."""
-
-    dt: float = 1e-3
-    dt_min: float = 1e-8
-    dt_max: float = 1e-2
-    grow: float = 1.2
-    easy_iters: int = 3   # grow dt when Newton needed at most this many iterations
 
 
 @dataclass
@@ -125,14 +106,14 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
 
     def accept(iters):
         if x.min() <= _FLOOR * 10:
-            raise PositivityLoss("converged step is not strictly positive")
+            raise NumericalFailure("converged step is not strictly positive")
         return x, iters
 
     x = np.maximum(w_old, _FLOOR)
     res = residual(x)
     rnorm = np.abs(res).max()
     if not np.isfinite(rnorm):
-        raise ValueError("implicit step residual is not finite")
+        raise NumericalFailure("implicit step residual is not finite")
     for it in range(1, max_iters + 1):
         if rnorm <= floor:
             return accept(it - 1)
@@ -165,7 +146,7 @@ def step_rescaled(grid: Grid, exps: Exponents, state: FlowState, dt: float) -> F
         raise ValueError("step_rescaled needs a rescaled state")
     v = grid.check_field(state.field)
     if v.min() <= 0:
-        raise PositivityLoss("rescaled state must be positive")
+        raise NumericalFailure("rescaled state must be positive")
     w_old = v ** exps.p
     w_new, iters = _implicit_euler(grid, w_old, dt, exps.m, exps.c, v.max())
     return FlowState(kind="rescaled", field=w_new ** exps.m, time=state.time + dt,
@@ -178,7 +159,7 @@ def step_original(grid: Grid, exps: Exponents, state: FlowState, dt: float) -> F
         raise ValueError("step_original needs an original state")
     u_old = grid.check_field(state.field)
     if u_old.min() < 0:
-        raise PositivityLoss("original state must be nonnegative")
+        raise NumericalFailure("original state must be nonnegative")
     if u_old.max() == 0.0:
         return FlowState(kind="original", field=u_old.copy(), time=state.time + dt)
     u_new, iters = _implicit_euler(grid, u_old, dt, exps.m, 0.0,
@@ -218,13 +199,14 @@ def _step(grid: Grid, exps: Exponents, V, state: FlowState, dt: float) -> FlowSt
 
 
 def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
-           dt_policy: DtPolicy | None = None, sample_every: float | None = None,
+           dt: float, sample_every: float | None = None,
            sample_times=None, sampler=None, V=None,
            stop_sup_below: float | None = None) -> Trajectory:
     """March a flow to the horizon, sampling at exact multiples of sample_every
-    (or at the explicit sample_times).  dt adapts: halve on StepFailure down to
-    dt_min, grow by dt_policy.grow on easy steps up to dt_max.  Steps are
-    clipped so samples land exactly on the requested times.
+    (or at the explicit sample_times).  Steps are dt long, except that a
+    step ending in StepFailure is retried at half the dt (down to _DT_MIN),
+    which then regrows after easy steps, never beyond dt.  Steps are clipped
+    so samples land exactly on the requested times.
 
     stop_sup_below: halt (after the current sample) once sup|field| drops below
     this absolute level; original runs near extinction use it.
@@ -234,7 +216,6 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
     if initial.kind == "original" and stop_sup_below is None:
         # near-extinction stop: extrapolate, never simulate the degenerate limit
         stop_sup_below = 1e-6 * float(np.max(np.abs(initial.field)))
-    pol = dt_policy or DtPolicy()
     if sample_times is None:
         if sample_every is None:
             raise ValueError("give sample_every or sample_times")
@@ -246,27 +227,27 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
 
     traj = Trajectory(kind=initial.kind, initial_field=initial.field.copy())
     state = initial
-    dt = pol.dt
+    dt_now = dt
     for target in sample_times:
         if target > horizon + 1e-12:
             break
         while state.time < target - 1e-12 * max(1.0, target):
-            dt_eff = min(dt, target - state.time)
-            clipped = dt_eff < dt
+            dt_eff = min(dt_now, target - state.time)
+            clipped = dt_eff < dt_now
             try:
                 new_state = _step(grid, exps, V, state, dt_eff)
             except StepFailure:
-                if dt <= pol.dt_min:
+                if dt_now <= _DT_MIN:
                     raise
-                dt = max(pol.dt_min, dt / 2.0)
+                dt_now = max(_DT_MIN, dt_now / 2.0)
                 continue
             if clipped:
                 new_state.time = target
             state = new_state
             traj.dt_history.append(dt_eff)
             traj.newton_history.append(state.newton_iters)
-            if not clipped and state.newton_iters <= pol.easy_iters:
-                dt = min(pol.dt_max, dt * pol.grow)
+            if not clipped and state.newton_iters <= _EASY_ITERS:
+                dt_now = min(dt, dt_now * _DT_GROW)
         state.time = target
         traj.sample_times.append(state.time)
         traj.fields.append(state.field.copy())
@@ -299,7 +280,7 @@ def estimate_extinction_time(traj: Trajectory, m: float,
     lo, hi = window
     sel = (sups > lo * sup0) & (sups < hi * sup0)
     if sel.sum() < 10 or sups.min() > hi * sup0:
-        raise InsufficientDecay(
+        raise NumericalFailure(
             f"only {int(sel.sum())} samples inside the fit window")
     y = sups[sel] ** (1.0 - m)
     t = times[sel]
@@ -307,7 +288,7 @@ def estimate_extinction_time(traj: Trajectory, m: float,
     (slope, intercept), res, *_ = np.linalg.lstsq(A, y, rcond=None)
     fit_res = float(np.sqrt(res[0] / t.size)) if res.size else 0.0
     if slope >= 0:
-        raise InsufficientDecay("sup norm is not decaying over the fit window")
+        raise NumericalFailure("sup norm is not decaying over the fit window")
     return ExtinctionEstimate(T_est=float(-intercept / slope),
                               window=(float(t[0]), float(t[-1])),
                               slope=float(slope), intercept=float(intercept),

@@ -20,20 +20,18 @@ from dataclasses import dataclass, field
 from math import gamma, pi
 
 import numpy as np
-from numpy.linalg import LinAlgError
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dgtsv
 
-
-class GridError(ValueError):
-    """Invalid domain specification or mismatched field length."""
+from .errors import ConfigError, NumericalFailure
 
 
 @dataclass(frozen=True)
 class DomainSpec:
     """Domain geometry: 'interval' of given length, or 'ball' of given radius
     and dimension (reduced to the radial coordinate).  `nodes` counts interior
-    grid points."""
+    grid points.  An invalid field raises ConfigError, its message led by
+    the field's name."""
 
     geometry: str            # "interval" | "ball"
     nodes: int
@@ -43,16 +41,18 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.geometry not in ("interval", "ball"):
-            raise GridError(f"unknown geometry {self.geometry!r}")
+            raise ConfigError(f"geometry must be interval or ball, "
+                              f"got {self.geometry!r}")
         if self.nodes < 8:
-            raise GridError(f"need at least 8 interior nodes, got {self.nodes}")
+            raise ConfigError(f"nodes must be at least 8, got {self.nodes}")
         if self.geometry == "interval" and self.length <= 0:
-            raise GridError("interval length must be positive")
+            raise ConfigError(f"length must be positive, got {self.length}")
         if self.geometry == "ball":
             if self.radius <= 0:
-                raise GridError("ball radius must be positive")
+                raise ConfigError(f"radius must be positive, got {self.radius}")
             if self.dimension < 1 or int(self.dimension) != self.dimension:
-                raise GridError("ball dimension must be a positive integer")
+                raise ConfigError(f"dimension must be a positive integer, "
+                                  f"got {self.dimension}")
 
     @property
     def extent(self) -> float:
@@ -91,7 +91,7 @@ class Grid:
     def check_field(self, f) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         if f.shape != (self.n,):
-            raise GridError(f"field has shape {f.shape}, expected ({self.n},)")
+            raise ValueError(f"field has shape {f.shape}, expected ({self.n},)")
         return f
 
 
@@ -150,7 +150,7 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     be overwritten."""
     *_, x, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise NumericalFailure("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgtsv")
     return x

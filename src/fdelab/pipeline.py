@@ -22,15 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import make_sampler, nonlinear_entropy
-from .flow import DtPolicy, FlowState, evolve, step_rescaled
+from .errors import NumericalFailure
+from .flow import FlowState, evolve, step_rescaled
 from .grid import DomainSpec, Grid, build_domain, inner_product_weighted
 from .rates import EntropyBand, RateFit, RateVerdict, fit_rate, sharp_rate_verdict
 from .spectrum import EigenSystem, GapReport, classify_gap, weighted_eigensystem
 from .stationary import Exponents, StationaryProfile, solve_stationary
-
-
-class CalibrationFailure(RuntimeError):
-    """The clock-matching bisection could not bracket or resolve the scale."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,7 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
         trials += 2
         widen += 1
     if s_lo == s_hi:
-        raise CalibrationFailure("could not bracket the matched-clock scale")
+        raise NumericalFailure("could not bracket the matched-clock scale")
     if s_lo > 0:  # orient: lo side extinction (-), hi side blow-up (+)
         lo, hi, t_lo, t_hi = hi, lo, t_hi, t_lo
 
@@ -166,20 +163,19 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
             hi, t_hi = bm, tm
         if span < 64 * np.finfo(float).eps:
             break
-    raise CalibrationFailure(
+    raise NumericalFailure(
         f"no trial reached the entropy floor {deep_floor:g} within "
         f"{max_trials} trials (bracket width {abs(hi - lo):.3e})")
 
 
 def run_rescaled(setup: StageSetup, v0, horizon: float, dt: float = 1e-3,
-                 cadence: float = 0.05, dt_policy: DtPolicy | None = None):
+                 cadence: float = 0.05):
     """Evolve the rescaled flow and build the entropy trace."""
-    pol = dt_policy or DtPolicy(dt=dt, dt_max=dt)
     sampler = make_sampler(setup.grid, setup.profile.V, setup.exps, setup.eigs,
                            setup.gap)
     traj = evolve(setup.grid, setup.exps,
                   FlowState(kind="rescaled", field=np.asarray(v0, float), time=0.0),
-                  horizon=horizon, dt_policy=pol, sample_every=cadence,
+                  horizon=horizon, dt=dt, sample_every=cadence,
                   sampler=sampler)
     return traj, list(traj.diagnostics)
 
@@ -215,7 +211,7 @@ def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
 
     evolve(grid, exps, FlowState(kind="linearized", field=np.asarray(f0, float),
                                  time=0.0),
-           horizon=horizon, dt_policy=DtPolicy(dt=dt, dt_max=dt),
+           horizon=horizon, dt=dt,
            sample_every=cadence, sampler=sampler, V=V)
     times = np.array([r[0] for r in rows])
     return LinearModeTrace(times=times,
@@ -250,8 +246,7 @@ def run_extinction_pipeline(setup: StageSetup, dt_original: float = 2e-4,
     dt = dt_original * T_true
     traj = evolve(setup.grid, exps,
                   FlowState(kind="original", field=u0, time=0.0),
-                  horizon=1.5 * T_true,
-                  dt_policy=DtPolicy(dt=dt, dt_max=dt),
+                  horizon=1.5 * T_true, dt=dt,
                   sample_every=max(dt, T_true / 2000.0),
                   stop_sup_below=5e-4 * float(u0.max()))
     est = estimate_extinction_time(traj, exps.m)

@@ -22,23 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .errors import NumericalFailure
 from .spectrum import GapReport
-
-
-class EmptyWindow(ValueError):
-    """Fewer than 10 positive-entropy samples in the requested fit window."""
-
-
-class NonpositiveC(ValueError):
-    """lam Y(t0)^(-sigma) - 1 <= 0: the anchor time is not late enough."""
-
-
-class BlowUp(RuntimeError):
-    """Delay-ODE solution exceeded the cap (precondition violated)."""
-
-
-class H2Violated(RuntimeError):
-    """Rate verdict requested although c p collides with the spectrum."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +50,7 @@ class RateFit:
 def _band_first_passage(E: np.ndarray, lo: float, hi: float) -> slice:
     inside = np.nonzero((E > 0) & (E <= hi) & (E >= lo))[0]
     if inside.size == 0:
-        raise EmptyWindow(f"no samples with entropy in [{lo:g}, {hi:g}]")
+        raise NumericalFailure(f"no samples with entropy in [{lo:g}, {hi:g}]")
     first = int(inside[0])
     last = first
     while last + 1 < E.size and lo <= E[last + 1] <= E[last]:
@@ -80,11 +65,12 @@ def fit_rate(times, entropies, window_policy) -> RateFit:
     if isinstance(window_policy, ExplicitWindow):
         sel = (t >= window_policy.t_lo) & (t <= window_policy.t_hi) & (E > 0)
         if sel.sum() < 10:
-            raise EmptyWindow(f"only {int(sel.sum())} positive samples in the window")
+            raise NumericalFailure(
+                f"only {int(sel.sum())} positive samples in the window")
     elif isinstance(window_policy, EntropyBand):
         sl = _band_first_passage(E, window_policy.lo, window_policy.hi)
         if sl.stop - sl.start < 10:
-            raise EmptyWindow(
+            raise NumericalFailure(
                 f"only {sl.stop - sl.start} samples in the first band passage")
         sel = np.zeros(t.size, dtype=bool)
         sel[sl] = True
@@ -110,7 +96,8 @@ def delay_supersolution(lam: float, sigma: float, Y_t0: float, t0: float,
     """Closed-form barrier Ybar(t) for t >= t0, with C = lam Y_t0^(-sigma) - 1."""
     C = lam * Y_t0 ** (-sigma) - 1.0
     if C <= 0:
-        raise NonpositiveC(f"C = {C:.6g} <= 0; enlarge t0 (Y(t0) must be < lam^(1/sigma))")
+        raise NumericalFailure(
+            f"C = {C:.6g} <= 0; enlarge t0 (Y(t0) must be < lam^(1/sigma))")
     t = np.asarray(t, dtype=float)
     val = lam ** (1.0 / sigma) * np.exp(-lam * t) \
         / (np.exp(-lam * sigma * (t - 1.0)) + C) ** (1.0 / sigma)
@@ -179,7 +166,7 @@ def integrate_delay_ode(lam: float, sigma: float, history, t0: float,
             y = y + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = t + step
             if not np.isfinite(y) or y > cap:
-                raise BlowUp(f"Y exceeded the cap {cap:g} at t = {t:.6g}")
+                raise NumericalFailure(f"Y exceeded the cap {cap:g} at t = {t:.6g}")
             ts.append(t)
             ys.append(y)
         all_t.extend(ts[1:])
@@ -209,7 +196,7 @@ def sharp_rate_verdict(fit: RateFit, gap: GapReport, p: float,
     """Compare the fitted entropy decay rate with the spectral prediction
     2 lambda_p / p at relative tolerance tol."""
     if not gap.h2_ok:
-        raise H2Violated(
+        raise NumericalFailure(
             f"c p = {gap.cp:.6g} collides with the spectrum "
             f"(margin {gap.gap_margin:.3e})")
     target = 2.0 * gap.lambda_p / p

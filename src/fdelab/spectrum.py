@@ -21,17 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .errors import NumericalFailure
 from .grid import Grid, apply_A, dirichlet_energy
 
 _MULT_RTOL = 1e-6   # eigenvalues closer than this (relative) form one eigenspace
-
-
-class EigensolverFailure(RuntimeError):
-    pass
-
-
-class SpectrumTooShort(ValueError):
-    """The computed spectrum does not reach past c*p."""
 
 
 @dataclass(frozen=True)
@@ -87,8 +80,9 @@ def weighted_eigensystem(grid: Grid, V, p: float, K: int) -> EigenSystem:
     V = grid.check_field(V)
     if V.min() <= 0:
         raise ValueError("weight profile must be positive")
-    if K > grid.n // 4:
-        raise ValueError(f"K = {K} too large for n = {grid.n} (need K <= n/4)")
+    if not 1 <= K <= grid.n // 4:
+        raise ValueError(f"K = {K} out of range for n = {grid.n} "
+                         f"(need 1 <= K <= n/4)")
     weight = V ** (p - 1.0)
     d = np.sqrt(grid.quad_weights * weight)
     T_diag = grid.lap_diag / d ** 2
@@ -97,7 +91,7 @@ def weighted_eigensystem(grid: Grid, V, p: float, K: int) -> EigenSystem:
         vals, vecs = eigh_tridiagonal(T_diag, T_off, select="i",
                                       select_range=(0, K - 1))
     except Exception as exc:  # pragma: no cover - LAPACK failures are exotic
-        raise EigensolverFailure(str(exc)) from exc
+        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
     phis = vecs / d[:, None]
 
     # deterministic sign: largest-magnitude component positive; first mode positive
@@ -140,7 +134,7 @@ def classify_gap(eigs: EigenSystem, p: float, c: float,
     cp = c * p
     lam = eigs.eigenvalues
     if lam[-1] <= cp:
-        raise SpectrumTooShort(
+        raise NumericalFailure(
             f"largest computed eigenvalue {lam[-1]:.6g} does not exceed c*p = {cp:.6g}")
     gap_margin = float(np.min(np.abs(lam - cp)) / cp)
     h2_ok = gap_margin > gap_tol

@@ -20,22 +20,11 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
+from .errors import NumericalFailure
 from .grid import (Grid, apply_laplacian, dirichlet_energy, integrate,
                    solve_tridiagonal)
 
 _EPS = np.finfo(float).eps
-
-
-class NonConvergence(RuntimeError):
-    """Newton iteration did not reach the residual tolerance."""
-
-
-class NegativeIterate(RuntimeError):
-    """Newton step left the positive cone and damping could not recover."""
-
-
-class RootBracketFailure(RuntimeError):
-    """The profile maximum could not be bracketed in the oracle."""
 
 
 @dataclass(frozen=True)
@@ -129,7 +118,7 @@ def solve_stationary(grid: Grid, exps: Exponents, init=None,
     else:
         V = grid.check_field(init).copy()
         if V.min() <= 0:
-            raise NegativeIterate("supplied initial guess is not positive")
+            raise NumericalFailure("supplied initial guess is not positive")
 
     # float64 cancellation floor of evaluating lap V: ~ eps * |V| / h^2
     def tol(v):
@@ -139,7 +128,7 @@ def solve_stationary(grid: Grid, exps: Exponents, init=None,
     res = _residual(grid, V, p, c)
     rnorm = float(np.abs(res).max())
     if not np.isfinite(rnorm):
-        raise ValueError("stationary residual is not finite")
+        raise NumericalFailure("stationary residual is not finite")
     iters = 0
     for iters in range(1, max_iters + 1):
         if rnorm <= tol(V):
@@ -159,10 +148,10 @@ def solve_stationary(grid: Grid, exps: Exponents, init=None,
                     break
             lam *= 0.5
         else:
-            raise NegativeIterate(
+            raise NumericalFailure(
                 f"damping failed at iteration {iters} (residual {rnorm:.3e})")
     else:
-        raise NonConvergence(
+        raise NumericalFailure(
             f"no convergence after {max_iters} iterations (residual {rnorm:.3e})")
 
     return StationaryProfile(V=V, S=V ** p, c=c, residual_norm=rnorm,
@@ -218,7 +207,7 @@ def oracle_profile_1d(exps: Exponents, n: int, length: float = 1.0,
     lo, hi = 0.5 * M0, 2.0 * M0
     f = lambda M: _half_length(M, p, c, tol) - half
     if not (f(lo) > 0 > f(hi)):
-        raise RootBracketFailure(f"cannot bracket the profile maximum near {M0}")
+        raise NumericalFailure(f"cannot bracket the profile maximum near {M0}")
     M = brentq(f, lo, hi, xtol=1e-15 * M0, rtol=8.9e-16)
 
     # profile is symmetric about length/2 and the uniform grid mirrors exactly

@@ -29,6 +29,31 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     return path
 
 
+def set_key(text, key, value):
+    """text with `key = value` in place of any line that sets key."""
+    lines = [ln for ln in text.splitlines() if ln.split("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+# (keys set on BASE_CFG, the key or path the error must name); {tmp} is the
+# test's directory, which holds text.csv (a non-numeric cell) and
+# negative.csv (129 rows of -1)
+BAD_INPUTS = [
+    ({"domain.nodes": "4"}, "domain.nodes"),
+    ({"domain.length": "-1.0"}, "domain.length"),
+    ({"spectrum.modes": "0"}, "spectrum.modes"),
+    ({"spectrum.modes": "60"}, "spectrum.modes"),
+    ({"flow.dt": "-1e-3"}, "flow.dt"),
+    ({"sampler.cadence": "0.0"}, "sampler.cadence"),
+    ({"flow.horizon": "-1.0"}, "flow.horizon"),
+    ({"initial.kind": "scaled_stationary", "initial.factor": "-1.0"}, "initial.factor"),
+    ({"initial.kind": "scaled_stationary", "initial.factor": "0.0"}, "initial.factor"),
+    ({"initial.kind": "from_file", "initial.path": "{tmp}/missing.csv"}, "missing.csv"),
+    ({"initial.kind": "from_file", "initial.path": "{tmp}/text.csv"}, "text.csv"),
+    ({"initial.kind": "from_file", "initial.path": "{tmp}/negative.csv"}, "negative.csv"),
+]
+
+
 class TestParser:
     def test_basic_values(self):
         raw = parse_config_text("a.x = 3\nb.y = 2.5\nc.z = true\nd.w = hello\n"
@@ -107,7 +132,7 @@ class TestRunExperiment:
         assert len(prof) == 130
         # manifest echoes every filled-in default, not just user keys
         manifest = json.loads((out / "manifest.json").read_text())
-        for key in ("flow.dt_min", "rates.band_lo", "spectrum.gap_tol",
+        for key in ("domain.length", "rates.band_lo", "spectrum.gap_tol",
                     "initial.match_clock", "exponents.T"):
             assert key in manifest["config"]
         assert manifest["config"]["exponents.T"] == 2.0
@@ -230,8 +255,32 @@ class TestMain:
                          "--out", str(tmp_path / "m1")])
         assert code == 4
 
+    @pytest.mark.parametrize("keys, named", BAD_INPUTS,
+                             ids=[" ".join(f"{k}={v}" for k, v in keys.items())
+                                  for keys, _ in BAD_INPUTS])
+    def test_bad_input_exit_2(self, tmp_path, capsys, keys, named):
+        (tmp_path / "text.csv").write_text("x,v\n0.5,abc\n")
+        (tmp_path / "negative.csv").write_text("x,v\n" + "0.5,-1.0\n" * 129)
+        cfg = BASE_CFG
+        for key, value in keys.items():
+            cfg = set_key(cfg, key, value.format(tmp=tmp_path))
+        path = write_cfg(tmp_path, cfg)
+        assert cli.main(["evolve", "--config", str(path),
+                         "--out", str(tmp_path / "m5")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_bug_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
+        def prepare(*args, **kwargs):
+            raise ValueError("a programming error")
+
+        monkeypatch.setattr(cli, "prepare", prepare)
+        path = write_cfg(tmp_path, BASE_CFG)
+        with pytest.raises(ValueError, match="a programming error"):
+            cli.main(["stationary", "--config", str(path),
+                      "--out", str(tmp_path / "m6")])
+
     def test_numerical_failure_exit_3(self, tmp_path):
-        # one computed mode cannot bracket c p: SpectrumTooShort
+        # one computed mode cannot reach past c p
         cfg = BASE_CFG + "spectrum.modes = 1\n"
         path = write_cfg(tmp_path, cfg)
         code = cli.main(["spectrum", "--config", str(path),

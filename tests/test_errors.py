@@ -1,0 +1,73 @@
+"""The error contract: config text either resolves to a runnable config or
+raises ConfigError naming where, and every exception class fdelab defines
+lives in fdelab/errors.py."""
+
+import ast
+import builtins
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+import fdelab
+from fdelab.config import ConfigError, _KNOWN, parse_config_text, resolve_config
+
+BASE = {"domain.nodes": "129", "exponents.p": "2.0", "exponents.c": "1.0"}
+
+_numbers = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6), st.integers(10 ** 300, 10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True)).map(repr)
+_words = st.sampled_from(["true", "false", "interval", "ball", "stationary",
+                          "scaled_stationary", "mode_perturbed", "from_file",
+                          "out", "abc", "1:2", "x:y:z", "2:1:0.1", "40:1:-3.5"])
+_tokens = st.one_of(_numbers, _words,
+                    st.tuples(st.integers(-2, 40), st.integers(-2, 3),
+                              st.floats(-100, 100)).map(lambda t: "%d:%d:%r" % t))
+_values = st.one_of(_tokens, st.lists(_tokens, min_size=2, max_size=4).map(" ".join))
+
+
+@settings(max_examples=400, deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(sorted(_KNOWN)), _values,
+                                 max_size=6),
+       dropped=st.sets(st.sampled_from(sorted(BASE)), max_size=1))
+def test_config_resolves_or_raises_config_error(overrides, dropped):
+    raw = {k: v for k, v in BASE.items() if k not in dropped}
+    raw.update(overrides)
+    text = "".join(f"{k} = {v}\n" for k, v in raw.items())
+    try:
+        cfg = resolve_config(parse_config_text(text))
+    except ConfigError as exc:
+        assert str(exc).startswith("<config>:")
+        return
+    # what resolves describes a run: its domain, exponents and mode count
+    cfg.domain_spec()
+    cfg.exponents()
+    assert 1 <= cfg["spectrum.modes"] <= cfg["domain.nodes"] // 4
+    for key in ("flow.dt", "flow.horizon", "sampler.cadence"):
+        assert cfg[key] > 0
+
+
+def _base_name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_exception_classes_live_in_errors_module():
+    classes = []   # (module, class name, base names) over every module
+    for path in sorted(Path(fdelab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                classes.append((path.stem, node.name,
+                                {_base_name(b) for b in node.bases}))
+    exceptions = {name for name in dir(builtins)
+                  if isinstance(getattr(builtins, name), type)
+                  and issubclass(getattr(builtins, name), BaseException)}
+    defined = set()
+    while True:   # classes deriving from an exception, to a fixed point
+        found = {(mod, name) for mod, name, bases in classes
+                 if bases & exceptions
+                 or any(b.endswith(("Error", "Exception", "Warning")) for b in bases)}
+        if found == defined:
+            break
+        defined = found
+        exceptions |= {name for _, name in found}
+    assert defined == {("errors", "ConfigError"), ("errors", "NumericalFailure"),
+                       ("errors", "StepFailure")}

@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 
 import fdelab as F
-from fdelab.flow import PositivityLoss, StepFailure
+import fdelab.flow
+from fdelab.flow import StepFailure
 
 
 def interval(n):
@@ -57,7 +58,7 @@ class TestStepRescaled:
     def test_positivity_required(self, interval_p2_small):
         s = interval_p2_small
         state = F.FlowState(kind="rescaled", field=-s.profile.V, time=0.0)
-        with pytest.raises(PositivityLoss):
+        with pytest.raises(F.NumericalFailure, match="rescaled state must be positive"):
             F.step_rescaled(s.grid, s.exps, state, 1e-3)
 
 
@@ -166,19 +167,31 @@ class TestEvolve:
         traj = F.evolve(s.grid, s.exps,
                         F.FlowState(kind="rescaled", field=s.profile.V.copy(),
                                     time=0.0),
-                        horizon=1.0, dt_policy=F.DtPolicy(dt=3e-3, dt_max=3e-3),
+                        horizon=1.0, dt=3e-3,
                         sample_every=0.1)
         assert traj.sample_times == [(i + 1) * 0.1 for i in range(10)]
 
-    def test_adaptive_dt_grows(self, interval_p2_small):
+    def test_step_failure_halves_dt_then_regrows_to_it(self, interval_p2_small,
+                                                       monkeypatch):
         s = interval_p2_small
+        real, tried = F.step_rescaled, []
+
+        def fails_once(grid, exps, state, dt):
+            tried.append(dt)
+            if len(tried) == 1:
+                raise StepFailure("forced")
+            return real(grid, exps, state, dt)
+
+        monkeypatch.setattr(fdelab.flow, "step_rescaled", fails_once)
         traj = F.evolve(s.grid, s.exps,
                         F.FlowState(kind="rescaled", field=s.profile.V.copy(),
                                     time=0.0),
-                        horizon=0.5,
-                        dt_policy=F.DtPolicy(dt=1e-4, dt_max=5e-3, grow=1.5),
-                        sample_every=0.25)
-        assert max(traj.dt_history) > 1e-4
+                        horizon=0.1, dt=4e-3, sample_every=0.1)
+        assert tried[:2] == [4e-3, 2e-3]
+        # easy steps at the fixed point regrow dt by 1.2, capped at dt
+        assert traj.dt_history[:5] == pytest.approx([2e-3, 2.4e-3, 2.88e-3,
+                                                     3.456e-3, 4e-3])
+        assert max(traj.dt_history) == 4e-3
 
     def test_rescaling_consistency_between_flows(self, interval_p2_small):
         # evolve the original flow, map through the exact change of variables,
@@ -192,12 +205,12 @@ class TestEvolve:
         traj_o = F.evolve(s.grid, exps,
                           F.FlowState(kind="original", field=u0.copy(), time=0.0),
                           horizon=tau_samples[-1] + 1e-9,
-                          dt_policy=F.DtPolicy(dt=2e-4, dt_max=2e-4),
+                          dt=2e-4,
                           sample_times=tau_samples)
         traj_r = F.evolve(s.grid, exps,
                           F.FlowState(kind="rescaled", field=v0.copy(), time=0.0),
                           horizon=t_samples[-1],
-                          dt_policy=F.DtPolicy(dt=2e-4, dt_max=2e-4),
+                          dt=2e-4,
                           sample_times=t_samples)
         for t, u_field, v_field in zip(t_samples, traj_o.fields, traj_r.fields):
             w_from_original = F.original_to_rescaled(u_field, t, exps)
@@ -240,7 +253,7 @@ class TestEvolve:
         traj = F.evolve(s.grid, s.exps,
                         F.FlowState(kind="rescaled", field=s.profile.V.copy(),
                                     time=0.0),
-                        horizon=0.5, dt_policy=F.DtPolicy(dt=5e-3, dt_max=5e-3),
+                        horizon=0.5, dt=5e-3,
                         sample_every=0.25)
         meta = traj.step_summary()
         assert meta["kind"] == "rescaled" and meta["steps"] == 100
@@ -268,7 +281,7 @@ class TestExtinction:
                         F.FlowState(kind="original", field=s.profile.S.copy(),
                                     time=0.0),
                         horizon=1.2 * exps.T,
-                        dt_policy=F.DtPolicy(dt=dt, dt_max=dt),
+                        dt=dt,
                         sample_every=exps.T / 200.0,
                         stop_sup_below=5e-4 * s.profile.S.max())
         est = F.estimate_extinction_time(traj, exps.m)
@@ -284,7 +297,7 @@ class TestExtinction:
                         F.FlowState(kind="original",
                                     field=2.0 * s.profile.S, time=0.0),
                         horizon=1.2 * T2,
-                        dt_policy=F.DtPolicy(dt=dt, dt_max=dt),
+                        dt=dt,
                         sample_every=T2 / 200.0,
                         stop_sup_below=1e-3 * s.profile.S.max())
         est = F.estimate_extinction_time(traj, exps.m)
@@ -296,7 +309,8 @@ class TestExtinction:
         for tau in np.linspace(0.01, 0.02, 12):
             traj.sample_times.append(float(tau))
             traj.fields.append(s.profile.S.copy())
-        with pytest.raises(F.InsufficientDecay):
+        with pytest.raises(F.NumericalFailure,
+                           match="only 0 samples inside the fit window"):
             F.estimate_extinction_time(traj, s.exps.m)
 
 
@@ -312,7 +326,7 @@ def _reference_newton(scale_hint, guess, residual, jac_banded, max_iters=30):
 
     def accept(iters):
         if x.min() <= 1e-300 * 10:
-            raise PositivityLoss("converged step is not strictly positive")
+            raise F.NumericalFailure("converged step is not strictly positive")
         return x, iters
 
     for it in range(1, max_iters + 1):
