@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from itertools import product
 from pathlib import Path
 
@@ -158,6 +159,9 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
     setup = prepare(cfg.domain_spec(), exps, n_modes=int(cfg["spectrum.modes"]),
                     gap_tol=cfg["spectrum.gap_tol"])
     grid, profile = setup.grid, setup.profile
+    # a bad initial datum must fail before any artifact is written
+    base = (_initial_field(cfg, setup, stage)
+            if stage in ("linear", "evolve", "rates") else None)
     write_json(out / "manifest.json", _manifest(cfg, stage))
     write_csv(out / "profile.csv", ["x", "V", "S", "dist"],
               list(zip(grid.coords, profile.V, profile.S, grid.boundary_distance)))
@@ -180,7 +184,7 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         return summary
 
     if stage == "linear":
-        f0 = _initial_field(cfg, setup, stage) - profile.V
+        f0 = base - profile.V
         tr = run_linearized(setup, f0, horizon=cfg["flow.horizon"],
                             dt=cfg["flow.dt"], cadence=cfg["sampler.cadence"])
         header = ["t", "E_lin", "I_lin"]
@@ -196,7 +200,6 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         write_csv(out / "trace.csv", header, rows)
         return summary
 
-    base = _initial_field(cfg, setup, stage)
     result = run_nonlinear_rate_case(
         setup, base, horizon=cfg["flow.horizon"], dt=cfg["flow.dt"],
         cadence=cfg["sampler.cadence"],
@@ -208,6 +211,7 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
     meta = dict(result.step_summary or {})
     meta["clock_scale"] = result.calibration.scale
     meta["clock_trials"] = result.calibration.trials
+    meta["clock_log"] = [asdict(trial) for trial in result.calibration.log]
     write_json(out / "trajectory.json", meta)
     if stage == "evolve":
         return summary

@@ -20,6 +20,7 @@ sup(u)^(1-m) in time, never simulated to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -198,15 +199,44 @@ def _step(grid: Grid, exps: Exponents, V, state: FlowState, dt: float) -> FlowSt
     return step_linearized(grid, V, exps, state, dt)
 
 
+def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
+          V=None, traj: Trajectory | None = None):
+    """Advance state to each of the increasing times in targets and yield it
+    there.  Steps are dt long, except that a step ending in StepFailure is
+    retried at half the dt (down to _DT_MIN), which then regrows after easy
+    steps, never beyond dt.  Steps are clipped so that each target is hit
+    exactly.  Each accepted step's dt and Newton count are appended to traj's
+    histories, if traj is given."""
+    dt_now = dt
+    for target in targets:
+        while state.time < target - 1e-12 * max(1.0, target):
+            dt_eff = min(dt_now, target - state.time)
+            clipped = dt_eff < dt_now
+            try:
+                new_state = _step(grid, exps, V, state, dt_eff)
+            except StepFailure:
+                if dt_now <= _DT_MIN:
+                    raise
+                dt_now = max(_DT_MIN, dt_now / 2.0)
+                continue
+            if clipped:
+                new_state.time = target
+            state = new_state
+            if traj is not None:
+                traj.dt_history.append(dt_eff)
+                traj.newton_history.append(state.newton_iters)
+            if not clipped and state.newton_iters <= _EASY_ITERS:
+                dt_now = min(dt, dt_now * _DT_GROW)
+        state.time = target
+        yield state
+
+
 def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
            dt: float, sample_every: float | None = None,
            sample_times=None, sampler=None, V=None,
            stop_sup_below: float | None = None) -> Trajectory:
-    """March a flow to the horizon, sampling at exact multiples of sample_every
-    (or at the explicit sample_times).  Steps are dt long, except that a
-    step ending in StepFailure is retried at half the dt (down to _DT_MIN),
-    which then regrows after easy steps, never beyond dt.  Steps are clipped
-    so samples land exactly on the requested times.
+    """March a flow to the horizon (see march), sampling at exact multiples of
+    sample_every (or at the explicit sample_times).
 
     stop_sup_below: halt (after the current sample) once sup|field| drops below
     this absolute level; original runs near extinction use it.
@@ -226,29 +256,8 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
         raise ValueError("sample times must be strictly increasing")
 
     traj = Trajectory(kind=initial.kind, initial_field=initial.field.copy())
-    state = initial
-    dt_now = dt
-    for target in sample_times:
-        if target > horizon + 1e-12:
-            break
-        while state.time < target - 1e-12 * max(1.0, target):
-            dt_eff = min(dt_now, target - state.time)
-            clipped = dt_eff < dt_now
-            try:
-                new_state = _step(grid, exps, V, state, dt_eff)
-            except StepFailure:
-                if dt_now <= _DT_MIN:
-                    raise
-                dt_now = max(_DT_MIN, dt_now / 2.0)
-                continue
-            if clipped:
-                new_state.time = target
-            state = new_state
-            traj.dt_history.append(dt_eff)
-            traj.newton_history.append(state.newton_iters)
-            if not clipped and state.newton_iters <= _EASY_ITERS:
-                dt_now = min(dt, dt_now * _DT_GROW)
-        state.time = target
+    targets = takewhile(lambda t: t <= horizon + 1e-12, sample_times)
+    for state in march(grid, exps, initial, dt, targets, V, traj):
         traj.sample_times.append(state.time)
         traj.fields.append(state.field.copy())
         if sampler is not None:

@@ -11,8 +11,11 @@ linearized flow (growth rate c(p-1)/p along V), which would eventually throw
 any desk-scale run off the profile.  The FDE scaling symmetry makes the family
 b -> b * v0 cross the matched-clock manifold transversally, so a one-parameter
 shooting on the scale b realizes "T = T(u0)" exactly to solver resolution.
-Bisection is accelerated by a log-secant update: the divergence detection time
-t_det of a trial measures log|b - b*| through the known growth rate.
+Each diverging trial stops at some time t with unstable-mode coefficient
+a = <v(t) - V, phi_1>_V.  Implicit Euler grows that mode by exactly
+1/(1 - dt gamma) per step, gamma = c(p-1)/p, so g = a exp(-gamma_dt t), with
+gamma_dt = -log(1 - dt gamma)/dt, is about K (b - b*) whatever t was: a secant
+on g, kept inside the sign bracket, reaches the matched scale in a few trials.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import make_sampler, nonlinear_entropy
-from .errors import NumericalFailure
-from .flow import FlowState, evolve, step_rescaled
+from .errors import NumericalFailure, StepFailure
+from .flow import FlowState, evolve, march
 from .grid import DomainSpec, Grid, build_domain, inner_product_weighted
 from .rates import EntropyBand, RateFit, RateVerdict, fit_rate, sharp_rate_verdict
 from .spectrum import EigenSystem, GapReport, classify_gap, weighted_eigensystem
@@ -61,11 +64,23 @@ def mode_perturbed_field(setup: StageSetup, modes) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class CalibrationTrial:
+    """One shooting trial of match_extinction_clock."""
+
+    scale: float
+    verdict: int       # 0 accepted, -1 extinguishing side, +1 blow-up side
+    t_stop: float      # time the trial stopped
+    e_min: float       # smallest entropy the trial reached
+    g: float           # growth-normalised unstable-mode coefficient, ~K (b - b*)
+
+
+@dataclass(frozen=True)
 class ClockCalibration:
     scale: float
     trials: int
     bracket: tuple
     achieved_entropy: float    # smallest entropy reached by the accepted run
+    log: tuple = ()            # every trial, in order (CalibrationTrial)
 
 
 def _mode1_coefficient(setup: StageSetup, v: np.ndarray) -> float:
@@ -78,25 +93,33 @@ def _run_trial(setup: StageSetup, v0: np.ndarray, dt: float, horizon: float,
                deep_floor: float, stride: int):
     """March the rescaled flow until the entropy either collapses below
     deep_floor (verdict 0) or diverges from its running minimum (verdict +-1,
-    sign of the unstable-mode coefficient).  Returns (verdict, t, e_min)."""
+    the sign of the unstable-mode coefficient a), checking every stride
+    steps.  A flow that cannot be continued even at the smallest dt (it
+    collapses in finite time) has diverged too; a trial that does neither
+    by the horizon is accepted.  Returns (verdict, t, e_min, a), with t and a
+    taken at the last check."""
     grid, exps, V = setup.grid, setup.exps, setup.profile.V
     p = exps.p
     state = FlowState(kind="rescaled", field=v0, time=0.0)
     e0 = nonlinear_entropy(grid, V, p, v0)
-    e_min = e0
-    steps = int(round(horizon / dt))
-    for s in range(steps):
-        state = step_rescaled(grid, exps, state, dt)
-        if (s + 1) % stride:
-            continue
-        e = nonlinear_entropy(grid, V, p, state.field)
-        e_min = min(e_min, e)
-        if e_min < deep_floor:
-            return 0, state.time, e_min
-        if (e > 4.0 * e_min and e > 100.0 * deep_floor) or e > 10.0 * max(e0, deep_floor):
-            sign = 1 if _mode1_coefficient(setup, state.field) > 0 else -1
-            return sign, state.time, e_min
-    return 0, horizon, e_min
+    e_min, diverged = e0, False
+    every = stride * dt
+    targets = (k * every for k in range(1, int(round(horizon / dt)) // stride + 1))
+    try:
+        for state in march(grid, exps, state, dt, targets):
+            e = nonlinear_entropy(grid, V, p, state.field)
+            e_min = min(e_min, e)
+            if e_min < deep_floor:
+                break
+            if ((e > 4.0 * e_min and e > 100.0 * deep_floor)
+                    or e > 10.0 * max(e0, deep_floor)):
+                diverged = True
+                break
+    except StepFailure:
+        diverged = True
+    a = _mode1_coefficient(setup, state.field)
+    verdict = (1 if a > 0 else -1) if diverged else 0
+    return verdict, state.time, e_min, a
 
 
 def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
@@ -107,65 +130,64 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
     the rescaled flow (extinction time matched to T = p/((p-1)c)).
 
     The accepted scale is the first trial whose entropy collapses below
-    deep_floor before any divergence is detected.
+    deep_floor before any divergence is detected.  After a sign bracket is
+    found, each next scale is the secant root of g through the two latest
+    trials, or the bracket's midpoint when that root is not strictly inside.
     """
     base = setup.grid.check_field(base_field)
     exps = setup.exps
-    gamma = exps.c * (exps.p - 1.0) / exps.p   # unstable growth rate
+    # implicit Euler grows the unstable mode by 1/(1 - dt gamma) per step
+    gamma_dt = -np.log1p(-dt * exps.c * (exps.p - 1.0) / exps.p) / dt
+    log = []
 
     if nonlinear_entropy(setup.grid, setup.profile.V, exps.p, base) < deep_floor:
         return ClockCalibration(scale=1.0, trials=0, bracket=(1.0, 1.0),
                                 achieved_entropy=0.0)
 
     def trial(b):
-        return _run_trial(setup, b * base, dt, horizon, deep_floor, stride)
+        verdict, t, e_min, a = _run_trial(setup, b * base, dt, horizon,
+                                          deep_floor, stride)
+        g = float(a * np.exp(-gamma_dt * t))
+        log.append(CalibrationTrial(scale=b, verdict=verdict, t_stop=t,
+                                    e_min=e_min, g=g))
+        return verdict
+
+    def accepted(bracket):
+        return ClockCalibration(scale=log[-1].scale, trials=len(log),
+                                bracket=bracket, achieved_entropy=log[-1].e_min,
+                                log=tuple(log))
 
     lo, hi = 1.0 - bracket_width, 1.0 + bracket_width
-    s_lo, t_lo, e_lo = trial(lo)
-    trials = 1
-    if s_lo == 0:
-        return ClockCalibration(scale=lo, trials=trials, bracket=(lo, lo),
-                                achieved_entropy=e_lo)
-    s_hi, t_hi, e_hi = trial(hi)
-    trials += 1
-    if s_hi == 0:
-        return ClockCalibration(scale=hi, trials=trials, bracket=(hi, hi),
-                                achieved_entropy=e_hi)
-    widen = 0
-    while s_lo == s_hi and widen < 8:
-        lo = max(lo - 2.0 * bracket_width * 2 ** widen, 0.05)
-        hi += 2.0 * bracket_width * 2 ** widen
-        s_lo, t_lo, _ = trial(lo)
-        s_hi, t_hi, _ = trial(hi)
-        trials += 2
-        widen += 1
-    if s_lo == s_hi:
+    ends = {}     # verdict -> latest scale with that verdict
+    for widen in range(9):
+        if widen:
+            lo = max(lo - 2.0 * bracket_width * 2 ** (widen - 1), 0.05)
+            hi += 2.0 * bracket_width * 2 ** (widen - 1)
+        for b in (lo, hi):
+            ends[trial(b)] = b
+            if 0 in ends:
+                return accepted((b, b))
+        if len(ends) == 2:
+            break
+    else:
         raise NumericalFailure("could not bracket the matched-clock scale")
-    if s_lo > 0:  # orient: lo side extinction (-), hi side blow-up (+)
-        lo, hi, t_lo, t_hi = hi, lo, t_hi, t_lo
 
-    while trials < max_trials:
-        # log-secant: |b - b*| ~ exp(-gamma t_det) on both sides
-        r = np.exp(-gamma * (t_hi - t_lo))
-        bm = (hi + r * lo) / (1.0 + r)
-        span = abs(hi - lo)
-        margin = 0.05 * span
-        bm = min(max(bm, min(lo, hi) + margin), max(lo, hi) - margin)
-        sm, tm, em = trial(bm)
-        trials += 1
-        if sm == 0:
-            return ClockCalibration(scale=bm, trials=trials,
-                                    bracket=(min(lo, hi), max(lo, hi)),
-                                    achieved_entropy=em)
-        if sm < 0:
-            lo, t_lo = bm, tm
-        else:
-            hi, t_hi = bm, tm
-        if span < 64 * np.finfo(float).eps:
+    while len(log) < max_trials:
+        bracket = (min(ends.values()), max(ends.values()))
+        prev, last = log[-2], log[-1]
+        b = 0.5 * (bracket[0] + bracket[1])
+        if last.g != prev.g:
+            root = last.scale - last.g * (last.scale - prev.scale) / (last.g - prev.g)
+            if bracket[0] < root < bracket[1]:
+                b = root
+        ends[trial(b)] = b
+        if 0 in ends:
+            return accepted(bracket)
+        if bracket[1] - bracket[0] < 64 * np.finfo(float).eps:
             break
     raise NumericalFailure(
         f"no trial reached the entropy floor {deep_floor:g} within "
-        f"{max_trials} trials (bracket width {abs(hi - lo):.3e})")
+        f"{max_trials} trials (bracket width {abs(ends[1] - ends[-1]):.3e})")
 
 
 def run_rescaled(setup: StageSetup, v0, horizon: float, dt: float = 1e-3,

@@ -136,6 +136,13 @@ class TestRunExperiment:
                     "initial.match_clock", "exponents.T"):
             assert key in manifest["config"]
         assert manifest["config"]["exponents.T"] == 2.0
+        # the evolve stage logs every calibration trial
+        cli.run_experiment(path, stage="evolve", out_dir=out)
+        meta = json.loads((out / "trajectory.json").read_text())
+        log = meta["clock_log"]
+        assert len(log) == meta["clock_trials"] and log[-1]["verdict"] == 0
+        assert log[-1]["scale"] == meta["clock_scale"]
+        assert set(log[0]) == {"scale", "verdict", "t_stop", "e_min", "g"}
 
     def test_trivial_fixed_point_verdict(self, tmp_path):
         cfg = BASE_CFG.replace("initial.kind      = mode_perturbed",
@@ -268,6 +275,7 @@ class TestMain:
         assert cli.main(["evolve", "--config", str(path),
                          "--out", str(tmp_path / "m5")]) == 2
         assert named in capsys.readouterr().err
+        assert not list((tmp_path / "m5").glob("*"))   # nothing written
 
     def test_bug_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
         def prepare(*args, **kwargs):

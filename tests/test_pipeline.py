@@ -1,0 +1,90 @@
+"""Extinction-clock matching: shooting on the initial-data scale."""
+
+import numpy as np
+import pytest
+
+import fdelab as F
+from fdelab import pipeline
+from fdelab.errors import NumericalFailure
+
+
+def interval_setup(p, nodes=129):
+    return F.prepare(F.DomainSpec(geometry="interval", nodes=nodes),
+                     F.Exponents.make(p=p, c=1.0))
+
+
+@pytest.mark.parametrize("p, modes", [(1.5, [(2, 1, 0.1)]), (2.0, [(2, 1, 0.1)]),
+                                      (3.0, [(3, 1, 0.2)])])
+def test_accepted_trial_is_deep_and_inside_its_bracket(p, modes):
+    setup = interval_setup(p)
+    base = F.mode_perturbed_field(setup, modes)
+    cal = F.match_extinction_clock(setup, base, deep_floor=1e-12)
+    assert cal.achieved_entropy < 1e-12
+    assert cal.bracket[0] <= cal.scale <= cal.bracket[1]
+    assert cal.trials <= 6
+    assert [r.scale for r in cal.log[:2]] == [1.0 - 2e-3, 1.0 + 2e-3]
+    assert [r.verdict == 0 for r in cal.log] == [False] * (cal.trials - 1) + [True]
+    assert cal.log[-1].scale == cal.scale
+    assert cal.log[-1].e_min == cal.achieved_entropy
+
+
+def fake_trials(monkeypatch, outcome):
+    """Replace _run_trial by outcome(b) -> (verdict, t, e_min, a), where b is
+    the trial's scale of the constant base field 1; returns the scales tried."""
+    scales = []
+
+    def run_trial(setup, v0, dt, horizon, deep_floor, stride):
+        scales.append(float(v0[0]))
+        return outcome(scales[-1])
+
+    monkeypatch.setattr(pipeline, "_run_trial", run_trial)
+    return scales
+
+
+def test_secant_is_exact_for_a_linear_coefficient(monkeypatch, interval_p2_small):
+    b_star = 1.0003
+
+    def outcome(b):   # stopped at t = 0, so g = a = b - b*
+        a = b - b_star
+        return (0 if abs(a) < 1e-12 else int(np.sign(a))), 0.0, 1.0, a
+
+    scales = fake_trials(monkeypatch, outcome)
+    cal = F.match_extinction_clock(interval_p2_small, np.ones(129))
+    assert cal.trials == len(scales) == 3
+    assert cal.scale == pytest.approx(b_star, abs=1e-12)
+    assert cal.bracket == (1.0 - 2e-3, 1.0 + 2e-3)
+    assert [r.g for r in cal.log[:2]] == pytest.approx([-2.3e-3, 1.7e-3])
+
+
+def test_no_bracket_raises(monkeypatch, interval_p2_small):
+    scales = fake_trials(monkeypatch, lambda b: (1, 1.0, 1.0, 1.0))
+    with pytest.raises(NumericalFailure, match="could not bracket"):
+        F.match_extinction_clock(interval_p2_small, np.ones(129))
+    assert len(scales) == 18     # 1 -+ 2e-3, then eight widenings
+    assert min(scales) == 0.05
+
+
+def test_max_trials_raises(monkeypatch, interval_p2_small):
+    def outcome(b):   # a sign but no slope: the secant falls back to bisection
+        sign = 1 if b > 1.0003 else -1
+        return sign, 1.0, 1.0, float(sign)
+
+    scales = fake_trials(monkeypatch, outcome)
+    with pytest.raises(NumericalFailure, match="within 10 trials"):
+        F.match_extinction_clock(interval_p2_small, np.ones(129), max_trials=10)
+    assert len(scales) == 10
+    assert scales[2:4] == [1.0, 1.001]
+
+
+def test_trial_survives_a_step_failure():
+    # From the constant field at n=33, p=2, the first step at dt = 2^-7 stalls
+    # in the line search; the trial retries it at half the dt and goes on.
+    setup = interval_setup(2.0, nodes=33)
+    verdict, t, _, a = pipeline._run_trial(setup, 0.998 * np.ones(33), 2 ** -7,
+                                           20.0, 1e-12, 10)
+    # the field lies far below V (sup V ~ 11.8) and collapses in finite time;
+    # a flow that cannot be continued even at the smallest dt has diverged
+    assert verdict == -1 and a < 0 and t > 0.2
+    # so every trial collapses and the widened bracket never reaches b*
+    with pytest.raises(NumericalFailure, match="could not bracket"):
+        F.match_extinction_clock(setup, np.ones(33), dt=2 ** -7)
