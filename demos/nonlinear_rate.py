@@ -37,6 +37,8 @@ print(f"  fitted rate   = {v.lambda_fit:.6f}")
 print(f"  2 lambda_p/p  = {v.target:.6f}")
 print(f"  rel. error    = {v.rel_error:.3%}  -> verdict "
       f"{'PASS' if v.passed else 'FAIL'} at tol {v.tol:.0%}")
+print(f"  implicit-Euler rate 2 log(1 + dt lambda_p/p)/dt = {v.target_dt:.9f}"
+      f" (rel. error {v.rel_error_dt:.1e}: the O(dt) bias above is the time step's)")
 print(f"  fit window t in {v.fit.window}, r^2 = {v.fit.r_squared:.12f}")
 
 print("\nalmost-orthogonality improves along the flow (worst quotient):")

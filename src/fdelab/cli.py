@@ -225,6 +225,7 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
             "verdict": "PASS" if v.passed else "FAIL", "passed": v.passed,
             "lambda_fit": v.lambda_fit, "target": v.target,
             "rel_error": v.rel_error, "tol": v.tol,
+            "target_dt": v.target_dt, "rel_error_dt": v.rel_error_dt,
             "lambda_p": v.lambda_p, "k_p": v.k_p, "p": v.p,
             "window": list(v.fit.window), "r_squared": v.fit.r_squared,
             "stderr": v.fit.stderr, "n_samples": v.fit.n_samples,

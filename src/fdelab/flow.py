@@ -10,7 +10,13 @@ variable w = v^p, which has a maximum principle, and returns v = w^m; the
 original flow is the case c = 0 with w = u.  The stepper uses damped Newton
 with a positivity-preserving line search (iterates are clipped at 1e-300
 only inside the search; an accepted step must be strictly positive), and
-solves each tridiagonal Newton system directly with LAPACK dgtsv.
+solves each tridiagonal Newton system directly with LAPACK dgtsv.  Near the
+extinction profile both nonlinear flows are smooth in time, so march starts
+each step's Newton iteration from the linear extrapolation of the last two
+accepted fields (floored at half the current field), which lies O(dt^2) from
+the root instead of O(dt); the step solves the same equation to the same
+residual, and a step that fails from that start is retried from the old state
+before dt is halved.
 
 Original runs stop near extinction (default sup u < 1e-6 sup u0); the
 extinction time itself is always extrapolated from the exact linearity of
@@ -77,19 +83,24 @@ class Trajectory:
 
 
 def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float,
-                    v_max: float, max_iters: int = 30):
+                    v_max: float, start: np.ndarray | None = None,
+                    max_iters: int = 30):
     """One implicit Euler step of w_t = lap w^m + c w by damped Newton.
 
-    Solves F(w) = w - dt (lap w^m + c w) - w_old = 0, starting from w_old
-    floored at 1e-300 (where w^(m-1) is finite) and iterating to the rounding
-    floor.  scale = sup w_old + 4 dt v_max / h^2 + dt c sup w_old estimates
+    Solves F(w) = w - dt (lap w^m + c w) - w_old = 0, starting from start (a
+    positive guess, e.g. extrapolated from earlier steps) or else from w_old,
+    floored at 1e-300 (where w^(m-1) is finite), and iterating to the rounding
+    floor.  The start moves only the first iterate; everything below depends
+    on w_old alone, so a step from any start solves the same equation to the
+    same residual, or ends in StepFailure (march then retries it from w_old).
+    scale = sup w_old + 4 dt v_max / h^2 + dt c sup w_old estimates
     the terms composing F (v_max is sup w_old^m), so that eps * scale is the
     evaluation noise: convergence is declared below a small multiple of it,
     and stagnation (no line-search progress) is accepted as converged while
     the residual sits within a larger multiple.  Stopping at a loose absolute
     tolerance instead would inject per-step noise into the entropy traces
     (visible for large-amplitude profiles at p near 1).  Returns
-    (w, Newton iterations).
+    (w, w^m, Newton iterations), w^m as the last residual formed it.
     """
     w_max = w_old.max()
     scale = w_max + 4.0 * dt * v_max / grid.h ** 2 + dt * c * w_max
@@ -103,15 +114,16 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
     one_minus = 1.0 - dt * c
 
     def residual(w):
-        return w - dt * (-apply_A(grid, w ** m) / qw + c * w) - w_old
+        wm = w ** m
+        return w - dt * (-apply_A(grid, wm) / qw + c * w) - w_old, wm
 
     def accept(iters):
         if x.min() <= _FLOOR * 10:
             raise NumericalFailure("converged step is not strictly positive")
-        return x, iters
+        return x, xm, iters
 
-    x = np.maximum(w_old, _FLOOR)
-    res = residual(x)
+    x = np.maximum(w_old if start is None else start, _FLOOR)
+    res, xm = residual(x)
     rnorm = np.abs(res).max()
     if not np.isfinite(rnorm):
         raise NumericalFailure("implicit step residual is not finite")
@@ -124,10 +136,10 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
         lam = 1.0
         while lam >= 1e-12:
             xt = np.maximum(x + lam * step, _FLOOR)
-            rt = residual(xt)
+            rt, xtm = residual(xt)
             rtn = np.abs(rt).max()
             if rtn < rnorm:
-                x, res, rnorm = xt, rt, rtn
+                x, xm, res, rnorm = xt, xtm, rt, rtn
                 break
             if lam == 1.0 and rnorm <= guard:
                 return accept(it)      # stagnation at the rounding floor
@@ -141,21 +153,26 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
     raise StepFailure(f"Newton did not converge (residual {rnorm:.3e})")
 
 
-def step_rescaled(grid: Grid, exps: Exponents, state: FlowState, dt: float) -> FlowState:
-    """One implicit Euler step of w_t = lap w^m + c w in w = v^p."""
+def step_rescaled(grid: Grid, exps: Exponents, state: FlowState, dt: float,
+                  start: np.ndarray | None = None) -> FlowState:
+    """One implicit Euler step of w_t = lap w^m + c w in w = v^p; start, if
+    given, is a positive guess of the new v for Newton to begin from."""
     if state.kind != "rescaled":
         raise ValueError("step_rescaled needs a rescaled state")
     v = grid.check_field(state.field)
     if v.min() <= 0:
         raise NumericalFailure("rescaled state must be positive")
     w_old = v ** exps.p
-    w_new, iters = _implicit_euler(grid, w_old, dt, exps.m, exps.c, v.max())
-    return FlowState(kind="rescaled", field=w_new ** exps.m, time=state.time + dt,
+    _, v_new, iters = _implicit_euler(grid, w_old, dt, exps.m, exps.c, v.max(),
+                                      None if start is None else start ** exps.p)
+    return FlowState(kind="rescaled", field=v_new, time=state.time + dt,
                      newton_iters=iters)
 
 
-def step_original(grid: Grid, exps: Exponents, state: FlowState, dt: float) -> FlowState:
-    """One implicit Euler step of u_t = lap u^m: the stepper above with c = 0."""
+def step_original(grid: Grid, exps: Exponents, state: FlowState, dt: float,
+                  start: np.ndarray | None = None) -> FlowState:
+    """One implicit Euler step of u_t = lap u^m: the stepper above with c = 0;
+    start, if given, is a positive guess of the new u."""
     if state.kind != "original":
         raise ValueError("step_original needs an original state")
     u_old = grid.check_field(state.field)
@@ -163,8 +180,8 @@ def step_original(grid: Grid, exps: Exponents, state: FlowState, dt: float) -> F
         raise NumericalFailure("original state must be nonnegative")
     if u_old.max() == 0.0:
         return FlowState(kind="original", field=u_old.copy(), time=state.time + dt)
-    u_new, iters = _implicit_euler(grid, u_old, dt, exps.m, 0.0,
-                                   (u_old ** exps.m).max())
+    u_new, _, iters = _implicit_euler(grid, u_old, dt, exps.m, 0.0,
+                                      (u_old ** exps.m).max(), start)
     return FlowState(kind="original", field=u_new, time=state.time + dt,
                      newton_iters=iters)
 
@@ -191,11 +208,12 @@ def step_linearized(grid: Grid, V, exps: Exponents, state: FlowState,
     return FlowState(kind="linearized", field=f_new, time=state.time + dt)
 
 
-def _step(grid: Grid, exps: Exponents, V, state: FlowState, dt: float) -> FlowState:
+def _step(grid: Grid, exps: Exponents, V, state: FlowState, dt: float,
+          start) -> FlowState:
     if state.kind == "rescaled":
-        return step_rescaled(grid, exps, state, dt)
+        return step_rescaled(grid, exps, state, dt, start=start)
     if state.kind == "original":
-        return step_original(grid, exps, state, dt)
+        return step_original(grid, exps, state, dt, start=start)
     return step_linearized(grid, V, exps, state, dt)
 
 
@@ -205,22 +223,34 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
     there.  Steps are dt long, except that a step ending in StepFailure is
     retried at half the dt (down to _DT_MIN), which then regrows after easy
     steps, never beyond dt.  Steps are clipped so that each target is hit
-    exactly.  Each accepted step's dt and Newton count are appended to traj's
-    histories, if traj is given."""
+    exactly.  A nonlinear step after an accepted one starts Newton from
+    f + (dt_eff/dt_prev) (f - f_prev), the linear extrapolation of the last
+    two fields, floored at f/2; if that step fails, the same dt is retried
+    without the start before it is halved.  Each accepted step's dt and
+    Newton count are appended to traj's histories, if traj is given."""
     dt_now = dt
+    prev = None         # (field, dt) before the last accepted step
     for target in targets:
         while state.time < target - 1e-12 * max(1.0, target):
             dt_eff = min(dt_now, target - state.time)
             clipped = dt_eff < dt_now
+            start = None
+            if prev is not None and state.kind != "linearized":
+                f, (f_prev, dt_prev) = state.field, prev
+                start = np.maximum(f + (dt_eff / dt_prev) * (f - f_prev), 0.5 * f)
             try:
-                new_state = _step(grid, exps, V, state, dt_eff)
+                new_state = _step(grid, exps, V, state, dt_eff, start)
             except StepFailure:
+                if start is not None:
+                    prev = None
+                    continue
                 if dt_now <= _DT_MIN:
                     raise
                 dt_now = max(_DT_MIN, dt_now / 2.0)
                 continue
             if clipped:
                 new_state.time = target
+            prev = (state.field, dt_eff)
             state = new_state
             if traj is not None:
                 traj.dt_history.append(dt_eff)

@@ -130,9 +130,11 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
     the rescaled flow (extinction time matched to T = p/((p-1)c)).
 
     The accepted scale is the first trial whose entropy collapses below
-    deep_floor before any divergence is detected.  After a sign bracket is
-    found, each next scale is the secant root of g through the two latest
-    trials, or the bracket's midpoint when that root is not strictly inside.
+    deep_floor before any divergence is detected.  The first two trials are
+    1 -+ bracket_width; while their verdicts agree, only the side that can
+    hold b* is widened, by doubling steps.  After a sign bracket is found,
+    each next scale is the secant root of g through the two latest trials,
+    or the bracket's midpoint when that root is not strictly inside.
     """
     base = setup.grid.check_field(base_field)
     exps = setup.exps
@@ -159,17 +161,24 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
 
     lo, hi = 1.0 - bracket_width, 1.0 + bracket_width
     ends = {}     # verdict -> latest scale with that verdict
-    for widen in range(9):
-        if widen:
-            lo = max(lo - 2.0 * bracket_width * 2 ** (widen - 1), 0.05)
-            hi += 2.0 * bracket_width * 2 ** (widen - 1)
-        for b in (lo, hi):
-            ends[trial(b)] = b
-            if 0 in ends:
-                return accepted((b, b))
+    for b in (lo, hi):
+        ends[trial(b)] = b
+        if 0 in ends:
+            return accepted((b, b))
+    # the verdict is monotone in b: while both ends agree, b* lies below lo
+    # (both +1) or above hi (both -1)
+    for widen in range(8):
         if len(ends) == 2:
             break
-    else:
+        step = 2.0 * bracket_width * 2 ** widen
+        if 1 in ends:
+            b = lo = max(lo - step, 0.05)
+        else:
+            b = hi = hi + step
+        ends[trial(b)] = b
+        if 0 in ends:
+            return accepted((b, b))
+    if len(ends) < 2:
         raise NumericalFailure("could not bracket the matched-clock scale")
 
     while len(log) < max_trials:
@@ -304,7 +313,8 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
                             calibration_horizon: float | None = None,
                             want_fit: bool = True) -> NonlinearRateResult:
     """Calibrate the clock, run the flow, and (want_fit) fit the entropy decay
-    against the spectral prediction 2 lambda_p / p."""
+    against the spectral prediction 2 lambda_p / p (and its implicit-Euler
+    form at this dt)."""
     band = band or EntropyBand()
     if match_clock:
         cal = match_extinction_clock(
@@ -328,7 +338,7 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
                                    verdict=None, trivial_fixed_point=False,
                                    step_summary=summary)
     fit = fit_rate([r.t for r in reports], E, band)
-    verdict = sharp_rate_verdict(fit, setup.gap, setup.exps.p, tol)
+    verdict = sharp_rate_verdict(fit, setup.gap, setup.exps.p, tol, dt)
     return NonlinearRateResult(calibration=cal, reports=reports, fit=fit,
                                verdict=verdict, trivial_fixed_point=False,
                                step_summary=summary)

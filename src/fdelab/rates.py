@@ -189,18 +189,28 @@ class RateVerdict:
     k_p: int
     p: float
     fit: RateFit
+    target_dt: float            # 2 log(1 + dt lambda_p / p) / dt
+    rel_error_dt: float
 
 
 def sharp_rate_verdict(fit: RateFit, gap: GapReport, p: float,
-                       tol: float = 0.05) -> RateVerdict:
+                       tol: float = 0.05, dt: float = 0.0) -> RateVerdict:
     """Compare the fitted entropy decay rate with the spectral prediction
-    2 lambda_p / p at relative tolerance tol."""
+    2 lambda_p / p at relative tolerance tol.
+
+    Also reports the discrete prediction for implicit Euler at step dt, which
+    shrinks the slowest mode by 1/(1 + dt lambda_p / p) per step, so that the
+    entropy decays at 2 log(1 + dt lambda_p / p) / dt (dt = 0 is the continuum
+    limit, target_dt = target).  The PASS rule uses the continuum target."""
     if not gap.h2_ok:
         raise NumericalFailure(
             f"c p = {gap.cp:.6g} collides with the spectrum "
             f"(margin {gap.gap_margin:.3e})")
     target = 2.0 * gap.lambda_p / p
     rel = abs(fit.lambda_fit - target) / target
+    target_dt = 2.0 * np.log1p(dt * gap.lambda_p / p) / dt if dt > 0 else target
     return RateVerdict(passed=bool(rel <= tol), lambda_fit=fit.lambda_fit,
                        target=target, rel_error=rel, tol=tol,
-                       lambda_p=gap.lambda_p, k_p=gap.k_p, p=p, fit=fit)
+                       lambda_p=gap.lambda_p, k_p=gap.k_p, p=p, fit=fit,
+                       target_dt=float(target_dt),
+                       rel_error_dt=float(abs(fit.lambda_fit - target_dt) / target_dt))

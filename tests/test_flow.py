@@ -176,11 +176,11 @@ class TestEvolve:
         s = interval_p2_small
         real, tried = F.step_rescaled, []
 
-        def fails_once(grid, exps, state, dt):
+        def fails_once(grid, exps, state, dt, start=None):
             tried.append(dt)
             if len(tried) == 1:
                 raise StepFailure("forced")
-            return real(grid, exps, state, dt)
+            return real(grid, exps, state, dt, start=start)
 
         monkeypatch.setattr(fdelab.flow, "step_rescaled", fails_once)
         traj = F.evolve(s.grid, s.exps,
@@ -455,3 +455,74 @@ class TestSharedStepper:
             pytest.fail("no dt down to 2^-40 of the drawn one converged")
         assert out.field.min() > 0
         assert np.abs(residual(field, out.field)).max() <= guard(field)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(1.2, 4.0),
+           dt=st.floats(1e-5, 1e-2),
+           field=arrays(np.float64, 33, elements=st.floats(1e-3, 10.0)),
+           start=arrays(np.float64, 33, elements=st.floats(1e-3, 10.0)))
+    def test_any_start_solves_the_same_step(self, p, dt, field, start):
+        # a start moves only Newton's first iterate: from any positive guess,
+        # however far from the root, the step either fails (march then retries
+        # it without the start) or meets the residual contract of the step
+        # from the old state
+        grid = F.build_domain(F.DomainSpec(geometry="interval", nodes=33))
+        exps = F.Exponents.make(p=p, c=1.0)
+        eps = np.finfo(float).eps
+        w = field ** p
+        cases = (
+            ("rescaled", F.step_rescaled, w, exps.c, field.max(),
+             lambda v1: v1 ** p),
+            ("original", F.step_original, field, 0.0, (field ** exps.m).max(),
+             lambda u1: u1),
+        )
+        for kind, step, w0, c, v_max, to_w in cases:
+            state = F.FlowState(kind=kind, field=field, time=0.0)
+            try:
+                out = step(grid, exps, state, dt, start=start)
+            except StepFailure:
+                continue
+            assert out.field.min() > 0
+            w1 = to_w(out.field)
+            res = w1 - dt * (F.apply_laplacian(grid, w1 ** exps.m) + c * w1) - w0
+            guard = 512.0 * eps * (w0.max() + 4.0 * dt * v_max / grid.h ** 2
+                                   + dt * c * w0.max())
+            assert np.abs(res).max() <= guard, kind
+
+
+class TestMarchStart:
+    def test_failed_start_is_retried_at_the_same_dt(self, interval_p2_small,
+                                                    monkeypatch):
+        s = interval_p2_small
+        real, calls = F.step_rescaled, []
+
+        def refuses_starts(grid, exps, state, dt, start=None):
+            calls.append((dt, start is not None))
+            if start is not None:
+                raise StepFailure("forced")
+            return real(grid, exps, state, dt)
+
+        monkeypatch.setattr(fdelab.flow, "step_rescaled", refuses_starts)
+        v0 = F.mode_perturbed_field(s, [(2, 1, 0.1)])
+        traj = F.evolve(s.grid, s.exps,
+                        F.FlowState(kind="rescaled", field=v0, time=0.0),
+                        horizon=0.05, dt=5e-3, sample_every=0.05)
+        # first step has no start; every later one is tried with it, then
+        # retried at the same dt without it
+        assert calls[0] == (5e-3, False)
+        assert calls[1:] == [(5e-3, True), (5e-3, False)] * 9
+        assert traj.dt_history == [5e-3] * 10
+
+    def test_original_flow_needs_about_one_iteration_per_step(self,
+                                                              interval_p2_small):
+        # from S the original flow is u = (1 - t/T)^p S: smooth in time, so the
+        # extrapolated start lies O(dt^2) from each step's root
+        s = interval_p2_small
+        T = s.exps.T
+        traj = F.evolve(s.grid, s.exps,
+                        F.FlowState(kind="original", field=s.profile.S.copy(),
+                                    time=0.0),
+                        horizon=0.9 * T, dt=2e-4 * T, sample_every=0.1 * T)
+        meta = traj.step_summary()
+        assert meta["steps"] == 4500
+        assert meta["newton_total"] <= 1.25 * meta["steps"]

@@ -60,8 +60,24 @@ def test_no_bracket_raises(monkeypatch, interval_p2_small):
     scales = fake_trials(monkeypatch, lambda b: (1, 1.0, 1.0, 1.0))
     with pytest.raises(NumericalFailure, match="could not bracket"):
         F.match_extinction_clock(interval_p2_small, np.ones(129))
-    assert len(scales) == 18     # 1 -+ 2e-3, then eight widenings
+    assert len(scales) == 10     # 1 -+ 2e-3, then eight widenings below
     assert min(scales) == 0.05
+
+
+def test_bracket_widens_only_on_the_side_of_b_star(monkeypatch, interval_p2_small):
+    b_star = 0.99     # both 1 -+ 2e-3 blow up: b* lies below, never above
+
+    def outcome(b):
+        a = b - b_star
+        return (0 if abs(a) < 1e-12 else int(np.sign(a))), 0.0, 1.0, a
+
+    scales = fake_trials(monkeypatch, outcome)
+    cal = F.match_extinction_clock(interval_p2_small, np.ones(129))
+    assert cal.scale == pytest.approx(b_star, abs=1e-12)
+    assert max(scales) == 1.0 + 2e-3     # no widened trial above hi
+    assert cal.trials == 5
+    assert scales[2:4] == pytest.approx([0.994, 0.986])
+    assert cal.bracket == pytest.approx((0.986, 0.994))   # the nearer ends
 
 
 def test_max_trials_raises(monkeypatch, interval_p2_small):
