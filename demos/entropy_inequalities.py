@@ -45,11 +45,18 @@ clean = decaying_prefix(reports)
 sup, arg, _ = F.smoothing_check(clean, ndim=1)
 print(f"delayed smoothing: sup |h(t)| / E(t-1)^(1/4) = {sup:.4f} at t = {arg:.3f}")
 
-worst = F.time_monotonicity_check(reports, setup.exps)
+# the trace keeps no field: replay the run through march for the h-checks
+times = [r.t for r in reports]
+fields = [state.field for state in
+          F.march(setup.grid, setup.exps,
+                  F.FlowState(kind="rescaled", field=base, time=0.0),
+                  dt=5e-4, targets=times)]
+V = setup.profile.V
+worst = F.time_monotonicity_check(times, fields, V, setup.exps)
 print(f"time monotonicity: worst envelope violation = {worst:.2e} "
       f"(O(dt) slack allows {5 * 5e-4 * (1 + 2 * c * m):.2e})")
 
-bc = F.benilan_crandall_margin(reports, setup.exps)
+bc = F.benilan_crandall_margin(times, fields, V, setup.exps)
 print(f"growth-rate bound: worst margin of d/dt h <= 2cm(h+1) is {bc:.2e}")
 
 consts = measure_comparison_constants(reports, p, ndim=1)

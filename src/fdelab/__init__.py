@@ -19,7 +19,7 @@ from .spectrum import (EigenSystem, GapReport, PoincareMargins,
                        check_improved_poincare, classify_gap, deflate,
                        project_coefficients, weighted_eigensystem)
 from .flow import (ExtinctionEstimate, FlowState, Trajectory,
-                   estimate_extinction_time, evolve, original_time_of,
+                   estimate_extinction_time, evolve, march, original_time_of,
                    original_to_rescaled, rescaled_time_of, step_linearized,
                    step_original, step_rescaled)
 from .diagnostics import (ComparisonConstants, EntropyReport,

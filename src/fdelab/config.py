@@ -16,19 +16,23 @@ Example:
     seed              = 0
 
 Values are parsed as int, float, bool (true/false), mode triples k:j:amp, or
-bare strings; lists are whitespace- or comma-separated.  Sweep axes use
+bare strings; lists are whitespace- or comma-separated.  A double-quoted value
+is one verbatim string token: output.dir = "my runs, #2".  Sweep axes use
 sweep.p / sweep.nodes / sweep.amplitude with list values.  Every key not in
 the schema is an error, reported with its line number.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from sys import float_info
 
 from .errors import ConfigError
 
 _BOOL = {"true": True, "false": False}
+_CODE = re.compile(r'(?:[^"#]|"[^"]*")*')      # a line up to its comment
+_TOKEN = re.compile(r'"([^"]+)"|[^\s,"]+')     # "" is no value
 
 
 def _parse_token(tok: str):
@@ -58,7 +62,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     when a key has exactly one token."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _CODE.match(raw).group()
+        if raw[len(line):].startswith('"'):
+            raise ConfigError(f"{source}:{lineno}: unterminated quote in {raw!r}")
+        line = line.strip()
         if not line:
             continue
         if "=" not in line:
@@ -70,10 +77,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if key in out:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} "
                               f"(first set on line {out[key][1]})")
-        tokens = rhs.replace(",", " ").split()
-        if not tokens:
+        values = [_parse_token(m.group()) if m.group(1) is None else m.group(1)
+                  for m in _TOKEN.finditer(rhs)]
+        if not values:
             raise ConfigError(f"{source}:{lineno}: key {key!r} has no value")
-        values = [_parse_token(t) for t in tokens]
         out[key] = (values[0] if len(values) == 1 else values, lineno)
     return out
 

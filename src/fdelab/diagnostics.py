@@ -84,16 +84,11 @@ class EntropyReport:
     Q_lin: list
     Q_nl: list | None
     A_nl: list
-    delta_now: float             # current relative-error level, = h_inf
-    h: np.ndarray                # pointwise relative error (not serialized)
 
     def max_q_nl(self) -> float | None:
         if self.Q_nl is None:
             return None
         return max(float(np.max(a)) for a in self.Q_nl) if self.Q_nl else 0.0
-
-    def max_q_lin(self) -> float:
-        return max(float(np.max(a)) for a in self.Q_lin) if self.Q_lin else 0.0
 
 
 def entropy_report(grid: Grid, V, exps: Exponents, eigs: EigenSystem,
@@ -133,14 +128,7 @@ def entropy_report(grid: Grid, V, exps: Exponents, eigs: EigenSystem,
 
     return EntropyReport(t=t, E_lin=e_lin, I_lin=i_lin, E_nl=e_nl, h_inf=h_inf,
                          h_L2V_sq=h_l2v_sq, cubic=cubic, Q_lin=q_lin, Q_nl=q_nl,
-                         A_nl=a_nl, delta_now=h_inf, h=h)
-
-
-def make_sampler(grid: Grid, V, exps: Exponents, eigs: EigenSystem, gap: GapReport):
-    """Sampler closure for flow.evolve: (t, v) -> EntropyReport."""
-    def sampler(t, v):
-        return entropy_report(grid, V, exps, eigs, gap, v, t)
-    return sampler
+                         A_nl=a_nl)
 
 
 @dataclass(frozen=True)
@@ -364,30 +352,37 @@ def quotient_smallness_times(reports, eps_ladder=(0.1, 0.03, 0.01)):
     return out
 
 
-def time_monotonicity_check(reports, exps: Exponents, t_min: float | None = None,
-                            span: int = 5):
-    """Two-sided integral bounds on h between checkpoint pairs (t0, t1), valid
-    for t >= T log 2: integrate h in time by the trapezoid rule over the
-    sampled fields and compare with the exponential envelopes driven by the
-    pointwise bound d/dt h <= 2 c m (h + 1).
+def _late_relative_errors(times, fields, V, exps: Exponents,
+                          t_min: float | None, needed: int):
+    """(times, rows h = (v - V)/V) of the sampled fields v at t >= t_min
+    (default T log 2, from where the h-checks below hold)."""
+    t_min = exps.T * np.log(2.0) if t_min is None else t_min
+    late = [(t, v) for t, v in zip(times, fields) if t >= t_min]
+    if len(late) < needed:
+        raise NumericalFailure("not enough samples beyond T log 2")
+    V = np.asarray(V, dtype=float)
+    return (np.array([t for t, _ in late]),
+            np.stack([(np.asarray(v, dtype=float) - V) / V for _, v in late]))
+
+
+def time_monotonicity_check(times, fields, V, exps: Exponents,
+                            t_min: float | None = None, span: int = 5):
+    """Two-sided integral bounds on h = v/V - 1 between checkpoint pairs
+    (t0, t1), valid for t >= T log 2: integrate h in time by the trapezoid rule
+    over the rescaled fields v sampled at times and compare with the
+    exponential envelopes driven by the pointwise bound d/dt h <= 2 c m (h + 1).
 
     Returns the worst additive violation (0 when all bounds hold).
     """
     c, m = exps.c, exps.m
-    if t_min is None:
-        t_min = exps.T * np.log(2.0)
-    eligible = [r for r in reports if r.t >= t_min]
-    if len(eligible) < span + 1:
-        raise NumericalFailure("not enough samples beyond T log 2")
+    ts, H = _late_relative_errors(times, fields, V, exps, t_min, span + 1)
     twocm = 2.0 * c * m
     worst = 0.0
-    for i0 in range(0, len(eligible) - span, span):
-        chunk = eligible[i0:i0 + span + 1]
-        ts = np.array([r.t for r in chunk])
-        H = np.stack([r.h for r in chunk])
-        integral = np.trapezoid(H, ts, axis=0)
-        d = ts[-1] - ts[0]
-        h0, h1 = chunk[0].h, chunk[-1].h
+    for i0 in range(0, ts.size - span, span):
+        t, chunk = ts[i0:i0 + span + 1], H[i0:i0 + span + 1]
+        integral = np.trapezoid(chunk, t, axis=0)
+        d = t[-1] - t[0]
+        h0, h1 = chunk[0], chunk[-1]
         lower = (1.0 - np.exp(-twocm * d)) / twocm * h1 - c * m * d ** 2
         upper = (np.exp(twocm * d) - 1.0) / twocm * h0 \
             + c * m * d ** 2 * np.exp(twocm * d)
@@ -397,21 +392,14 @@ def time_monotonicity_check(reports, exps: Exponents, t_min: float | None = None
     return worst
 
 
-def benilan_crandall_margin(reports, exps: Exponents, t_min: float | None = None):
-    """Worst violation of the discrete d/dt h <= 2 c m (h+1) check (per unit
-    O(dt) slack is the caller's business).  Valid for t >= T log 2."""
-    c, m = exps.c, exps.m
-    if t_min is None:
-        t_min = exps.T * np.log(2.0)
-    eligible = [r for r in reports if r.t >= t_min]
-    if len(eligible) < 2:
-        raise NumericalFailure("not enough samples beyond T log 2")
-    worst = -np.inf
-    for r0, r1 in zip(eligible, eligible[1:]):
-        dt = r1.t - r0.t
-        rate = (r1.h - r0.h) / dt
-        worst = max(worst, float(np.max(rate - 2.0 * c * m * (r0.h + 1.0))))
-    return worst
+def benilan_crandall_margin(times, fields, V, exps: Exponents,
+                            t_min: float | None = None):
+    """Worst violation of the discrete d/dt h <= 2 c m (h+1) check over the
+    rescaled fields sampled at times (per unit O(dt) slack is the caller's
+    business).  Valid for t >= T log 2."""
+    ts, H = _late_relative_errors(times, fields, V, exps, t_min, 2)
+    rate = np.diff(H, axis=0) / np.diff(ts)[:, None]
+    return float(np.max(rate - 2.0 * exps.c * exps.m * (H[:-1] + 1.0)))
 
 
 def trace_rows(reports) -> tuple:

@@ -18,6 +18,9 @@ the root instead of O(dt); the step solves the same equation to the same
 residual, and a step that fails from that start is retried from the old state
 before dt is halved.
 
+evolve keeps no field: per sample it records the time, sup|field| and the
+sampler's output.  A caller that needs the fields iterates march instead.
+
 Original runs stop near extinction (default sup u < 1e-6 sup u0); the
 extinction time itself is always extrapolated from the exact linearity of
 sup(u)^(1-m) in time, never simulated to zero.
@@ -56,16 +59,19 @@ class FlowState:
 
 @dataclass
 class Trajectory:
+    """Per sample: time, sup|field| and sampler output; per step: dt and
+    Newton count.  No field is kept: march yields the fields."""
+
     kind: str
+    initial_sup: float                                  # sup|field| at time 0
     sample_times: list = field(default_factory=list)
-    fields: list = field(default_factory=list)          # stored field at each sample
+    sups: list = field(default_factory=list)            # sup|field| at each sample
     diagnostics: list = field(default_factory=list)     # sampler outputs, if any
     dt_history: list = field(default_factory=list)
     newton_history: list = field(default_factory=list)
-    initial_field: np.ndarray | None = None
 
     def sup_norms(self) -> np.ndarray:
-        return np.array([np.max(np.abs(f)) for f in self.fields])
+        return np.array(self.sups, dtype=float)
 
     def step_summary(self) -> dict:
         """Step statistics for the trajectory metadata JSON."""
@@ -266,16 +272,18 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
            sample_times=None, sampler=None, V=None,
            stop_sup_below: float | None = None) -> Trajectory:
     """March a flow to the horizon (see march), sampling at exact multiples of
-    sample_every (or at the explicit sample_times).
+    sample_every (or at the explicit sample_times), into a Trajectory.
 
     stop_sup_below: halt (after the current sample) once sup|field| drops below
     this absolute level; original runs near extinction use it.
     """
     if initial.kind == "linearized" and V is None:
         raise ValueError("linearized evolve needs the profile V")
+    traj = Trajectory(kind=initial.kind,
+                      initial_sup=float(np.max(np.abs(initial.field))))
     if initial.kind == "original" and stop_sup_below is None:
         # near-extinction stop: extrapolate, never simulate the degenerate limit
-        stop_sup_below = 1e-6 * float(np.max(np.abs(initial.field)))
+        stop_sup_below = 1e-6 * traj.initial_sup
     if sample_times is None:
         if sample_every is None:
             raise ValueError("give sample_every or sample_times")
@@ -285,14 +293,14 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
     if any(t2 <= t1 for t1, t2 in zip(sample_times, sample_times[1:])):
         raise ValueError("sample times must be strictly increasing")
 
-    traj = Trajectory(kind=initial.kind, initial_field=initial.field.copy())
     targets = takewhile(lambda t: t <= horizon + 1e-12, sample_times)
     for state in march(grid, exps, initial, dt, targets, V, traj):
+        sup = float(np.max(np.abs(state.field)))
         traj.sample_times.append(state.time)
-        traj.fields.append(state.field.copy())
+        traj.sups.append(sup)
         if sampler is not None:
             traj.diagnostics.append(sampler(state.time, state.field))
-        if stop_sup_below is not None and np.max(np.abs(state.field)) < stop_sup_below:
+        if stop_sup_below is not None and sup < stop_sup_below:
             break
     return traj
 
@@ -315,10 +323,9 @@ def estimate_extinction_time(traj: Trajectory, m: float,
         raise ValueError("extinction estimate needs an original-flow trajectory")
     times = np.asarray(traj.sample_times)
     sups = traj.sup_norms()
-    sup0 = float(np.max(np.abs(traj.initial_field)))
-    lo, hi = window
-    sel = (sups > lo * sup0) & (sups < hi * sup0)
-    if sel.sum() < 10 or sups.min() > hi * sup0:
+    lo, hi = window[0] * traj.initial_sup, window[1] * traj.initial_sup
+    sel = (sups > lo) & (sups < hi)
+    if sel.sum() < 10 or sups.min() > hi:
         raise NumericalFailure(
             f"only {int(sel.sum())} samples inside the fit window")
     y = sups[sel] ** (1.0 - m)

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import make_sampler, nonlinear_entropy
+from .diagnostics import entropy_report, nonlinear_entropy
 from .errors import NumericalFailure, StepFailure
-from .flow import FlowState, evolve, march
-from .grid import DomainSpec, Grid, build_domain, inner_product_weighted
+from .flow import FlowState, estimate_extinction_time, evolve, march
+from .grid import (DomainSpec, Grid, build_domain, dirichlet_energy,
+                   inner_product_weighted)
 from .rates import EntropyBand, RateFit, RateVerdict, fit_rate, sharp_rate_verdict
 from .spectrum import EigenSystem, GapReport, classify_gap, weighted_eigensystem
 from .stationary import Exponents, StationaryProfile, solve_stationary
@@ -202,12 +203,12 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
 def run_rescaled(setup: StageSetup, v0, horizon: float, dt: float = 1e-3,
                  cadence: float = 0.05):
     """Evolve the rescaled flow and build the entropy trace."""
-    sampler = make_sampler(setup.grid, setup.profile.V, setup.exps, setup.eigs,
-                           setup.gap)
     traj = evolve(setup.grid, setup.exps,
                   FlowState(kind="rescaled", field=np.asarray(v0, float), time=0.0),
                   horizon=horizon, dt=dt, sample_every=cadence,
-                  sampler=sampler)
+                  sampler=lambda t, v: entropy_report(
+                      setup.grid, setup.profile.V, setup.exps, setup.eigs,
+                      setup.gap, v, t))
     return traj, list(traj.diagnostics)
 
 
@@ -225,8 +226,6 @@ class LinearModeTrace:
 def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
                    cadence: float = 0.05) -> LinearModeTrace:
     """Evolve the linearized flow, tracking E_lin, I_lin and mode coefficients."""
-    from .grid import dirichlet_energy
-
     grid, exps, V = setup.grid, setup.exps, setup.profile.V
     wq = grid.quad_weights * setup.eigs.weight
     modes = [(k, j, phi) for k, j, _, phi in setup.eigs.pairs()]
@@ -269,8 +268,6 @@ def run_extinction_pipeline(setup: StageSetup, dt_original: float = 2e-4,
     near extinction, extrapolate T from sup(u)^(1-m); then rebuild the whole
     rescaled stage with c = p/((p-1) T_est) and check that the rescaled flow
     started from the original datum relaxes to the new stationary profile."""
-    from .flow import estimate_extinction_time
-
     exps = setup.exps
     u0 = setup.profile.S.copy()
     T_true = exps.T

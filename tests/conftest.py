@@ -45,6 +45,25 @@ def calibrated_trace_p2(interval_p2):
 
 
 @pytest.fixture(scope="session")
+def calibrated_fields_p2(calibrated_trace_p2):
+    """(times, fields) of the calibrated trace's run, replayed through march:
+    the trace keeps no field, and the h-checks need them."""
+    setup, result = calibrated_trace_p2
+    v0 = result.calibration.scale * F.mode_perturbed_field(setup, [(2, 1, 0.1)])
+    states = F.march(setup.grid, setup.exps,
+                     F.FlowState(kind="rescaled", field=v0, time=0.0),
+                     dt=1e-3, targets=[r.t for r in result.reports])
+    times, fields = [], []
+    for state in states:
+        times.append(state.time)
+        fields.append(state.field)
+    V = setup.profile.V
+    assert [float(np.max(np.abs((v - V) / V))) for v in fields] \
+        == [r.h_inf for r in result.reports]      # the same run, bit for bit
+    return times, fields
+
+
+@pytest.fixture(scope="session")
 def amp3_calibrated_traces(interval_p2_small):
     """Large-amplitude (h ~ 0.22) clock-matched runs at two time steps, used
     for the entropy-production decomposition and the quotient ladder.  The

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import fdelab.cli as cli
-from fdelab.config import ConfigError, load_config, parse_config_text, resolve_config
+from fdelab.config import (ConfigError, _parse_token, load_config,
+                           parse_config_text, resolve_config)
 
 BASE_CFG = """\
 domain.geometry   = interval
@@ -78,6 +80,32 @@ class TestParser:
             parse_config_text("a.x =\n")
         with pytest.raises(ConfigError, match="bad key"):
             parse_config_text("3bad.key = 1\n")
+
+    def test_quoted_values_are_one_string(self):
+        cfg = resolve_config(parse_config_text(
+            'domain.nodes = 64\nexponents.p = 2.0\nexponents.c = 1.0\n'
+            'output.dir = "my runs"\ninitial.path = "a,b.csv"  # comment\n'))
+        assert cfg["output.dir"] == "my runs"
+        assert cfg["initial.path"] == "a,b.csv"
+        raw = parse_config_text('a.x = "12"\nb.y = "run #3", 2\n')
+        assert raw["a.x"] == ("12", 1)
+        assert raw["b.y"] == (["run #3", 2], 2)
+        with pytest.raises(ConfigError, match=":1: key 'output.dir' has no value"):
+            parse_config_text('output.dir = ""\n')
+
+    def test_unterminated_quote_names_its_line(self):
+        with pytest.raises(ConfigError, match=r":2: unterminated quote"):
+            parse_config_text('a.x = 1\noutput.dir = "my runs\n')
+
+    @given(rhs=st.text(st.characters(blacklist_characters='"#'), max_size=30))
+    def test_unquoted_values_split_as_before(self, rhs):
+        # a value without quotes splits on whitespace and commas, as it always has
+        tokens = rhs.replace(",", " ").split()
+        if not tokens or len(rhs.splitlines()) > 1:
+            return
+        values = [_parse_token(t) for t in tokens]
+        parsed = parse_config_text("a.x =" + rhs)["a.x"][0]
+        assert repr(parsed) == repr(values[0] if len(values) == 1 else values)
 
     def test_schema_validation(self):
         ok = "domain.nodes = 64\nexponents.p = 2.0\nexponents.c = 1.0\n"

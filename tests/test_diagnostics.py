@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import fdelab as F
-from fdelab.diagnostics import (EntropyReport, ao_window, decaying_prefix,
-                                entropy_density, power_difference, trace_rows)
+from fdelab.diagnostics import (ao_window, decaying_prefix, entropy_density,
+                                power_difference, trace_rows)
 
 
 def analytic_remainder_kappa(p, c):
@@ -49,6 +50,45 @@ class TestStablePowerDifferences:
         e_stable = F.integrate(s.grid, entropy_density(V, f, p))
         expect = (p + 1.0) / 2.0 * eps ** 2
         assert abs(e_stable / expect - 1.0) < 1e-6
+
+
+def exact_differences(V, f, p):
+    """(V + f)^p - V^p and the entropy density (v^(p+1) - V^(p+1))
+    - (p+1)/p (v^p - V^p) V at v = V + f, for doubles V, f with |f| >= 1e-21 V,
+    to 50 digits: at 100 digits V + f is exact and the density's cancellation
+    of up to 42 digits leaves more than 50."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(100):
+        V, f, p = mpmath.mpf(V), mpmath.mpf(f), mpmath.mpf(p)
+        v = V + f
+        dp = v ** p - V ** p
+        return float(dp), float((v ** (p + 1) - V ** (p + 1)) - (p + 1) / p * dp * V)
+
+
+def rel_error(x, exact):
+    return abs(float(x[0]) - exact) / abs(exact)
+
+
+class TestKernelsAgainstMpmath:
+    @pytest.mark.parametrize("bound", [0.5, 1e-6])
+    @settings(max_examples=300, deadline=None)
+    @given(V=st.floats(1e-3, 10.0), p=st.floats(1.05, 5.0), u=st.floats(-1.0, 1.0))
+    def test_power_difference_and_entropy_density(self, bound, V, p, u):
+        assume(abs(u) >= 1e-9)          # |f| >= 1e-15 V: no underflow in f^2
+        f = u * bound * V
+        exact_dp, exact_e = exact_differences(V, f, p)
+        Va, fa = np.array([V]), np.array([f])
+        assert rel_error(power_difference(Va, fa, p), exact_dp) <= 1e-13
+        assert rel_error(entropy_density(Va, fa, p), exact_e) <= 1e-13
+
+    def test_naive_difference_fails_the_bound(self):
+        V, p = 1.7, 2.5
+        f = 1e-10 * V
+        exact_dp, _ = exact_differences(V, f, p)
+        naive = (V + f) ** p - V ** p
+        assert rel_error([naive], exact_dp) > 1e-13
+        assert rel_error(power_difference(np.array([V]), np.array([f]), p),
+                         exact_dp) <= 1e-13
 
 
 class TestEntropyReport:
@@ -226,43 +266,62 @@ class TestSmoothing:
             F.smoothing_check(reports, ndim=1)
 
 
-def constant_h_report(t, h, n):
-    zeros = [np.zeros(1)]
-    return EntropyReport(t=t, E_lin=1.0, I_lin=0.0, E_nl=1.0, h_inf=abs(h),
-                         h_L2V_sq=1.0, cubic=1.0, Q_lin=zeros, Q_nl=None,
-                         A_nl=zeros, delta_now=abs(h), h=np.full(n, h))
+def constant_h_samples(times, h, n):
+    """(times, fields, V) with h = v/V - 1 equal to h at every node and time."""
+    V = np.ones(n)
+    return times, [(1.0 + h) * V for _ in times], V
 
 
 class TestTimeMonotonicity:
     def test_constant_relative_error(self, interval_p2_small):
         exps = interval_p2_small.exps
-        reports = [constant_h_report(2.0 + 0.1 * i, 0.05, 16) for i in range(30)]
-        assert F.time_monotonicity_check(reports, exps) == 0.0
+        samples = constant_h_samples([2.0 + 0.1 * i for i in range(30)], 0.05, 16)
+        assert F.time_monotonicity_check(*samples, exps) == 0.0
 
     def test_fixed_point_trivial(self, interval_p2_small):
         exps = interval_p2_small.exps
-        reports = [constant_h_report(2.0 + 0.1 * i, 0.0, 16) for i in range(30)]
-        assert F.time_monotonicity_check(reports, exps) == 0.0
+        samples = constant_h_samples([2.0 + 0.1 * i for i in range(30)], 0.0, 16)
+        assert F.time_monotonicity_check(*samples, exps) == 0.0
 
-    def test_generic_run_within_dt_slack(self, calibrated_trace_p2):
-        setup, result = calibrated_trace_p2
-        worst = F.time_monotonicity_check(result.reports, setup.exps)
+    def test_generic_run_within_dt_slack(self, calibrated_trace_p2,
+                                         calibrated_fields_p2):
+        setup, _ = calibrated_trace_p2
+        times, fields = calibrated_fields_p2
+        worst = F.time_monotonicity_check(times, fields, setup.profile.V,
+                                          setup.exps)
         dt = 1e-3
         cm = setup.exps.c * setup.exps.m
         assert worst <= 5.0 * dt * (1.0 + 2.0 * cm)
 
     def test_needs_late_samples(self, interval_p2_small):
         exps = interval_p2_small.exps
-        reports = [constant_h_report(0.01 * i, 0.0, 8) for i in range(5)]
+        samples = constant_h_samples([0.01 * i for i in range(5)], 0.0, 8)
         with pytest.raises(F.NumericalFailure,
                            match="not enough samples beyond T log 2"):
-            F.time_monotonicity_check(reports, exps)
+            F.time_monotonicity_check(*samples, exps)
 
 
 class TestBenilanCrandall:
-    def test_trace_satisfies_rate_bound(self, calibrated_trace_p2):
-        setup, result = calibrated_trace_p2
-        margin = F.benilan_crandall_margin(result.reports, setup.exps)
+    def test_equals_the_pairwise_loop(self, interval_p2_small):
+        exps = interval_p2_small.exps
+        rng = np.random.default_rng(3)
+        V = rng.uniform(0.5, 2.0, 40)
+        times = list(2.0 + np.cumsum(rng.uniform(0.01, 0.1, 30)))
+        fields = [V * (1.0 + rng.uniform(-0.3, 0.3, V.size)) for _ in times]
+        hs = [(v - V) / V for v in fields]
+        c, m = exps.c, exps.m
+        worst = -np.inf
+        for t0, t1, h0, h1 in zip(times, times[1:], hs, hs[1:]):
+            rate = (h1 - h0) / (t1 - t0)
+            worst = max(worst, float(np.max(rate - 2.0 * c * m * (h0 + 1.0))))
+        assert F.benilan_crandall_margin(times, fields, V, exps) == worst > 0
+
+    def test_trace_satisfies_rate_bound(self, calibrated_trace_p2,
+                                        calibrated_fields_p2):
+        setup, _ = calibrated_trace_p2
+        times, fields = calibrated_fields_p2
+        margin = F.benilan_crandall_margin(times, fields, setup.profile.V,
+                                           setup.exps)
         assert margin <= 0.05
 
 

@@ -18,7 +18,9 @@ _numbers = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True)).map(repr)
 _words = st.sampled_from(["true", "false", "interval", "ball", "stationary",
                           "scaled_stationary", "mode_perturbed", "from_file",
-                          "out", "abc", "1:2", "x:y:z", "2:1:0.1", "40:1:-3.5"])
+                          "out", "abc", "1:2", "x:y:z", "2:1:0.1", "40:1:-3.5",
+                          '"my runs"', '"a,b.csv"', '"2.0"', '"run #3"', '""',
+                          '"unterminated'])
 _tokens = st.one_of(_numbers, _words,
                     st.tuples(st.integers(-2, 40), st.integers(-2, 3),
                               st.floats(-100, 100)).map(lambda t: "%d:%d:%r" % t))

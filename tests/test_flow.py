@@ -1,5 +1,7 @@
 """Flow steppers: fixed points, rates, ordering, rescaling consistency."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,25 +204,26 @@ class TestEvolve:
         u0 = v0 ** exps.p
         t_samples = [0.25, 0.5, 0.75, 1.0]
         tau_samples = [float(F.original_time_of(t, exps.T)) for t in t_samples]
-        traj_o = F.evolve(s.grid, exps,
-                          F.FlowState(kind="original", field=u0.copy(), time=0.0),
-                          horizon=tau_samples[-1] + 1e-9,
-                          dt=2e-4,
-                          sample_times=tau_samples)
-        traj_r = F.evolve(s.grid, exps,
-                          F.FlowState(kind="rescaled", field=v0.copy(), time=0.0),
-                          horizon=t_samples[-1],
-                          dt=2e-4,
-                          sample_times=t_samples)
-        for t, u_field, v_field in zip(t_samples, traj_o.fields, traj_r.fields):
+        states_o = F.march(s.grid, exps,
+                           F.FlowState(kind="original", field=u0.copy(), time=0.0),
+                           dt=2e-4, targets=tau_samples)
+        states_r = F.march(s.grid, exps,
+                           F.FlowState(kind="rescaled", field=v0.copy(), time=0.0),
+                           dt=2e-4, targets=t_samples)
+        fields_o = [state.field for state in states_o]
+        fields_r = [state.field for state in states_r]
+        for t, u_field, v_field in zip(t_samples, fields_o, fields_r):
             w_from_original = F.original_to_rescaled(u_field, t, exps)
             w_direct = v_field ** exps.p
             rel = np.max(np.abs(w_from_original - w_direct)) / w_direct.max()
             assert rel <= 0.01
 
-    def test_benilan_crandall_along_rescaled_flow(self, calibrated_trace_p2):
-        setup, result = calibrated_trace_p2
-        margin = F.benilan_crandall_margin(result.reports, setup.exps)
+    def test_benilan_crandall_along_rescaled_flow(self, calibrated_trace_p2,
+                                                  calibrated_fields_p2):
+        setup, _ = calibrated_trace_p2
+        times, fields = calibrated_fields_p2
+        margin = F.benilan_crandall_margin(times, fields, setup.profile.V,
+                                           setup.exps)
         # worst violation is O(dt) noise around an inequality with slack
         assert margin <= 0.05
 
@@ -259,16 +262,52 @@ class TestEvolve:
         assert meta["kind"] == "rescaled" and meta["steps"] == 100
         assert meta["samples"] == 2 and meta["dt_max"] <= 5e-3 + 1e-15
 
+    @pytest.mark.parametrize("kind", ["rescaled", "original"])
+    def test_sup_norms_are_those_of_the_marched_fields(self, interval_p2_small,
+                                                       kind):
+        s = interval_p2_small
+        v0 = F.mode_perturbed_field(s, [(2, 1, 0.3)])
+        field0 = v0 if kind == "rescaled" else v0 ** s.exps.p
+        times = [0.05 * (i + 1) for i in range(30)]
+        traj = F.evolve(s.grid, s.exps,
+                        F.FlowState(kind=kind, field=field0.copy(), time=0.0),
+                        horizon=1.5, dt=3e-3, sample_times=times)
+        states = F.march(s.grid, s.exps,
+                         F.FlowState(kind=kind, field=field0.copy(), time=0.0),
+                         dt=3e-3, targets=times)
+        sups = [np.max(np.abs(state.field)) for state in states]
+        assert traj.initial_sup == np.max(np.abs(field0))
+        assert traj.sample_times == times
+        assert traj.sup_norms().tolist() == sups
+
+    def test_keeps_no_field(self):
+        # 2,000 samples of an n=1024 field would hold 16 MB
+        grid = F.build_domain(F.DomainSpec(geometry="interval", nodes=1024))
+        exps = F.Exponents.make(p=2.0, c=1.0)
+        v0 = 1.1 * F.solve_stationary(grid, exps).V
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = F.evolve(grid, exps, F.FlowState(kind="rescaled", field=v0,
+                                                    time=0.0),
+                            horizon=2.0, dt=1e-3, sample_every=1e-3)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(traj.sample_times) == 2000
+        assert kept < 2e6
+
 
 class TestExtinction:
     def test_manufactured_trajectory(self, interval_p2_small):
         s = interval_p2_small
         m = 0.5
         g = np.sin(np.pi * s.grid.coords)
-        traj = F.Trajectory(kind="original", initial_field=g.copy())
+        traj = F.Trajectory(kind="original", initial_sup=float(np.max(np.abs(g))))
         for tau in np.linspace(0.05, 1.9, 60):
             traj.sample_times.append(float(tau))
-            traj.fields.append((1.0 - tau / 2.0) ** (1.0 / (1.0 - m)) * g)
+            field = (1.0 - tau / 2.0) ** (1.0 / (1.0 - m)) * g
+            traj.sups.append(float(np.max(np.abs(field))))
         est = F.estimate_extinction_time(traj, m)
         assert abs(est.T_est - 2.0) < 1e-10
         assert est.fit_residual < 1e-12
@@ -305,10 +344,11 @@ class TestExtinction:
 
     def test_insufficient_decay(self, interval_p2_small):
         s = interval_p2_small
-        traj = F.Trajectory(kind="original", initial_field=s.profile.S.copy())
+        sup_S = float(np.max(np.abs(s.profile.S)))
+        traj = F.Trajectory(kind="original", initial_sup=sup_S)
         for tau in np.linspace(0.01, 0.02, 12):
             traj.sample_times.append(float(tau))
-            traj.fields.append(s.profile.S.copy())
+            traj.sups.append(sup_S)
         with pytest.raises(F.NumericalFailure,
                            match="only 0 samples inside the fit window"):
             F.estimate_extinction_time(traj, s.exps.m)
