@@ -200,12 +200,19 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         write_csv(out / "trace.csv", header, rows)
         return summary
 
-    result = run_nonlinear_rate_case(
-        setup, base, horizon=cfg["flow.horizon"], dt=cfg["flow.dt"],
-        cadence=cfg["sampler.cadence"],
-        band=EntropyBand(cfg["rates.band_lo"], cfg["rates.band_hi"]),
-        tol=cfg["rates.tol"], match_clock=cfg["initial.match_clock"],
-        want_fit=(stage == "rates"))
+    try:
+        result = run_nonlinear_rate_case(
+            setup, base, horizon=cfg["flow.horizon"], dt=cfg["flow.dt"],
+            cadence=cfg["sampler.cadence"],
+            band=EntropyBand(cfg["rates.band_lo"], cfg["rates.band_hi"]),
+            tol=cfg["rates.tol"], match_clock=cfg["initial.match_clock"],
+            want_fit=(stage == "rates"))
+    except NumericalFailure as exc:
+        if hasattr(exc, "clock_log"):   # a failed calibration: keep its trials
+            write_json(out / "trajectory.json",
+                       {"clock_trials": len(exc.clock_log),
+                        "clock_log": [asdict(trial) for trial in exc.clock_log]})
+        raise
     header, rows = trace_rows(result.reports)
     write_csv(out / "trace.csv", header, rows)
     meta = dict(result.step_summary or {})

@@ -19,7 +19,8 @@ residual, and a step that fails from that start is retried from the old state
 before dt is halved.
 
 evolve keeps no field: per sample it records the time, sup|field| and the
-sampler's output.  A caller that needs the fields iterates march instead.
+sampler's output.  A caller that needs the fields iterates march instead, and
+one that needs a run it can stop and resume iterates record, evolve's loop.
 
 Original runs stop near extinction (default sup u < 1e-6 sup u0); the
 extinction time itself is always extrapolated from the exact linearity of
@@ -267,6 +268,31 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
         yield state
 
 
+def sample_lattice(horizon: float, sample_every: float) -> list:
+    """The times evolve samples at given sample_every: (i + 1) sample_every,
+    i = 0, 1, ..., up to the horizon."""
+    n_samples = int(np.floor(horizon / sample_every + 1e-9))
+    return list(_until(horizon, ((i + 1) * sample_every for i in range(n_samples))))
+
+
+def _until(horizon: float, times):
+    return takewhile(lambda t: t <= horizon + 1e-12, times)
+
+
+def record(grid: Grid, exps: Exponents, initial: FlowState, dt: float,
+           sample_times, traj: Trajectory, sampler=None, V=None):
+    """March (see march) through the increasing sample_times, which may be
+    endless; append each sample's time, sup|field| and sampler output to traj,
+    and yield the state after recording it.  Stopping here and resuming later
+    gives the same run, step for step, as marching straight through."""
+    for state in march(grid, exps, initial, dt, sample_times, V, traj):
+        traj.sample_times.append(state.time)
+        traj.sups.append(float(np.max(np.abs(state.field))))
+        if sampler is not None:
+            traj.diagnostics.append(sampler(state.time, state.field))
+        yield state
+
+
 def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
            dt: float, sample_every: float | None = None,
            sample_times=None, sampler=None, V=None,
@@ -287,20 +313,14 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
     if sample_times is None:
         if sample_every is None:
             raise ValueError("give sample_every or sample_times")
-        n_samples = int(np.floor(horizon / sample_every + 1e-9))
-        sample_times = [(i + 1) * sample_every for i in range(n_samples)]
+        sample_times = sample_lattice(horizon, sample_every)
     sample_times = [float(t) for t in sample_times]
     if any(t2 <= t1 for t1, t2 in zip(sample_times, sample_times[1:])):
         raise ValueError("sample times must be strictly increasing")
 
-    targets = takewhile(lambda t: t <= horizon + 1e-12, sample_times)
-    for state in march(grid, exps, initial, dt, targets, V, traj):
-        sup = float(np.max(np.abs(state.field)))
-        traj.sample_times.append(state.time)
-        traj.sups.append(sup)
-        if sampler is not None:
-            traj.diagnostics.append(sampler(state.time, state.field))
-        if stop_sup_below is not None and sup < stop_sup_below:
+    for _ in record(grid, exps, initial, dt, _until(horizon, sample_times),
+                    traj, sampler, V):
+        if stop_sup_below is not None and traj.sups[-1] < stop_sup_below:
             break
     return traj
 

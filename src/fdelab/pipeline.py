@@ -16,17 +16,27 @@ a = <v(t) - V, phi_1>_V.  Implicit Euler grows that mode by exactly
 1/(1 - dt gamma) per step, gamma = c(p-1)/p, so g = a exp(-gamma_dt t), with
 gamma_dt = -log(1 - dt gamma)/dt, is about K (b - b*) whatever t was: a secant
 on g, kept inside the sign bracket, reaches the matched scale in a few trials.
+
+Each trial marches on the run's own sample lattice (i + 1) cadence and
+records there the entropy report the run would record; its collapse and
+divergence checks read that report's E_nl.  The accepted trial is therefore
+the first stretch of the run: the calibrated run takes over its suspended
+march, reports and step histories and goes on to the horizon (or is cut back
+to it), which gives the same trace as a fresh run from the accepted scale
+without marching that stretch twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from itertools import count, islice
 
 import numpy as np
 
 from .diagnostics import entropy_report, nonlinear_entropy
 from .errors import NumericalFailure, StepFailure
-from .flow import FlowState, estimate_extinction_time, evolve, march
+from .flow import (FlowState, Trajectory, estimate_extinction_time, evolve,
+                   record, sample_lattice)
 from .grid import (DomainSpec, Grid, build_domain, dirichlet_energy,
                    inner_product_weighted)
 from .rates import EntropyBand, RateFit, RateVerdict, fit_rate, sharp_rate_verdict
@@ -75,6 +85,51 @@ class CalibrationTrial:
     g: float           # growth-normalised unstable-mode coefficient, ~K (b - b*)
 
 
+class _Run:
+    """The rescaled flow from v0, sampled on (i + 1) cadence for ever and
+    marched only as far as it is iterated: each next() advances it to the
+    next sample and returns the state there, and traj holds the samples so
+    far (entropy reports in traj.diagnostics) and the step histories."""
+
+    def __init__(self, setup: StageSetup, v0: np.ndarray, dt: float,
+                 cadence: float):
+        self.cadence = cadence
+        self.traj = Trajectory(kind="rescaled",
+                               initial_sup=float(np.max(np.abs(v0))))
+        self._samples = record(setup.grid, setup.exps,
+                               FlowState(kind="rescaled", field=v0, time=0.0),
+                               dt, ((i + 1) * cadence for i in count()),
+                               self.traj, sampler=_reporter(setup))
+        self._steps = []     # steps behind each sample
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> FlowState:
+        state = next(self._samples)
+        self._steps.append(len(self.traj.dt_history))
+        return state
+
+    def to_horizon(self, horizon: float) -> Trajectory:
+        """The trajectory run_rescaled gives to the horizon: marched on if
+        the run stopped short of it, cut back to its last sample if beyond."""
+        traj, n = self.traj, len(sample_lattice(horizon, self.cadence))
+        have = len(traj.sample_times)
+        if n >= have:
+            for _ in islice(self, n - have):
+                pass
+        else:
+            k = self._steps[n - 1] if n else 0
+            del traj.sample_times[n:], traj.sups[n:], traj.diagnostics[n:]
+            del traj.dt_history[k:], traj.newton_history[k:]
+        return traj
+
+
+def _reporter(setup: StageSetup):
+    return lambda t, v: entropy_report(setup.grid, setup.profile.V, setup.exps,
+                                       setup.eigs, setup.gap, v, t)
+
+
 @dataclass(frozen=True)
 class ClockCalibration:
     scale: float
@@ -82,6 +137,11 @@ class ClockCalibration:
     bracket: tuple
     achieved_entropy: float    # smallest entropy reached by the accepted run
     log: tuple = ()            # every trial, in order (CalibrationTrial)
+    # the accepted trial's march from scale * base, suspended where it was
+    # accepted (unstarted when no trial ran), for the run to continue; the
+    # results of run_nonlinear_rate_case and run_extinction_pipeline, which
+    # continue it, keep None here, so that they can be pickled
+    run: _Run | None = field(default=None, repr=False, compare=False)
 
 
 def _mode1_coefficient(setup: StageSetup, v: np.ndarray) -> float:
@@ -91,24 +151,22 @@ def _mode1_coefficient(setup: StageSetup, v: np.ndarray) -> float:
 
 
 def _run_trial(setup: StageSetup, v0: np.ndarray, dt: float, horizon: float,
-               deep_floor: float, stride: int):
+               deep_floor: float, cadence: float):
     """March the rescaled flow until the entropy either collapses below
     deep_floor (verdict 0) or diverges from its running minimum (verdict +-1,
-    the sign of the unstable-mode coefficient a), checking every stride
-    steps.  A flow that cannot be continued even at the smallest dt (it
-    collapses in finite time) has diverged too; a trial that does neither
-    by the horizon is accepted.  Returns (verdict, t, e_min, a), with t and a
-    taken at the last check."""
-    grid, exps, V = setup.grid, setup.exps, setup.profile.V
-    p = exps.p
+    the sign of the unstable-mode coefficient a), checking at every sample
+    (i + 1) cadence the E_nl of the entropy report recorded there.  A flow
+    that cannot be continued even at the smallest dt (it collapses in finite
+    time) has diverged too; a trial that does neither by the horizon is
+    accepted.  Returns (verdict, t, e_min, a, run), with t and a taken at the
+    last check and run (a _Run) suspended there."""
+    run = _Run(setup, v0, dt, cadence)
     state = FlowState(kind="rescaled", field=v0, time=0.0)
-    e0 = nonlinear_entropy(grid, V, p, v0)
+    e0 = nonlinear_entropy(setup.grid, setup.profile.V, setup.exps.p, v0)
     e_min, diverged = e0, False
-    every = stride * dt
-    targets = (k * every for k in range(1, int(round(horizon / dt)) // stride + 1))
     try:
-        for state in march(grid, exps, state, dt, targets):
-            e = nonlinear_entropy(grid, V, p, state.field)
+        for state in islice(run, len(sample_lattice(horizon, cadence))):
+            e = run.traj.diagnostics[-1].E_nl
             e_min = min(e_min, e)
             if e_min < deep_floor:
                 break
@@ -120,12 +178,13 @@ def _run_trial(setup: StageSetup, v0: np.ndarray, dt: float, horizon: float,
         diverged = True
     a = _mode1_coefficient(setup, state.field)
     verdict = (1 if a > 0 else -1) if diverged else 0
-    return verdict, state.time, e_min, a
+    return verdict, state.time, e_min, a, run
 
 
 def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
                            horizon: float = 20.0, deep_floor: float = 1e-12,
-                           bracket_width: float = 2e-3, stride: int = 10,
+                           bracket_width: float = 2e-3,
+                           cadence: float | None = None,
                            max_trials: int = 60) -> ClockCalibration:
     """Find the scale b so that b * base_field lies on the stable manifold of
     the rescaled flow (extinction time matched to T = p/((p-1)c)).
@@ -136,20 +195,29 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
     hold b* is widened, by doubling steps.  After a sign bracket is found,
     each next scale is the secant root of g through the two latest trials,
     or the bracket's midpoint when that root is not strictly inside.
+
+    Trials check their entropy at the samples (i + 1) cadence of the run
+    that is to follow (by default every 10 steps, cadence = 10 dt), and the
+    result's run is the accepted trial's march, to be continued by that run.
+    A NumericalFailure raised here carries the trials run so far as its
+    clock_log attribute (a tuple of CalibrationTrial).
     """
     base = setup.grid.check_field(base_field)
     exps = setup.exps
+    cadence = cadence or 10 * dt
     # implicit Euler grows the unstable mode by 1/(1 - dt gamma) per step
     gamma_dt = -np.log1p(-dt * exps.c * (exps.p - 1.0) / exps.p) / dt
-    log = []
+    log, latest = [], None     # latest: the last trial's _Run
 
     if nonlinear_entropy(setup.grid, setup.profile.V, exps.p, base) < deep_floor:
         return ClockCalibration(scale=1.0, trials=0, bracket=(1.0, 1.0),
-                                achieved_entropy=0.0)
+                                achieved_entropy=0.0,
+                                run=_Run(setup, base, dt, cadence))
 
     def trial(b):
-        verdict, t, e_min, a = _run_trial(setup, b * base, dt, horizon,
-                                          deep_floor, stride)
+        nonlocal latest
+        verdict, t, e_min, a, latest = _run_trial(setup, b * base, dt, horizon,
+                                                  deep_floor, cadence)
         g = float(a * np.exp(-gamma_dt * t))
         log.append(CalibrationTrial(scale=b, verdict=verdict, t_stop=t,
                                     e_min=e_min, g=g))
@@ -158,46 +226,51 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
     def accepted(bracket):
         return ClockCalibration(scale=log[-1].scale, trials=len(log),
                                 bracket=bracket, achieved_entropy=log[-1].e_min,
-                                log=tuple(log))
+                                log=tuple(log), run=latest)
 
-    lo, hi = 1.0 - bracket_width, 1.0 + bracket_width
-    ends = {}     # verdict -> latest scale with that verdict
-    for b in (lo, hi):
-        ends[trial(b)] = b
-        if 0 in ends:
-            return accepted((b, b))
-    # the verdict is monotone in b: while both ends agree, b* lies below lo
-    # (both +1) or above hi (both -1)
-    for widen in range(8):
-        if len(ends) == 2:
-            break
-        step = 2.0 * bracket_width * 2 ** widen
-        if 1 in ends:
-            b = lo = max(lo - step, 0.05)
-        else:
-            b = hi = hi + step
-        ends[trial(b)] = b
-        if 0 in ends:
-            return accepted((b, b))
-    if len(ends) < 2:
-        raise NumericalFailure("could not bracket the matched-clock scale")
+    try:
+        lo, hi = 1.0 - bracket_width, 1.0 + bracket_width
+        ends = {}     # verdict -> latest scale with that verdict
+        for b in (lo, hi):
+            ends[trial(b)] = b
+            if 0 in ends:
+                return accepted((b, b))
+        # the verdict is monotone in b: while both ends agree, b* lies below lo
+        # (both +1) or above hi (both -1)
+        for widen in range(8):
+            if len(ends) == 2:
+                break
+            step = 2.0 * bracket_width * 2 ** widen
+            if 1 in ends:
+                b = lo = max(lo - step, 0.05)
+            else:
+                b = hi = hi + step
+            ends[trial(b)] = b
+            if 0 in ends:
+                return accepted((b, b))
+        if len(ends) < 2:
+            raise NumericalFailure("could not bracket the matched-clock scale")
 
-    while len(log) < max_trials:
-        bracket = (min(ends.values()), max(ends.values()))
-        prev, last = log[-2], log[-1]
-        b = 0.5 * (bracket[0] + bracket[1])
-        if last.g != prev.g:
-            root = last.scale - last.g * (last.scale - prev.scale) / (last.g - prev.g)
-            if bracket[0] < root < bracket[1]:
-                b = root
-        ends[trial(b)] = b
-        if 0 in ends:
-            return accepted(bracket)
-        if bracket[1] - bracket[0] < 64 * np.finfo(float).eps:
-            break
-    raise NumericalFailure(
-        f"no trial reached the entropy floor {deep_floor:g} within "
-        f"{max_trials} trials (bracket width {abs(ends[1] - ends[-1]):.3e})")
+        while len(log) < max_trials:
+            bracket = (min(ends.values()), max(ends.values()))
+            prev, last = log[-2], log[-1]
+            b = 0.5 * (bracket[0] + bracket[1])
+            if last.g != prev.g:
+                root = (last.scale
+                        - last.g * (last.scale - prev.scale) / (last.g - prev.g))
+                if bracket[0] < root < bracket[1]:
+                    b = root
+            ends[trial(b)] = b
+            if 0 in ends:
+                return accepted(bracket)
+            if bracket[1] - bracket[0] < 64 * np.finfo(float).eps:
+                break
+        raise NumericalFailure(
+            f"no trial reached the entropy floor {deep_floor:g} within "
+            f"{max_trials} trials (bracket width {abs(ends[1] - ends[-1]):.3e})")
+    except NumericalFailure as exc:
+        exc.clock_log = tuple(log)
+        raise
 
 
 def run_rescaled(setup: StageSetup, v0, horizon: float, dt: float = 1e-3,
@@ -206,9 +279,7 @@ def run_rescaled(setup: StageSetup, v0, horizon: float, dt: float = 1e-3,
     traj = evolve(setup.grid, setup.exps,
                   FlowState(kind="rescaled", field=np.asarray(v0, float), time=0.0),
                   horizon=horizon, dt=dt, sample_every=cadence,
-                  sampler=lambda t, v: entropy_report(
-                      setup.grid, setup.profile.V, setup.exps, setup.eigs,
-                      setup.gap, v, t))
+                  sampler=_reporter(setup))
     return traj, list(traj.diagnostics)
 
 
@@ -267,7 +338,8 @@ def run_extinction_pipeline(setup: StageSetup, dt_original: float = 2e-4,
     """Criterion-style closed loop: march the original flow from u0 = S, stop
     near extinction, extrapolate T from sup(u)^(1-m); then rebuild the whole
     rescaled stage with c = p/((p-1) T_est) and check that the rescaled flow
-    started from the original datum relaxes to the new stationary profile."""
+    started from the original datum relaxes to the new stationary profile.
+    The rerun is the accepted calibration trial, continued to rerun_horizon."""
     exps = setup.exps
     u0 = setup.profile.S.copy()
     T_true = exps.T
@@ -284,9 +356,9 @@ def run_extinction_pipeline(setup: StageSetup, dt_original: float = 2e-4,
     v0 = u0 ** exps.m
     cal = match_extinction_clock(setup_est, v0, dt=rerun_dt,
                                  horizon=max(rerun_horizon, 20.0),
-                                 deep_floor=1e-14)
-    _, reports = run_rescaled(setup_est, cal.scale * v0, horizon=rerun_horizon,
-                              dt=rerun_dt, cadence=cadence)
+                                 deep_floor=1e-14, cadence=cadence)
+    reports = list(cal.run.to_horizon(rerun_horizon).diagnostics)
+    cal = replace(cal, run=None)
     return ExtinctionPipelineResult(T_est=est.T_est, T_true=T_true, estimate=est,
                                     closed_loop_setup=setup_est,
                                     closed_loop_reports=reports,
@@ -311,19 +383,27 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
                             want_fit: bool = True) -> NonlinearRateResult:
     """Calibrate the clock, run the flow, and (want_fit) fit the entropy decay
     against the spectral prediction 2 lambda_p / p (and its implicit-Euler
-    form at this dt)."""
+    form at this dt).
+
+    The calibration's trials march on this run's sample lattice, and the run
+    is the accepted trial continued to the horizon (or cut back to it): its
+    reports and step summary equal those of run_rescaled from cal.scale *
+    base_field, bit for bit.  Only an uncalibrated run (match_clock false)
+    calls run_rescaled."""
     band = band or EntropyBand()
     if match_clock:
         cal = match_extinction_clock(
             setup, base_field, dt=dt,
             horizon=calibration_horizon or max(horizon, 20.0),
-            deep_floor=band.lo / 100.0)
+            deep_floor=band.lo / 100.0, cadence=cadence)
+        traj = cal.run.to_horizon(horizon)
+        reports = list(traj.diagnostics)
+        cal = replace(cal, run=None)
     else:
         cal = ClockCalibration(scale=1.0, trials=0, bracket=(1.0, 1.0),
                                achieved_entropy=np.nan)
-    v0 = cal.scale * setup.grid.check_field(base_field)
-    traj, reports = run_rescaled(setup, v0, horizon=horizon, dt=dt,
-                                 cadence=cadence)
+        traj, reports = run_rescaled(setup, setup.grid.check_field(base_field),
+                                     horizon=horizon, dt=dt, cadence=cadence)
     summary = traj.step_summary()
     E = np.array([r.E_nl for r in reports])
     if E.max(initial=0.0) <= 1e-12:

@@ -323,6 +323,21 @@ class TestMain:
                          "--out", str(tmp_path / "m2")])
         assert code == 3
 
+    def test_failed_calibration_exit_3_keeps_its_trials(self, tmp_path, capsys):
+        # from 100 V the matched scale is b* = 0.01, below the widening floor
+        # 0.05: every trial blows up and the bracket is never found
+        cfg = set_key(set_key(BASE_CFG, "initial.kind", "scaled_stationary"),
+                      "initial.factor", "100.0")
+        path, out = write_cfg(tmp_path, cfg), tmp_path / "m7"
+        assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 3
+        assert "could not bracket" in capsys.readouterr().err
+        meta = json.loads((out / "trajectory.json").read_text())
+        log = meta["clock_log"]
+        assert len(log) == meta["clock_trials"] == 10
+        assert [t["verdict"] for t in log] == [1] * 10
+        assert log[-1]["scale"] == 0.05
+        assert set(log[0]) == {"scale", "verdict", "t_stop", "e_min", "g"}
+
     def test_nonpositive_perturbed_datum_is_config_error(self, tmp_path, capsys):
         cfg = BASE_CFG.replace("initial.modes     = 2:1:0.1",
                                "initial.modes     = 2:1:50.0")

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fdelab as F
+from fdelab.grid import apply_A
 
 
 def interval(n, length=1.0):
@@ -13,6 +16,31 @@ def interval(n, length=1.0):
 def ball(n, ndim=3, radius=1.0):
     return F.build_domain(F.DomainSpec(geometry="ball", nodes=n, dimension=ndim,
                                        radius=radius))
+
+
+@st.composite
+def domain_specs(draw):
+    nodes = draw(st.integers(8, 160))
+    extent = draw(st.floats(0.1, 10.0))
+    if draw(st.booleans()):
+        return F.DomainSpec(geometry="interval", nodes=nodes, length=extent)
+    return F.DomainSpec(geometry="ball", nodes=nodes, radius=extent,
+                        dimension=draw(st.integers(1, 6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=domain_specs(), data=st.data())
+def test_random_domain_has_spd_A_positive_quadrature_and_exact_apply_A(spec, data):
+    g = F.build_domain(spec)
+    n = g.n
+    assert (g.quad_weights > 0).all()
+    # A column by column through apply_A: symmetric, and positive definite
+    A = np.column_stack([apply_A(g, e) for e in np.eye(n)])
+    assert np.array_equal(A, A.T)
+    np.linalg.cholesky(A)     # raises LinAlgError unless A is SPD
+    f = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    bound = 8 * np.finfo(float).eps * (np.abs(A) @ np.abs(f))
+    assert (np.abs(apply_A(g, f) - A @ f) <= bound).all()
 
 
 def test_rejects_bad_specs():

@@ -1,5 +1,7 @@
 """Extinction-clock matching: shooting on the initial-data scale."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -30,12 +32,13 @@ def test_accepted_trial_is_deep_and_inside_its_bracket(p, modes):
 
 def fake_trials(monkeypatch, outcome):
     """Replace _run_trial by outcome(b) -> (verdict, t, e_min, a), where b is
-    the trial's scale of the constant base field 1; returns the scales tried."""
+    the trial's scale of the constant base field 1, and no run; returns the
+    scales tried."""
     scales = []
 
-    def run_trial(setup, v0, dt, horizon, deep_floor, stride):
+    def run_trial(setup, v0, dt, horizon, deep_floor, cadence):
         scales.append(float(v0[0]))
-        return outcome(scales[-1])
+        return outcome(scales[-1]) + (None,)
 
     monkeypatch.setattr(pipeline, "_run_trial", run_trial)
     return scales
@@ -96,11 +99,42 @@ def test_trial_survives_a_step_failure():
     # From the constant field at n=33, p=2, the first step at dt = 2^-7 stalls
     # in the line search; the trial retries it at half the dt and goes on.
     setup = interval_setup(2.0, nodes=33)
-    verdict, t, _, a = pipeline._run_trial(setup, 0.998 * np.ones(33), 2 ** -7,
-                                           20.0, 1e-12, 10)
+    verdict, t, _, a, _ = pipeline._run_trial(setup, 0.998 * np.ones(33),
+                                              2 ** -7, 20.0, 1e-12, 10 * 2 ** -7)
     # the field lies far below V (sup V ~ 11.8) and collapses in finite time;
     # a flow that cannot be continued even at the smallest dt has diverged
     assert verdict == -1 and a < 0 and t > 0.2
     # so every trial collapses and the widened bracket never reaches b*
     with pytest.raises(NumericalFailure, match="could not bracket"):
         F.match_extinction_clock(setup, np.ones(33), dt=2 ** -7)
+
+
+def assert_fresh_run(res, setup, v0, horizon):
+    """res's reports and step summary are run_rescaled's from v0, bit for bit."""
+    traj, reports = F.run_rescaled(setup, v0, horizon=horizon, dt=1e-3,
+                                   cadence=0.05)
+    assert len(reports) == round(horizon / 0.05)
+    assert [pickle.dumps(r) for r in res.reports] == [pickle.dumps(r) for r in reports]
+    assert res.step_summary == traj.step_summary()
+
+
+@pytest.mark.parametrize("horizon, accepted_after", [(12.0, False), (3.0, True)])
+def test_calibrated_run_is_a_fresh_run_from_the_accepted_scale(
+        interval_p2_small, horizon, accepted_after):
+    # the run continues the accepted trial's march (horizon 12) or is cut
+    # back from it (horizon 3)
+    setup = interval_p2_small
+    base = F.mode_perturbed_field(setup, [(2, 1, 0.1)])
+    res = F.run_nonlinear_rate_case(setup, base, horizon=horizon, dt=1e-3,
+                                    cadence=0.05, want_fit=False)
+    assert (res.calibration.log[-1].t_stop > horizon) == accepted_after
+    assert_fresh_run(res, setup, res.calibration.scale * base, horizon)
+    assert pickle.loads(pickle.dumps(res)).calibration == res.calibration
+
+
+def test_run_from_a_datum_on_the_floor_is_a_fresh_run(interval_p2_small):
+    setup = interval_p2_small
+    res = F.run_nonlinear_rate_case(setup, setup.profile.V, horizon=1.0,
+                                    cadence=0.05, want_fit=False)
+    assert res.calibration.trials == 0 and res.trivial_fixed_point
+    assert_fresh_run(res, setup, setup.profile.V, 1.0)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import fdelab as F
 from fdelab.stationary import energy_identity_gap
+
+EPS = np.finfo(float).eps
 
 
 def interval(n):
@@ -24,6 +27,16 @@ class TestExponents:
         assert e.p == 2.0 and e.c == 1.0
         assert abs(e.p * e.m - 1.0) < 1e-15
         assert abs(e.c * (e.p - 1) * e.T - e.p) < 1e-13
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(1.0, 100.0, exclude_min=True), c=st.floats(1e-6, 1e6))
+    def test_make_round_trips(self, p, c):
+        # p -> m -> p and c -> T -> c, each at fixed partner, to a few ulps
+        e = F.Exponents.make(p=p, c=c)
+        assert F.Exponents.make(m=e.m, c=c).p == pytest.approx(p, rel=4 * EPS)
+        back = F.Exponents.make(p=p, T=e.T)
+        assert back.c == pytest.approx(c, rel=8 * EPS)
+        assert F.Exponents.make(p=p, c=back.c).T == pytest.approx(e.T, rel=16 * EPS)
 
     def test_rejects_inconsistent(self):
         with pytest.raises(ValueError):
