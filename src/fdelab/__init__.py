@@ -22,7 +22,7 @@ from .flow import (ExtinctionEstimate, FlowState, Trajectory,
                    estimate_extinction_time, evolve, march, original_time_of,
                    original_to_rescaled, rescaled_time_of, step_linearized,
                    step_original, step_rescaled)
-from .diagnostics import (ComparisonConstants, EntropyReport,
+from .diagnostics import (ComparisonConstants, EntropyReport, ReportWeights,
                           benilan_crandall_margin, delayed_ratio_sup,
                           entropy_density, entropy_report, nonlinear_entropy,
                           power_difference, production_residual,

@@ -12,7 +12,13 @@ Conventions (f = v - V, h = v/V - 1):
 Differences of powers are evaluated through their integral kernels, e.g. the
 entropy density equals (p+1) f^2 int_0^1 (V + s f)^(p-1) s ds, which avoids
 the catastrophic cancellation of the naive v^(p+1) - V^(p+1) form and keeps
-the functionals meaningful down to machine-size perturbations.
+the functionals meaningful down to machine-size perturbations.  The
+8-node Gauss-Legendre powers of a kernel are formed as one (8, n) array.
+
+entropy_report reads what depends on the setup alone (powers of V, weighted
+quadrature, transposed eigenfunction blocks) from a ReportWeights built once
+per run, and keeps the operand order of every expression, so sharing those
+arrays changes no bit of a report.
 
 Checks that differentiate sampled traces in time use centered differences
 with a Richardson estimate of the finite-difference error; inequalities carry
@@ -40,11 +46,10 @@ _GL_WX = np.stack([_GL_W, _GL_W * _GL_X], axis=1)[:, :, None]   # (8, 2, 1)
 
 def _kernel_sums(V, f, q: float):
     """Gauss-Legendre sums for int_0^1 (V + s f)^(q-1) ds and
-    int_0^1 (V + s f)^(q-1) s ds, forming each power (V + x_i f)^(q-1) once
-    and accumulating both sums in one (2, n) array."""
-    acc = np.zeros((2,) + np.shape(V))
-    for x, wx in zip(_GL_X, _GL_WX):
-        acc += wx * (V + x * f) ** (q - 1.0)
+    int_0^1 (V + s f)^(q-1) s ds: the eight powers (V + x_i f)^(q-1) formed
+    as one (8, n) array, and both sums accumulated over the nodes in order."""
+    powers = (V + _GL_X[:, None] * f) ** (q - 1.0)
+    acc = (_GL_WX * powers[:, None]).sum(axis=0)
     return acc[0], acc[1]
 
 
@@ -91,36 +96,60 @@ class EntropyReport:
         return max(float(np.max(a)) for a in self.Q_nl) if self.Q_nl else 0.0
 
 
-def entropy_report(grid: Grid, V, exps: Exponents, eigs: EigenSystem,
-                   gap: GapReport, v, t: float) -> EntropyReport:
+@dataclass(frozen=True)
+class ReportWeights:
+    """What entropy_report needs of a setup, formed once per run: the powers
+    of V, the quadrature weights times the spectral weight, and the
+    transposed eigenfunction blocks k = 1..k_p."""
+
+    grid: Grid
+    V: np.ndarray
+    p: float
+    c: float
+    V_pm1: np.ndarray            # V^(p-1)
+    V_pp1: np.ndarray            # V^(p+1)
+    V_pm2: np.ndarray            # V^(p-2)
+    wq_weight: np.ndarray        # quadrature weights * eigs.weight
+    blocks_T: tuple              # eigs.eigenfunctions[k].T, k < k_p
+
+    @classmethod
+    def make(cls, grid: Grid, V, exps: Exponents, eigs: EigenSystem,
+             gap: GapReport) -> "ReportWeights":
+        V = grid.check_field(V)
+        p = exps.p
+        return cls(grid=grid, V=V, p=p, c=exps.c, V_pm1=V ** (p - 1.0),
+                   V_pp1=V ** (p + 1.0), V_pm2=V ** (p - 2.0),
+                   wq_weight=grid.quad_weights * eigs.weight,
+                   blocks_T=tuple(eigs.eigenfunctions[k].T
+                                  for k in range(gap.k_p)))
+
+
+def entropy_report(weights: ReportWeights, v, t: float) -> EntropyReport:
     """Evaluate every tracked functional for a rescaled-flow field v > 0."""
-    V = grid.check_field(V)
-    v = grid.check_field(v)
+    w = weights
+    v = w.grid.check_field(v)
     if v.min() <= 0:
         raise ValueError("rescaled field must be positive")
-    p, c = exps.p, exps.c
+    p, c, V, wq = w.p, w.c, w.V, w.grid.quad_weights
     f = v - V
     h = f / V
-    wq = grid.quad_weights
 
-    e_lin = float(np.dot(wq, f * f * V ** (p - 1.0)))
-    h_l2v_sq = float(np.dot(wq, h * h * V ** (p + 1.0)))
-    i_lin = dirichlet_energy(grid, f) - p * c * e_lin
+    e_lin = float(np.dot(wq, f * f * w.V_pm1))
+    h_l2v_sq = float(np.dot(wq, h * h * w.V_pp1))
+    i_lin = dirichlet_energy(w.grid, f) - p * c * e_lin
     acc, acc_s = _kernel_sums(V, f, p)
     e_nl = float(np.dot(wq, (p + 1.0) * f * f * acc_s))
-    cubic = float(np.dot(wq, np.abs(f) ** 3 * V ** (p - 2.0)))
+    cubic = float(np.dot(wq, np.abs(f) ** 3 * w.V_pm2))
     h_inf = float(np.max(np.abs(h)))
 
-    k_p = gap.k_p
     q_lin, a_nl = [], []
     vpdiff = p * f * acc
     sqrt_e_lin = np.sqrt(e_lin) if e_lin > 0 else 0.0
-    for k in range(k_p):
-        block = eigs.eigenfunctions[k]
-        coeffs = block.T @ (wq * eigs.weight * f)
+    for block_T in w.blocks_T:
+        coeffs = block_T @ (w.wq_weight * f)
         q_lin.append(np.abs(coeffs) / sqrt_e_lin if sqrt_e_lin > 0
                      else np.zeros_like(coeffs))
-        a_nl.append(np.abs(block.T @ (wq * vpdiff)))
+        a_nl.append(np.abs(block_T @ (wq * vpdiff)))
     q_nl = None
     if e_nl > QN_ENTROPY_FLOOR:
         root = np.sqrt(e_nl)

@@ -75,7 +75,8 @@ class Trajectory:
         return np.array(self.sups, dtype=float)
 
     def step_summary(self) -> dict:
-        """Step statistics for the trajectory metadata JSON."""
+        """Step statistics for the trajectory metadata JSON; newton_hist[i]
+        counts the accepted steps that took i Newton iterations."""
         dts = np.asarray(self.dt_history, dtype=float)
         its = np.asarray(self.newton_history, dtype=float)
         return {
@@ -86,6 +87,7 @@ class Trajectory:
             "dt_max": float(dts.max()) if dts.size else None,
             "newton_total": int(its.sum()) if its.size else 0,
             "newton_max": int(its.max()) if its.size else 0,
+            "newton_hist": np.bincount(its.astype(int)).tolist(),
         }
 
 

@@ -11,19 +11,23 @@ linearized flow (growth rate c(p-1)/p along V), which would eventually throw
 any desk-scale run off the profile.  The FDE scaling symmetry makes the family
 b -> b * v0 cross the matched-clock manifold transversally, so a one-parameter
 shooting on the scale b realizes "T = T(u0)" exactly to solver resolution.
-Each diverging trial stops at some time t with unstable-mode coefficient
+A trial is accepted once its entropy falls below a floor, and has diverged as
+soon as its entropy rises fourfold above its running minimum: on the stable
+manifold the entropy only decays, so such a rise can only come from the
+growing unstable mode, and the trial can no longer reach the floor.  Each
+diverging trial stops at some time t with unstable-mode coefficient
 a = <v(t) - V, phi_1>_V.  Implicit Euler grows that mode by exactly
 1/(1 - dt gamma) per step, gamma = c(p-1)/p, so g = a exp(-gamma_dt t), with
 gamma_dt = -log(1 - dt gamma)/dt, is about K (b - b*) whatever t was: a secant
 on g, kept inside the sign bracket, reaches the matched scale in a few trials.
 
 Each trial marches on the run's own sample lattice (i + 1) cadence and
-records there the entropy report the run would record; its collapse and
-divergence checks read that report's E_nl.  The accepted trial is therefore
-the first stretch of the run: the calibrated run takes over its suspended
-march, reports and step histories and goes on to the horizon (or is cut back
-to it), which gives the same trace as a fresh run from the accepted scale
-without marching that stretch twice.
+records there the entropy report the run would record (from report weights
+formed once per trial); its collapse and divergence checks read that report's
+E_nl.  The accepted trial is therefore the first stretch of the run: the
+calibrated run takes over its suspended march, reports and step histories and
+goes on to the horizon (or is cut back to it), which gives the same trace as a
+fresh run from the accepted scale without marching that stretch twice.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .diagnostics import entropy_report, nonlinear_entropy
+from .diagnostics import ReportWeights, entropy_report, nonlinear_entropy
 from .errors import NumericalFailure, StepFailure
 from .flow import (FlowState, Trajectory, estimate_extinction_time, evolve,
                    record, sample_lattice)
@@ -126,8 +130,9 @@ class _Run:
 
 
 def _reporter(setup: StageSetup):
-    return lambda t, v: entropy_report(setup.grid, setup.profile.V, setup.exps,
-                                       setup.eigs, setup.gap, v, t)
+    weights = ReportWeights.make(setup.grid, setup.profile.V, setup.exps,
+                                 setup.eigs, setup.gap)
+    return lambda t, v: entropy_report(weights, v, t)
 
 
 @dataclass(frozen=True)
@@ -153,13 +158,17 @@ def _mode1_coefficient(setup: StageSetup, v: np.ndarray) -> float:
 def _run_trial(setup: StageSetup, v0: np.ndarray, dt: float, horizon: float,
                deep_floor: float, cadence: float):
     """March the rescaled flow until the entropy either collapses below
-    deep_floor (verdict 0) or diverges from its running minimum (verdict +-1,
-    the sign of the unstable-mode coefficient a), checking at every sample
-    (i + 1) cadence the E_nl of the entropy report recorded there.  A flow
-    that cannot be continued even at the smallest dt (it collapses in finite
-    time) has diverged too; a trial that does neither by the horizon is
-    accepted.  Returns (verdict, t, e_min, a, run), with t and a taken at the
-    last check and run (a _Run) suspended there."""
+    deep_floor (verdict 0) or diverges (verdict +-1, the sign of the
+    unstable-mode coefficient a), checking at every sample (i + 1) cadence
+    the E_nl of the entropy report recorded there.  It has diverged at the
+    first sample where E_nl exceeds 4 times its running minimum (which is at
+    least deep_floor until it collapses): only the growing unstable mode can
+    make the entropy rise, so the trial can no longer reach the floor, and
+    its verdict and a are settled.  It has also diverged where E_nl exceeds
+    10 max(e0, deep_floor), or when the flow cannot be continued even at the
+    smallest dt (it collapses in finite time); a trial that does none of
+    these by the horizon is accepted.  Returns (verdict, t, e_min, a, run),
+    with t and a taken at the last check and run (a _Run) suspended there."""
     run = _Run(setup, v0, dt, cadence)
     state = FlowState(kind="rescaled", field=v0, time=0.0)
     e0 = nonlinear_entropy(setup.grid, setup.profile.V, setup.exps.p, v0)
@@ -170,8 +179,7 @@ def _run_trial(setup: StageSetup, v0: np.ndarray, dt: float, horizon: float,
             e_min = min(e_min, e)
             if e_min < deep_floor:
                 break
-            if ((e > 4.0 * e_min and e > 100.0 * deep_floor)
-                    or e > 10.0 * max(e0, deep_floor)):
+            if e > 4.0 * e_min or e > 10.0 * max(e0, deep_floor):
                 diverged = True
                 break
     except StepFailure:

@@ -266,6 +266,10 @@ def test_criterion_12_extinction_pipeline(interval_p2_small):
     E_end = result.closed_loop_reports[-1].E_nl
     E_min = min(r.E_nl for r in result.closed_loop_reports)
     assert min(E_end, E_min) <= 1e-8
+    # the rerun's calibration: two diverging trials, then the matched scale
+    log = result.closed_loop_calibration.log
+    assert [r.verdict for r in log] == [-1, 1, 0]
+    assert [r.t_stop for r in log] == pytest.approx([1.4, 1.4, 0.1], abs=1e-9)
     announce(12, "extinction pipeline closed loop")
 
 

@@ -1,6 +1,9 @@
 """Config parsing, pipeline artifacts, determinism, sweeps, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +174,7 @@ class TestRunExperiment:
         assert len(log) == meta["clock_trials"] and log[-1]["verdict"] == 0
         assert log[-1]["scale"] == meta["clock_scale"]
         assert set(log[0]) == {"scale", "verdict", "t_stop", "e_min", "g"}
+        assert sum(meta["newton_hist"]) == meta["steps"]
 
     def test_trivial_fixed_point_verdict(self, tmp_path):
         cfg = BASE_CFG.replace("initial.kind      = mode_perturbed",
@@ -272,6 +276,24 @@ class TestMain:
         for name in ("stationary", "spectrum", "linear-evolve", "evolve",
                      "rates", "sweep"):
             assert name in out
+
+    def test_python_m_fdelab_runs_the_cli(self, tmp_path):
+        # python -m fdelab from a checkout: the package's src/ on PYTHONPATH
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "fdelab", *args],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=60)
+
+        shown = run("--help")
+        assert shown.returncode == 0 and "rates" in shown.stdout
+        path = write_cfg(tmp_path, "domain.nodes = 129\n")  # missing exponents
+        bad = run("stationary", "--config", str(path))
+        assert bad.returncode == 2 and "config error" in bad.stderr
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "domain.nodes = 129\n")  # missing exponents

@@ -1,11 +1,14 @@
 """Entropy functionals, comparison inequalities and trace checks."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fdelab as F
-from fdelab.diagnostics import (ao_window, decaying_prefix, entropy_density,
+from fdelab.diagnostics import (_GL_WX, _GL_X, EntropyReport, _kernel_sums,
+                                ao_window, decaying_prefix, entropy_density,
                                 power_difference, trace_rows)
 
 
@@ -16,8 +19,9 @@ def analytic_remainder_kappa(p, c):
 
 
 def report_for(setup, v, t=0.0):
-    return F.entropy_report(setup.grid, setup.profile.V, setup.exps, setup.eigs,
-                            setup.gap, v, t)
+    weights = F.ReportWeights.make(setup.grid, setup.profile.V, setup.exps,
+                                   setup.eigs, setup.gap)
+    return F.entropy_report(weights, v, t)
 
 
 class TestStablePowerDifferences:
@@ -89,6 +93,74 @@ class TestKernelsAgainstMpmath:
         assert rel_error([naive], exact_dp) > 1e-13
         assert rel_error(power_difference(np.array([V]), np.array([f]), p),
                          exact_dp) <= 1e-13
+
+
+def loop_kernel_sums(V, f, q):
+    """The Gauss-Legendre sums as an 8-term loop over the nodes."""
+    acc = np.zeros((2,) + np.shape(V))
+    for x, wx in zip(_GL_X, _GL_WX):
+        acc += wx * (V + x * f) ** (q - 1.0)
+    return acc[0], acc[1]
+
+
+def reference_report(grid, V, exps, eigs, gap, v, t):
+    """entropy_report's formulas evaluated from (grid, V, exps, eigs, gap)
+    at every call, with the looped kernel sums."""
+    p, c = exps.p, exps.c
+    f = v - V
+    h = f / V
+    wq = grid.quad_weights
+    e_lin = float(np.dot(wq, f * f * V ** (p - 1.0)))
+    h_l2v_sq = float(np.dot(wq, h * h * V ** (p + 1.0)))
+    i_lin = F.dirichlet_energy(grid, f) - p * c * e_lin
+    acc, acc_s = loop_kernel_sums(V, f, p)
+    e_nl = float(np.dot(wq, (p + 1.0) * f * f * acc_s))
+    cubic = float(np.dot(wq, np.abs(f) ** 3 * V ** (p - 2.0)))
+    h_inf = float(np.max(np.abs(h)))
+    q_lin, a_nl = [], []
+    vpdiff = p * f * acc
+    sqrt_e_lin = np.sqrt(e_lin) if e_lin > 0 else 0.0
+    for k in range(gap.k_p):
+        block = eigs.eigenfunctions[k]
+        coeffs = block.T @ (wq * eigs.weight * f)
+        q_lin.append(np.abs(coeffs) / sqrt_e_lin if sqrt_e_lin > 0
+                     else np.zeros_like(coeffs))
+        a_nl.append(np.abs(block.T @ (wq * vpdiff)))
+    q_nl = None
+    if e_nl > 1e-14:
+        q_nl = [a / np.sqrt(e_nl) for a in a_nl]
+    return EntropyReport(t=t, E_lin=e_lin, I_lin=i_lin, E_nl=e_nl, h_inf=h_inf,
+                         h_L2V_sq=h_l2v_sq, cubic=cubic, Q_lin=q_lin, Q_nl=q_nl,
+                         A_nl=a_nl)
+
+
+class TestOnePassKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
+           q=st.one_of(st.just(2.0), st.floats(1.05, 6.0)),
+           shrink=st.floats(-10.0, 0.0))
+    def test_equal_to_the_looped_sums_bit_for_bit(self, n, seed, q, shrink):
+        rng = np.random.default_rng(seed)
+        V = rng.uniform(1e-3, 10.0, n)
+        f = V * rng.uniform(-0.5, 0.5, n) * 10.0 ** shrink
+        for got, want in zip(_kernel_sums(V, f, q), loop_kernel_sums(V, f, q)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["interval_p2_small", "ball_p2",
+                                      "interval_p1.5"])
+    def test_reports_equal_the_reference_formulas(self, request, name):
+        if name == "interval_p1.5":
+            s = F.prepare(F.DomainSpec(geometry="interval", nodes=129),
+                          F.Exponents.make(p=1.5, c=1.0))
+        else:
+            s = request.getfixturevalue(name)
+        V = s.profile.V
+        rng = np.random.default_rng(7)
+        for i in range(60):
+            amp = 10.0 ** rng.uniform(-9.0, -0.5)
+            v = V * (1.0 + amp * rng.uniform(-1.0, 1.0, V.size))
+            want = reference_report(s.grid, V, s.exps, s.eigs, s.gap, v, 0.1 * i)
+            assert pickle.dumps(report_for(s, v, 0.1 * i)) == pickle.dumps(want)
 
 
 class TestEntropyReport:

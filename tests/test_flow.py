@@ -262,6 +262,19 @@ class TestEvolve:
         assert meta["kind"] == "rescaled" and meta["steps"] == 100
         assert meta["samples"] == 2 and meta["dt_max"] <= 5e-3 + 1e-15
 
+    def test_step_summary_newton_histogram(self, interval_p2_small):
+        s = interval_p2_small
+        v0 = F.mode_perturbed_field(s, [(2, 1, 3.0)])
+        traj = F.evolve(s.grid, s.exps,
+                        F.FlowState(kind="rescaled", field=v0, time=0.0),
+                        horizon=0.5, dt=5e-3, sample_every=0.25)
+        meta = traj.step_summary()
+        hist = meta["newton_hist"]
+        assert len(hist) == meta["newton_max"] + 1 and len(hist) > 2
+        assert sum(hist) == meta["steps"]
+        assert sum(i * k for i, k in enumerate(hist)) == meta["newton_total"]
+        assert all(isinstance(k, int) for k in hist)    # JSON-ready
+
     @pytest.mark.parametrize("kind", ["rescaled", "original"])
     def test_sup_norms_are_those_of_the_marched_fields(self, interval_p2_small,
                                                        kind):

@@ -109,6 +109,29 @@ def test_trial_survives_a_step_failure():
         F.match_extinction_clock(setup, np.ones(33), dt=2 ** -7)
 
 
+def test_trial_stops_at_its_first_fourfold_rise(calibrated_trace_p2):
+    # The rate-p2-shaped calibration's third trial bottoms out between the
+    # floor and 25 floors, so its first fourfold rise stays below 100 floors:
+    # it stops there (t = 9.78), with its verdict and g already settled.
+    setup, result = calibrated_trace_p2
+    floor = F.EntropyBand().lo / 100.0
+    log = result.calibration.log
+    assert [r.verdict for r in log] == [-1, 1, 1, 0]
+    third = log[2]
+    assert floor <= third.e_min < 25.0 * floor
+    assert third.t_stop == pytest.approx(9.78, abs=1e-9)
+    base = F.mode_perturbed_field(setup, [(2, 1, 0.1)])
+    v0 = third.scale * base
+    verdict, t, e_min, a, run = pipeline._run_trial(setup, v0, 1e-3, 20.0,
+                                                    floor, 0.02)
+    assert (verdict, t, e_min) == (1, third.t_stop, third.e_min) and a > 0
+    E = np.array([r.E_nl for r in run.traj.diagnostics])
+    e0 = F.nonlinear_entropy(setup.grid, setup.profile.V, setup.exps.p, v0)
+    running = np.minimum.accumulate(np.concatenate([[e0], E]))[1:]
+    assert np.flatnonzero(E > 4.0 * running).tolist() == [E.size - 1]
+    assert E[-1] < 100.0 * floor      # the fourfold rise alone stops it
+
+
 def assert_fresh_run(res, setup, v0, horizon):
     """res's reports and step summary are run_rescaled's from v0, bit for bit."""
     traj, reports = F.run_rescaled(setup, v0, horizon=horizon, dt=1e-3,
