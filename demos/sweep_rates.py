@@ -5,10 +5,12 @@ Runs the full calibrated pipeline for p in {1.2, 1.5, 2, 3} on the interval
 (the closed-form spectrum makes the target rate 2 * 3c / p = 6/p here) and
 aggregates one row per cell, exactly like `fdelab sweep`.
 
-Takes a couple of minutes at n = 129; pass --jobs N on the CLI variant to
-parallelize:
+Takes a couple of minutes at n = 129.  To run the cells in parallel, save
+CFG below to a file, say sweep.cfg, and run
 
-    fdelab sweep --config demos/sweep.cfg --jobs 4
+    fdelab sweep --config sweep.cfg --jobs 4
+
+which uses at most one worker process per cell.
 """
 
 import os
@@ -26,7 +28,6 @@ flow.horizon      = 12.0
 initial.kind      = mode_perturbed
 initial.modes     = 2:1:0.1
 sampler.cadence   = 0.02
-seed              = 0
 sweep.p           = 1.2 1.5 2.0 3.0
 """
 

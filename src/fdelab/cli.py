@@ -1,6 +1,6 @@
 """Command-line front end: reproducible experiment pipelines and sweeps.
 
-Subcommands (each takes --config PATH, optional --out DIR, --jobs INT):
+Subcommands (each takes --config PATH, optional --out DIR; sweep --jobs INT):
 
     stationary      domain + profile            -> profile.csv
     spectrum        + weighted eigensystem      -> spectrum.csv, gap.json
@@ -271,7 +271,10 @@ def _sweep_cell(args):
 
 
 def sweep(config, out_dir=None, jobs: int = 1) -> Path:
-    """Run the cartesian sweep grid; aggregate one row per cell."""
+    """Run the cartesian sweep grid; aggregate one row per cell.  Cells run
+    in min(jobs, cells) worker processes, or in this one if that is 1."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     cfg = load_config(config) if not isinstance(config, ExperimentConfig) else config
     out = Path(out_dir or cfg["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -297,8 +300,9 @@ def sweep(config, out_dir=None, jobs: int = 1) -> Path:
     rows = []
     if cells:
         payload = [(cfg.resolved, cfg.source, over, cdir) for _, over, cdir in cells]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(payload))
+        if workers > 1:   # the pool starts all its workers at the first submit
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_cell, payload))
         else:
             results = [_sweep_cell(a) for a in payload]
@@ -322,7 +326,8 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, metavar="PATH")
         sp.add_argument("--out", default=None, metavar="DIR")
-        sp.add_argument("--jobs", type=int, default=1, metavar="INT")
+        if name == "sweep":
+            sp.add_argument("--jobs", type=int, default=1, metavar="INT")
     args = parser.parse_args(argv)
 
     try:

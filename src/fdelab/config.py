@@ -13,7 +13,6 @@ Example:
     initial.modes     = 2:1:0.1
     sampler.cadence   = 0.02
     output.dir        = out
-    seed              = 0
 
 Values are parsed as int, float, bool (true/false), mode triples k:j:amp, or
 bare strings; lists are whitespace- or comma-separated.  A double-quoted value
@@ -104,7 +103,6 @@ _DEFAULTS = {
     "rates.band_hi": 1e-4,
     "rates.tol": 0.05,
     "output.dir": "out",
-    "seed": 0,
 }
 
 _REQUIRED = ("domain.nodes",)
@@ -177,7 +175,7 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
                               or (isinstance(v, bool) and types is not bool)):
             _fail(source, lines.get(key), f"{key} must be {desc}, got {v!r}")
 
-    for key in ("domain.nodes", "domain.dimension", "spectrum.modes", "seed"):
+    for key in ("domain.nodes", "domain.dimension", "spectrum.modes"):
         check_type(key, int, "an integer")
     for key in ("initial.path", "output.dir"):
         check_type(key, str, "a string")

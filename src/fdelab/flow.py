@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from itertools import takewhile
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import NumericalFailure, StepFailure
 from .grid import Grid, apply_A, solve_tridiagonal
@@ -210,10 +209,9 @@ def step_linearized(grid: Grid, V, exps: Exponents, state: FlowState,
     V = grid.check_field(V)
     p, c = exps.p, exps.c
     wq = grid.quad_weights * V ** (p - 1.0)   # W against quadrature
-    ab = np.zeros((2, grid.n))
-    ab[0, 1:] = dt * grid.lap_offdiag
-    ab[1, :] = p * wq + dt * (grid.lap_diag - c * p * wq)
-    f_new = solveh_banded(ab, p * wq * f)
+    off = dt * grid.lap_offdiag
+    f_new = solve_tridiagonal(off, p * wq + dt * (grid.lap_diag - c * p * wq),
+                              off.copy(), p * wq * f)
     return FlowState(kind="linearized", field=f_new, time=state.time + dt)
 
 

@@ -11,7 +11,9 @@ quadratics in r.
 All integrals in the package are realized by `integrate` (node values times
 quadrature weights) and all Dirichlet energies by `dirichlet_energy`, so the
 energy identities and eigen-identities of the other modules hold at the
-discrete level up to solver tolerances, not just up to O(h^2).
+discrete level up to solver tolerances, not just up to O(h^2).  Only this
+module calls LAPACK: every linear solve is `solve_tridiagonal` (dgtsv) on the
+Grid's rows, every eigensolve `weighted_eigenpairs`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from math import gamma, pi
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigError, NumericalFailure
@@ -82,7 +84,6 @@ class Grid:
     neglap_lower: np.ndarray = field(repr=False)   # lap_offdiag / quad_weights[1:]
     neglap_diag: np.ndarray = field(repr=False)    # lap_diag / quad_weights
     neglap_upper: np.ndarray = field(repr=False)   # lap_offdiag / quad_weights[:-1]
-    _cho: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -124,16 +125,10 @@ def build_domain(spec: DomainSpec) -> Grid:
         off = -s * area[1:n] / h
         dist = spec.radius - coords
 
-    # banded Cholesky factor of A for the Green operator (upper form)
-    ab = np.zeros((2, n))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    cb = cholesky_banded(ab)
-
     return Grid(spec=spec, h=h, coords=coords, quad_weights=quad,
                 boundary_distance=dist, lap_diag=diag, lap_offdiag=off,
                 neglap_lower=off / quad[1:], neglap_diag=diag / quad,
-                neglap_upper=off / quad[:-1], _cho=(cb,))
+                neglap_upper=off / quad[:-1])
 
 
 def apply_A(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -162,9 +157,27 @@ def apply_laplacian(grid: Grid, field) -> np.ndarray:
 
 
 def solve_poisson(grid: Grid, rhs) -> np.ndarray:
-    """Discrete Green operator: g with -lap g = rhs (Dirichlet), banded solve."""
+    """Discrete Green operator: g with -lap g = rhs (Dirichlet): A g = W rhs."""
     r = grid.check_field(rhs)
-    return cho_solve_banded((grid._cho[0], False), grid.quad_weights * r)
+    return solve_tridiagonal(grid.lap_offdiag.copy(), grid.lap_diag.copy(),
+                             grid.lap_offdiag.copy(), grid.quad_weights * r)
+
+
+def weighted_eigenpairs(grid: Grid, weight, k: int):
+    """Lowest k eigenpairs (ascending values, W-orthonormal (n, k) vectors)
+    of A phi = lam W phi, W = quad_weights * weight > 0, by eigh_tridiagonal
+    on the congruence D^-1 A D^-1, D = W^(1/2).  A weight vanishing at the
+    boundary, like V^(p-1), makes ||D^-1 A D^-1|| huge (1.4e10 at p = 3.9,
+    n = 290), so tol = 2 tiny, not eps ||.||, keeps full relative accuracy."""
+    d = np.sqrt(grid.quad_weights * weight)
+    try:
+        vals, vecs = eigh_tridiagonal(grid.lap_diag / d ** 2,
+                                      grid.lap_offdiag / (d[:-1] * d[1:]),
+                                      select="i", select_range=(0, k - 1),
+                                      tol=2.0 * np.finfo(float).tiny)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - exotic
+        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+    return vals, vecs / d[:, None]
 
 
 def integrate(grid: Grid, field) -> float:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NumericalFailure
 from .spectrum import GapReport
@@ -136,6 +135,8 @@ def integrate_delay_ode(lam: float, sigma: float, history, t0: float,
     unit window comes from a cubic spline of the previous window's dense
     output, preserving the RK4 order.
     """
+    from scipy.interpolate import CubicSpline
+
     if dt <= 0 or dt > 1.0:
         raise ValueError("dt must lie in (0, 1]")
     y0 = float(history(t0))

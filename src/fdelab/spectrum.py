@@ -1,9 +1,10 @@
 """Weighted Dirichlet spectrum -lap phi = lambda V^(p-1) phi and gap bookkeeping.
 
 The generalized symmetric problem A phi = lambda W phi (A the quadrature-
-weighted -lap, W the diagonal of V^(p-1) against quadrature) is reduced to a
-symmetric tridiagonal standard problem by the diagonal congruence
-T = W^(-1/2) A W^(-1/2) and solved by the LAPACK tridiagonal eigensolver.
+weighted -lap, W the diagonal of V^(p-1) against quadrature) is solved by
+grid.weighted_eigenpairs: the diagonal congruence T = W^(-1/2) A W^(-1/2)
+reduces it to a symmetric tridiagonal standard problem, which the LAPACK
+tridiagonal eigensolver solves to full relative accuracy.
 Eigenfunctions come back normalized in the weighted space:
 ||phi||^2 = int phi^2 V^(p-1) dx = 1.
 
@@ -19,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalFailure
-from .grid import Grid, apply_A, dirichlet_energy
+from .grid import Grid, apply_A, dirichlet_energy, weighted_eigenpairs
 
 _MULT_RTOL = 1e-6   # eigenvalues closer than this (relative) form one eigenspace
 
@@ -84,31 +84,18 @@ def weighted_eigensystem(grid: Grid, V, p: float, K: int) -> EigenSystem:
         raise ValueError(f"K = {K} out of range for n = {grid.n} "
                          f"(need 1 <= K <= n/4)")
     weight = V ** (p - 1.0)
-    d = np.sqrt(grid.quad_weights * weight)
-    T_diag = grid.lap_diag / d ** 2
-    T_off = grid.lap_offdiag / (d[:-1] * d[1:])
-    try:
-        vals, vecs = eigh_tridiagonal(T_diag, T_off, select="i",
-                                      select_range=(0, K - 1))
-    except Exception as exc:  # pragma: no cover - LAPACK failures are exotic
-        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    phis = vecs / d[:, None]
+    vals, phis = weighted_eigenpairs(grid, weight, K)
 
     # deterministic sign: largest-magnitude component positive; first mode positive
-    for j in range(K):
-        col = phis[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            phis[:, j] = -col
+    phis *= np.sign(phis[np.argmax(np.abs(phis), axis=0), np.arange(K)])
     if phis[:, 0].min() < 0:  # first eigenfunction is positive up to sign
         phis[:, 0] = np.abs(phis[:, 0])
 
     # relative eigen-residuals ||A phi - lam W phi|| / (lam ||W phi||)
-    res = np.empty(K)
-    for j in range(K):
-        phi = phis[:, j]
-        Aphi = apply_A(grid, phi)
-        Wphi = grid.quad_weights * weight * phi
-        res[j] = np.linalg.norm(Aphi - vals[j] * Wphi) / (vals[j] * np.linalg.norm(Wphi))
+    wq = grid.quad_weights * weight
+    res = np.array([np.linalg.norm(apply_A(grid, phi) - lam * (wq * phi))
+                    / (lam * np.linalg.norm(wq * phi))
+                    for lam, phi in zip(vals, phis.T)])
 
     # cluster into distinct eigenvalues
     distinct, mult, blocks, worst = [], [], [], []

@@ -1,10 +1,11 @@
 """Stationary profiles of the semilinear problem -lap V = c V^p (Dirichlet).
 
-V is computed by damped Newton iteration on the residual lap V + c V^p,
-starting from a scaled first eigenfunction of the plain Dirichlet Laplacian.
-On the interval an independent oracle reconstructs the profile from the first
-integral V'^2 = (2c/(p+1)) (M^(p+1) - V^(p+1)) by adaptive quadrature and
-root finding, without ever touching the finite-difference operator.
+V is computed by damped Newton iteration on the residual lap V + c V^p (one
+tridiagonal solve per iteration), starting from a scaled first eigenfunction
+of the plain Dirichlet Laplacian.  On the interval an independent oracle
+reconstructs the profile from the first integral
+V'^2 = (2c/(p+1)) (M^(p+1) - V^(p+1)) by scipy's quad and brentq, imported
+only when it runs, without ever touching the finite-difference operator.
 
 On the interval and on radial balls the positive solution is unique; on other
 geometries (not supported here) the solution selected by Newton would depend
@@ -16,13 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import NumericalFailure
 from .grid import (Grid, apply_laplacian, dirichlet_energy, integrate,
-                   solve_tridiagonal)
+                   solve_tridiagonal, weighted_eigenpairs)
 
 _EPS = np.finfo(float).eps
 
@@ -92,11 +90,8 @@ class StationaryProfile:
 
 def first_dirichlet_eigenpair(grid: Grid) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of -lap on the grid (unweighted), max-normalized."""
-    d = grid.neglap_diag
-    e = grid.lap_offdiag / np.sqrt(grid.quad_weights[:-1] * grid.quad_weights[1:])
-    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    phi = vecs[:, 0] / np.sqrt(grid.quad_weights)
-    phi = np.abs(phi)
+    vals, vecs = weighted_eigenpairs(grid, 1.0, 1)
+    phi = np.abs(vecs[:, 0])
     return float(vals[0]), phi / phi.max()
 
 
@@ -170,6 +165,7 @@ def _half_length(M: float, p: float, c: float, tol: float) -> float:
     """x-distance from the boundary to the maximum: integral of dV/V' over (0, M)."""
     # V'^2 = (2c/(p+1)) (M^(p+1) - V^(p+1));  substitute V = M s:
     # halflen = sqrt((p+1)/(2c)) M^((1-p)/2) * int_0^1 (1 - s^(p+1))^(-1/2) ds
+    from scipy.integrate import quad
     val, _ = quad(lambda s: _inv_sqrt_gap(s, p), 0.0, 1.0,
                   weight="alg", wvar=(0.0, -0.5), epsabs=tol, epsrel=tol)
     return np.sqrt((p + 1.0) / (2.0 * c)) * M ** ((1.0 - p) / 2.0) * val
@@ -181,6 +177,7 @@ def _x_of_v(v: float, M: float, p: float, c: float, tol: float) -> float:
         return 0.0
     if v >= M:
         return _half_length(M, p, c, tol)
+    from scipy.integrate import quad
     a = 2.0 * c / (p + 1.0)
     val, _ = quad(lambda w: (a * (M ** (p + 1.0) - w ** (p + 1.0))) ** -0.5,
                   0.0, v, epsabs=tol, epsrel=10 * tol, limit=200)
@@ -196,14 +193,15 @@ def oracle_profile_1d(exps: Exponents, n: int, length: float = 1.0,
     tol is the adaptive-quadrature tolerance; refining it changes the profile
     by less than ~10*tol (self-consistency check in the tests).
     """
+    from scipy.optimize import brentq
+
     p, c = exps.p, exps.c
     h = length / (n + 1)
     half = length / 2.0
 
-    # closed-form root of the half-length equation brackets the brentq call
-    i_p, _ = quad(lambda s: _inv_sqrt_gap(s, p), 0.0, 1.0,
-                  weight="alg", wvar=(0.0, -0.5), epsabs=tol, epsrel=tol)
-    M0 = ((2.0 / length) * np.sqrt((p + 1.0) / (2.0 * c)) * i_p) ** (2.0 / (p - 1.0))
+    # the half-length is that of M = 1 times M^((1-p)/2); the closed-form
+    # root of the half-length equation brackets the brentq call
+    M0 = (_half_length(1.0, p, c, tol) / half) ** (2.0 / (p - 1.0))
     lo, hi = 0.5 * M0, 2.0 * M0
     f = lambda M: _half_length(M, p, c, tol) - half
     if not (f(lo) > 0 > f(hi)):

@@ -24,7 +24,6 @@ flow.horizon      = 9.0
 initial.kind      = mode_perturbed
 initial.modes     = 2:1:0.1
 sampler.cadence   = 0.05
-seed              = 0
 """
 
 
@@ -128,6 +127,12 @@ class TestParser:
         with pytest.raises(ConfigError, match="must be a number"):
             resolve_config(parse_config_text(ok + "flow.dt = fast\n"))
 
+    def test_seed_is_not_a_key(self):
+        # nothing in fdelab is random, so no key may pretend to seed it
+        ok = "domain.nodes = 64\nexponents.p = 2.0\nexponents.c = 1.0\n"
+        with pytest.raises(ConfigError, match="unknown key 'seed'"):
+            resolve_config(parse_config_text(ok + "seed = 0\n"))
+
     def test_T_resolves_to_c(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path,
                                     "domain.nodes = 64\nexponents.p = 2.0\n"
@@ -140,7 +145,7 @@ class TestParser:
                                     "domain.nodes = 64\nexponents.p = 2.0\n"
                                     "exponents.c = 1.0\n"))
         for key in ("flow.dt", "flow.horizon", "sampler.cadence",
-                    "rates.band_lo", "rates.tol", "output.dir", "seed",
+                    "rates.band_lo", "rates.tol", "output.dir",
                     "initial.kind", "spectrum.modes"):
             assert key in cfg.resolved
 
@@ -266,6 +271,46 @@ class TestSweep:
         assert len(rows) == 1
         assert "supercritical" in rows[0]
 
+    @pytest.mark.parametrize("jobs, sweep_p, workers", [
+        (64, "2.0 1.5", 2),      # never more workers than cells
+        (2, "2.0 1.5 3.0", 2),
+        (8, "2.0", None),        # one cell runs in this process
+        (1, "2.0 1.5", None),
+    ])
+    def test_pool_sized_by_cells(self, tmp_path, monkeypatch, jobs, sweep_p,
+                                 workers):
+        started = []
+
+        class SerialPool:       # records its size, starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "_sweep_cell", lambda args: {
+            "lambda_p": 3.0, "lambda_fit": 3.0, "ratio": 1.0, "h2_ok": True,
+            "error": ""})
+        path = write_cfg(tmp_path, BASE_CFG + f"sweep.p = {sweep_p}\n")
+        out = cli.sweep(path, out_dir=tmp_path / "sw", jobs=jobs)
+        assert len(Path(out).read_text().splitlines()) == 1 + len(sweep_p.split())
+        assert started == ([] if workers is None else [workers])
+
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, BASE_CFG + "sweep.p = 2.0\n")
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out),
+                         "--jobs", "0"]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMain:
     def test_help_and_subcommands_exist(self, capsys):
@@ -294,6 +339,27 @@ class TestMain:
         path = write_cfg(tmp_path, "domain.nodes = 129\n")  # missing exponents
         bad = run("stationary", "--config", str(path))
         assert bad.returncode == 2 and "config error" in bad.stderr
+
+    @pytest.mark.parametrize("command", ["stationary", "spectrum",
+                                         "linear-evolve", "evolve", "rates"])
+    def test_jobs_is_sweep_only(self, tmp_path, command, capsys):
+        path = write_cfg(tmp_path, BASE_CFG)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(path), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_import_loads_only_scipy_linalg(self):
+        # the oracle's quad/brentq and the delay ODE's spline load lazily
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys, fdelab.cli; print(sorted({m.split('.')[1] "
+                "for m in sys.modules if m.startswith('scipy.')}))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60).stdout
+        for sub in ("integrate", "optimize", "interpolate", "sparse"):
+            assert f"'{sub}'" not in out
+        assert "'linalg'" in out
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "domain.nodes = 129\n")  # missing exponents

@@ -11,6 +11,7 @@ from scipy.linalg import solve_banded
 import fdelab as F
 import fdelab.flow
 from fdelab.flow import StepFailure
+from fdelab.grid import apply_A
 
 
 def interval(n):
@@ -149,6 +150,37 @@ class TestStepLinearized:
         norm = np.sqrt(F.inner_product_weighted(s.grid, state.field, state.field,
                                                 s.eigs.weight))
         assert max(abs(float(b[0])) for b in coeffs) <= 1e-8 * norm
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([None, 1, 2, 3]), p=st.floats(1.2, 4.0),
+           n=st.integers(33, 300),
+           dt_frac=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+           data=st.data())
+    def test_step_solves_its_equation(self, dim, p, n, dt_frac, data):
+        # p W (f1 - f0) + dt (A f1 - c p W f1) = 0, W = quad_weights V^(p-1)
+        if dim is None:
+            spec = F.DomainSpec(geometry="interval", nodes=n)
+        else:
+            spec = F.DomainSpec(geometry="ball", nodes=n, dimension=dim)
+        grid = F.build_domain(spec)
+        exps = F.Exponents.make(p=p, c=1.0)
+        V = F.solve_stationary(grid, exps).V
+        f0 = data.draw(arrays(np.float64, grid.n,
+                              elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+        dt = dt_frac * exps.T
+        f1 = F.step_linearized(grid, V, exps, F.FlowState(
+            kind="linearized", field=f0, time=0.0), dt).field
+        W = grid.quad_weights * V ** (p - 1.0)
+        cpW = exps.c * p * W
+        res = p * W * (f1 - f0) + dt * (apply_A(grid, f1) - cpW * f1)
+        # rounding scale: the size of every summand, |A| |f1| for A f1, which
+        # cancels to ~0 on smooth data (e.g. constant f0 at p near 1); A has a
+        # positive diagonal and negative off-diagonals.  tiny: the underflow
+        # floor of data near the smallest normal numbers
+        af = np.abs(f1)
+        abs_A_f1 = 2.0 * grid.lap_diag * af - apply_A(grid, af)
+        scale = p * W * (af + np.abs(f0)) + dt * (abs_A_f1 + cpW * af)
+        assert np.abs(res).max() <= 1e-14 * scale.max() + np.finfo(float).tiny
 
     def test_rejects_dt_near_pole(self, interval_p2_small):
         s = interval_p2_small

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fdelab as F
 from fdelab.spectrum import EigenSystem
@@ -69,6 +70,26 @@ class TestWeightedEigensystem:
             grad = F.dirichlet_energy(s.grid, phi)
             norm = F.inner_product_weighted(s.grid, phi, phi, s.eigs.weight)
             assert abs(grad - lam * norm) <= 1e-6 * abs(grad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([None, 1, 2, 3]), p=st.floats(1.2, 4.0),
+           c=st.floats(0.5, 5.0), n=st.integers(33, 300))
+    def test_first_pair_is_c_and_profile_on_random_setups(self, dim, p, c, n):
+        # lambda_1 = c with phi_1 = V/||V||_V holds exactly for the discrete
+        # operator, up to the Newton and eigensolver tolerances; V^(p-1)
+        # vanishes at the boundary, which is what makes it hard at large p
+        if dim is None:
+            spec = F.DomainSpec(geometry="interval", nodes=n)
+        else:
+            spec = F.DomainSpec(geometry="ball", nodes=n, dimension=dim)
+        g = F.build_domain(spec)
+        V = F.solve_stationary(g, F.Exponents.make(p=p, c=c)).V
+        eigs = F.weighted_eigensystem(g, V, p, K=4)
+        assert abs(eigs.eigenvalues[0] - c) / c <= 1e-9
+        diff = V / np.sqrt(F.inner_product_weighted(g, V, V, eigs.weight)) \
+            - eigs.mode(1, 1)
+        assert np.sqrt(F.inner_product_weighted(g, diff, diff, eigs.weight)) <= 1e-10
+        assert np.max(eigs.residuals) <= 1e-8
 
     def test_input_validation(self):
         g = interval(64)
