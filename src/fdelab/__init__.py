@@ -20,8 +20,8 @@ from .spectrum import (EigenSystem, GapReport, PoincareMargins,
                        project_coefficients, weighted_eigensystem)
 from .flow import (ExtinctionEstimate, FlowState, Trajectory,
                    estimate_extinction_time, evolve, march, original_time_of,
-                   original_to_rescaled, rescaled_time_of, step_linearized,
-                   step_original, step_rescaled)
+                   original_to_rescaled, step_linearized, step_original,
+                   step_rescaled)
 from .diagnostics import (ComparisonConstants, EntropyReport, ReportWeights,
                           benilan_crandall_margin, delayed_ratio_sup,
                           entropy_density, entropy_report, nonlinear_entropy,

@@ -115,9 +115,8 @@ def _initial_field(cfg: ExperimentConfig, setup, stage: str):
     if kind == "scaled_stationary":
         field, origin = cfg["initial.factor"] * setup.profile.V, "initial.factor"
     elif kind == "mode_perturbed":
-        k_max = len(setup.eigs.eigenvalues)
         for k, j, _ in cfg["initial.modes"]:
-            if not (1 <= k <= k_max and 1 <= j <= setup.eigs.multiplicities[k - 1]):
+            if k > cfg["spectrum.modes"]:
                 raise ConfigError(f"initial.modes references mode ({k},{j}) "
                                   f"outside the computed spectrum")
         try:
@@ -170,15 +169,15 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         return summary
 
     write_csv(out / "spectrum.csv", ["k", "j", "lambda", "residual"],
-              [(k, j, lam, setup.eigs.residuals[k - 1])
-               for k, j, lam, _ in setup.eigs.pairs()])
+              [(k, 1, lam, setup.eigs.residuals[k - 1])
+               for k, lam, _ in setup.eigs.pairs()])
     gap = setup.gap
     write_json(out / "gap.json", {
         "k_p": gap.k_p, "cp": gap.cp, "lambda_p": gap.lambda_p,
         "gamma_p": gap.gamma_p, "h2_ok": gap.h2_ok,
         "gap_margin": gap.gap_margin, "lambda_kp1": gap.lambda_kp1,
         "eigenvalues": list(setup.eigs.eigenvalues),
-        "multiplicities": list(setup.eigs.multiplicities),
+        "multiplicities": [1] * len(setup.eigs.eigenvalues),
     })
     if stage == "spectrum":
         return summary
@@ -188,8 +187,8 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         tr = run_linearized(setup, f0, horizon=cfg["flow.horizon"],
                             dt=cfg["flow.dt"], cadence=cfg["sampler.cadence"])
         header = ["t", "E_lin", "I_lin"]
-        header += [f"Q_{k}_{j}" for k, j in tr.mode_index]
-        header += [f"coef_{k}_{j}" for k, j in tr.mode_index]
+        header += [f"Q_{k}_1" for k in tr.mode_index]
+        header += [f"coef_{k}_1" for k in tr.mode_index]
         rows = []
         for i, t in enumerate(tr.times):
             e = tr.E_lin[i]
@@ -265,7 +264,7 @@ def _sweep_cell(args):
         ratio = (lam_fit / target) if (lam_fit is not None and target) else None
         return {"lambda_p": gap["lambda_p"], "lambda_fit": lam_fit,
                 "ratio": ratio, "h2_ok": gap["h2_ok"], "error": ""}
-    except Exception as exc:  # cells never abort the sweep
+    except (ConfigError, NumericalFailure) as exc:   # any other is a bug
         return {"lambda_p": None, "lambda_fit": None, "ratio": None,
                 "h2_ok": None, "error": f"{type(exc).__name__}: {exc}"}
 

@@ -14,11 +14,12 @@ Example:
     sampler.cadence   = 0.02
     output.dir        = out
 
-Values are parsed as int, float, bool (true/false), mode triples k:j:amp, or
-bare strings; lists are whitespace- or comma-separated.  A double-quoted value
-is one verbatim string token: output.dir = "my runs, #2".  Sweep axes use
-sweep.p / sweep.nodes / sweep.amplitude with list values.  Every key not in
-the schema is an error, reported with its line number.
+Values are parsed as int, float, bool (true/false), mode triples k:j:amp (j
+is 1: the computed spectrum is simple), or bare strings; lists are
+whitespace- or comma-separated.  A double-quoted value is one verbatim string
+token: output.dir = "my runs, #2".  Sweep axes use sweep.p / sweep.nodes /
+sweep.amplitude with list values, each value checked like its base key.
+Every key not in the schema is an error, reported with its line number.
 """
 
 from __future__ import annotations
@@ -216,6 +217,12 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
         if not (isinstance(m, tuple) and len(m) == 3):
             _fail(source, lines.get("initial.modes"),
                   f"initial.modes entries must be k:j:amplitude, got {m!r}")
+        # the computed spectrum is simple (see fdelab.spectrum), so j is 1;
+        # k <= spectrum.modes is checked by the stages that build the datum
+        if m[0] < 1 or m[1] != 1:
+            _fail(source, lines.get("initial.modes"),
+                  f"initial.modes references mode ({m[0]},{m[1]}) outside the "
+                  f"computed spectrum (k >= 1 and j = 1)")
     resolved["initial.modes"] = list(modes)
     if resolved["initial.kind"] == "mode_perturbed" and not modes:
         _fail(source, lines.get("initial.kind"),
@@ -224,23 +231,28 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
         _fail(source, lines.get("initial.kind"),
               "initial.kind = from_file requires initial.path")
 
-    # derive the full exponent bundle so the manifest shows every value
     from .stationary import Exponents
-    try:
-        exps = Exponents.make(p=resolved["exponents.p"], m=resolved["exponents.m"],
-                              c=resolved["exponents.c"], T=resolved["exponents.T"])
-    except ValueError as exc:
-        _fail(source, None, str(exc))
+
+    def exponents(key, **given):
+        """Exponents.make(**given), subcritical on a ball; a failure names
+        the sweep key it came from (None for the base exponents)."""
+        try:
+            exps = Exponents.make(**given)
+            if resolved["domain.geometry"] == "ball":
+                exps.check_subcritical(int(resolved["domain.dimension"]))
+        except ValueError as exc:
+            _fail(source, lines.get(key), f"{key}: {exc}" if key else str(exc))
+        return exps
+
+    # derive the full exponent bundle so the manifest shows every value
+    exps = exponents(None, p=resolved["exponents.p"], m=resolved["exponents.m"],
+                     c=resolved["exponents.c"], T=resolved["exponents.T"])
     resolved["exponents.p"] = exps.p
     resolved["exponents.m"] = exps.m
     resolved["exponents.c"] = exps.c
     resolved["exponents.T"] = exps.T
-    if resolved["domain.geometry"] == "ball":
-        try:
-            exps.check_subcritical(int(resolved["domain.dimension"]))
-        except ValueError as exc:
-            _fail(source, None, str(exc))
 
+    # every sweep cell must pass the checks its base keys pass
     sweep = {}
     for key in _SWEEP_KEYS:
         if key in resolved:
@@ -250,6 +262,14 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
             if any(isinstance(a, bool) or not isinstance(a, kind) for a in axis):
                 _fail(source, lines.get(key), f"{key} must list numbers, got {v!r}")
             sweep[key.split(".", 1)[1]] = axis
+    for pv in sweep.get("p", ()):
+        exponents("sweep.p", p=pv, c=exps.c)
+    n_min = max(8, 4 * resolved["spectrum.modes"])
+    for nv in sweep.get("nodes", ()):
+        if nv < n_min:
+            _fail(source, lines.get("sweep.nodes"),
+                  f"sweep.nodes must be at least {n_min} (8, and 4 spectrum.modes), "
+                  f"got {nv}")
     return ExperimentConfig(source=source, resolved=resolved, sweep_axes=sweep)
 
 

@@ -5,8 +5,8 @@ Conventions (f = v - V, h = v/V - 1):
   E_lin  = int f^2 V^(p-1) dx
   I_lin  = int |grad f|^2 dx - p c int f^2 V^(p-1) dx
   E_nl   = int [(v^(p+1) - V^(p+1)) - (p+1)/p (v^p - V^p) V] dx
-  A_nl   = |int (v^p - V^p) phi_kj dx|            (plain Lebesgue measure)
-  Q_lin  = |<f, phi_kj>_V| / sqrt(E_lin)
+  A_nl   = |int (v^p - V^p) phi_k dx|             (plain Lebesgue measure)
+  Q_lin  = |<f, phi_k>_V| / sqrt(E_lin)
   Q_nl   = A_nl / sqrt(E_nl)                       (undefined for E_nl <= 1e-14)
 
 Differences of powers are evaluated through their integral kernels, e.g. the
@@ -16,7 +16,7 @@ the functionals meaningful down to machine-size perturbations.  The
 8-node Gauss-Legendre powers of a kernel are formed as one (8, n) array.
 
 entropy_report reads what depends on the setup alone (powers of V, weighted
-quadrature, transposed eigenfunction blocks) from a ReportWeights built once
+quadrature, the transposed low modes) from a ReportWeights built once
 per run, and keeps the operand order of every expression, so sharing those
 arrays changes no bit of a report.
 
@@ -75,8 +75,8 @@ def nonlinear_entropy(grid: Grid, V, p: float, v) -> float:
 class EntropyReport:
     """All sampled functionals at one time.
 
-    Q_lin / Q_nl / A_nl are lists over distinct eigenvalues k = 1..k_p of
-    arrays of length N_k; Q_nl is None when E_nl <= 1e-14.
+    Q_lin / Q_nl / A_nl are arrays over the modes k = 1..k_p (index k - 1);
+    Q_nl is None when E_nl <= 1e-14.
     """
 
     t: float
@@ -86,21 +86,22 @@ class EntropyReport:
     h_inf: float
     h_L2V_sq: float
     cubic: float                 # int |f|^3 V^(p-2) dx
-    Q_lin: list
-    Q_nl: list | None
-    A_nl: list
+    Q_lin: np.ndarray
+    Q_nl: np.ndarray | None
+    A_nl: np.ndarray
 
     def max_q_nl(self) -> float | None:
         if self.Q_nl is None:
             return None
-        return max(float(np.max(a)) for a in self.Q_nl) if self.Q_nl else 0.0
+        return float(self.Q_nl.max(initial=0.0))
 
 
 @dataclass(frozen=True)
 class ReportWeights:
     """What entropy_report needs of a setup, formed once per run: the powers
-    of V, the quadrature weights times the spectral weight, and the
-    transposed eigenfunction blocks k = 1..k_p."""
+    of V, the quadrature weights times the spectral weight, and the modes
+    k = 1..k_p as the rows of one contiguous array (a strided view of the
+    eigenvector columns would change the bits of the products)."""
 
     grid: Grid
     V: np.ndarray
@@ -110,7 +111,7 @@ class ReportWeights:
     V_pp1: np.ndarray            # V^(p+1)
     V_pm2: np.ndarray            # V^(p-2)
     wq_weight: np.ndarray        # quadrature weights * eigs.weight
-    blocks_T: tuple              # eigs.eigenfunctions[k].T, k < k_p
+    modes_T: np.ndarray          # (k_p, n) copy of eigs.eigenfunctions[:, :k_p].T
 
     @classmethod
     def make(cls, grid: Grid, V, exps: Exponents, eigs: EigenSystem,
@@ -120,8 +121,7 @@ class ReportWeights:
         return cls(grid=grid, V=V, p=p, c=exps.c, V_pm1=V ** (p - 1.0),
                    V_pp1=V ** (p + 1.0), V_pm2=V ** (p - 2.0),
                    wq_weight=grid.quad_weights * eigs.weight,
-                   blocks_T=tuple(eigs.eigenfunctions[k].T
-                                  for k in range(gap.k_p)))
+                   modes_T=eigs.eigenfunctions[:, :gap.k_p].T.copy())
 
 
 def entropy_report(weights: ReportWeights, v, t: float) -> EntropyReport:
@@ -142,18 +142,11 @@ def entropy_report(weights: ReportWeights, v, t: float) -> EntropyReport:
     cubic = float(np.dot(wq, np.abs(f) ** 3 * w.V_pm2))
     h_inf = float(np.max(np.abs(h)))
 
-    q_lin, a_nl = [], []
-    vpdiff = p * f * acc
-    sqrt_e_lin = np.sqrt(e_lin) if e_lin > 0 else 0.0
-    for block_T in w.blocks_T:
-        coeffs = block_T @ (w.wq_weight * f)
-        q_lin.append(np.abs(coeffs) / sqrt_e_lin if sqrt_e_lin > 0
-                     else np.zeros_like(coeffs))
-        a_nl.append(np.abs(block_T @ (wq * vpdiff)))
-    q_nl = None
-    if e_nl > QN_ENTROPY_FLOOR:
-        root = np.sqrt(e_nl)
-        q_nl = [a / root for a in a_nl]
+    coeffs = w.modes_T @ (w.wq_weight * f)
+    q_lin = (np.abs(coeffs) / np.sqrt(e_lin) if e_lin > 0
+             else np.zeros_like(coeffs))
+    a_nl = np.abs(w.modes_T @ (wq * (p * f * acc)))
+    q_nl = a_nl / np.sqrt(e_nl) if e_nl > QN_ENTROPY_FLOOR else None
 
     return EntropyReport(t=t, E_lin=e_lin, I_lin=i_lin, E_nl=e_nl, h_inf=h_inf,
                          h_L2V_sq=h_l2v_sq, cubic=cubic, Q_lin=q_lin, Q_nl=q_nl,
@@ -265,7 +258,6 @@ def sandwich_check(report: EntropyReport, p: float) -> SandwichMargin:
 @dataclass(frozen=True)
 class ModeComparison:
     k: int
-    j: int
     q_lin: float
     q_nl: float | None
     limit_factor: float    # sqrt(2) p / sqrt(p+1)
@@ -278,14 +270,11 @@ def rayleigh_compare(report: EntropyReport, p: float) -> list:
     factor = np.sqrt(2.0) * p / np.sqrt(p + 1.0)
     scale = np.sqrt(max(report.E_lin, 0.0))
     out = []
-    for k0, q_block in enumerate(report.Q_lin):
-        for j0 in range(q_block.size):
-            qn = None if report.Q_nl is None else float(report.Q_nl[k0][j0])
-            ql = float(q_block[j0])
-            excess = None if qn is None else abs(qn - factor * ql)
-            out.append(ModeComparison(k=k0 + 1, j=j0 + 1, q_lin=ql, q_nl=qn,
-                                      limit_factor=factor, excess=excess,
-                                      scale=scale))
+    for k, ql in enumerate(report.Q_lin.tolist(), 1):
+        qn = None if report.Q_nl is None else float(report.Q_nl[k - 1])
+        excess = None if qn is None else abs(qn - factor * ql)
+        out.append(ModeComparison(k=k, q_lin=ql, q_nl=qn, limit_factor=factor,
+                                  excess=excess, scale=scale))
     return out
 
 
@@ -434,27 +423,18 @@ def benilan_crandall_margin(times, fields, V, exps: Exponents,
 def trace_rows(reports) -> tuple:
     """Flatten reports into (header, rows) for the trace CSV.  Column names
     and their order are part of the stable interface: t, E_lin, I_lin, E_nl,
-    h_inf, then Q_k_j, Qn_k_j, A_k_j per tracked mode (Qn cells are empty
-    when the quotient is undefined), then auxiliary columns."""
+    h_inf, then Q_k_1, Qn_k_1, A_k_1 per tracked mode k (the _1 is the index
+    inside the eigenspace, which is one-dimensional; Qn cells are empty when
+    the quotient is undefined), then auxiliary columns."""
     if not reports:
         return ["t", "E_lin", "I_lin", "E_nl", "h_inf", "h_L2V_sq", "cubic"], []
-    mode_idx = [(k + 1, j + 1)
-                for k, block in enumerate(reports[0].Q_lin)
-                for j in range(block.size)]
+    ks = range(1, reports[0].Q_lin.size + 1)
     header = ["t", "E_lin", "I_lin", "E_nl", "h_inf"]
-    header += [f"Q_{k}_{j}" for k, j in mode_idx]
-    header += [f"Qn_{k}_{j}" for k, j in mode_idx]
-    header += [f"A_{k}_{j}" for k, j in mode_idx]
+    header += [f"{name}_{k}_1" for name in ("Q", "Qn", "A") for k in ks]
     header += ["h_L2V_sq", "cubic"]
     rows = []
     for r in reports:
-        row = [r.t, r.E_lin, r.I_lin, r.E_nl, r.h_inf]
-        row += [float(r.Q_lin[k - 1][j - 1]) for k, j in mode_idx]
-        if r.Q_nl is None:
-            row += [None] * len(mode_idx)
-        else:
-            row += [float(r.Q_nl[k - 1][j - 1]) for k, j in mode_idx]
-        row += [float(r.A_nl[k - 1][j - 1]) for k, j in mode_idx]
-        row += [r.h_L2V_sq, r.cubic]
-        rows.append(row)
+        qn = [None] * len(ks) if r.Q_nl is None else r.Q_nl.tolist()
+        rows.append([r.t, r.E_lin, r.I_lin, r.E_nl, r.h_inf, *r.Q_lin.tolist(),
+                     *qn, *r.A_nl.tolist(), r.h_L2V_sq, r.cubic])
     return header, rows

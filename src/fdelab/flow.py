@@ -361,13 +361,8 @@ def estimate_extinction_time(traj: Trajectory, m: float,
                               fit_residual=fit_res)
 
 
-def rescaled_time_of(tau, T: float):
-    """Logarithmic clock t = T log(T / (T - tau))."""
-    return T * np.log(T / (T - np.asarray(tau)))
-
-
 def original_time_of(t, T: float):
-    """Inverse clock tau = T (1 - exp(-t/T))."""
+    """Original time tau = T (1 - exp(-t/T)) of the rescaled time t."""
     return T * (1.0 - np.exp(-np.asarray(t) / T))
 
 

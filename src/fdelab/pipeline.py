@@ -69,10 +69,15 @@ def prepare(spec: DomainSpec, exps: Exponents, n_modes: int = 8,
 
 
 def mode_perturbed_field(setup: StageSetup, modes) -> np.ndarray:
-    """v0 = V + sum of amplitude * phi_{k,j} for the listed (k, j, amplitude)."""
+    """v0 = V + sum of amplitude * phi_k for the listed (k, j, amplitude);
+    j, the index inside the eigenspace of lambda_k, is 1 (the spectrum is
+    simple)."""
     v0 = setup.profile.V.copy()
     for k, j, amp in modes:
-        v0 = v0 + amp * setup.eigs.mode(int(k), int(j))
+        if j != 1:
+            raise ValueError(f"mode ({k},{j}): every eigenvalue is simple, "
+                             f"so j must be 1")
+        v0 = v0 + amp * setup.eigs.mode(int(k))
     if v0.min() <= 0:
         raise ValueError("perturbed initial field is not positive")
     return v0
@@ -150,7 +155,7 @@ class ClockCalibration:
 
 
 def _mode1_coefficient(setup: StageSetup, v: np.ndarray) -> float:
-    phi1 = setup.eigs.mode(1, 1)
+    phi1 = setup.eigs.mode(1)
     return inner_product_weighted(setup.grid, v - setup.profile.V, phi1,
                                   setup.eigs.weight)
 
@@ -298,8 +303,8 @@ class LinearModeTrace:
     times: np.ndarray
     E_lin: np.ndarray
     I_lin: np.ndarray
-    coefficients: np.ndarray     # shape (samples, modes), mode order = eigs.pairs()
-    mode_index: tuple            # tuple of (k, j)
+    coefficients: np.ndarray     # shape (samples, modes), column k - 1 is mode k
+    mode_index: tuple            # tuple of k
 
 
 def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
@@ -307,14 +312,13 @@ def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
     """Evolve the linearized flow, tracking E_lin, I_lin and mode coefficients."""
     grid, exps, V = setup.grid, setup.exps, setup.profile.V
     wq = grid.quad_weights * setup.eigs.weight
-    modes = [(k, j, phi) for k, j, _, phi in setup.eigs.pairs()]
 
     rows = []
 
     def sampler(t, f):
         e = float(np.dot(wq, f * f))
         i_lin = dirichlet_energy(grid, f) - exps.p * exps.c * e
-        coeffs = [float(np.dot(wq * phi, f)) for _, _, phi in modes]
+        coeffs = [float(np.dot(wq * phi, f)) for _, _, phi in setup.eigs.pairs()]
         rows.append((t, e, i_lin, coeffs))
         return None
 
@@ -327,7 +331,7 @@ def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
                            E_lin=np.array([r[1] for r in rows]),
                            I_lin=np.array([r[2] for r in rows]),
                            coefficients=np.array([r[3] for r in rows]),
-                           mode_index=tuple((k, j) for k, j, _ in modes))
+                           mode_index=tuple(range(1, len(setup.eigs.eigenvalues) + 1)))
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def test_criterion_02_first_eigenpair_identity():
         if n == 512:
             vnorm = prof.V / np.sqrt(
                 F.inner_product_weighted(grid, prof.V, prof.V, eigs.weight))
-            diff = vnorm - eigs.mode(1, 1)
+            diff = vnorm - eigs.mode(1)
             l2v = np.sqrt(F.inner_product_weighted(grid, diff, diff, eigs.weight))
             assert l2v <= 1e-4
     orders = np.log2(np.array(errs_lam2[:-1]) / np.array(errs_lam2[1:]))
@@ -108,7 +108,7 @@ def test_criterion_03_improved_poincare(interval_p2):
         f = F.deflate(s.grid, s.eigs, rng.standard_normal(s.grid.n), s.gap.k_p)
         m = F.check_improved_poincare(s.grid, s.eigs, s.gap, f)
         assert m.margin_top >= -1e-8 * float(np.dot(f, f))
-    phi = s.eigs.mode(s.gap.k_p + 1, 1)
+    phi = s.eigs.mode(s.gap.k_p + 1)
     m = F.check_improved_poincare(s.grid, s.eigs, s.gap, phi)
     assert abs(m.margin_top) <= 1e-6 * m.dirichlet
     announce(3, "improved Poincare margins")
@@ -133,11 +133,11 @@ def test_criterion_05_linear_flow_rates(interval_p2):
     # single-mode coefficient rates at dt = 1e-3
     for k in (1, 2):
         dt, t_end = 1e-3, 1.0
-        state = F.FlowState(kind="linearized", field=s.eigs.mode(k, 1).copy(),
+        state = F.FlowState(kind="linearized", field=s.eigs.mode(k).copy(),
                             time=0.0)
         for _ in range(int(round(t_end / dt))):
             state = F.step_linearized(s.grid, s.profile.V, exps, state, dt)
-        coef = F.inner_product_weighted(s.grid, state.field, s.eigs.mode(k, 1),
+        coef = F.inner_product_weighted(s.grid, state.field, s.eigs.mode(k),
                                         s.eigs.weight)
         rate = np.log(coef) / t_end
         target = (exps.c * exps.p - s.eigs.eigenvalues[k - 1]) / exps.p
@@ -148,7 +148,7 @@ def test_criterion_05_linear_flow_rates(interval_p2):
         assert abs(rate - target_dt) <= 1e-9 * abs(target_dt), f"mode {k}"
     # deflated data: entropy decays at least at 0.99 * 2 lambda_p / p
     f0 = F.deflate(s.grid, s.eigs,
-                   s.eigs.mode(2, 1) + 0.5 * s.eigs.mode(3, 1), s.gap.k_p)
+                   s.eigs.mode(2) + 0.5 * s.eigs.mode(3), s.gap.k_p)
     tr = F.run_linearized(s, f0, horizon=1.5, dt=2e-4, cadence=0.05)
     fit = F.fit_rate(tr.times, tr.E_lin, F.ExplicitWindow(0.5, 1.5))
     target = 2.0 * s.gap.lambda_p / exps.p

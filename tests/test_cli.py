@@ -55,6 +55,7 @@ BAD_INPUTS = [
     ({"initial.kind": "from_file", "initial.path": "{tmp}/missing.csv"}, "missing.csv"),
     ({"initial.kind": "from_file", "initial.path": "{tmp}/text.csv"}, "text.csv"),
     ({"initial.kind": "from_file", "initial.path": "{tmp}/negative.csv"}, "negative.csv"),
+    ({"initial.modes": "2:2:0.1"}, "initial.modes"),
 ]
 
 
@@ -261,15 +262,35 @@ class TestSweep:
         assert (tmp_path / "sw1" / "cell_p2_n129_a1" / "verdict.json").exists()
 
     def test_failed_cell_recorded(self, tmp_path):
-        # supercritical p for a ball: the cell fails, the sweep does not
-        cfg = BASE_CFG.replace("domain.geometry   = interval",
-                               "domain.geometry   = ball")
-        cfg += "domain.dimension = 3\nsweep.p = 6.0\n"
-        path = write_cfg(tmp_path, cfg)
+        # 1000 times the amplitude leaves the positive cone: the cell fails
+        # (a ConfigError only its run can find), the sweep does not
+        path = write_cfg(tmp_path, BASE_CFG + "sweep.amplitude = 1000.0\n")
         out = cli.sweep(path, out_dir=tmp_path / "sw2")
         rows = Path(out).read_text().splitlines()[1:]
         assert len(rows) == 1
-        assert "supercritical" in rows[0]
+        assert "ConfigError" in rows[0] and "not positive" in rows[0]
+
+    @pytest.mark.parametrize("extra, named", [
+        ("sweep.p = 2.0 0.5\n", "sweep.p"),
+        ("domain.geometry = ball\ndomain.dimension = 3\nsweep.p = 6.0\n",
+         "supercritical"),
+        ("sweep.nodes = 129 16\n", "sweep.nodes"),   # 8 modes need 32 nodes
+    ], ids=["p-below-1", "supercritical-ball", "nodes-below-4-modes"])
+    def test_bad_axis_value_exit_2(self, tmp_path, capsys, extra, named):
+        cfg = BASE_CFG.replace("domain.geometry   = interval\n", "") + extra
+        path, out = write_cfg(tmp_path, cfg), tmp_path / "sw"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bug_in_a_cell_propagates(self, tmp_path, monkeypatch):
+        def run_experiment(*args, **kwargs):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        path = write_cfg(tmp_path, BASE_CFG + "sweep.p = 2.0\n")
+        with pytest.raises(TypeError, match="a bug"):
+            cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "sw")])
 
     @pytest.mark.parametrize("jobs, sweep_p, workers", [
         (64, "2.0 1.5", 2),      # never more workers than cells

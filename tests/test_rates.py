@@ -151,7 +151,7 @@ class TestVerdict:
         # deflated linear data decays at exactly the spectral rate, so the
         # verdict must pass at a tight tolerance
         s = interval_p2
-        f0 = F.deflate(s.grid, s.eigs, s.eigs.mode(2, 1).copy(), s.gap.k_p)
+        f0 = F.deflate(s.grid, s.eigs, s.eigs.mode(2).copy(), s.gap.k_p)
         tr = F.run_linearized(s, f0, horizon=2.0, dt=2e-4, cadence=0.02)
         fit = F.fit_rate(tr.times, tr.E_lin, F.ExplicitWindow(0.2, 2.0))
         verdict = F.sharp_rate_verdict(fit, s.gap, s.exps.p, tol=0.02)
