@@ -140,10 +140,13 @@ class ExperimentConfig:
                               c=self.resolved["exponents.c"])
 
 
-
 def _fail(source, line, msg):
     where = f"{source}:{line}: " if line else f"{source}: "
     raise ConfigError(where + msg)
+
+
+def _finite(v) -> bool:
+    return abs(v) <= float_info.max   # False for nan, inf or an int beyond float
 
 
 def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
@@ -188,7 +191,7 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
         check_type(key, (int, float), "a number")
         v = resolved.get(key)
         if v is not None:
-            if not abs(v) <= float_info.max:   # nan, inf or an int beyond float
+            if not _finite(v):
                 _fail(source, lines.get(key), f"{key} must be finite, got {v!r}")
             resolved[key] = float(v)
     for key in ("flow.dt", "flow.horizon", "sampler.cadence"):
@@ -259,8 +262,9 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
             v = resolved.pop(key)
             axis = v if isinstance(v, list) else [v]
             kind = int if key == "sweep.nodes" else (int, float)
-            if any(isinstance(a, bool) or not isinstance(a, kind) for a in axis):
-                _fail(source, lines.get(key), f"{key} must list numbers, got {v!r}")
+            if any(isinstance(a, bool) or not isinstance(a, kind)
+                   or not _finite(a) for a in axis):
+                _fail(source, lines.get(key), f"{key} must list finite numbers, got {v!r}")
             sweep[key.split(".", 1)[1]] = axis
     for pv in sweep.get("p", ()):
         exponents("sweep.p", p=pv, c=exps.c)

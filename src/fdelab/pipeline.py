@@ -18,8 +18,10 @@ growing unstable mode, and the trial can no longer reach the floor.  Each
 diverging trial stops at some time t with unstable-mode coefficient
 a = <v(t) - V, phi_1>_V.  Implicit Euler grows that mode by exactly
 1/(1 - dt gamma) per step, gamma = c(p-1)/p, so g = a exp(-gamma_dt t), with
-gamma_dt = -log(1 - dt gamma)/dt, is about K (b - b*) whatever t was: a secant
-on g, kept inside the sign bracket, reaches the matched scale in a few trials.
+gamma_dt = -log(1 - dt gamma)/dt, is about K (b - b*) whatever t was.  K is
+close to <v0, phi_1>_V, the b-derivative of a at t = 0 (positive, as phi_1
+is), so the first trial, at b = 1, already predicts b*; a secant on g, kept
+inside the sign bracket once there is one, finishes the match.
 
 Each trial marches on the run's own sample lattice (i + 1) cadence and
 records there the entropy report the run would record (from report weights
@@ -154,9 +156,9 @@ class ClockCalibration:
     run: _Run | None = field(default=None, repr=False, compare=False)
 
 
-def _mode1_coefficient(setup: StageSetup, v: np.ndarray) -> float:
-    phi1 = setup.eigs.mode(1)
-    return inner_product_weighted(setup.grid, v - setup.profile.V, phi1,
+def _mode1_coefficient(setup: StageSetup, dev: np.ndarray) -> float:
+    """<dev, phi_1>_V, the unstable-mode coefficient of a deviation dev."""
+    return inner_product_weighted(setup.grid, dev, setup.eigs.mode(1),
                                   setup.eigs.weight)
 
 
@@ -189,25 +191,26 @@ def _run_trial(setup: StageSetup, v0: np.ndarray, dt: float, horizon: float,
                 break
     except StepFailure:
         diverged = True
-    a = _mode1_coefficient(setup, state.field)
+    a = _mode1_coefficient(setup, state.field - setup.profile.V)
     verdict = (1 if a > 0 else -1) if diverged else 0
     return verdict, state.time, e_min, a, run
 
 
 def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
                            horizon: float = 20.0, deep_floor: float = 1e-12,
-                           bracket_width: float = 2e-3,
                            cadence: float | None = None,
                            max_trials: int = 60) -> ClockCalibration:
     """Find the scale b so that b * base_field lies on the stable manifold of
     the rescaled flow (extinction time matched to T = p/((p-1)c)).
 
     The accepted scale is the first trial whose entropy collapses below
-    deep_floor before any divergence is detected.  The first two trials are
-    1 -+ bracket_width; while their verdicts agree, only the side that can
-    hold b* is widened, by doubling steps.  After a sign bracket is found,
-    each next scale is the secant root of g through the two latest trials,
-    or the bracket's midpoint when that root is not strictly inside.
+    deep_floor before any divergence is detected.  The first trial is b = 1.
+    Until a sign bracket is found, each next scale is the root of g through
+    the latest trial with the slope K = <base_field, phi_1>_V, or the secant
+    root through the two latest trials once their g differ, floored at 0.05;
+    a floored scale that would repeat, or ten trials, raise "could not
+    bracket".  Then it is the secant root, or the bracket's midpoint when
+    that root is not strictly inside.
 
     Trials check their entropy at the samples (i + 1) cadence of the run
     that is to follow (by default every 10 steps, cadence = 10 dt), and the
@@ -220,6 +223,7 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
     cadence = cadence or 10 * dt
     # implicit Euler grows the unstable mode by 1/(1 - dt gamma) per step
     gamma_dt = -np.log1p(-dt * exps.c * (exps.p - 1.0) / exps.p) / dt
+    slope = _mode1_coefficient(setup, base)   # da/db at t = 0, ~ g's slope
     log, latest = [], None     # latest: the last trial's _Run
 
     if nonlinear_entropy(setup.grid, setup.profile.V, exps.p, base) < deep_floor:
@@ -236,41 +240,32 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
                                     e_min=e_min, g=g))
         return verdict
 
+    def secant_root():
+        prev, last = log[-2], log[-1]
+        return last.scale - last.g * (last.scale - prev.scale) / (last.g - prev.g)
+
     def accepted(bracket):
         return ClockCalibration(scale=log[-1].scale, trials=len(log),
                                 bracket=bracket, achieved_entropy=log[-1].e_min,
                                 log=tuple(log), run=latest)
 
     try:
-        lo, hi = 1.0 - bracket_width, 1.0 + bracket_width
-        ends = {}     # verdict -> latest scale with that verdict
-        for b in (lo, hi):
+        ends, b = {}, 1.0     # verdict -> latest scale with that verdict
+        while len(ends) < 2:
+            if len(log) == 10 or (log and b == log[-1].scale):
+                raise NumericalFailure("could not bracket the matched-clock scale")
             ends[trial(b)] = b
             if 0 in ends:
                 return accepted((b, b))
-        # the verdict is monotone in b: while both ends agree, b* lies below lo
-        # (both +1) or above hi (both -1)
-        for widen in range(8):
-            if len(ends) == 2:
-                break
-            step = 2.0 * bracket_width * 2 ** widen
-            if 1 in ends:
-                b = lo = max(lo - step, 0.05)
-            else:
-                b = hi = hi + step
-            ends[trial(b)] = b
-            if 0 in ends:
-                return accepted((b, b))
-        if len(ends) < 2:
-            raise NumericalFailure("could not bracket the matched-clock scale")
+            last = log[-1]
+            b = max(secant_root() if len(log) > 1 and log[-2].g != last.g
+                    else last.scale - last.g / slope, 0.05)
 
         while len(log) < max_trials:
             bracket = (min(ends.values()), max(ends.values()))
-            prev, last = log[-2], log[-1]
             b = 0.5 * (bracket[0] + bracket[1])
-            if last.g != prev.g:
-                root = (last.scale
-                        - last.g * (last.scale - prev.scale) / (last.g - prev.g))
+            if log[-1].g != log[-2].g:
+                root = secant_root()
                 if bracket[0] < root < bracket[1]:
                     b = root
             ends[trial(b)] = b

@@ -167,7 +167,10 @@ def test_criterion_06_sharp_nonlinear_rate(calibrated_trace_p2, rate_case_p15,
             f"({v.rel_error:.2%})")
         assert v.rel_error <= 0.05
         # the implicit-Euler rate 2 log(1 + dt lambda_p/p)/dt is predicted to
-        # within the fit's resolution (measured 1.6e-9, 4.2e-9, 1.9e-6)
+        # within the fit's resolution (measured 6.5e-7, 4.3e-9, 2.2e-6).  The
+        # interval p=2 value follows the accepted trial's leftover unstable
+        # mode (|g| 1.9e-9; 1.6e-9 at |g| 2.3e-13 from another trial
+        # sequence); the ball's ~2e-6 does not (1.9e-6 at |g| 4.7e-13)
         assert v.rel_error_dt <= 1e-4, (
             f"{label}: fit {v.lambda_fit:.10g} vs discrete target "
             f"{v.target_dt:.10g} ({v.rel_error_dt:.3e})")
@@ -266,10 +269,12 @@ def test_criterion_12_extinction_pipeline(interval_p2_small):
     E_end = result.closed_loop_reports[-1].E_nl
     E_min = min(r.E_nl for r in result.closed_loop_reports)
     assert min(E_end, E_min) <= 1e-8
-    # the rerun's calibration: two diverging trials, then the matched scale
+    # the rerun's calibration: one diverging trial from b = 1, then the
+    # scale its predicted slope gives is accepted
     log = result.closed_loop_calibration.log
-    assert [r.verdict for r in log] == [-1, 1, 0]
-    assert [r.t_stop for r in log] == pytest.approx([1.4, 1.4, 0.1], abs=1e-9)
+    assert [r.verdict for r in log] == [-1, 0]
+    assert [r.t_stop for r in log] == pytest.approx([1.4, 0.1], abs=1e-9)
+    assert log[0].scale == 1.0
     announce(12, "extinction pipeline closed loop")
 
 

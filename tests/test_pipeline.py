@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fdelab as F
 from fdelab import pipeline
@@ -23,8 +24,15 @@ def test_accepted_trial_is_deep_and_inside_its_bracket(p, modes):
     cal = F.match_extinction_clock(setup, base, deep_floor=1e-12)
     assert cal.achieved_entropy < 1e-12
     assert cal.bracket[0] <= cal.scale <= cal.bracket[1]
-    assert cal.trials <= 6
-    assert [r.scale for r in cal.log[:2]] == [1.0 - 2e-3, 1.0 + 2e-3]
+    # measured 2, 2 and 3 trials (5, 4 and 5 with the old 1 -+ 2e-3 opening).
+    # The accepted trials bottom out at 9.97e-13, 9.80e-13 and 9.86e-13, within
+    # 2 % of the floor: a stepper change at rounding level can add a trial,
+    # so such a change must re-measure these margins and counts.
+    assert cal.trials == {1.5: 2, 2.0: 2, 3.0: 3}[p]
+    first = cal.log[0]
+    assert first.scale == 1.0
+    K = pipeline._mode1_coefficient(setup, base)
+    assert cal.log[1].scale == 1.0 - first.g / K
     assert [r.verdict == 0 for r in cal.log] == [False] * (cal.trials - 1) + [True]
     assert cal.log[-1].scale == cal.scale
     assert cal.log[-1].e_min == cal.achieved_entropy
@@ -44,43 +52,114 @@ def fake_trials(monkeypatch, outcome):
     return scales
 
 
-def test_secant_is_exact_for_a_linear_coefficient(monkeypatch, interval_p2_small):
-    b_star = 1.0003
-
-    def outcome(b):   # stopped at t = 0, so g = a = b - b*
-        a = b - b_star
+def linear_outcome(slope, b_star):
+    """A trial stopped at t = 0 (so g = a) with a = slope (b - b*)."""
+    def outcome(b):
+        a = slope * (b - b_star)
         return (0 if abs(a) < 1e-12 else int(np.sign(a))), 0.0, 1.0, a
+    return outcome
 
-    scales = fake_trials(monkeypatch, outcome)
+
+def test_secant_is_exact_for_a_linear_coefficient(monkeypatch, interval_p2_small):
+    # the slope 1 is below the predicted K ~ 2.6, so the step from b = 1
+    # falls short of b*; the secant through the two unbracketed trials is exact
+    b_star = 1.0003
+    K = pipeline._mode1_coefficient(interval_p2_small, np.ones(129))
+    scales = fake_trials(monkeypatch, linear_outcome(1.0, b_star))
     cal = F.match_extinction_clock(interval_p2_small, np.ones(129))
     assert cal.trials == len(scales) == 3
+    assert [r.verdict for r in cal.log] == [-1, -1, 0]
+    assert scales[:2] == [1.0, 1.0 - cal.log[0].g / K]
     assert cal.scale == pytest.approx(b_star, abs=1e-12)
-    assert cal.bracket == (1.0 - 2e-3, 1.0 + 2e-3)
-    assert [r.g for r in cal.log[:2]] == pytest.approx([-2.3e-3, 1.7e-3])
+    assert cal.bracket == (cal.scale, cal.scale)
+    assert [r.g for r in cal.log[:2]] == pytest.approx([-3e-4, 3e-4 / K - 3e-4])
+
+
+def test_predicted_slope_is_exact_for_g_linear_in_it(monkeypatch,
+                                                     interval_p2_small):
+    b_star = 1.0003
+    K = pipeline._mode1_coefficient(interval_p2_small, np.ones(129))
+    scales = fake_trials(monkeypatch, linear_outcome(K, b_star))
+    cal = F.match_extinction_clock(interval_p2_small, np.ones(129))
+    assert cal.trials == len(scales) == 2
+    assert [r.verdict for r in cal.log] == [-1, 0]
+    assert cal.scale == pytest.approx(b_star, abs=1e-12)
+
+
+@pytest.mark.parametrize("off", [2.0, 0.5])
+def test_a_slope_off_by_two_still_brackets(monkeypatch, interval_p2_small, off):
+    # off = 2: the step from b = 1 overshoots b* and brackets it;
+    # off = 0.5: it falls short, and the unbracketed secant takes over
+    b_star = 1.0003
+    K = pipeline._mode1_coefficient(interval_p2_small, np.ones(129))
+    scales = fake_trials(monkeypatch, linear_outcome(off * K, b_star))
+    cal = F.match_extinction_clock(interval_p2_small, np.ones(129))
+    assert cal.trials == len(scales) <= 5
+    assert scales[1] == pytest.approx(1.0 + off * 3e-4, rel=1e-12)
+    assert np.sign(scales[1] - b_star) == (1 if off > 1 else -1)
+    assert cal.scale == pytest.approx(b_star, abs=1e-12)
+    assert cal.bracket[0] <= cal.scale <= cal.bracket[1]
+
+
+def test_predicted_slope_matches_the_measured_one(calibrated_trace_p2):
+    # the rate-p2-shaped run: g = K (b - b*) with K = <base, phi_1>_V
+    # (measured 8e-6 relative), so the second trial is accepted.  It bottoms
+    # out at 9.47e-13 against the 1e-12 floor, a 5 % margin that a stepper
+    # change at rounding level must re-measure.
+    setup, result = calibrated_trace_p2
+    cal = result.calibration
+    base = F.mode_perturbed_field(setup, [(2, 1, 0.1)])
+    K = pipeline._mode1_coefficient(setup, base)
+    assert [r.verdict for r in cal.log] == [1, 0]
+    assert abs(cal.log[0].g / (1.0 - cal.scale) - K) / K <= 1e-4
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from([None, 1, 3]), p=st.floats(1.2, 4.0),
+       n=st.integers(33, 200), seed=st.integers(0, 2 ** 32 - 1))
+def test_predicted_slope_is_positive(dim, p, n, seed):
+    # phi_1 is positive (fdelab.spectrum), so K > 0 for any positive base
+    if dim is None:
+        spec = F.DomainSpec(geometry="interval", nodes=n)
+    else:
+        spec = F.DomainSpec(geometry="ball", nodes=n, dimension=dim)
+    grid = F.build_domain(spec)
+    V = F.solve_stationary(grid, F.Exponents.make(p=p, c=1.0)).V
+    eigs = F.weighted_eigensystem(grid, V, p, K=1)
+    base = np.random.default_rng(seed).uniform(1e-6, 1.0, n)
+    assert F.inner_product_weighted(grid, base, eigs.mode(1), eigs.weight) > 0
 
 
 def test_no_bracket_raises(monkeypatch, interval_p2_small):
+    # every trial blows up with the same g: the predicted slope steps down
+    # by g/K each trial until the 0.05 floor, which would repeat
     scales = fake_trials(monkeypatch, lambda b: (1, 1.0, 1.0, 1.0))
+    with pytest.raises(NumericalFailure, match="could not bracket") as exc:
+        F.match_extinction_clock(interval_p2_small, np.ones(129))
+    K = pipeline._mode1_coefficient(interval_p2_small, np.ones(129))
+    step = exc.value.clock_log[0].g / K
+    assert len(scales) == len(exc.value.clock_log) == 6
+    assert np.diff(scales[:-1]) == pytest.approx([-step] * 4, rel=1e-12)
+    assert scales[-2] - step < scales[-1] == 0.05
+
+
+def test_ten_unbracketed_trials_raise(monkeypatch, interval_p2_small):
+    scales = fake_trials(monkeypatch, lambda b: (1, 0.0, 1.0, 1e-3))
     with pytest.raises(NumericalFailure, match="could not bracket"):
         F.match_extinction_clock(interval_p2_small, np.ones(129))
-    assert len(scales) == 10     # 1 -+ 2e-3, then eight widenings below
-    assert min(scales) == 0.05
+    assert len(scales) == 10 and min(scales) > 0.99
 
 
 def test_bracket_widens_only_on_the_side_of_b_star(monkeypatch, interval_p2_small):
-    b_star = 0.99     # both 1 -+ 2e-3 blow up: b* lies below, never above
+    b_star = 0.99     # b = 1 blows up: b* lies below, and no trial goes above
 
-    def outcome(b):
-        a = b - b_star
-        return (0 if abs(a) < 1e-12 else int(np.sign(a))), 0.0, 1.0, a
-
-    scales = fake_trials(monkeypatch, outcome)
+    scales = fake_trials(monkeypatch, linear_outcome(1.0, b_star))
     cal = F.match_extinction_clock(interval_p2_small, np.ones(129))
     assert cal.scale == pytest.approx(b_star, abs=1e-12)
-    assert max(scales) == 1.0 + 2e-3     # no widened trial above hi
-    assert cal.trials == 5
-    assert scales[2:4] == pytest.approx([0.994, 0.986])
-    assert cal.bracket == pytest.approx((0.986, 0.994))   # the nearer ends
+    assert cal.trials == 3 and max(scales) == 1.0
+    K = pipeline._mode1_coefficient(interval_p2_small, np.ones(129))
+    assert scales[1] == 1.0 - 0.01 / K
+    assert min(scales) == pytest.approx(b_star, abs=1e-12)
 
 
 def test_max_trials_raises(monkeypatch, interval_p2_small):
@@ -89,10 +168,14 @@ def test_max_trials_raises(monkeypatch, interval_p2_small):
         return sign, 1.0, 1.0, float(sign)
 
     scales = fake_trials(monkeypatch, outcome)
-    with pytest.raises(NumericalFailure, match="within 10 trials"):
+    with pytest.raises(NumericalFailure, match="within 10 trials") as exc:
         F.match_extinction_clock(interval_p2_small, np.ones(129), max_trials=10)
     assert len(scales) == 10
-    assert scales[2:4] == [1.0, 1.001]
+    g = exc.value.clock_log[0].g
+    hi = 1.0 - g / pipeline._mode1_coefficient(interval_p2_small, np.ones(129))
+    assert scales[:2] == [1.0, hi] and g < 0
+    mid = 0.5 * (1.0 + hi)
+    assert scales[2:4] == pytest.approx([mid, 0.5 * (1.0 + mid)], rel=1e-12)
 
 
 def test_trial_survives_a_step_failure():
@@ -104,32 +187,54 @@ def test_trial_survives_a_step_failure():
     # the field lies far below V (sup V ~ 11.8) and collapses in finite time;
     # a flow that cannot be continued even at the smallest dt has diverged
     assert verdict == -1 and a < 0 and t > 0.2
-    # so every trial collapses and the widened bracket never reaches b*
-    with pytest.raises(NumericalFailure, match="could not bracket"):
-        F.match_extinction_clock(setup, np.ones(33), dt=2 ** -7)
+    # so does the first trial from b = 1, and the predicted slope steps from
+    # there towards b* ~ 9.49, which is accepted (measured 5 trials)
+    cal = F.match_extinction_clock(setup, np.ones(33), dt=2 ** -7)
+    assert cal.log[0].scale == 1.0 and cal.log[0].verdict == -1
+    assert cal.achieved_entropy < 1e-12 and cal.trials <= 5
+    assert cal.bracket[0] <= cal.scale <= cal.bracket[1]
+    assert 9.0 < cal.scale < 10.0
 
 
-def test_trial_stops_at_its_first_fourfold_rise(calibrated_trace_p2):
-    # The rate-p2-shaped calibration's third trial bottoms out between the
-    # floor and 25 floors, so its first fourfold rise stays below 100 floors:
-    # it stops there (t = 9.78), with its verdict and g already settled.
-    setup, result = calibrated_trace_p2
-    floor = F.EntropyBand().lo / 100.0
-    log = result.calibration.log
-    assert [r.verdict for r in log] == [-1, 1, 1, 0]
-    third = log[2]
-    assert floor <= third.e_min < 25.0 * floor
-    assert third.t_stop == pytest.approx(9.78, abs=1e-9)
-    base = F.mode_perturbed_field(setup, [(2, 1, 0.1)])
-    v0 = third.scale * base
+def stopped_trial(setup, v0, floor):
+    """Run one trial from v0 and check that it diverged at its first and only
+    fourfold entropy rise; returns (verdict, t, e_min, a, E_last / e0)."""
     verdict, t, e_min, a, run = pipeline._run_trial(setup, v0, 1e-3, 20.0,
                                                     floor, 0.02)
-    assert (verdict, t, e_min) == (1, third.t_stop, third.e_min) and a > 0
     E = np.array([r.E_nl for r in run.traj.diagnostics])
     e0 = F.nonlinear_entropy(setup.grid, setup.profile.V, setup.exps.p, v0)
     running = np.minimum.accumulate(np.concatenate([[e0], E]))[1:]
     assert np.flatnonzero(E > 4.0 * running).tolist() == [E.size - 1]
-    assert E[-1] < 100.0 * floor      # the fourfold rise alone stops it
+    return verdict, t, e_min, a, E[-1]
+
+
+def test_trial_stops_at_its_first_fourfold_rise(calibrated_trace_p2):
+    # A diverging trial stops at its first fourfold rise over its running
+    # minimum, with its verdict and g already settled, whether it bottoms out
+    # far above the floor or just above it.
+    setup, result = calibrated_trace_p2
+    floor = F.EntropyBand().lo / 100.0
+    base = F.mode_perturbed_field(setup, [(2, 1, 0.1)])
+    e0 = F.nonlinear_entropy(setup.grid, setup.profile.V, setup.exps.p, base)
+    # the rate-p2-shaped calibration's first trial, from b = 1, bottoms out
+    # at 2.8e-6 and stops at t = 5.02, long before 10 e0
+    log = result.calibration.log
+    assert [r.verdict for r in log] == [1, 0]
+    first = log[0]
+    assert first.scale == 1.0
+    assert first.t_stop == pytest.approx(5.02, abs=1e-9)
+    verdict, t, e_min, a, e_last = stopped_trial(setup, base, floor)
+    assert (verdict, t, e_min) == (1, first.t_stop, first.e_min) and a > 0
+    assert e_last < 10.0 * e0
+    # a trial 6.3e-10 above b* (the third trial of the old 1 -+ 2e-3
+    # opening) bottoms out between the floor and 25 floors, so its first
+    # fourfold rise stays below 100 floors: it stops there (t = 9.78)
+    v0 = 0.9999912990054277 * base
+    verdict, t, e_min, a, e_last = stopped_trial(setup, v0, floor)
+    assert verdict == 1 and a > 0
+    assert floor <= e_min < 25.0 * floor
+    assert t == pytest.approx(9.78, abs=1e-9)
+    assert e_last < 100.0 * floor     # the fourfold rise alone stops it
 
 
 def assert_fresh_run(res, setup, v0, horizon):
