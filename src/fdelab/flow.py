@@ -90,8 +90,25 @@ class Trajectory:
         }
 
 
+_rows = None     # (grid, dt, dt * the three diagonals of -lap) of the last step
+
+
+def _dt_rows(grid: Grid, dt: float):
+    """dt times the sub, main and super diagonals of -lap, formed once per
+    (grid, dt): march keeps dt for many steps and changes it only on a
+    clipped, halved or regrown step.  The key holds the grid itself, so a
+    different grid with the same dt never reads another grid's rows."""
+    global _rows
+    rows = _rows
+    if rows is None or rows[0] is not grid or rows[1] != dt:
+        rows = (grid, dt, dt * grid.neglap_lower, dt * grid.neglap_diag,
+                dt * grid.neglap_upper)
+        _rows = rows
+    return rows[2:]
+
+
 def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float,
-                    v_max: float, start: np.ndarray | None = None,
+                    w_max: float, v_max: float, start: np.ndarray | None = None,
                     max_iters: int = 30):
     """One implicit Euler step of w_t = lap w^m + c w by damped Newton.
 
@@ -101,29 +118,42 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
     floor.  The start moves only the first iterate; everything below depends
     on w_old alone, so a step from any start solves the same equation to the
     same residual, or ends in StepFailure (march then retries it from w_old).
-    scale = sup w_old + 4 dt v_max / h^2 + dt c sup w_old estimates
-    the terms composing F (v_max is sup w_old^m), so that eps * scale is the
+    scale = w_max + 4 dt v_max / h^2 + dt c w_max (w_max = sup w_old, v_max =
+    sup w_old^m) estimates the terms composing F, so that eps * scale is the
     evaluation noise: convergence is declared below a small multiple of it,
     and stagnation (no line-search progress) is accepted as converged while
     the residual sits within a larger multiple.  Stopping at a loose absolute
     tolerance instead would inject per-step noise into the entropy traces
     (visible for large-amplitude profiles at p near 1).  Returns
     (w, w^m, Newton iterations), w^m as the last residual formed it.
+
+    F is formed in place as ((A w^m / qw - c w) dt + w) - w_old, with
+    lap = -A / qw.  That is the written w - dt (-A w^m / qw + c w) - w_old
+    bit for bit: round-to-nearest is odd-symmetric, so the bracket and its dt
+    multiple are the exact negatives of the written ones, adding w is
+    subtracting the written term, and where that term is a zero its sign is
+    lost in + w, as w > 0; skipping - c w at c = 0 moves only such a sign.
+    The Jacobian and the line search are likewise formed in place with
+    commuted operands, and 1.0 * step is step.
     """
-    w_max = w_old.max()
     scale = w_max + 4.0 * dt * v_max / grid.h ** 2 + dt * c * w_max
     floor = 2.0 * _EPS * scale
     guard = 512.0 * _EPS * scale
     qw = grid.quad_weights
-    # Jacobian I - dt (-lap diag(m w^(m-1)) + c): fixed parts formed once per step
-    dt_lower = dt * grid.neglap_lower
-    dt_diag = dt * grid.neglap_diag
-    dt_upper = dt * grid.neglap_upper
+    # Jacobian I - dt (-lap diag(m w^(m-1)) + c): dt rows formed once per dt
+    dt_lower, dt_diag, dt_upper = _dt_rows(grid, dt)
     one_minus = 1.0 - dt * c
 
     def residual(w):
         wm = w ** m
-        return w - dt * (-apply_A(grid, wm) / qw + c * w) - w_old, wm
+        r = apply_A(grid, wm)
+        r /= qw
+        if c:
+            r -= c * w
+        r *= dt
+        r += w
+        r -= w_old
+        return r, wm
 
     def accept(iters):
         if x.min() <= _FLOOR * 10:
@@ -138,12 +168,16 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
     for it in range(1, max_iters + 1):
         if rnorm <= floor:
             return accept(it - 1)
-        dmu = m * x ** (m - 1.0)
-        step = solve_tridiagonal(dt_lower * dmu[:-1], one_minus + dt_diag * dmu,
-                                 dt_upper * dmu[1:], -res)
+        dmu = x ** (m - 1.0)
+        dmu *= m
+        diag = dt_diag * dmu
+        diag += one_minus
+        step = solve_tridiagonal(dt_lower * dmu[:-1], diag, dt_upper * dmu[1:],
+                                 np.negative(res, out=res))
         lam = 1.0
         while lam >= 1e-12:
-            xt = np.maximum(x + lam * step, _FLOOR)
+            xt = x + (step if lam == 1.0 else lam * step)
+            np.maximum(xt, _FLOOR, out=xt)
             rt, xtm = residual(xt)
             rtn = np.abs(rt).max()
             if rtn < rnorm:
@@ -171,7 +205,8 @@ def step_rescaled(grid: Grid, exps: Exponents, state: FlowState, dt: float,
     if v.min() <= 0:
         raise NumericalFailure("rescaled state must be positive")
     w_old = v ** exps.p
-    _, v_new, iters = _implicit_euler(grid, w_old, dt, exps.m, exps.c, v.max(),
+    _, v_new, iters = _implicit_euler(grid, w_old, dt, exps.m, exps.c,
+                                      w_old.max(), v.max(),
                                       None if start is None else start ** exps.p)
     return FlowState(kind="rescaled", field=v_new, time=state.time + dt,
                      newton_iters=iters)
@@ -186,9 +221,10 @@ def step_original(grid: Grid, exps: Exponents, state: FlowState, dt: float,
     u_old = grid.check_field(state.field)
     if u_old.min() < 0:
         raise NumericalFailure("original state must be nonnegative")
-    if u_old.max() == 0.0:
+    u_max = u_old.max()
+    if u_max == 0.0:
         return FlowState(kind="original", field=u_old.copy(), time=state.time + dt)
-    u_new, _, iters = _implicit_euler(grid, u_old, dt, exps.m, 0.0,
+    u_new, _, iters = _implicit_euler(grid, u_old, dt, exps.m, 0.0, u_max,
                                       (u_old ** exps.m).max(), start)
     return FlowState(kind="original", field=u_new, time=state.time + dt,
                      newton_iters=iters)
@@ -244,7 +280,12 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
             start = None
             if prev is not None and state.kind != "linearized":
                 f, (f_prev, dt_prev) = state.field, prev
-                start = np.maximum(f + (dt_eff / dt_prev) * (f - f_prev), 0.5 * f)
+                # f + (dt_eff/dt_prev) (f - f_prev), in place with commuted
+                # operands: the same bits
+                start = f - f_prev
+                start *= dt_eff / dt_prev
+                start += f
+                np.maximum(start, 0.5 * f, out=start)
             try:
                 new_state = _step(grid, exps, V, state, dt_eff, start)
             except StepFailure:

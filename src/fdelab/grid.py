@@ -134,8 +134,9 @@ def build_domain(spec: DomainSpec) -> Grid:
 def apply_A(grid: Grid, f: np.ndarray) -> np.ndarray:
     """A f for the weighted tridiagonal A = W_quad * (-lap); f is not checked."""
     af = grid.lap_diag * f
-    af[1:] += grid.lap_offdiag * f[:-1]
-    af[:-1] += grid.lap_offdiag * f[1:]
+    below, above = af[1:], af[:-1]     # += on views writes through, no copy back
+    below += grid.lap_offdiag * f[:-1]
+    above += grid.lap_offdiag * f[1:]
     return af
 
 

@@ -440,8 +440,9 @@ def _reference_newton(scale_hint, guess, residual, jac_banded, max_iters=30):
     raise StepFailure(f"Newton did not converge (residual {rnorm:.3e})")
 
 
-def _reference_step(grid, exps, field, dt, kind):
-    """(new field, Newton iterations) of the original per-kind steppers."""
+def _reference_step(grid, exps, field, dt, kind, start=None):
+    """(new field, Newton iterations) of the original per-kind steppers;
+    start, if given, is the guess of the new field Newton begins from."""
     qw, lo, di = grid.quad_weights, grid.lap_offdiag, grid.lap_diag
     m = exps.m
     c = exps.c if kind == "rescaled" else None
@@ -468,7 +469,8 @@ def _reference_step(grid, exps, field, dt, kind):
 
         scale = float(np.max(w_old) + 4.0 * dt * np.max(field) / grid.h ** 2
                       + dt * c * np.max(w_old))
-        w_new, iters = _reference_newton(scale, w_old, residual, jac)
+        guess = w_old if start is None else np.maximum(start ** exps.p, 1e-300)
+        w_new, iters = _reference_newton(scale, guess, residual, jac)
         return w_new ** m, iters
 
     def residual(u):
@@ -483,7 +485,8 @@ def _reference_step(grid, exps, field, dt, kind):
         return ab
 
     scale = float(np.max(field) + 4.0 * dt * np.max(field ** m) / grid.h ** 2)
-    return _reference_newton(scale, np.maximum(field, 1e-300), residual, jac)
+    guess = field if start is None else start
+    return _reference_newton(scale, np.maximum(guess, 1e-300), residual, jac)
 
 
 class TestSharedStepper:
@@ -503,6 +506,70 @@ class TestSharedStepper:
             state = step(s.grid, s.exps, state, dt)
             assert np.array_equal(state.field, field)
             assert state.newton_iters == iters
+
+    @pytest.mark.parametrize("kind", ["rescaled", "original"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_march_is_the_reference_from_the_extrapolated_start(self, kind, p,
+                                                                 monkeypatch):
+        # the path the runs take: march starts each step from the extrapolation
+        # of the last two accepted fields, and targets 3.7 dt apart clip every
+        # fourth step, so dt changes; each step must be the reference step from
+        # that start, bit for bit
+        s = F.prepare(F.DomainSpec(geometry="interval", nodes=129),
+                      F.Exponents.make(p=p, c=1.0))
+        v0 = F.mode_perturbed_field(s, [(2, 1, 0.3)])
+        if kind == "rescaled":
+            field, dt, name = v0, 1e-3, "step_rescaled"
+        else:
+            field, dt, name = v0 ** p, s.exps.T / 400.0, "step_original"
+        real, calls = getattr(fdelab.flow, name), []
+
+        def recorded(grid, exps, state, dt, start=None):
+            out = real(grid, exps, state, dt, start=start)
+            calls.append((state.field, dt, start, out))
+            return out
+
+        monkeypatch.setattr(fdelab.flow, name, recorded)
+        state = F.FlowState(kind=kind, field=field.copy(), time=0.0)
+        targets = [3.7 * dt * (i + 1) for i in range(50)]
+        for _ in F.march(s.grid, s.exps, state, dt, targets):
+            pass
+        assert len(calls) == 200
+        assert len({h for _, h, _, _ in calls}) > 1
+        prev = None
+        for f, h, start, out in calls:
+            if prev is None:
+                assert start is None
+            else:
+                f_prev, h_prev, out_prev = prev
+                assert f is out_prev.field
+                expected = np.maximum(f + (h / h_prev) * (f - f_prev), 0.5 * f)
+                assert np.array_equal(start, expected)
+            ref, iters = _reference_step(s.grid, s.exps, f, h, kind, start)
+            assert np.array_equal(out.field, ref)
+            assert out.newton_iters == iters
+            prev = (f, h, out)
+
+    def test_steps_on_two_grids_and_two_dts_are_fresh(self):
+        # the stepper reuses its dt-scaled Jacobian rows from step to step: a
+        # step on another grid at the same dt, or on the same grid at another
+        # dt, must not read the rows of the step before
+        exps = F.Exponents.make(p=2.0, c=1.0)
+        setups = [F.prepare(F.DomainSpec(geometry="interval", nodes=129), exps),
+                  F.prepare(F.DomainSpec(geometry="ball", nodes=129, dimension=3,
+                                         radius=1.0), exps)]
+        states = [F.FlowState(kind="rescaled", time=0.0,
+                              field=F.mode_perturbed_field(s, [(2, 1, 0.1)]))
+                  for s in setups]
+        schedule = [(0, 1e-3), (1, 1e-3), (0, 1e-3), (0, 4e-3), (1, 4e-3),
+                    (1, 1e-3), (0, 4e-3), (1, 1e-3)] * 5
+        for i, dt in schedule:
+            grid = setups[i].grid
+            ref, iters = _reference_step(grid, exps, states[i].field, dt,
+                                         "rescaled")
+            states[i] = F.step_rescaled(grid, exps, states[i], dt)
+            assert np.array_equal(states[i].field, ref)
+            assert states[i].newton_iters == iters
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.floats(1.2, 4.0),
