@@ -38,6 +38,7 @@ from .errors import ConfigError, NumericalFailure
 from .pipeline import (mode_perturbed_field, prepare, run_linearized,
                        run_nonlinear_rate_case)
 from .rates import EntropyBand
+from .stationary import Exponents
 
 STAGES = ("stationary", "spectrum", "linear", "evolve", "rates")
 
@@ -248,12 +249,6 @@ def _sweep_cell(args):
     resolved, source, cell_over, cell_dir = args
     cfg = ExperimentConfig(source=source, resolved=dict(resolved))
     cfg.resolved.update(cell_over)
-    if "exponents.p" in cell_over:   # keep the derived m, T consistent
-        from .stationary import Exponents
-        e = Exponents.make(p=cfg.resolved["exponents.p"],
-                           c=cfg.resolved["exponents.c"])
-        cfg.resolved["exponents.m"] = e.m
-        cfg.resolved["exponents.T"] = e.T
     try:
         summary = run_experiment(cfg, stage="rates", out_dir=cell_dir)
         verdict = summary["verdict"]
@@ -284,10 +279,10 @@ def sweep(config, out_dir=None, jobs: int = 1) -> Path:
     cells = []
     if axes:
         for pv, nv, av in product(ps, ns, amps):
-            over = {"domain.nodes": int(nv)}
-            if pv is not None:
-                over["exponents.p"] = float(pv)
-                over["exponents.m"] = None
+            # resolve_config validated the axis: derive the cell's m and T
+            e = Exponents.make(p=float(pv), c=cfg["exponents.c"])
+            over = {"domain.nodes": int(nv), "exponents.p": e.p,
+                    "exponents.m": e.m, "exponents.T": e.T}
             if av != 1.0:
                 over["initial.modes"] = [(k, j, a * av)
                                          for k, j, a in cfg.resolved["initial.modes"]]

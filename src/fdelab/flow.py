@@ -18,9 +18,10 @@ the root instead of O(dt); the step solves the same equation to the same
 residual, and a step that fails from that start is retried from the old state
 before dt is halved.
 
-evolve keeps no field: per sample it records the time, sup|field| and the
-sampler's output.  A caller that needs the fields iterates march instead, and
-one that needs a run it can stop and resume iterates record, evolve's loop.
+A Run keeps no field: per sample (i + 1) cadence it records the time,
+sup|field| and the sampler's output, and it marches only as far as it is
+iterated, so it can be stopped and resumed; evolve is a Run taken to a
+horizon.  A caller that needs the fields iterates march instead.
 
 Original runs stop near extinction (default sup u < 1e-6 sup u0); the
 extinction time itself is always extrapolated from the exact linearity of
@@ -30,7 +31,7 @@ sup(u)^(1-m) in time, never simulated to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import count, islice
 
 import numpy as np
 
@@ -309,61 +310,80 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
         yield state
 
 
-def sample_lattice(horizon: float, sample_every: float) -> list:
-    """The times evolve samples at given sample_every: (i + 1) sample_every,
-    i = 0, 1, ..., up to the horizon."""
-    n_samples = int(np.floor(horizon / sample_every + 1e-9))
-    return list(_until(horizon, ((i + 1) * sample_every for i in range(n_samples))))
+def sample_count(horizon: float, cadence: float) -> int:
+    """How many of the sample times (i + 1) cadence, i = 0, 1, ..., lie
+    within the horizon (up to a relative 1e-9 and an absolute 1e-12)."""
+    n = int(np.floor(horizon / cadence + 1e-9))
+    while n and n * cadence > horizon + 1e-12:
+        n -= 1
+    return n
 
 
-def _until(horizon: float, times):
-    return takewhile(lambda t: t <= horizon + 1e-12, times)
+class Run:
+    """A flow from initial, sampled at (i + 1) cadence for ever and marched
+    (see march) only as far as it is iterated: each next() advances it to the
+    next sample, appends the sample's time, sup|field| and sampler output to
+    traj, and returns the state there.  Stopping and resuming gives the same
+    run, step for step, as marching straight through."""
 
+    def __init__(self, grid: Grid, exps: Exponents, initial: FlowState,
+                 dt: float, cadence: float, sampler=None, V=None):
+        if initial.kind == "linearized" and V is None:
+            raise ValueError("a linearized run needs the profile V")
+        # the lattice reads a local cadence: one reading self would make a
+        # reference cycle, and a finished run would wait for the collector
+        self.cadence = cadence = float(cadence)
+        self.sampler = sampler
+        self.traj = Trajectory(kind=initial.kind,
+                               initial_sup=float(np.max(np.abs(initial.field))))
+        self._states = march(grid, exps, initial, dt,
+                             ((i + 1) * cadence for i in count()), V, self.traj)
+        self._steps = []     # steps behind each sample
 
-def record(grid: Grid, exps: Exponents, initial: FlowState, dt: float,
-           sample_times, traj: Trajectory, sampler=None, V=None):
-    """March (see march) through the increasing sample_times, which may be
-    endless; append each sample's time, sup|field| and sampler output to traj,
-    and yield the state after recording it.  Stopping here and resuming later
-    gives the same run, step for step, as marching straight through."""
-    for state in march(grid, exps, initial, dt, sample_times, V, traj):
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> FlowState:
+        state, traj = next(self._states), self.traj
         traj.sample_times.append(state.time)
         traj.sups.append(float(np.max(np.abs(state.field))))
-        if sampler is not None:
-            traj.diagnostics.append(sampler(state.time, state.field))
-        yield state
+        if self.sampler is not None:
+            traj.diagnostics.append(self.sampler(state.time, state.field))
+        self._steps.append(len(traj.dt_history))
+        return state
+
+    def to_horizon(self, horizon: float) -> Trajectory:
+        """The trajectory evolve gives to the horizon: marched on if the run
+        stopped short of it, cut back to its last sample there if beyond (a
+        run cut back cannot be continued)."""
+        traj, n = self.traj, sample_count(horizon, self.cadence)
+        have = len(traj.sample_times)
+        if n >= have:
+            for _ in islice(self, n - have):
+                pass
+        else:
+            k = self._steps[n - 1] if n else 0
+            del traj.sample_times[n:], traj.sups[n:], traj.diagnostics[n:]
+            del traj.dt_history[k:], traj.newton_history[k:], self._steps[n:]
+        return traj
 
 
 def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
-           dt: float, sample_every: float | None = None,
-           sample_times=None, sampler=None, V=None,
+           dt: float, sample_every: float, sampler=None, V=None,
            stop_sup_below: float | None = None) -> Trajectory:
-    """March a flow to the horizon (see march), sampling at exact multiples of
-    sample_every (or at the explicit sample_times), into a Trajectory.
+    """A Run sampled every sample_every, taken to the horizon: its Trajectory.
 
     stop_sup_below: halt (after the current sample) once sup|field| drops below
     this absolute level; original runs near extinction use it.
     """
-    if initial.kind == "linearized" and V is None:
-        raise ValueError("linearized evolve needs the profile V")
-    traj = Trajectory(kind=initial.kind,
-                      initial_sup=float(np.max(np.abs(initial.field))))
+    run = Run(grid, exps, initial, dt, sample_every, sampler, V)
     if initial.kind == "original" and stop_sup_below is None:
         # near-extinction stop: extrapolate, never simulate the degenerate limit
-        stop_sup_below = 1e-6 * traj.initial_sup
-    if sample_times is None:
-        if sample_every is None:
-            raise ValueError("give sample_every or sample_times")
-        sample_times = sample_lattice(horizon, sample_every)
-    sample_times = [float(t) for t in sample_times]
-    if any(t2 <= t1 for t1, t2 in zip(sample_times, sample_times[1:])):
-        raise ValueError("sample times must be strictly increasing")
-
-    for _ in record(grid, exps, initial, dt, _until(horizon, sample_times),
-                    traj, sampler, V):
-        if stop_sup_below is not None and traj.sups[-1] < stop_sup_below:
+        stop_sup_below = 1e-6 * run.traj.initial_sup
+    for _ in islice(run, sample_count(horizon, run.cadence)):
+        if stop_sup_below is not None and run.traj.sups[-1] < stop_sup_below:
             break
-    return traj
+    return run.traj
 
 
 @dataclass(frozen=True)

@@ -23,26 +23,26 @@ close to <v0, phi_1>_V, the b-derivative of a at t = 0 (positive, as phi_1
 is), so the first trial, at b = 1, already predicts b*; a secant on g, kept
 inside the sign bracket once there is one, finishes the match.
 
-Each trial marches on the run's own sample lattice (i + 1) cadence and
+Each trial is a flow.Run on the run's own sample lattice (i + 1) cadence and
 records there the entropy report the run would record (from report weights
 formed once per trial); its collapse and divergence checks read that report's
 E_nl.  The accepted trial is therefore the first stretch of the run: the
-calibrated run takes over its suspended march, reports and step histories and
-goes on to the horizon (or is cut back to it), which gives the same trace as a
-fresh run from the accepted scale without marching that stretch twice.
+calibrated run is that Run, suspended where it was accepted, taken on to the
+horizon (or cut back to it), which gives the same trace as a fresh run from
+the accepted scale without marching that stretch twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
 from .diagnostics import ReportWeights, entropy_report, nonlinear_entropy
 from .errors import NumericalFailure, StepFailure
-from .flow import (FlowState, Trajectory, estimate_extinction_time, evolve,
-                   record, sample_lattice)
+from .flow import (FlowState, Run, estimate_extinction_time, evolve,
+                   sample_count)
 from .grid import (DomainSpec, Grid, build_domain, dirichlet_energy,
                    inner_product_weighted)
 from .rates import EntropyBand, RateFit, RateVerdict, fit_rate, sharp_rate_verdict
@@ -96,50 +96,19 @@ class CalibrationTrial:
     g: float           # growth-normalised unstable-mode coefficient, ~K (b - b*)
 
 
-class _Run:
-    """The rescaled flow from v0, sampled on (i + 1) cadence for ever and
-    marched only as far as it is iterated: each next() advances it to the
-    next sample and returns the state there, and traj holds the samples so
-    far (entropy reports in traj.diagnostics) and the step histories."""
-
-    def __init__(self, setup: StageSetup, v0: np.ndarray, dt: float,
-                 cadence: float):
-        self.cadence = cadence
-        self.traj = Trajectory(kind="rescaled",
-                               initial_sup=float(np.max(np.abs(v0))))
-        self._samples = record(setup.grid, setup.exps,
-                               FlowState(kind="rescaled", field=v0, time=0.0),
-                               dt, ((i + 1) * cadence for i in count()),
-                               self.traj, sampler=_reporter(setup))
-        self._steps = []     # steps behind each sample
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> FlowState:
-        state = next(self._samples)
-        self._steps.append(len(self.traj.dt_history))
-        return state
-
-    def to_horizon(self, horizon: float) -> Trajectory:
-        """The trajectory run_rescaled gives to the horizon: marched on if
-        the run stopped short of it, cut back to its last sample if beyond."""
-        traj, n = self.traj, len(sample_lattice(horizon, self.cadence))
-        have = len(traj.sample_times)
-        if n >= have:
-            for _ in islice(self, n - have):
-                pass
-        else:
-            k = self._steps[n - 1] if n else 0
-            del traj.sample_times[n:], traj.sups[n:], traj.diagnostics[n:]
-            del traj.dt_history[k:], traj.newton_history[k:]
-        return traj
-
-
 def _reporter(setup: StageSetup):
     weights = ReportWeights.make(setup.grid, setup.profile.V, setup.exps,
                                  setup.eigs, setup.gap)
     return lambda t, v: entropy_report(weights, v, t)
+
+
+def _rescaled_run(setup: StageSetup, v0: np.ndarray, dt: float,
+                  cadence: float) -> Run:
+    """The rescaled flow from v0 as a Run recording the entropy report at
+    every sample (i + 1) cadence."""
+    return Run(setup.grid, setup.exps,
+               FlowState(kind="rescaled", field=v0, time=0.0), dt, cadence,
+               sampler=_reporter(setup))
 
 
 @dataclass(frozen=True)
@@ -149,11 +118,11 @@ class ClockCalibration:
     bracket: tuple
     achieved_entropy: float    # smallest entropy reached by the accepted run
     log: tuple = ()            # every trial, in order (CalibrationTrial)
-    # the accepted trial's march from scale * base, suspended where it was
+    # the accepted trial's Run from scale * base, suspended where it was
     # accepted (unstarted when no trial ran), for the run to continue; the
     # results of run_nonlinear_rate_case and run_extinction_pipeline, which
     # continue it, keep None here, so that they can be pickled
-    run: _Run | None = field(default=None, repr=False, compare=False)
+    run: Run | None = field(default=None, repr=False, compare=False)
 
 
 def _mode1_coefficient(setup: StageSetup, dev: np.ndarray) -> float:
@@ -175,13 +144,14 @@ def _run_trial(setup: StageSetup, v0: np.ndarray, dt: float, horizon: float,
     10 max(e0, deep_floor), or when the flow cannot be continued even at the
     smallest dt (it collapses in finite time); a trial that does none of
     these by the horizon is accepted.  Returns (verdict, t, e_min, a, run),
-    with t and a taken at the last check and run (a _Run) suspended there."""
-    run = _Run(setup, v0, dt, cadence)
+    with t and a taken at the last check and run (a flow.Run) suspended
+    there."""
+    run = _rescaled_run(setup, v0, dt, cadence)
     state = FlowState(kind="rescaled", field=v0, time=0.0)
     e0 = nonlinear_entropy(setup.grid, setup.profile.V, setup.exps.p, v0)
     e_min, diverged = e0, False
     try:
-        for state in islice(run, len(sample_lattice(horizon, cadence))):
+        for state in islice(run, sample_count(horizon, run.cadence)):
             e = run.traj.diagnostics[-1].E_nl
             e_min = min(e_min, e)
             if e_min < deep_floor:
@@ -224,12 +194,12 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
     # implicit Euler grows the unstable mode by 1/(1 - dt gamma) per step
     gamma_dt = -np.log1p(-dt * exps.c * (exps.p - 1.0) / exps.p) / dt
     slope = _mode1_coefficient(setup, base)   # da/db at t = 0, ~ g's slope
-    log, latest = [], None     # latest: the last trial's _Run
+    log, latest = [], None     # latest: the last trial's Run
 
     if nonlinear_entropy(setup.grid, setup.profile.V, exps.p, base) < deep_floor:
         return ClockCalibration(scale=1.0, trials=0, bracket=(1.0, 1.0),
                                 achieved_entropy=0.0,
-                                run=_Run(setup, base, dt, cadence))
+                                run=_rescaled_run(setup, base, dt, cadence))
 
     def trial(b):
         nonlocal latest
@@ -411,18 +381,12 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
                                achieved_entropy=np.nan)
         traj, reports = run_rescaled(setup, setup.grid.check_field(base_field),
                                      horizon=horizon, dt=dt, cadence=cadence)
-    summary = traj.step_summary()
     E = np.array([r.E_nl for r in reports])
-    if E.max(initial=0.0) <= 1e-12:
-        return NonlinearRateResult(calibration=cal, reports=reports, fit=None,
-                                   verdict=None, trivial_fixed_point=True,
-                                   step_summary=summary)
-    if not want_fit:
-        return NonlinearRateResult(calibration=cal, reports=reports, fit=None,
-                                   verdict=None, trivial_fixed_point=False,
-                                   step_summary=summary)
-    fit = fit_rate([r.t for r in reports], E, band)
-    verdict = sharp_rate_verdict(fit, setup.gap, setup.exps.p, tol, dt)
+    trivial = bool(E.max(initial=0.0) <= 1e-12)
+    fit = verdict = None
+    if want_fit and not trivial:
+        fit = fit_rate([r.t for r in reports], E, band)
+        verdict = sharp_rate_verdict(fit, setup.gap, setup.exps.p, tol, dt)
     return NonlinearRateResult(calibration=cal, reports=reports, fit=fit,
-                               verdict=verdict, trivial_fixed_point=False,
-                               step_summary=summary)
+                               verdict=verdict, trivial_fixed_point=trivial,
+                               step_summary=traj.step_summary())

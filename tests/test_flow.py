@@ -1,6 +1,8 @@
 """Flow steppers: fixed points, rates, ordering, rescaling consistency."""
 
 import tracemalloc
+import weakref
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -316,7 +318,7 @@ class TestEvolve:
         times = [0.05 * (i + 1) for i in range(30)]
         traj = F.evolve(s.grid, s.exps,
                         F.FlowState(kind=kind, field=field0.copy(), time=0.0),
-                        horizon=1.5, dt=3e-3, sample_times=times)
+                        horizon=1.5, dt=3e-3, sample_every=0.05)
         states = F.march(s.grid, s.exps,
                          F.FlowState(kind=kind, field=field0.copy(), time=0.0),
                          dt=3e-3, targets=times)
@@ -678,3 +680,49 @@ class TestMarchStart:
         meta = traj.step_summary()
         assert meta["steps"] == 4500
         assert meta["newton_total"] <= 1.25 * meta["steps"]
+
+
+class TestRun:
+    @pytest.mark.parametrize("horizon", [1.0, 0.3])     # beyond, short of 0.55
+    @pytest.mark.parametrize("kind", ["original", "linearized", "rescaled"])
+    def test_stopped_and_resumed_run_is_evolve_straight_through(
+            self, interval_p2_small, kind, horizon):
+        # a Run advanced in uneven chunks to 11 samples (t = 0.55), then
+        # marched on to the horizon or cut back to it; evolve runs the
+        # original flow from S with its stop level, not reached by then
+        s = interval_p2_small
+        initial = {"original": s.profile.S,
+                   "linearized": 0.1 * s.eigs.mode(2),
+                   "rescaled": F.mode_perturbed_field(s, [(2, 1, 0.3)])}[kind]
+        V = s.profile.V if kind == "linearized" else None
+
+        def state():
+            return F.FlowState(kind=kind, field=initial.copy(), time=0.0)
+
+        def sampler(t, f):
+            return float(np.dot(f, f))
+
+        run = F.Run(s.grid, s.exps, state(), 5e-3, 0.05, sampler, V)
+        for chunk in (2, 5, 1, 3):
+            for _ in islice(run, chunk):
+                pass
+        assert len(run.traj.sample_times) == 11
+        traj = run.to_horizon(horizon)
+        straight = F.evolve(s.grid, s.exps, state(), horizon=horizon, dt=5e-3,
+                            sample_every=0.05, sampler=sampler, V=V)
+        assert len(traj.sample_times) == round(horizon / 0.05)
+        assert len(traj.dt_history) == round(horizon / 5e-3)
+        assert traj == straight
+
+    def test_a_dropped_run_is_freed_at_once(self, interval_p2_small):
+        # no reference cycle: a finished run and the samples it recorded go
+        # when the last reference does, not at a later cyclic collection
+        s = interval_p2_small
+        run = F.Run(s.grid, s.exps, F.FlowState(kind="rescaled",
+                                                field=s.profile.V.copy(),
+                                                time=0.0),
+                    5e-3, 0.05)
+        next(run)
+        gone = weakref.ref(run)
+        del run
+        assert gone() is None

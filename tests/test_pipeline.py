@@ -237,26 +237,29 @@ def test_trial_stops_at_its_first_fourfold_rise(calibrated_trace_p2):
     assert e_last < 100.0 * floor     # the fourfold rise alone stops it
 
 
-def assert_fresh_run(res, setup, v0, horizon):
+def assert_fresh_run(res, setup, v0, horizon, cadence=0.05):
     """res's reports and step summary are run_rescaled's from v0, bit for bit."""
     traj, reports = F.run_rescaled(setup, v0, horizon=horizon, dt=1e-3,
-                                   cadence=0.05)
-    assert len(reports) == round(horizon / 0.05)
+                                   cadence=cadence)
+    assert len(reports) == round(horizon / cadence)
     assert [pickle.dumps(r) for r in res.reports] == [pickle.dumps(r) for r in reports]
     assert res.step_summary == traj.step_summary()
 
 
-@pytest.mark.parametrize("horizon, accepted_after", [(12.0, False), (3.0, True)])
+@pytest.mark.parametrize("horizon, accepted_after, cadence", [
+    pytest.param(12.0, False, 0.05, id="12.0-False"),
+    pytest.param(3.0, True, 0.05, id="3.0-True"),
+    pytest.param(3.0, True, 1, id="3.0-True-int-cadence")])
 def test_calibrated_run_is_a_fresh_run_from_the_accepted_scale(
-        interval_p2_small, horizon, accepted_after):
+        interval_p2_small, horizon, accepted_after, cadence):
     # the run continues the accepted trial's march (horizon 12) or is cut
-    # back from it (horizon 3)
+    # back from it (horizon 3); an int cadence samples at float times too
     setup = interval_p2_small
     base = F.mode_perturbed_field(setup, [(2, 1, 0.1)])
     res = F.run_nonlinear_rate_case(setup, base, horizon=horizon, dt=1e-3,
-                                    cadence=0.05, want_fit=False)
+                                    cadence=cadence, want_fit=False)
     assert (res.calibration.log[-1].t_stop > horizon) == accepted_after
-    assert_fresh_run(res, setup, res.calibration.scale * base, horizon)
+    assert_fresh_run(res, setup, res.calibration.scale * base, horizon, cadence)
     assert pickle.loads(pickle.dumps(res)).calibration == res.calibration
 
 
