@@ -22,7 +22,7 @@ from fdelab.diagnostics import decaying_prefix, measure_comparison_constants
 setup = F.prepare(F.DomainSpec(geometry="interval", nodes=129),
                   F.Exponents.make(p=2.0, c=1.0))
 p, c, m = setup.exps.p, setup.exps.c, setup.exps.m
-base = F.mode_perturbed_field(setup, [(2, 1, 3.0)])
+base = F.mode_perturbed_field(setup, [(2, 3.0)])
 print(f"rescaled run from a large perturbation (initial |h| = "
       f"{np.max(np.abs(base / setup.profile.V - 1)):.3f}), dt = 5e-4")
 _, reports = F.run_rescaled(setup, base, horizon=2.5, dt=5e-4, cadence=5e-3)

@@ -20,7 +20,7 @@ import fdelab as F
 
 setup = F.prepare(F.DomainSpec(geometry="interval", nodes=129),
                   F.Exponents.make(p=2.0, c=1.0))
-base = F.mode_perturbed_field(setup, [(2, 1, 0.1)])
+base = F.mode_perturbed_field(setup, [(2, 0.1)])
 
 print("uncalibrated run first: the profile direction is linearly unstable")
 _, reports = F.run_rescaled(setup, base, horizon=8.0, dt=2e-3, cadence=0.5)

@@ -6,17 +6,13 @@ the solution against the independent first-integral oracle, and prints the
 boundary-slope certificates c0 dist <= V <= c1 dist together with the energy
 identity int |grad V|^2 = c int V^(p+1).
 
-Writes profile_p*.csv (columns x, V, S, dist) next to this script's out/ dir.
+Writes nothing; `fdelab stationary` writes a profile as profile.csv (columns
+x, V, S, dist).
 """
-
-import os
 
 import numpy as np
 
 import fdelab as F
-
-out = os.path.join(os.path.dirname(__file__), "out")
-os.makedirs(out, exist_ok=True)
 
 grid = F.build_domain(F.DomainSpec(geometry="interval", nodes=257))
 print(f"interval grid: n = {grid.n}, h = {grid.h:.5f}")
@@ -33,12 +29,6 @@ for p in (1.2, 1.5, 2.0, 3.0):
           f"  |solver - oracle|/max = {gap:.2e}"
           f"  slopes ({c0:.3f}, {c1:.3f})"
           f"  energy identity gap = {abs(lhs - rhs) / rhs:.2e}")
-    path = os.path.join(out, f"profile_p{p:g}.csv")
-    with open(path, "w") as fh:
-        fh.write("x,V,S,dist\n")
-        for row in zip(grid.coords, prof.V, prof.S, grid.boundary_distance):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    print(f"         wrote {path}")
 
 print("\nthe p -> 1 limit approaches the first Dirichlet eigenfunction:")
 exps = F.Exponents.make(p=1.01, c=np.pi ** 2)

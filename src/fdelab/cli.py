@@ -116,13 +116,9 @@ def _initial_field(cfg: ExperimentConfig, setup, stage: str):
     if kind == "scaled_stationary":
         field, origin = cfg["initial.factor"] * setup.profile.V, "initial.factor"
     elif kind == "mode_perturbed":
-        for k, j, _ in cfg["initial.modes"]:
-            if k > cfg["spectrum.modes"]:
-                raise ConfigError(f"initial.modes references mode ({k},{j}) "
-                                  f"outside the computed spectrum")
         try:
             return mode_perturbed_field(setup, cfg["initial.modes"])
-        except ValueError as exc:   # the datum left the positive cone
+        except ValueError as exc:   # a mode beyond spectrum.modes, or not positive
             raise ConfigError(f"initial.modes: {exc}") from exc
     else:
         field = read_field_csv(cfg["initial.path"], setup.grid.n)
@@ -169,8 +165,8 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
     if stage == "stationary":
         return summary
 
-    write_csv(out / "spectrum.csv", ["k", "j", "lambda", "residual"],
-              [(k, 1, lam, setup.eigs.residuals[k - 1])
+    write_csv(out / "spectrum.csv", ["k", "lambda", "residual"],
+              [(k, lam, setup.eigs.residuals[k - 1])
                for k, lam, _ in setup.eigs.pairs()])
     gap = setup.gap
     write_json(out / "gap.json", {
@@ -178,7 +174,6 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         "gamma_p": gap.gamma_p, "h2_ok": gap.h2_ok,
         "gap_margin": gap.gap_margin, "lambda_kp1": gap.lambda_kp1,
         "eigenvalues": list(setup.eigs.eigenvalues),
-        "multiplicities": [1] * len(setup.eigs.eigenvalues),
     })
     if stage == "spectrum":
         return summary
@@ -187,9 +182,9 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         f0 = base - profile.V
         tr = run_linearized(setup, f0, horizon=cfg["flow.horizon"],
                             dt=cfg["flow.dt"], cadence=cfg["sampler.cadence"])
-        header = ["t", "E_lin", "I_lin"]
-        header += [f"Q_{k}_1" for k in tr.mode_index]
-        header += [f"coef_{k}_1" for k in tr.mode_index]
+        ks = range(1, tr.coefficients.shape[1] + 1)
+        header = ["t", "E_lin", "I_lin", *(f"Q_{k}" for k in ks),
+                  *(f"coef_{k}" for k in ks)]
         rows = []
         for i, t in enumerate(tr.times):
             e = tr.E_lin[i]
@@ -270,9 +265,12 @@ def sweep(config, out_dir=None, jobs: int = 1) -> Path:
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     cfg = load_config(config) if not isinstance(config, ExperimentConfig) else config
+    axes = cfg.sweep_axes
+    for key, axis in axes.items():   # cell names print p and amplitude with :g
+        if len({str(a) if key == "nodes" else f"{a:g}" for a in axis}) < len(axis):
+            raise ConfigError(f"sweep.{key} values {axis} name a cell directory twice")
     out = Path(out_dir or cfg["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
-    axes = cfg.sweep_axes
     ps = axes.get("p", [cfg.resolved.get("exponents.p")])
     ns = axes.get("nodes", [cfg.resolved["domain.nodes"]])
     amps = axes.get("amplitude", [1.0])
@@ -284,9 +282,9 @@ def sweep(config, out_dir=None, jobs: int = 1) -> Path:
             over = {"domain.nodes": int(nv), "exponents.p": e.p,
                     "exponents.m": e.m, "exponents.T": e.T}
             if av != 1.0:
-                over["initial.modes"] = [(k, j, a * av)
-                                         for k, j, a in cfg.resolved["initial.modes"]]
-            name = f"cell_p{pv:g}_n{int(nv)}_a{av:g}"
+                over["initial.modes"] = [(k, a * av)
+                                         for k, a in cfg.resolved["initial.modes"]]
+            name = f"cell_p{pv:g}_n{nv}_a{av:g}"
             cells.append(((pv, int(nv), av), over, str(out / name)))
 
     header = ["p", "n", "amplitude", "lambda_p", "lambda_fit", "ratio",

@@ -15,11 +15,13 @@ Example:
     output.dir        = out
 
 Values are parsed as int, float, bool (true/false), mode triples k:j:amp (j
-is 1: the computed spectrum is simple), or bare strings; lists are
-whitespace- or comma-separated.  A double-quoted value is one verbatim string
-token: output.dir = "my runs, #2".  Sweep axes use sweep.p / sweep.nodes /
-sweep.amplitude with list values, each value checked like its base key.
-Every key not in the schema is an error, reported with its line number.
+is 1, the spectrum being simple; initial.modes resolves to (k, amp) pairs, so
+no other module reads j), or bare strings; lists are whitespace- or
+comma-separated.  A double-quoted value is one verbatim string token:
+output.dir = "my runs, #2".  Sweep axes use sweep.p / sweep.nodes /
+sweep.amplitude (mode_perturbed only) with list values, each checked like its
+base key.  Every key not in the schema is an error, reported with its line
+number.
 """
 
 from __future__ import annotations
@@ -220,13 +222,12 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
         if not (isinstance(m, tuple) and len(m) == 3):
             _fail(source, lines.get("initial.modes"),
                   f"initial.modes entries must be k:j:amplitude, got {m!r}")
-        # the computed spectrum is simple (see fdelab.spectrum), so j is 1;
         # k <= spectrum.modes is checked by the stages that build the datum
         if m[0] < 1 or m[1] != 1:
             _fail(source, lines.get("initial.modes"),
                   f"initial.modes references mode ({m[0]},{m[1]}) outside the "
                   f"computed spectrum (k >= 1 and j = 1)")
-    resolved["initial.modes"] = list(modes)
+    resolved["initial.modes"] = [(k, amp) for k, _, amp in modes]
     if resolved["initial.kind"] == "mode_perturbed" and not modes:
         _fail(source, lines.get("initial.kind"),
               "initial.kind = mode_perturbed requires initial.modes")
@@ -266,6 +267,10 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
                    or not _finite(a) for a in axis):
                 _fail(source, lines.get(key), f"{key} must list finite numbers, got {v!r}")
             sweep[key.split(".", 1)[1]] = axis
+    if "amplitude" in sweep and resolved["initial.kind"] != "mode_perturbed":
+        _fail(source, lines.get("sweep.amplitude"),
+              "sweep.amplitude scales initial.modes, so it needs "
+              "initial.kind = mode_perturbed")
     for pv in sweep.get("p", ()):
         exponents("sweep.p", p=pv, c=exps.c)
     n_min = max(8, 4 * resolved["spectrum.modes"])

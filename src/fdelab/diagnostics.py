@@ -423,14 +423,13 @@ def benilan_crandall_margin(times, fields, V, exps: Exponents,
 def trace_rows(reports) -> tuple:
     """Flatten reports into (header, rows) for the trace CSV.  Column names
     and their order are part of the stable interface: t, E_lin, I_lin, E_nl,
-    h_inf, then Q_k_1, Qn_k_1, A_k_1 per tracked mode k (the _1 is the index
-    inside the eigenspace, which is one-dimensional; Qn cells are empty when
+    h_inf, then Q_k, Qn_k, A_k per tracked mode k (Qn cells are empty when
     the quotient is undefined), then auxiliary columns."""
     if not reports:
         return ["t", "E_lin", "I_lin", "E_nl", "h_inf", "h_L2V_sq", "cubic"], []
     ks = range(1, reports[0].Q_lin.size + 1)
     header = ["t", "E_lin", "I_lin", "E_nl", "h_inf"]
-    header += [f"{name}_{k}_1" for name in ("Q", "Qn", "A") for k in ks]
+    header += [f"{name}_{k}" for name in ("Q", "Qn", "A") for k in ks]
     header += ["h_L2V_sq", "cubic"]
     rows = []
     for r in reports:

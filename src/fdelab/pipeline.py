@@ -71,14 +71,11 @@ def prepare(spec: DomainSpec, exps: Exponents, n_modes: int = 8,
 
 
 def mode_perturbed_field(setup: StageSetup, modes) -> np.ndarray:
-    """v0 = V + sum of amplitude * phi_k for the listed (k, j, amplitude);
-    j, the index inside the eigenspace of lambda_k, is 1 (the spectrum is
-    simple)."""
+    """v0 = V + sum of amplitude * phi_k for the listed (k, amplitude)."""
     v0 = setup.profile.V.copy()
-    for k, j, amp in modes:
-        if j != 1:
-            raise ValueError(f"mode ({k},{j}): every eigenvalue is simple, "
-                             f"so j must be 1")
+    for k, amp in modes:
+        if not 1 <= k <= len(setup.eigs.eigenvalues):
+            raise ValueError(f"mode {k} is outside the computed spectrum")
         v0 = v0 + amp * setup.eigs.mode(int(k))
     if v0.min() <= 0:
         raise ValueError("perturbed initial field is not positive")
@@ -269,7 +266,6 @@ class LinearModeTrace:
     E_lin: np.ndarray
     I_lin: np.ndarray
     coefficients: np.ndarray     # shape (samples, modes), column k - 1 is mode k
-    mode_index: tuple            # tuple of k
 
 
 def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
@@ -295,8 +291,8 @@ def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
     return LinearModeTrace(times=times,
                            E_lin=np.array([r[1] for r in rows]),
                            I_lin=np.array([r[2] for r in rows]),
-                           coefficients=np.array([r[3] for r in rows]),
-                           mode_index=tuple(range(1, len(setup.eigs.eigenvalues) + 1)))
+                           coefficients=np.array([r[3] for r in rows]).reshape(
+                               len(rows), len(setup.eigs.eigenvalues)))
 
 
 @dataclass(frozen=True)

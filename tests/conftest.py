@@ -37,7 +37,7 @@ def calibrated_trace_p2(interval_p2):
     """Clock-matched rescaled run, horizon long enough that the entropy falls
     through the whole fit band and keeps going; cadence 0.02."""
     setup = interval_p2
-    base = F.mode_perturbed_field(setup, [(2, 1, 0.1)])
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
     result = F.run_nonlinear_rate_case(setup, base, horizon=12.0, dt=1e-3,
                                        cadence=0.02)
     assert not result.trivial_fixed_point
@@ -49,7 +49,7 @@ def calibrated_fields_p2(calibrated_trace_p2):
     """(times, fields) of the calibrated trace's run, replayed through march:
     the trace keeps no field, and the h-checks need them."""
     setup, result = calibrated_trace_p2
-    v0 = result.calibration.scale * F.mode_perturbed_field(setup, [(2, 1, 0.1)])
+    v0 = result.calibration.scale * F.mode_perturbed_field(setup, [(2, 0.1)])
     states = F.march(setup.grid, setup.exps,
                      F.FlowState(kind="rescaled", field=v0, time=0.0),
                      dt=1e-3, targets=[r.t for r in result.reports])
@@ -70,7 +70,7 @@ def amp3_calibrated_traces(interval_p2_small):
     scale is calibrated once at dt = 1e-3; the early and middle window of the
     finer-dt runs is insensitive to the O(dt) shift of the matched scale."""
     setup = interval_p2_small
-    base = F.mode_perturbed_field(setup, [(2, 1, 3.0)])
+    base = F.mode_perturbed_field(setup, [(2, 3.0)])
     cal = F.match_extinction_clock(setup, base, dt=1e-3, horizon=16.0)
     traces = {}
     for dt in (5e-4, 2.5e-4):
@@ -86,7 +86,7 @@ def amp3_uncalibrated_traces(interval_p2_small):
     is used, where the relative error is small and almost-orthogonality is
     not required."""
     setup = interval_p2_small
-    base = F.mode_perturbed_field(setup, [(2, 1, 3.0)])
+    base = F.mode_perturbed_field(setup, [(2, 3.0)])
     traces = {}
     for dt in (5e-4, 2.5e-4):
         _, reports = F.run_rescaled(setup, base, horizon=2.0, dt=dt, cadence=5e-3)

@@ -21,7 +21,7 @@ def announce(num, name):
 def rate_case_p15():
     spec = F.DomainSpec(geometry="interval", nodes=257)
     setup = F.prepare(spec, F.Exponents.make(p=1.5, c=1.0))
-    base = F.mode_perturbed_field(setup, [(2, 1, 0.1)])
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
     return setup, F.run_nonlinear_rate_case(setup, base, horizon=8.0, dt=1e-3,
                                             cadence=0.02)
 
@@ -29,7 +29,7 @@ def rate_case_p15():
 @pytest.fixture(scope="session")
 def rate_case_ball(ball_p2):
     setup = ball_p2
-    base = F.mode_perturbed_field(setup, [(2, 1, 0.1)])
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
     return setup, F.run_nonlinear_rate_case(setup, base, horizon=14.0, dt=1e-3,
                                             cadence=0.02,
                                             calibration_horizon=24.0)

@@ -201,8 +201,25 @@ class TestRunExperiment:
         out = tmp_path / "o3"
         cli.run_experiment(path, stage="linear", out_dir=out)
         header = (out / "trace.csv").read_text().splitlines()[0].split(",")
-        assert header[:3] == ["t", "E_lin", "I_lin"]
-        assert "coef_2_1" in header
+        ks = range(1, 9)   # spectrum.modes = 8
+        assert header == (["t", "E_lin", "I_lin"] + [f"Q_{k}" for k in ks]
+                          + [f"coef_{k}" for k in ks])
+        assert "coef_2" in header
+
+    def test_mode_is_its_index_k(self, tmp_path):
+        # a mode is named by k alone: spectrum.csv has no j column, gap.json
+        # no multiplicities, and the manifest echoes (k, amplitude) pairs
+        path = write_cfg(tmp_path, BASE_CFG)
+        out = tmp_path / "o6"
+        cli.run_experiment(path, stage="spectrum", out_dir=out)
+        spec = (out / "spectrum.csv").read_text().splitlines()
+        assert spec[0] == "k,lambda,residual"
+        assert [row.split(",")[0] for row in spec[1:]] == [str(k) for k in range(1, 9)]
+        gap = json.loads((out / "gap.json").read_text())
+        assert set(gap) == {"k_p", "cp", "lambda_p", "gamma_p", "h2_ok",
+                            "gap_margin", "lambda_kp1", "eigenvalues"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["initial.modes"] == [[2, 0.1]]
 
     def test_mode_out_of_range(self, tmp_path):
         path = write_cfg(tmp_path,
@@ -277,10 +294,20 @@ class TestSweep:
         ("sweep.nodes = 129 16\n", "sweep.nodes"),   # 8 modes need 32 nodes
         ("sweep.p = 2.0 1" + "0" * 400 + "\n", "sweep.p"),   # beyond a float
         ("sweep.amplitude = 0.1 inf\n", "sweep.amplitude"),
+        # cell directories print p with :g, so these two p share one
+        ("sweep.p = 2.0 2.0000001\nsweep.amplitude = 0.5 2.0\n", "sweep.p"),
+        ("sweep.nodes = 129 129\n", "sweep.nodes"),
+        # sweep.amplitude scales initial.modes: elsewhere every cell is one run
+        ("initial.kind = stationary\nsweep.amplitude = 0.5 2.0\n",
+         "sweep.amplitude"),
     ], ids=["p-below-1", "supercritical-ball", "nodes-below-4-modes",
-            "p-beyond-float", "amplitude-not-finite"])
+            "p-beyond-float", "amplitude-not-finite", "p-cells-share-a-name",
+            "nodes-cells-share-a-name", "amplitude-without-modes"])
     def test_bad_axis_value_exit_2(self, tmp_path, capsys, extra, named):
-        cfg = BASE_CFG.replace("domain.geometry   = interval\n", "") + extra
+        cfg = BASE_CFG
+        for line in extra.splitlines():
+            key, _, value = line.partition("=")
+            cfg = set_key(cfg, key.strip(), value.strip())
         path, out = write_cfg(tmp_path, cfg), tmp_path / "sw"
         assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err

@@ -11,13 +11,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _files(root: Path) -> set:
-    return {p for p in root.rglob("*")
+def _files(root: Path) -> dict:
+    """Every file under root with its modification time, so that a demo
+    rewriting a file that already exists shows too."""
+    return {p: p.stat().st_mtime_ns for p in root.rglob("*")
             if "__pycache__" not in p.parts and ".hypothesis" not in p.parts}
 
 
 @pytest.mark.parametrize("demo", ["nonlinear_rate", "entropy_inequalities",
-                                  "extinction", "linear_flow"])
+                                  "extinction", "linear_flow", "delay_ode",
+                                  "weighted_spectrum", "sweep_rates",
+                                  "stationary_profiles"])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                PYTHONDONTWRITEBYTECODE="1")

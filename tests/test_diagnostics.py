@@ -459,13 +459,17 @@ class TestTraceRows:
     def test_header_names_stable(self, calibrated_trace_p2):
         _, result = calibrated_trace_p2
         header, rows = trace_rows(result.reports[:3])
-        assert header[:5] == ["t", "E_lin", "I_lin", "E_nl", "h_inf"]
-        assert "Q_1_1" in header and "Qn_1_1" in header and "A_1_1" in header
+        ks = range(1, result.reports[0].Q_lin.size + 1)
+        assert header == (["t", "E_lin", "I_lin", "E_nl", "h_inf"]
+                          + [f"{name}_{k}" for name in ("Q", "Qn", "A") for k in ks]
+                          + ["h_L2V_sq", "cubic"])
+        assert "Q_1" in header and "Qn_1" in header and "A_1" in header
         assert len(rows) == 3 and len(rows[0]) == len(header)
 
     def test_undefined_quotients_are_none(self, interval_p2_small):
         s = interval_p2_small
         r = report_for(s, s.profile.V.copy())
         header, rows = trace_rows([r])
-        qn_col = header.index("Qn_1_1")
+        qn_col = header.index("Qn_1")
+        assert header[qn_col - 1] == f"Q_{r.Q_lin.size}"
         assert rows[0][qn_col] is None

@@ -46,7 +46,7 @@ class TestStepRescaled:
 
     def test_self_convergence_first_order(self, interval_p2_small):
         s = interval_p2_small
-        v0 = F.mode_perturbed_field(s, [(2, 1, 0.05)])
+        v0 = F.mode_perturbed_field(s, [(2, 0.05)])
         horizon = 0.5
 
         def run(dt):
@@ -234,7 +234,7 @@ class TestEvolve:
         # compare with the rescaled flow from the same datum
         s = interval_p2_small
         exps = s.exps
-        v0 = F.mode_perturbed_field(s, [(2, 1, 0.05)])
+        v0 = F.mode_perturbed_field(s, [(2, 0.05)])
         u0 = v0 ** exps.p
         t_samples = [0.25, 0.5, 0.75, 1.0]
         tau_samples = [float(F.original_time_of(t, exps.T)) for t in t_samples]
@@ -275,7 +275,7 @@ class TestEvolve:
         # so the discrete Green operator reproduces h V from the right side
         s = interval_p2_small
         exps = s.exps
-        v0 = F.mode_perturbed_field(s, [(2, 1, 0.5)])
+        v0 = F.mode_perturbed_field(s, [(2, 0.5)])
         state = F.FlowState(kind="rescaled", field=v0, time=0.0)
         dt = 1e-3
         new = F.step_rescaled(s.grid, exps, state, dt)
@@ -298,7 +298,7 @@ class TestEvolve:
 
     def test_step_summary_newton_histogram(self, interval_p2_small):
         s = interval_p2_small
-        v0 = F.mode_perturbed_field(s, [(2, 1, 3.0)])
+        v0 = F.mode_perturbed_field(s, [(2, 3.0)])
         traj = F.evolve(s.grid, s.exps,
                         F.FlowState(kind="rescaled", field=v0, time=0.0),
                         horizon=0.5, dt=5e-3, sample_every=0.25)
@@ -313,7 +313,7 @@ class TestEvolve:
     def test_sup_norms_are_those_of_the_marched_fields(self, interval_p2_small,
                                                        kind):
         s = interval_p2_small
-        v0 = F.mode_perturbed_field(s, [(2, 1, 0.3)])
+        v0 = F.mode_perturbed_field(s, [(2, 0.3)])
         field0 = v0 if kind == "rescaled" else v0 ** s.exps.p
         times = [0.05 * (i + 1) for i in range(30)]
         traj = F.evolve(s.grid, s.exps,
@@ -497,7 +497,7 @@ class TestSharedStepper:
     def test_bit_identical_to_reference(self, kind, p):
         s = F.prepare(F.DomainSpec(geometry="interval", nodes=129),
                       F.Exponents.make(p=p, c=1.0))
-        v0 = F.mode_perturbed_field(s, [(2, 1, 0.3)])
+        v0 = F.mode_perturbed_field(s, [(2, 0.3)])
         if kind == "rescaled":
             field, dt, step = v0, 1e-3, F.step_rescaled
         else:
@@ -519,7 +519,7 @@ class TestSharedStepper:
         # that start, bit for bit
         s = F.prepare(F.DomainSpec(geometry="interval", nodes=129),
                       F.Exponents.make(p=p, c=1.0))
-        v0 = F.mode_perturbed_field(s, [(2, 1, 0.3)])
+        v0 = F.mode_perturbed_field(s, [(2, 0.3)])
         if kind == "rescaled":
             field, dt, name = v0, 1e-3, "step_rescaled"
         else:
@@ -561,7 +561,7 @@ class TestSharedStepper:
                   F.prepare(F.DomainSpec(geometry="ball", nodes=129, dimension=3,
                                          radius=1.0), exps)]
         states = [F.FlowState(kind="rescaled", time=0.0,
-                              field=F.mode_perturbed_field(s, [(2, 1, 0.1)]))
+                              field=F.mode_perturbed_field(s, [(2, 0.1)]))
                   for s in setups]
         schedule = [(0, 1e-3), (1, 1e-3), (0, 1e-3), (0, 4e-3), (1, 4e-3),
                     (1, 1e-3), (0, 4e-3), (1, 1e-3)] * 5
@@ -657,7 +657,7 @@ class TestMarchStart:
             return real(grid, exps, state, dt)
 
         monkeypatch.setattr(fdelab.flow, "step_rescaled", refuses_starts)
-        v0 = F.mode_perturbed_field(s, [(2, 1, 0.1)])
+        v0 = F.mode_perturbed_field(s, [(2, 0.1)])
         traj = F.evolve(s.grid, s.exps,
                         F.FlowState(kind="rescaled", field=v0, time=0.0),
                         horizon=0.05, dt=5e-3, sample_every=0.05)
@@ -693,7 +693,7 @@ class TestRun:
         s = interval_p2_small
         initial = {"original": s.profile.S,
                    "linearized": 0.1 * s.eigs.mode(2),
-                   "rescaled": F.mode_perturbed_field(s, [(2, 1, 0.3)])}[kind]
+                   "rescaled": F.mode_perturbed_field(s, [(2, 0.3)])}[kind]
         V = s.profile.V if kind == "linearized" else None
 
         def state():

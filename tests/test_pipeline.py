@@ -16,8 +16,19 @@ def interval_setup(p, nodes=129):
                      F.Exponents.make(p=p, c=1.0))
 
 
-@pytest.mark.parametrize("p, modes", [(1.5, [(2, 1, 0.1)]), (2.0, [(2, 1, 0.1)]),
-                                      (3.0, [(3, 1, 0.2)])])
+@pytest.mark.parametrize("k", [0, -1, 9])
+def test_mode_outside_the_spectrum_is_refused(interval_p2_small, k):
+    # mode(0) and mode(-1) would index the last column: a mode is 1..K
+    with pytest.raises(ValueError, match=f"mode {k} is outside the computed spectrum"):
+        F.mode_perturbed_field(interval_p2_small, [(k, 0.01)])
+    v0 = F.mode_perturbed_field(interval_p2_small, [(8, 0.01), (2, 0.1)])
+    eigs = interval_p2_small.eigs
+    assert np.array_equal(v0, interval_p2_small.profile.V + 0.01 * eigs.mode(8)
+                          + 0.1 * eigs.mode(2))
+
+
+@pytest.mark.parametrize("p, modes", [(1.5, [(2, 0.1)]), (2.0, [(2, 0.1)]),
+                                      (3.0, [(3, 0.2)])])
 def test_accepted_trial_is_deep_and_inside_its_bracket(p, modes):
     setup = interval_setup(p)
     base = F.mode_perturbed_field(setup, modes)
@@ -108,7 +119,7 @@ def test_predicted_slope_matches_the_measured_one(calibrated_trace_p2):
     # change at rounding level must re-measure.
     setup, result = calibrated_trace_p2
     cal = result.calibration
-    base = F.mode_perturbed_field(setup, [(2, 1, 0.1)])
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
     K = pipeline._mode1_coefficient(setup, base)
     assert [r.verdict for r in cal.log] == [1, 0]
     assert abs(cal.log[0].g / (1.0 - cal.scale) - K) / K <= 1e-4
@@ -214,7 +225,7 @@ def test_trial_stops_at_its_first_fourfold_rise(calibrated_trace_p2):
     # far above the floor or just above it.
     setup, result = calibrated_trace_p2
     floor = F.EntropyBand().lo / 100.0
-    base = F.mode_perturbed_field(setup, [(2, 1, 0.1)])
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
     e0 = F.nonlinear_entropy(setup.grid, setup.profile.V, setup.exps.p, base)
     # the rate-p2-shaped calibration's first trial, from b = 1, bottoms out
     # at 2.8e-6 and stops at t = 5.02, long before 10 e0
@@ -255,7 +266,7 @@ def test_calibrated_run_is_a_fresh_run_from_the_accepted_scale(
     # the run continues the accepted trial's march (horizon 12) or is cut
     # back from it (horizon 3); an int cadence samples at float times too
     setup = interval_p2_small
-    base = F.mode_perturbed_field(setup, [(2, 1, 0.1)])
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
     res = F.run_nonlinear_rate_case(setup, base, horizon=horizon, dt=1e-3,
                                     cadence=cadence, want_fit=False)
     assert (res.calibration.log[-1].t_stop > horizon) == accepted_after
