@@ -24,10 +24,10 @@ from .flow import (ExtinctionEstimate, FlowState, Run, Trajectory,
                    step_rescaled)
 from .diagnostics import (ComparisonConstants, EntropyReport, ReportWeights,
                           benilan_crandall_margin, delayed_ratio_sup,
-                          entropy_density, entropy_report, nonlinear_entropy,
-                          power_difference, production_residual,
-                          quotient_smallness_times, rayleigh_compare,
-                          sandwich_check, smoothing_check,
+                          entropy_density, entropy_report, linear_trace_rows,
+                          nonlinear_entropy, power_difference,
+                          production_residual, quotient_smallness_times,
+                          rayleigh_compare, sandwich_check, smoothing_check,
                           time_monotonicity_check, trace_rows)
 from .rates import (DelayOdeRun, EntropyBand, ExplicitWindow, RateFit,
                     RateVerdict, delay_supersolution, fit_rate,

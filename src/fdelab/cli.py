@@ -33,7 +33,7 @@ import scipy
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .diagnostics import trace_rows
+from .diagnostics import linear_trace_rows, trace_rows
 from .errors import ConfigError, NumericalFailure
 from .pipeline import (mode_perturbed_field, prepare, run_linearized,
                        run_nonlinear_rate_case)
@@ -152,6 +152,13 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     exps = cfg.exponents()
+    # march steps at most min(flow.dt, sampler.cadence); the linear step
+    # matrix is singular at dt = T, and step_linearized refuses dt >= T/2
+    step = min(cfg["flow.dt"], cfg["sampler.cadence"])
+    if stage == "linear" and step >= 0.5 * exps.T:
+        raise ConfigError(f"flow.dt: the linear stage steps min(flow.dt, "
+                          f"sampler.cadence) = {step!r}, which must be below "
+                          f"T/2 = {0.5 * exps.T!r}")
     setup = prepare(cfg.domain_spec(), exps, n_modes=int(cfg["spectrum.modes"]),
                     gap_tol=cfg["spectrum.gap_tol"])
     grid, profile = setup.grid, setup.profile
@@ -182,17 +189,7 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         f0 = base - profile.V
         tr = run_linearized(setup, f0, horizon=cfg["flow.horizon"],
                             dt=cfg["flow.dt"], cadence=cfg["sampler.cadence"])
-        ks = range(1, tr.coefficients.shape[1] + 1)
-        header = ["t", "E_lin", "I_lin", *(f"Q_{k}" for k in ks),
-                  *(f"coef_{k}" for k in ks)]
-        rows = []
-        for i, t in enumerate(tr.times):
-            e = tr.E_lin[i]
-            root = np.sqrt(e) if e > 0 else np.inf
-            coefs = tr.coefficients[i]
-            rows.append([t, e, tr.I_lin[i]]
-                        + [abs(cc) / root for cc in coefs] + list(coefs))
-        write_csv(out / "trace.csv", header, rows)
+        write_csv(out / "trace.csv", *linear_trace_rows(tr))
         return summary
 
     try:

@@ -199,6 +199,12 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
     for key in ("flow.dt", "flow.horizon", "sampler.cadence"):
         if resolved[key] <= 0:
             _fail(source, lines.get(key), f"{key} must be positive")
+    from .flow import sample_count   # a cadence <= horizon/2 leaves a sample
+    horizon, cadence = resolved["flow.horizon"], resolved["sampler.cadence"]
+    if cadence > 0.5 * horizon and sample_count(horizon, cadence) == 0:
+        _fail(source, lines.get("sampler.cadence"),
+              f"sampler.cadence = {cadence!r} leaves no sample time within "
+              f"flow.horizon = {horizon!r}")
 
     try:   # DomainSpec leads its message with the offending field's name
         ExperimentConfig(source, resolved).domain_spec()

@@ -437,3 +437,16 @@ def trace_rows(reports) -> tuple:
         rows.append([r.t, r.E_lin, r.I_lin, r.E_nl, r.h_inf, *r.Q_lin.tolist(),
                      *qn, *r.A_nl.tolist(), r.h_L2V_sq, r.cubic])
     return header, rows
+
+
+def linear_trace_rows(trace) -> tuple:
+    """Flatten a pipeline.LinearModeTrace into (header, rows) for its trace
+    CSV: t, E_lin, I_lin, then Q_k = |coef_k| / sqrt(E_lin) (0 where E_lin is
+    0), then coef_k, per tracked mode k."""
+    ks = range(1, trace.coefficients.shape[1] + 1)
+    header = ["t", "E_lin", "I_lin"]
+    header += [f"{name}_{k}" for name in ("Q", "coef") for k in ks]
+    root = np.sqrt(np.where(trace.E_lin > 0, trace.E_lin, np.inf))
+    return header, np.column_stack([trace.times, trace.E_lin, trace.I_lin,
+                                    np.abs(trace.coefficients) / root[:, None],
+                                    trace.coefficients])

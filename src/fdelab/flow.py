@@ -20,8 +20,9 @@ before dt is halved.
 
 A Run keeps no field: per sample (i + 1) cadence it records the time,
 sup|field| and the sampler's output, and it marches only as far as it is
-iterated, so it can be stopped and resumed; evolve is a Run taken to a
-horizon.  A caller that needs the fields iterates march instead.
+iterated, so it can be stopped and resumed.  Run.to_horizon alone takes it
+to a horizon, marching it on or cutting it back for good; evolve is a Run
+taken there.  A caller that needs the fields iterates march instead.
 
 Original runs stop near extinction (default sup u < 1e-6 sup u0); the
 extinction time itself is always extrapolated from the exact linearity of
@@ -344,6 +345,8 @@ class Run:
         return self
 
     def __next__(self) -> FlowState:
+        if self._states is None:
+            raise ValueError("a run cut back cannot be marched on")
         state, traj = next(self._states), self.traj
         traj.sample_times.append(state.time)
         traj.sups.append(float(np.max(np.abs(state.field))))
@@ -352,38 +355,37 @@ class Run:
         self._steps.append(len(traj.dt_history))
         return state
 
-    def to_horizon(self, horizon: float) -> Trajectory:
-        """The trajectory evolve gives to the horizon: marched on if the run
-        stopped short of it, cut back to its last sample there if beyond (a
-        run cut back cannot be continued)."""
+    def to_horizon(self, horizon: float,
+                   stop_sup_below: float | None = None) -> Trajectory:
+        """The trajectory to the horizon: marched on if the run stopped short
+        of it (halting after the first sample whose sup|field| is below
+        stop_sup_below, if given), else cut back to its last sample there,
+        after which the run cannot be marched on."""
         traj, n = self.traj, sample_count(horizon, self.cadence)
         have = len(traj.sample_times)
         if n >= have:
             for _ in islice(self, n - have):
-                pass
+                if stop_sup_below is not None and traj.sups[-1] < stop_sup_below:
+                    break
         else:
             k = self._steps[n - 1] if n else 0
             del traj.sample_times[n:], traj.sups[n:], traj.diagnostics[n:]
             del traj.dt_history[k:], traj.newton_history[k:], self._steps[n:]
+            self._states = None
         return traj
 
 
 def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
            dt: float, sample_every: float, sampler=None, V=None,
            stop_sup_below: float | None = None) -> Trajectory:
-    """A Run sampled every sample_every, taken to the horizon: its Trajectory.
-
-    stop_sup_below: halt (after the current sample) once sup|field| drops below
-    this absolute level; original runs near extinction use it.
-    """
+    """A Run sampled every sample_every, taken to the horizon (see
+    Run.to_horizon): its Trajectory.  An original run halts near extinction,
+    by default once sup|u| < 1e-6 sup|u0|."""
     run = Run(grid, exps, initial, dt, sample_every, sampler, V)
     if initial.kind == "original" and stop_sup_below is None:
         # near-extinction stop: extrapolate, never simulate the degenerate limit
         stop_sup_below = 1e-6 * run.traj.initial_sup
-    for _ in islice(run, sample_count(horizon, run.cadence)):
-        if stop_sup_below is not None and run.traj.sups[-1] < stop_sup_below:
-            break
-    return run.traj
+    return run.to_horizon(horizon, stop_sup_below)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ BAD_INPUTS = [
     ({"initial.kind": "from_file", "initial.path": "{tmp}/text.csv"}, "text.csv"),
     ({"initial.kind": "from_file", "initial.path": "{tmp}/negative.csv"}, "negative.csv"),
     ({"initial.modes": "2:2:0.1"}, "initial.modes"),
+    ({"flow.horizon": "1.0", "sampler.cadence": "2.0"}, "sampler.cadence"),
 ]
 
 
@@ -443,6 +444,21 @@ class TestMain:
                          "--out", str(tmp_path / "m5")]) == 2
         assert named in capsys.readouterr().err
         assert not list((tmp_path / "m5").glob("*"))   # nothing written
+
+    def test_linear_step_at_half_T_exit_2(self, tmp_path, capsys):
+        # T = 2: march never steps beyond min(flow.dt, sampler.cadence) = 1.5,
+        # but that is past T/2, where the linear step refuses to go
+        cfg = set_key(set_key(BASE_CFG, "flow.dt", "1.5"), "sampler.cadence", "1.5")
+        path = write_cfg(tmp_path, cfg)
+        assert cli.main(["linear-evolve", "--config", str(path),
+                         "--out", str(tmp_path / "m7")]) == 2
+        assert "flow.dt" in capsys.readouterr().err
+        assert not list((tmp_path / "m7").glob("*"))   # nothing written
+        # a step below T/2 runs
+        cfg = set_key(set_key(BASE_CFG, "flow.dt", "1.5"), "sampler.cadence", "0.9")
+        path = write_cfg(tmp_path, cfg)
+        assert cli.main(["linear-evolve", "--config", str(path),
+                         "--out", str(tmp_path / "m8")]) == 0
 
     def test_bug_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
         def prepare(*args, **kwargs):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import fdelab
 from fdelab.config import ConfigError, _KNOWN, parse_config_text, resolve_config
+from fdelab.flow import sample_count
 
 BASE = {"domain.nodes": "129", "exponents.p": "2.0", "exponents.c": "1.0"}
 
@@ -46,6 +47,10 @@ def test_config_resolves_or_raises_config_error(overrides, dropped):
     assert 1 <= cfg["spectrum.modes"] <= cfg["domain.nodes"] // 4
     for key in ("flow.dt", "flow.horizon", "sampler.cadence"):
         assert cfg[key] > 0
+    # and a sample time within its horizon (counted only where horizon /
+    # cadence < 2: a ratio beyond the float range overflows sample_count)
+    horizon, cadence = cfg["flow.horizon"], cfg["sampler.cadence"]
+    assert cadence <= 0.5 * horizon or sample_count(horizon, cadence) >= 1
 
 
 def _base_name(node):

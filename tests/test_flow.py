@@ -714,6 +714,25 @@ class TestRun:
         assert len(traj.dt_history) == round(horizon / 5e-3)
         assert traj == straight
 
+    def test_a_run_cut_back_cannot_be_marched_on(self, interval_p2_small):
+        # its march has gone past the samples it keeps: marching on would
+        # resume from the last sample marched, not from the horizon
+        s = interval_p2_small
+        run = F.Run(s.grid, s.exps, F.FlowState(
+            kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.3)]),
+            time=0.0), 5e-3, 0.05, lambda t, v: t)
+        for _ in islice(run, 20):
+            pass
+        traj = run.to_horizon(0.5)
+        assert len(traj.sample_times) == len(traj.diagnostics) == 10
+        assert len(traj.dt_history) == 100
+        assert run.to_horizon(0.5) is traj and run.to_horizon(0.3) is traj
+        with pytest.raises(ValueError, match="cut back"):
+            run.to_horizon(1.0)
+        with pytest.raises(ValueError, match="cut back"):
+            next(run)
+        assert traj.sample_times == [(i + 1) * 0.05 for i in range(6)]
+
     def test_a_dropped_run_is_freed_at_once(self, interval_p2_small):
         # no reference cycle: a finished run and the samples it recorded go
         # when the last reference does, not at a later cyclic collection

@@ -274,6 +274,19 @@ def test_calibrated_run_is_a_fresh_run_from_the_accepted_scale(
     assert pickle.loads(pickle.dumps(res)).calibration == res.calibration
 
 
+@pytest.mark.parametrize("match_clock", [True, False])
+def test_run_without_a_sample_is_not_a_trivial_fixed_point(interval_p2_small,
+                                                           match_clock):
+    # the horizon holds no sample time: no report says the entropy is small
+    setup = interval_p2_small
+    base = (setup.profile.V if match_clock
+            else F.mode_perturbed_field(setup, [(2, 0.1)]))
+    res = F.run_nonlinear_rate_case(setup, base, horizon=1.0, cadence=2.0,
+                                    match_clock=match_clock, want_fit=False)
+    assert res.reports == [] and res.step_summary["steps"] == 0
+    assert not res.trivial_fixed_point
+
+
 def test_run_from_a_datum_on_the_floor_is_a_fresh_run(interval_p2_small):
     setup = interval_p2_small
     res = F.run_nonlinear_rate_case(setup, setup.profile.V, horizon=1.0,
