@@ -66,24 +66,19 @@ def write_csv(path: Path, header, rows) -> None:
     os.replace(tmp, path)
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
+def _plain(obj):
+    """A numpy scalar or array as Python values, for json.dump."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, obj) -> None:
+    """obj as sorted, indented JSON.  An np.float64 is a float, which the
+    indenting encoder writes through float.__repr__, as it does float(x)."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_plain)
         fh.write("\n")
     os.replace(tmp, path)
 
@@ -144,7 +139,8 @@ def _manifest(cfg: ExperimentConfig, stage: str) -> dict:
 
 def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
     """Execute pipeline stages through `stage`; write artifacts; return a
-    summary dict with the output directory and the verdict (if any)."""
+    summary dict with the output directory, the GapReport (once the spectrum
+    stage has run) and the verdict.json payload (if any)."""
     cfg = load_config(config) if not isinstance(config, ExperimentConfig) else config
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
@@ -168,20 +164,16 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
     write_json(out / "manifest.json", _manifest(cfg, stage))
     write_csv(out / "profile.csv", ["x", "V", "S", "dist"],
               list(zip(grid.coords, profile.V, profile.S, grid.boundary_distance)))
-    summary = {"out_dir": str(out), "stage": stage, "verdict": None}
+    summary = {"out_dir": str(out), "stage": stage, "gap": None, "verdict": None}
     if stage == "stationary":
         return summary
 
     write_csv(out / "spectrum.csv", ["k", "lambda", "residual"],
               [(k, lam, setup.eigs.residuals[k - 1])
                for k, lam, _ in setup.eigs.pairs()])
-    gap = setup.gap
-    write_json(out / "gap.json", {
-        "k_p": gap.k_p, "cp": gap.cp, "lambda_p": gap.lambda_p,
-        "gamma_p": gap.gamma_p, "h2_ok": gap.h2_ok,
-        "gap_margin": gap.gap_margin, "lambda_kp1": gap.lambda_kp1,
-        "eigenvalues": list(setup.eigs.eigenvalues),
-    })
+    write_json(out / "gap.json",
+               {**asdict(setup.gap), "eigenvalues": setup.eigs.eigenvalues})
+    summary["gap"] = setup.gap
     if stage == "spectrum":
         return summary
 
@@ -207,7 +199,7 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         raise
     header, rows = trace_rows(result.reports)
     write_csv(out / "trace.csv", header, rows)
-    meta = dict(result.step_summary or {})
+    meta = dict(result.step_summary)
     meta["clock_scale"] = result.calibration.scale
     meta["clock_trials"] = result.calibration.trials
     meta["clock_log"] = [asdict(trial) for trial in result.calibration.log]
@@ -218,42 +210,31 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
     if result.trivial_fixed_point:
         verdict = {"verdict": "TRIVIAL-FIXED-POINT", "passed": True,
                    "clock_scale": result.calibration.scale}
-    else:
-        v = result.verdict
-        verdict = {
-            "verdict": "PASS" if v.passed else "FAIL", "passed": v.passed,
-            "lambda_fit": v.lambda_fit, "target": v.target,
-            "rel_error": v.rel_error, "tol": v.tol,
-            "target_dt": v.target_dt, "rel_error_dt": v.rel_error_dt,
-            "lambda_p": v.lambda_p, "k_p": v.k_p, "p": v.p,
-            "window": list(v.fit.window), "r_squared": v.fit.r_squared,
-            "stderr": v.fit.stderr, "n_samples": v.fit.n_samples,
-            "clock_scale": result.calibration.scale,
-            "clock_trials": result.calibration.trials,
-        }
+    else:   # the fit's fields flattened in; its lambda_fit is the verdict's
+        verdict = asdict(result.verdict)
+        verdict.update(verdict.pop("fit"),
+                       verdict="PASS" if result.verdict.passed else "FAIL",
+                       clock_scale=result.calibration.scale,
+                       clock_trials=result.calibration.trials)
     write_json(out / "verdict.json", verdict)
     summary["verdict"] = verdict
     return summary
 
 
 def _sweep_cell(args):
-    """One sweep cell (module-level so process pools can pickle it)."""
+    """One sweep cell's row after its key: lambda_p, lambda_fit, ratio, h2_ok,
+    error (module-level so process pools can pickle it)."""
     resolved, source, cell_over, cell_dir = args
     cfg = ExperimentConfig(source=source, resolved=dict(resolved))
     cfg.resolved.update(cell_over)
     try:
         summary = run_experiment(cfg, stage="rates", out_dir=cell_dir)
-        verdict = summary["verdict"]
-        with open(Path(cell_dir) / "gap.json", "r", encoding="utf-8") as fh:
-            gap = json.load(fh)
-        lam_fit = verdict.get("lambda_fit")
-        target = verdict.get("target")
-        ratio = (lam_fit / target) if (lam_fit is not None and target) else None
-        return {"lambda_p": gap["lambda_p"], "lambda_fit": lam_fit,
-                "ratio": ratio, "h2_ok": gap["h2_ok"], "error": ""}
     except (ConfigError, NumericalFailure) as exc:   # any other is a bug
-        return {"lambda_p": None, "lambda_fit": None, "ratio": None,
-                "h2_ok": None, "error": f"{type(exc).__name__}: {exc}"}
+        return [None, None, None, None, f"{type(exc).__name__}: {exc}"]
+    gap, verdict = summary["gap"], summary["verdict"]
+    lam_fit, target = verdict.get("lambda_fit"), verdict.get("target")
+    ratio = (lam_fit / target) if (lam_fit is not None and target) else None
+    return [gap.lambda_p, lam_fit, ratio, gap.h2_ok, ""]
 
 
 def sweep(config, out_dir=None, jobs: int = 1) -> Path:
@@ -295,10 +276,7 @@ def sweep(config, out_dir=None, jobs: int = 1) -> Path:
                 results = list(pool.map(_sweep_cell, payload))
         else:
             results = [_sweep_cell(a) for a in payload]
-        for (key, _, _), res in zip(cells, results):
-            rows.append([key[0], key[1], key[2], res["lambda_p"],
-                         res["lambda_fit"], res["ratio"], res["h2_ok"],
-                         res["error"]])
+        rows = [[*key, *tail] for (key, _, _), tail in zip(cells, results)]
     write_csv(out / "sweep.csv", header, rows)
     return out / "sweep.csv"
 

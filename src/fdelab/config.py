@@ -87,31 +87,44 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return out
 
 
-_DEFAULTS = {
-    "domain.geometry": "interval",
-    "domain.length": 1.0,
-    "domain.radius": 1.0,
-    "domain.dimension": 3,
-    "spectrum.modes": 8,
-    "spectrum.gap_tol": 1e-3,
-    "flow.dt": 1e-3,
-    "flow.horizon": 10.0,
-    "initial.kind": "stationary",
-    "initial.factor": 1.0,
-    "initial.modes": [],
-    "initial.path": "",
-    "initial.match_clock": True,
-    "sampler.cadence": 0.05,
-    "rates.band_lo": 1e-10,
-    "rates.band_hi": 1e-4,
-    "rates.tol": 0.05,
-    "output.dir": "out",
+# Every key: (kind, default).  A kind is int, float (an int resolves to a
+# float), bool, str, or [kind] for a list whose entries have that kind (one
+# value is a list of one, kept as given); tuple is a k:j:amplitude triple.
+# Every number, and every amplitude, lies in the float range.  The config
+# must set a key whose default is ...; one whose default is None may be
+# absent (one of each exponent pair is derived; a sweep axis is optional).
+_SCHEMA = {
+    "domain.geometry": (str, "interval"),
+    "domain.nodes": (int, ...),
+    "domain.length": (float, 1.0),
+    "domain.radius": (float, 1.0),
+    "domain.dimension": (int, 3),
+    "exponents.p": (float, None),
+    "exponents.m": (float, None),
+    "exponents.c": (float, None),
+    "exponents.T": (float, None),
+    "spectrum.modes": (int, 8),
+    "spectrum.gap_tol": (float, 1e-3),
+    "flow.dt": (float, 1e-3),
+    "flow.horizon": (float, 10.0),
+    "initial.kind": (str, "stationary"),
+    "initial.factor": (float, 1.0),
+    "initial.modes": ([tuple], []),
+    "initial.path": (str, ""),
+    "initial.match_clock": (bool, True),
+    "sampler.cadence": (float, 0.05),
+    "rates.band_lo": (float, 1e-10),
+    "rates.band_hi": (float, 1e-4),
+    "rates.tol": (float, 0.05),
+    "output.dir": (str, "out"),
+    "sweep.p": ([float], None),
+    "sweep.nodes": ([int], None),
+    "sweep.amplitude": ([float], None),
 }
-
-_REQUIRED = ("domain.nodes",)
-_SWEEP_KEYS = ("sweep.p", "sweep.nodes", "sweep.amplitude")
-_KNOWN = (set(_DEFAULTS) | set(_REQUIRED) | set(_SWEEP_KEYS)
-          | {"exponents.p", "exponents.m", "exponents.c", "exponents.T"})
+_KNOWN = set(_SCHEMA)
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
+          bool: (bool, "true or false"), str: (str, "a string"),
+          tuple: (tuple, "k:j:amplitude")}
 
 _INITIAL_KINDS = ("stationary", "scaled_stationary", "mode_perturbed", "from_file")
 
@@ -130,11 +143,8 @@ class ExperimentConfig:
 
     def domain_spec(self):
         from .grid import DomainSpec
-        geom = self.resolved["domain.geometry"]
-        return DomainSpec(geometry=geom, nodes=self.resolved["domain.nodes"],
-                          length=float(self.resolved["domain.length"]),
-                          dimension=int(self.resolved["domain.dimension"]),
-                          radius=float(self.resolved["domain.radius"]))
+        return DomainSpec(**{f: self[f"domain.{f}"] for f in
+                             ("geometry", "nodes", "length", "dimension", "radius")})
 
     def exponents(self):
         from .stationary import Exponents
@@ -157,51 +167,39 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
     values = {k: v for k, (v, _) in raw.items()}
 
     for key in values:
-        if key not in _KNOWN:
+        if key not in _SCHEMA:
             _fail(source, lines[key], f"unknown key {key!r}")
-    for key in _REQUIRED:
-        if key not in values:
+    resolved = {}
+    for key, (kind, default) in _SCHEMA.items():
+        v = values.get(key, default)
+        if v is ...:
             _fail(source, None, f"missing required key {key!r}")
+        if v is None:
+            continue
+        many = isinstance(kind, list)
+        each = kind[0] if many else kind
+        types, desc = _KINDS[each]
+        for a in v if many and isinstance(v, list) else [v]:
+            if not isinstance(a, types) or (isinstance(a, bool) and each is not bool):
+                _fail(source, lines.get(key), f"{key} must be {desc}, got {a!r}")
+            if each in (int, float, tuple) and not _finite(a[-1] if each is tuple else a):
+                _fail(source, lines.get(key), f"{key} must be finite, got {a!r}")
+        resolved[key] = float(v) if kind is float else v
 
-    has_p, has_m = "exponents.p" in values, "exponents.m" in values
-    if has_p == has_m:
-        _fail(source, None, "give exactly one of exponents.p, exponents.m")
-    has_c, has_T = "exponents.c" in values, "exponents.T" in values
-    if has_c == has_T:
-        _fail(source, None, "give exactly one of exponents.c, exponents.T")
+    for a, b in (("exponents.p", "exponents.m"), ("exponents.c", "exponents.T")):
+        if (a in values) == (b in values):
+            _fail(source, None, f"give exactly one of {a}, {b}")
 
-    resolved = dict(_DEFAULTS)
-    resolved.update(values)
-    for key in ("exponents.p", "exponents.m", "exponents.c", "exponents.T"):
-        resolved.setdefault(key, None)
-
-    def check_type(key, types, desc):
-        v = resolved.get(key)
-        if v is not None and (not isinstance(v, types)
-                              or (isinstance(v, bool) and types is not bool)):
-            _fail(source, lines.get(key), f"{key} must be {desc}, got {v!r}")
-
-    for key in ("domain.nodes", "domain.dimension", "spectrum.modes"):
-        check_type(key, int, "an integer")
-    for key in ("initial.path", "output.dir"):
-        check_type(key, str, "a string")
-    check_type("initial.match_clock", bool, "true or false")
-    for key in ("domain.length", "domain.radius", "spectrum.gap_tol", "flow.dt",
-                "flow.horizon", "initial.factor", "sampler.cadence",
-                "rates.band_lo", "rates.band_hi", "rates.tol",
-                "exponents.p", "exponents.m", "exponents.c", "exponents.T"):
-        check_type(key, (int, float), "a number")
-        v = resolved.get(key)
-        if v is not None:
-            if not _finite(v):
-                _fail(source, lines.get(key), f"{key} must be finite, got {v!r}")
-            resolved[key] = float(v)
     for key in ("flow.dt", "flow.horizon", "sampler.cadence"):
         if resolved[key] <= 0:
             _fail(source, lines.get(key), f"{key} must be positive")
-    from .flow import sample_count   # a cadence <= horizon/2 leaves a sample
+    from .flow import sample_count
     horizon, cadence = resolved["flow.horizon"], resolved["sampler.cadence"]
-    if cadence > 0.5 * horizon and sample_count(horizon, cadence) == 0:
+    if not _finite(horizon / cadence):
+        _fail(source, lines.get("sampler.cadence"),
+              f"sampler.cadence = {cadence!r} puts flow.horizon / sampler.cadence "
+              f"beyond the float range (flow.horizon = {horizon!r})")
+    if sample_count(horizon, cadence) == 0:
         _fail(source, lines.get("sampler.cadence"),
               f"sampler.cadence = {cadence!r} leaves no sample time within "
               f"flow.horizon = {horizon!r}")
@@ -225,9 +223,6 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
     if not isinstance(modes, list):
         modes = [modes]
     for m in modes:
-        if not (isinstance(m, tuple) and len(m) == 3):
-            _fail(source, lines.get("initial.modes"),
-                  f"initial.modes entries must be k:j:amplitude, got {m!r}")
         # k <= spectrum.modes is checked by the stages that build the datum
         if m[0] < 1 or m[1] != 1:
             _fail(source, lines.get("initial.modes"),
@@ -249,30 +244,21 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
         try:
             exps = Exponents.make(**given)
             if resolved["domain.geometry"] == "ball":
-                exps.check_subcritical(int(resolved["domain.dimension"]))
+                exps.check_subcritical(resolved["domain.dimension"])
         except ValueError as exc:
             _fail(source, lines.get(key), f"{key}: {exc}" if key else str(exc))
         return exps
 
     # derive the full exponent bundle so the manifest shows every value
-    exps = exponents(None, p=resolved["exponents.p"], m=resolved["exponents.m"],
-                     c=resolved["exponents.c"], T=resolved["exponents.T"])
-    resolved["exponents.p"] = exps.p
-    resolved["exponents.m"] = exps.m
-    resolved["exponents.c"] = exps.c
-    resolved["exponents.T"] = exps.T
+    names = ("p", "m", "c", "T")
+    exps = exponents(None, **{n: resolved.get("exponents." + n) for n in names})
+    resolved.update({"exponents." + n: getattr(exps, n) for n in names})
 
     # every sweep cell must pass the checks its base keys pass
     sweep = {}
-    for key in _SWEEP_KEYS:
-        if key in resolved:
-            v = resolved.pop(key)
-            axis = v if isinstance(v, list) else [v]
-            kind = int if key == "sweep.nodes" else (int, float)
-            if any(isinstance(a, bool) or not isinstance(a, kind)
-                   or not _finite(a) for a in axis):
-                _fail(source, lines.get(key), f"{key} must list finite numbers, got {v!r}")
-            sweep[key.split(".", 1)[1]] = axis
+    for key in [k for k in resolved if k.startswith("sweep.")]:
+        v = resolved.pop(key)
+        sweep[key.split(".", 1)[1]] = v if isinstance(v, list) else [v]
     if "amplitude" in sweep and resolved["initial.kind"] != "mode_perturbed":
         _fail(source, lines.get("sweep.amplitude"),
               "sweep.amplitude scales initial.modes, so it needs "

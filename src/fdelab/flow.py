@@ -316,7 +316,8 @@ def sample_count(horizon: float, cadence: float) -> int:
     within the horizon (up to a relative 1e-9 and an absolute 1e-12)."""
     n = int(np.floor(horizon / cadence + 1e-9))
     while n and n * cadence > horizon + 1e-12:
-        n -= 1
+        # past 2**53, n - 1 is the same float as n: step to the float below
+        n = min(n - 1, int(np.nextafter(float(n), 0.0)))
     return n
 
 

@@ -336,7 +336,7 @@ class NonlinearRateResult:
     fit: RateFit | None
     verdict: RateVerdict | None
     trivial_fixed_point: bool
-    step_summary: dict | None = None
+    step_summary: dict
 
 
 def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,

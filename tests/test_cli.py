@@ -57,7 +57,18 @@ BAD_INPUTS = [
     ({"initial.kind": "from_file", "initial.path": "{tmp}/negative.csv"}, "negative.csv"),
     ({"initial.modes": "2:2:0.1"}, "initial.modes"),
     ({"flow.horizon": "1.0", "sampler.cadence": "2.0"}, "sampler.cadence"),
+    # an integer beyond the float range, and a sample count beyond it
+    ({"domain.geometry": "ball", "domain.dimension": "1" + "0" * 400},
+     "domain.dimension"),
+    ({"domain.nodes": "1" + "0" * 400}, "domain.nodes"),
+    ({"flow.horizon": "1e300", "sampler.cadence": "1e-300"}, "sampler.cadence"),
+    ({"initial.modes": "2:1:nan"}, "initial.modes"),
 ]
+
+# verdict.json: RateVerdict with its RateFit flattened in, and the clock
+VERDICT_KEYS = {"verdict", "passed", "lambda_fit", "target", "rel_error", "tol",
+                "target_dt", "rel_error_dt", "lambda_p", "k_p", "p", "window",
+                "r_squared", "stderr", "n_samples", "clock_scale", "clock_trials"}
 
 
 class TestParser:
@@ -192,6 +203,8 @@ class TestRunExperiment:
         out = tmp_path / "o2"
         summary = cli.run_experiment(path, stage="rates", out_dir=out)
         assert summary["verdict"]["verdict"] == "TRIVIAL-FIXED-POINT"
+        assert set(json.loads((out / "verdict.json").read_text())) == {
+            "verdict", "passed", "clock_scale"}
         rows = (out / "trace.csv").read_text().splitlines()[1:]
         e_col = 3  # t, E_lin, I_lin, E_nl, ...
         assert all(float(r.split(",")[e_col]) <= 1e-12 for r in rows)
@@ -258,6 +271,22 @@ class TestDeterminism:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+    def test_write_json_writes_numpy_as_python(self, tmp_path):
+        x = 0.1 + 0.2   # a float whose repr needs all 17 digits
+        as_numpy = {"f": np.float64(x), "i": np.int64(-7), "b": np.bool_(True),
+                    "v": np.array([x, 1e-300]), "m": np.arange(4.0).reshape(2, 2),
+                    "t": (np.float64(1.5), np.int64(2)), "nan": np.float64("nan"),
+                    "inf": np.float64("inf"), "-inf": -np.float64("inf")}
+        as_python = {"f": x, "i": -7, "b": True, "v": [x, 1e-300],
+                     "m": [[0.0, 1.0], [2.0, 3.0]], "t": [1.5, 2],
+                     "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}
+        cli.write_json(tmp_path / "a.json", as_numpy)
+        cli.write_json(tmp_path / "b.json", as_python)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            cli.write_json(tmp_path / "c.json", {"x": object()})
+
+
 class TestSweep:
     def test_empty_grid_header_only(self, tmp_path):
         path = write_cfg(tmp_path, BASE_CFG)
@@ -277,7 +306,9 @@ class TestSweep:
             assert cells[-1] == ""          # no error
             assert cells[6] == "true"       # h2_ok
             assert 0.9 < float(cells[5]) < 1.1   # fitted/target ratio
-        assert (tmp_path / "sw1" / "cell_p2_n129_a1" / "verdict.json").exists()
+        verdict = json.loads(
+            (tmp_path / "sw1" / "cell_p2_n129_a1" / "verdict.json").read_text())
+        assert verdict["verdict"] == "PASS" and set(verdict) == VERDICT_KEYS
 
     def test_failed_cell_recorded(self, tmp_path):
         # 1000 times the amplitude leaves the positive cone: the cell fails
@@ -347,9 +378,8 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli, "_sweep_cell", lambda args: {
-            "lambda_p": 3.0, "lambda_fit": 3.0, "ratio": 1.0, "h2_ok": True,
-            "error": ""})
+        monkeypatch.setattr(cli, "_sweep_cell",
+                            lambda args: [3.0, 3.0, 1.0, True, ""])
         path = write_cfg(tmp_path, BASE_CFG + f"sweep.p = {sweep_p}\n")
         out = cli.sweep(path, out_dir=tmp_path / "sw", jobs=jobs)
         assert len(Path(out).read_text().splitlines()) == 1 + len(sweep_p.split())

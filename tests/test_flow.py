@@ -207,6 +207,14 @@ class TestEvolve:
                         sample_every=0.1)
         assert traj.sample_times == [(i + 1) * 0.1 for i in range(10)]
 
+    @pytest.mark.parametrize("horizon, cadence", [
+        (1.9661201932684186e+304, 0.1622317579724788),
+        (1.374361482375778e+94, 2960.381341222756)])
+    def test_sample_count_beyond_2_53_returns(self, horizon, cadence):
+        # floor(horizon / cadence) overshoots, and one less is the same float
+        n = fdelab.flow.sample_count(horizon, cadence)
+        assert horizon * (1 - 1e-15) < n * cadence <= horizon
+
     def test_step_failure_halves_dt_then_regrows_to_it(self, interval_p2_small,
                                                        monkeypatch):
         s = interval_p2_small
