@@ -286,6 +286,18 @@ class TestDeterminism:
         with pytest.raises(TypeError, match="object is not JSON serializable"):
             cli.write_json(tmp_path / "c.json", {"x": object()})
 
+    def test_csv_cells_of_floats_and_numpy_floats_agree(self, tmp_path):
+        x = 0.1 + 0.2
+        values = [x, -0.0, 1e-300, float("nan"), float("inf"), -float("inf")]
+        cli.write_csv(tmp_path / "a.csv", ["v"] * 6, [values])
+        cli.write_csv(tmp_path / "b.csv", ["v"] * 6, [np.array(values)])
+        text = (tmp_path / "a.csv").read_text()
+        assert text == (tmp_path / "b.csv").read_text()
+        assert text.splitlines()[1] == "0.30000000000000004,-0.0,1e-300,nan,inf,-inf"
+        cli.write_csv(tmp_path / "c.csv", ["a"] * 6,
+                      [[None, True, np.bool_(False), 3, np.int64(-4), "x,y"]])
+        assert (tmp_path / "c.csv").read_text().splitlines()[1] == ',true,false,3,-4,"x,y"'
+
 
 class TestSweep:
     def test_empty_grid_header_only(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fdelab as F
-from fdelab.diagnostics import (_GL_WX, _GL_X, EntropyReport, _kernel_sums,
+from fdelab.diagnostics import (_GL, EntropyReport, _kernel_sums, _node_count,
                                 ao_window, decaying_prefix, entropy_density,
                                 power_difference, trace_rows)
 
@@ -74,9 +74,13 @@ def rel_error(x, exact):
 
 
 class TestKernelsAgainstMpmath:
-    @pytest.mark.parametrize("bound", [0.5, 1e-6])
+    # the bounds on |f/V| reach each node count of non-integer p (8, 6, 4
+    # and 3); integer p takes its exact count at every bound
+    @pytest.mark.parametrize("bound", [0.5, 0.22, 1e-2, 1e-3, 1e-6])
     @settings(max_examples=300, deadline=None)
-    @given(V=st.floats(1e-3, 10.0), p=st.floats(1.05, 5.0), u=st.floats(-1.0, 1.0))
+    @given(V=st.floats(1e-3, 10.0),
+           p=st.one_of(st.sampled_from([2.0, 3.0, 4.0, 5.0]), st.floats(1.05, 5.0)),
+           u=st.floats(-1.0, 1.0))
     def test_power_difference_and_entropy_density(self, bound, V, p, u):
         assume(abs(u) >= 1e-9)          # |f| >= 1e-15 V: no underflow in f^2
         f = u * bound * V
@@ -95,17 +99,34 @@ class TestKernelsAgainstMpmath:
                          exact_dp) <= 1e-13
 
 
-def loop_kernel_sums(V, f, q):
-    """The Gauss-Legendre sums as an 8-term loop over the nodes."""
+def closed_form_sums(V, f, q):
+    """int_0^1 (V + s f)^(q-1) (1, s) ds for q = 2, 3, 4 as polynomials in
+    V and f, evaluated in extended precision and rounded to doubles."""
+    V, f = V.astype(np.longdouble), f.astype(np.longdouble)
+    sums = {2.0: (V + f / 2, V / 2 + f / 3),
+            3.0: (V * V + V * f + f * f / 3, V * V / 2 + 2 * V * f / 3 + f * f / 4),
+            4.0: (V ** 3 + 1.5 * V * V * f + V * f * f + f ** 3 / 4,
+                  V ** 3 / 2 + V * V * f + 0.75 * V * f * f + f ** 3 / 5)}[q]
+    return [s.astype(float) for s in sums]
+
+
+def loop_kernel_sums(V, f, q, h_inf):
+    """The Gauss-Legendre sums of the rule _kernel_sums chooses, as a loop
+    over its nodes."""
+    x, wx = _GL[_node_count(q, h_inf)]
     acc = np.zeros((2,) + np.shape(V))
-    for x, wx in zip(_GL_X, _GL_WX):
-        acc += wx * (V + x * f) ** (q - 1.0)
-    return acc[0], acc[1]
+    for xi, wxi in zip(x[:, 0], wx.T):
+        acc += wxi[:, None] * (V + xi * f) ** (q - 1.0)
+    return acc
+
+
+def max_ulps(got, want):
+    return float(np.max(np.abs(got - want) / np.spacing(np.abs(want))))
 
 
 def reference_report(grid, V, exps, eigs, gap, v, t):
     """entropy_report's formulas evaluated from (grid, V, exps, eigs, gap)
-    at every call, with the looped kernel sums."""
+    at every call."""
     p, c = exps.p, exps.c
     f = v - V
     h = f / V
@@ -113,10 +134,10 @@ def reference_report(grid, V, exps, eigs, gap, v, t):
     e_lin = float(np.dot(wq, f * f * V ** (p - 1.0)))
     h_l2v_sq = float(np.dot(wq, h * h * V ** (p + 1.0)))
     i_lin = F.dirichlet_energy(grid, f) - p * c * e_lin
-    acc, acc_s = loop_kernel_sums(V, f, p)
+    h_inf = float(np.max(np.abs(h)))
+    acc, acc_s = _kernel_sums(V, f, p, h_inf)
     e_nl = float(np.dot(wq, (p + 1.0) * f * f * acc_s))
     cubic = float(np.dot(wq, np.abs(f) ** 3 * V ** (p - 2.0)))
-    h_inf = float(np.max(np.abs(h)))
     vpdiff = p * f * acc
     sqrt_e_lin = np.sqrt(e_lin) if e_lin > 0 else 0.0
     modes_T = np.ascontiguousarray(eigs.eigenfunctions[:, :gap.k_p].T)
@@ -132,17 +153,38 @@ def reference_report(grid, V, exps, eigs, gap, v, t):
                          A_nl=a_nl)
 
 
+def random_kernel_input(n, seed, shrink):
+    rng = np.random.default_rng(seed)
+    V = rng.uniform(1e-3, 10.0, n)
+    f = V * rng.uniform(-0.5, 0.5, n) * 10.0 ** shrink
+    return V, f, float(np.max(np.abs(f / V)))
+
+
 class TestOnePassKernels:
+    def test_node_count(self):
+        for h_inf in (0.0, 1e-6, 0.1, 0.5, np.inf):
+            assert [_node_count(q, h_inf) for q in (2.0, 3.0, 4.0)] == [2, 2, 3]
+        hs = (0.0, 1e-3, 1.1e-3, 1e-2, 1.1e-2, 0.22, 0.23, 0.5)
+        assert [_node_count(1.5, h) for h in hs] == [3, 3, 4, 4, 6, 6, 8, 8]
+
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
-           q=st.one_of(st.just(2.0), st.floats(1.05, 6.0)),
+           q=st.sampled_from([2.0, 3.0, 4.0]), shrink=st.floats(-10.0, 0.0))
+    def test_integer_exponent_equals_the_polynomial_integrals(self, n, seed, q,
+                                                             shrink):
+        V, f, h_inf = random_kernel_input(n, seed, shrink)
+        for got, want in zip(_kernel_sums(V, f, q, h_inf), closed_form_sums(V, f, q)):
+            assert max_ulps(got, want) <= 8.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
+           q=st.floats(1.05, 6.0).filter(lambda q: not q.is_integer()),
            shrink=st.floats(-10.0, 0.0))
-    def test_equal_to_the_looped_sums_bit_for_bit(self, n, seed, q, shrink):
-        rng = np.random.default_rng(seed)
-        V = rng.uniform(1e-3, 10.0, n)
-        f = V * rng.uniform(-0.5, 0.5, n) * 10.0 ** shrink
-        for got, want in zip(_kernel_sums(V, f, q), loop_kernel_sums(V, f, q)):
-            assert got.tobytes() == want.tobytes()
+    def test_equal_to_the_looped_sums_over_the_same_nodes(self, n, seed, q, shrink):
+        V, f, h_inf = random_kernel_input(n, seed, shrink)
+        for got, want in zip(_kernel_sums(V, f, q, h_inf),
+                             loop_kernel_sums(V, f, q, h_inf)):
+            assert max_ulps(got, want) <= 8.0
 
     @pytest.mark.parametrize("name", ["interval_p2_small", "ball_p2",
                                       "interval_p1.5"])
