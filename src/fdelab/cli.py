@@ -44,8 +44,8 @@ STAGES = ("stationary", "spectrum", "linear", "evolve", "rates")
 
 
 def _fmt(x) -> str:
-    if type(x) is float:            # most trace cells; np.float64 falls through
-        return repr(x)
+    if isinstance(x, float):        # float and np.float64: most trace cells
+        return repr(float(x))
     if x is None:
         return ""
     if isinstance(x, (bool, np.bool_)):

@@ -13,10 +13,10 @@ Differences of powers are evaluated through their integral kernels, e.g. the
 entropy density equals (p+1) f^2 int_0^1 (V + s f)^(p-1) s ds, which avoids
 the catastrophic cancellation of the naive v^(p+1) - V^(p+1) form and keeps
 the functionals meaningful down to machine-size perturbations.  A kernel is
-a Gauss-Legendre rule with as few nodes as its integrand needs: the count
-follows max|f/V|, and at integer p it is at most floor(p/2) + 1, which
-integrates the polynomial integrands of degree p - 1 and p exactly (see
-_node_count).  Both sums come from one (2, N) @ (N, n) product.
+a Gauss-Legendre rule: at integer p its integrands are polynomials of degree
+p - 1 and p, which floor(p/2) + 1 nodes integrate exactly (2 at p = 2), and
+otherwise it takes 8 nodes (see _node_count).  Both sums come from one
+(2, N) @ (N, n) product.
 
 entropy_report reads what depends on the setup alone (powers of V, weighted
 quadrature, the transposed low modes) from a ReportWeights built once
@@ -53,35 +53,23 @@ def _gauss_legendre(count: int):
 
 _GL = {count: _gauss_legendre(count) for count in range(1, 9)}
 
-# (bound on max|f/V|, nodes) at non-integer exponents; 8 nodes above 0.22.
-# Each count gives sums within 6e-16 relative of the 8-node rule and of
-# 50-digit quadrature up to its bound (p from 1.05 to 4.7); one node fewer
-# misses by up to 3e-11.
-_NODES_FOR_H = ((1e-3, 3), (1e-2, 4), (0.22, 6))
 
-
-def _node_count(q: float, h_inf: float) -> int:
-    """Gauss-Legendre nodes for the kernel sums at exponent q when
-    max|f/V| = h_inf: the table's count, or, at integer q, the
-    floor(q/2) + 1 nodes that are exact for the integrands of degree q - 1
-    and q, whichever is fewer."""
-    count = next((c for bound, c in _NODES_FOR_H if h_inf <= bound), 8)
+def _node_count(q: float) -> int:
+    """Gauss-Legendre nodes for the kernel sums at exponent q: at integer
+    q >= 1 the floor(q/2) + 1 nodes that are exact for the integrands of
+    degree q - 1 and q, up to 8; 8 at every other q."""
     if q >= 1.0 and float(q).is_integer():
-        count = min(count, int(q) // 2 + 1)
-    return count
+        return min(int(q) // 2 + 1, 8)
+    return 8
 
 
-def _kernel_sums(V, f, q: float, h_inf: float):
+def _kernel_sums(V, f, q: float):
     """Gauss-Legendre sums for int_0^1 (V + s f)^(q-1) ds and
-    int_0^1 (V + s f)^(q-1) s ds, with h_inf = max|f/V| choosing the rule:
-    the powers (V + x_i f)^(q-1) formed as one (N, n) array, and both sums
-    taken by one product with the (2, N) weights."""
-    x, wx = _GL[_node_count(q, h_inf)]
+    int_0^1 (V + s f)^(q-1) s ds: the powers (V + x_i f)^(q-1) formed as one
+    (N, n) array, and both sums taken by one product with the (2, N)
+    weights."""
+    x, wx = _GL[_node_count(q)]
     return wx @ (V + x * f) ** (q - 1.0)
-
-
-def _h_inf(V, f) -> float:
-    return float(np.max(np.abs(f / V), initial=0.0))
 
 
 def power_difference(V, f, q: float) -> np.ndarray:
@@ -89,12 +77,12 @@ def power_difference(V, f, q: float) -> np.ndarray:
 
     Requires V > 0 and V + f > 0 nodewise.
     """
-    return q * f * _kernel_sums(V, f, q, _h_inf(V, f))[0]
+    return q * f * _kernel_sums(V, f, q)[0]
 
 
 def entropy_density(V, f, p: float) -> np.ndarray:
     """Pointwise entropy integrand: (p+1) f^2 int_0^1 (V + s f)^(p-1) s ds >= 0."""
-    return (p + 1.0) * f * f * _kernel_sums(V, f, p, _h_inf(V, f))[1]
+    return (p + 1.0) * f * f * _kernel_sums(V, f, p)[1]
 
 
 def nonlinear_entropy(grid: Grid, V, p: float, v) -> float:
@@ -168,10 +156,10 @@ def entropy_report(weights: ReportWeights, v, t: float) -> EntropyReport:
     e_lin = float(np.dot(wq, f * f * w.V_pm1))
     h_l2v_sq = float(np.dot(wq, h * h * w.V_pp1))
     i_lin = dirichlet_energy(w.grid, f) - p * c * e_lin
-    h_inf = float(np.max(np.abs(h)))
-    acc, acc_s = _kernel_sums(V, f, p, h_inf)
+    acc, acc_s = _kernel_sums(V, f, p)
     e_nl = float(np.dot(wq, (p + 1.0) * f * f * acc_s))
     cubic = float(np.dot(wq, np.abs(f) ** 3 * w.V_pm2))
+    h_inf = float(np.max(np.abs(h)))
 
     coeffs = w.modes_T @ (w.wq_weight * f)
     q_lin = (np.abs(coeffs) / np.sqrt(e_lin) if e_lin > 0

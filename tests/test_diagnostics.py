@@ -74,9 +74,8 @@ def rel_error(x, exact):
 
 
 class TestKernelsAgainstMpmath:
-    # the bounds on |f/V| reach each node count of non-integer p (8, 6, 4
-    # and 3); integer p takes its exact count at every bound
-    @pytest.mark.parametrize("bound", [0.5, 0.22, 1e-2, 1e-3, 1e-6])
+    # integer p takes its exact rule (2 or 3 nodes), float p the 8-node rule
+    @pytest.mark.parametrize("bound", [0.5, 1e-6])
     @settings(max_examples=300, deadline=None)
     @given(V=st.floats(1e-3, 10.0),
            p=st.one_of(st.sampled_from([2.0, 3.0, 4.0, 5.0]), st.floats(1.05, 5.0)),
@@ -110,10 +109,10 @@ def closed_form_sums(V, f, q):
     return [s.astype(float) for s in sums]
 
 
-def loop_kernel_sums(V, f, q, h_inf):
+def loop_kernel_sums(V, f, q):
     """The Gauss-Legendre sums of the rule _kernel_sums chooses, as a loop
     over its nodes."""
-    x, wx = _GL[_node_count(q, h_inf)]
+    x, wx = _GL[_node_count(q)]
     acc = np.zeros((2,) + np.shape(V))
     for xi, wxi in zip(x[:, 0], wx.T):
         acc += wxi[:, None] * (V + xi * f) ** (q - 1.0)
@@ -134,10 +133,10 @@ def reference_report(grid, V, exps, eigs, gap, v, t):
     e_lin = float(np.dot(wq, f * f * V ** (p - 1.0)))
     h_l2v_sq = float(np.dot(wq, h * h * V ** (p + 1.0)))
     i_lin = F.dirichlet_energy(grid, f) - p * c * e_lin
-    h_inf = float(np.max(np.abs(h)))
-    acc, acc_s = _kernel_sums(V, f, p, h_inf)
+    acc, acc_s = _kernel_sums(V, f, p)
     e_nl = float(np.dot(wq, (p + 1.0) * f * f * acc_s))
     cubic = float(np.dot(wq, np.abs(f) ** 3 * V ** (p - 2.0)))
+    h_inf = float(np.max(np.abs(h)))
     vpdiff = p * f * acc
     sqrt_e_lin = np.sqrt(e_lin) if e_lin > 0 else 0.0
     modes_T = np.ascontiguousarray(eigs.eigenfunctions[:, :gap.k_p].T)
@@ -157,23 +156,21 @@ def random_kernel_input(n, seed, shrink):
     rng = np.random.default_rng(seed)
     V = rng.uniform(1e-3, 10.0, n)
     f = V * rng.uniform(-0.5, 0.5, n) * 10.0 ** shrink
-    return V, f, float(np.max(np.abs(f / V)))
+    return V, f
 
 
 class TestOnePassKernels:
     def test_node_count(self):
-        for h_inf in (0.0, 1e-6, 0.1, 0.5, np.inf):
-            assert [_node_count(q, h_inf) for q in (2.0, 3.0, 4.0)] == [2, 2, 3]
-        hs = (0.0, 1e-3, 1.1e-3, 1e-2, 1.1e-2, 0.22, 0.23, 0.5)
-        assert [_node_count(1.5, h) for h in hs] == [3, 3, 4, 4, 6, 6, 8, 8]
+        qs = (2.0, 3.0, 4.0, 5.0, 15.0, 16.0, 1.5, 2.5)
+        assert [_node_count(q) for q in qs] == [2, 2, 3, 3, 8, 8, 8, 8]
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
            q=st.sampled_from([2.0, 3.0, 4.0]), shrink=st.floats(-10.0, 0.0))
     def test_integer_exponent_equals_the_polynomial_integrals(self, n, seed, q,
                                                              shrink):
-        V, f, h_inf = random_kernel_input(n, seed, shrink)
-        for got, want in zip(_kernel_sums(V, f, q, h_inf), closed_form_sums(V, f, q)):
+        V, f = random_kernel_input(n, seed, shrink)
+        for got, want in zip(_kernel_sums(V, f, q), closed_form_sums(V, f, q)):
             assert max_ulps(got, want) <= 8.0
 
     @settings(max_examples=200, deadline=None)
@@ -181,9 +178,8 @@ class TestOnePassKernels:
            q=st.floats(1.05, 6.0).filter(lambda q: not q.is_integer()),
            shrink=st.floats(-10.0, 0.0))
     def test_equal_to_the_looped_sums_over_the_same_nodes(self, n, seed, q, shrink):
-        V, f, h_inf = random_kernel_input(n, seed, shrink)
-        for got, want in zip(_kernel_sums(V, f, q, h_inf),
-                             loop_kernel_sums(V, f, q, h_inf)):
+        V, f = random_kernel_input(n, seed, shrink)
+        for got, want in zip(_kernel_sums(V, f, q), loop_kernel_sums(V, f, q)):
             assert max_ulps(got, want) <= 8.0
 
     @pytest.mark.parametrize("name", ["interval_p2_small", "ball_p2",
