@@ -17,7 +17,8 @@ from .stationary import (Exponents, StationaryProfile, boundary_slope_bounds,
                          oracle_profile_1d, solve_stationary)
 from .spectrum import (EigenSystem, GapReport, PoincareMargins,
                        check_improved_poincare, classify_gap, deflate,
-                       project_coefficients, weighted_eigensystem)
+                       linear_entropy, project_coefficients,
+                       weighted_eigensystem)
 from .flow import (ExtinctionEstimate, FlowState, Run, Trajectory,
                    estimate_extinction_time, evolve, march, original_time_of,
                    original_to_rescaled, step_linearized, step_original,

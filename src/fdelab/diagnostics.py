@@ -15,13 +15,12 @@ the catastrophic cancellation of the naive v^(p+1) - V^(p+1) form and keeps
 the functionals meaningful down to machine-size perturbations.  A kernel is
 a Gauss-Legendre rule: at integer p its integrands are polynomials of degree
 p - 1 and p, which floor(p/2) + 1 nodes integrate exactly (2 at p = 2), and
-otherwise it takes 8 nodes (see _node_count).  Both sums come from one
-(2, N) @ (N, n) product.
+otherwise it takes ceil(p/5) + 7 nodes, 8 up to p = 5 (see _node_count).
+Both sums come from one (2, N) @ (N, n) product.
 
-entropy_report reads what depends on the setup alone (powers of V, weighted
-quadrature, the transposed low modes) from a ReportWeights built once
-per run, and keeps the operand order of every expression, so sharing those
-arrays changes no bit of a report.
+entropy_report reads what depends on the setup alone from a ReportWeights
+built once per run, and takes E_lin, I_lin and the coefficients behind Q_lin
+from spectrum.linear_entropy and spectrum.project_coefficients.
 
 Checks that differentiate sampled traces in time use centered differences
 with a Richardson estimate of the finite-difference error; inequalities carry
@@ -31,36 +30,39 @@ an explicit O(dt) slack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import ceil
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .grid import Grid, dirichlet_energy, integrate
-from .spectrum import EigenSystem, GapReport
+from .grid import Grid, integrate
+from .spectrum import (EigenSystem, GapReport, linear_entropy,
+                       project_coefficients)
 from .stationary import Exponents
 
 QN_ENTROPY_FLOOR = 1e-14   # below this, nonlinear quotients are undefined (0/0 guard)
 
 
+@cache
 def _gauss_legendre(count: int):
-    """The count-node rule on [0, 1]: nodes as an (N, 1) column and the
-    weights [w, w x] as a (2, N) matrix."""
+    """The count-node rule on [0, 1], built once per count: nodes as an
+    (N, 1) column and the weights [w, w x] as a (2, N) matrix."""
     x, w = np.polynomial.legendre.leggauss(count)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
     return x[:, None], np.stack([w, w * x])
 
 
-_GL = {count: _gauss_legendre(count) for count in range(1, 9)}
-
-
 def _node_count(q: float) -> int:
     """Gauss-Legendre nodes for the kernel sums at exponent q: at integer
     q >= 1 the floor(q/2) + 1 nodes that are exact for the integrands of
-    degree q - 1 and q, up to 8; 8 at every other q."""
+    degree q - 1 and q; at every other q, ceil(q/5) + 7 (8 up to q = 5),
+    which errs by at most 2.3e-14 relative at |f/V| <= 0.5 below q = 5 and
+    1e-15 from q = 5 to 80 (against mpmath; q = 80 needs 21 nodes)."""
     if q >= 1.0 and float(q).is_integer():
-        return min(int(q) // 2 + 1, 8)
-    return 8
+        return int(q) // 2 + 1
+    return ceil(q / 5.0) + 7
 
 
 def _kernel_sums(V, f, q: float):
@@ -68,7 +70,7 @@ def _kernel_sums(V, f, q: float):
     int_0^1 (V + s f)^(q-1) s ds: the powers (V + x_i f)^(q-1) formed as one
     (N, n) array, and both sums taken by one product with the (2, N)
     weights."""
-    x, wx = _GL[_node_count(q)]
+    x, wx = _gauss_legendre(_node_count(q))
     return wx @ (V + x * f) ** (q - 1.0)
 
 
@@ -118,29 +120,23 @@ class EntropyReport:
 @dataclass(frozen=True)
 class ReportWeights:
     """What entropy_report needs of a setup, formed once per run: the powers
-    of V, the quadrature weights times the spectral weight, and the modes
-    k = 1..k_p as the rows of one contiguous array (a strided view of the
-    eigenvector columns would change the bits of the products)."""
+    V^(p+1) and V^(p-2); W and the mode rows are those of eigs, V's spectrum."""
 
     grid: Grid
     V: np.ndarray
     p: float
-    c: float
-    V_pm1: np.ndarray            # V^(p-1)
+    eigs: EigenSystem
+    gap: GapReport
     V_pp1: np.ndarray            # V^(p+1)
     V_pm2: np.ndarray            # V^(p-2)
-    wq_weight: np.ndarray        # quadrature weights * eigs.weight
-    modes_T: np.ndarray          # (k_p, n) copy of eigs.eigenfunctions[:, :k_p].T
 
     @classmethod
     def make(cls, grid: Grid, V, exps: Exponents, eigs: EigenSystem,
              gap: GapReport) -> "ReportWeights":
         V = grid.check_field(V)
         p = exps.p
-        return cls(grid=grid, V=V, p=p, c=exps.c, V_pm1=V ** (p - 1.0),
-                   V_pp1=V ** (p + 1.0), V_pm2=V ** (p - 2.0),
-                   wq_weight=grid.quad_weights * eigs.weight,
-                   modes_T=eigs.eigenfunctions[:, :gap.k_p].T.copy())
+        return cls(grid=grid, V=V, p=p, eigs=eigs, gap=gap,
+                   V_pp1=V ** (p + 1.0), V_pm2=V ** (p - 2.0))
 
 
 def entropy_report(weights: ReportWeights, v, t: float) -> EntropyReport:
@@ -149,22 +145,21 @@ def entropy_report(weights: ReportWeights, v, t: float) -> EntropyReport:
     v = w.grid.check_field(v)
     if v.min() <= 0:
         raise ValueError("rescaled field must be positive")
-    p, c, V, wq = w.p, w.c, w.V, w.grid.quad_weights
+    p, V, wq, k_p = w.p, w.V, w.grid.quad_weights, w.gap.k_p
     f = v - V
     h = f / V
 
-    e_lin = float(np.dot(wq, f * f * w.V_pm1))
+    e_lin, i_lin = linear_entropy(w.grid, w.eigs, w.gap.cp, f)
     h_l2v_sq = float(np.dot(wq, h * h * w.V_pp1))
-    i_lin = dirichlet_energy(w.grid, f) - p * c * e_lin
     acc, acc_s = _kernel_sums(V, f, p)
     e_nl = float(np.dot(wq, (p + 1.0) * f * f * acc_s))
     cubic = float(np.dot(wq, np.abs(f) ** 3 * w.V_pm2))
-    h_inf = float(np.max(np.abs(h)))
+    h_inf = float(np.abs(h).max())
 
-    coeffs = w.modes_T @ (w.wq_weight * f)
+    coeffs = project_coefficients(w.grid, w.eigs, f, k_p)
     q_lin = (np.abs(coeffs) / np.sqrt(e_lin) if e_lin > 0
              else np.zeros_like(coeffs))
-    a_nl = np.abs(w.modes_T @ (wq * (p * f * acc)))
+    a_nl = np.abs(w.eigs.rows[:k_p] @ (wq * (p * f * acc)))
     q_nl = a_nl / np.sqrt(e_nl) if e_nl > QN_ENTROPY_FLOOR else None
 
     return EntropyReport(t=t, E_lin=e_lin, I_lin=i_lin, E_nl=e_nl, h_inf=h_inf,
@@ -303,12 +298,11 @@ def _interp_log(ts, values, t):
     return float(np.exp(np.interp(t, ts, logs)))
 
 
-def delayed_ratio_sup(reports, numerator, exponent: float, t_start: float,
-                      entropy_floor: float = 1e-250):
+def delayed_ratio_sup(reports, numerator, exponent: float, t_start: float):
     """sup over samples t >= t_start of numerator(report) / E_nl(t-1)^exponent.
 
     E_nl at the delayed time is log-interpolated between samples.  Samples
-    where E_nl(t-1) has collapsed below entropy_floor are excluded (0/0
+    where E_nl(t-1) has collapsed to 1e-250 or below are excluded (0/0
     exclusion at the fixed point).  Returns (sup, time at sup, series).
     """
     ts = np.array([r.t for r in reports])
@@ -323,7 +317,7 @@ def delayed_ratio_sup(reports, numerator, exponent: float, t_start: float,
         if r.t < t_start or r.t - 1.0 < ts[pos][0]:
             continue
         e_del = _interp_log(ts[pos], Es[pos], r.t - 1.0)
-        if e_del <= entropy_floor:
+        if e_del <= 1e-250:
             continue
         num = numerator(r)
         if num is None:
@@ -337,15 +331,12 @@ def delayed_ratio_sup(reports, numerator, exponent: float, t_start: float,
     return sup, arg, series
 
 
-def smoothing_check(reports, ndim: int, t_start: float | None = None):
-    """sup_t ||h(t)||_inf / E_nl(t-1)^(1/(4N)) over the late trace.
-
-    A finite, horizon-stable value certifies the delayed smoothing bound.
-    """
-    ts = [r.t for r in reports]
-    if t_start is None:
-        t_start = ts[0] + 1.0
-    return delayed_ratio_sup(reports, lambda r: r.h_inf, 1.0 / (4.0 * ndim), t_start)
+def smoothing_check(reports, ndim: int):
+    """sup over t >= t_0 + 1 (t_0 the first sample) of ||h(t)||_inf /
+    E_nl(t-1)^(1/(4N)); a finite, horizon-stable value certifies the delayed
+    smoothing bound."""
+    return delayed_ratio_sup(reports, lambda r: r.h_inf, 1.0 / (4.0 * ndim),
+                             reports[0].t + 1.0)
 
 
 def decaying_prefix(reports):
@@ -369,16 +360,17 @@ def ao_window(reports):
     return list(reports[: int(np.argmin(qs)) + 1])
 
 
-def quotient_smallness_times(reports, eps_ladder=(0.1, 0.03, 0.01)):
-    """For each eps, the first sample time after which every nonlinear quotient
-    stays <= eps for the rest of the trace (None if that never happens);
-    samples with undefined quotients (entropy at the floor) count as small."""
+def quotient_smallness_times(reports):
+    """For each eps in (0.1, 0.03, 0.01), the first sample time after which
+    every nonlinear quotient stays <= eps for the rest of the trace (None if
+    that never happens); samples with undefined quotients (entropy at the
+    floor) count as small."""
     maxq = []
     for r in reports:
         m = r.max_q_nl()
         maxq.append(0.0 if m is None else m)
     out = {}
-    for eps in eps_ladder:
+    for eps in (0.1, 0.03, 0.01):
         time = None
         for r, q in zip(reversed(reports), reversed(maxq)):
             if q <= eps:
@@ -389,12 +381,10 @@ def quotient_smallness_times(reports, eps_ladder=(0.1, 0.03, 0.01)):
     return out
 
 
-def _late_relative_errors(times, fields, V, exps: Exponents,
-                          t_min: float | None, needed: int):
-    """(times, rows h = (v - V)/V) of the sampled fields v at t >= t_min
-    (default T log 2, from where the h-checks below hold)."""
-    t_min = exps.T * np.log(2.0) if t_min is None else t_min
-    late = [(t, v) for t, v in zip(times, fields) if t >= t_min]
+def _late_relative_errors(times, fields, V, exps: Exponents, needed: int):
+    """(times, rows h = (v - V)/V) of the sampled fields v at t >= T log 2,
+    from where the h-checks below hold."""
+    late = [(t, v) for t, v in zip(times, fields) if t >= exps.T * np.log(2.0)]
     if len(late) < needed:
         raise NumericalFailure("not enough samples beyond T log 2")
     V = np.asarray(V, dtype=float)
@@ -402,17 +392,17 @@ def _late_relative_errors(times, fields, V, exps: Exponents,
             np.stack([(np.asarray(v, dtype=float) - V) / V for _, v in late]))
 
 
-def time_monotonicity_check(times, fields, V, exps: Exponents,
-                            t_min: float | None = None, span: int = 5):
+def time_monotonicity_check(times, fields, V, exps: Exponents):
     """Two-sided integral bounds on h = v/V - 1 between checkpoint pairs
-    (t0, t1), valid for t >= T log 2: integrate h in time by the trapezoid rule
-    over the rescaled fields v sampled at times and compare with the
-    exponential envelopes driven by the pointwise bound d/dt h <= 2 c m (h + 1).
+    (t0, t1) five samples apart, valid for t >= T log 2: integrate h in time
+    by the trapezoid rule over the rescaled fields v sampled at times and
+    compare with the exponential envelopes driven by the pointwise bound
+    d/dt h <= 2 c m (h + 1).
 
     Returns the worst additive violation (0 when all bounds hold).
     """
-    c, m = exps.c, exps.m
-    ts, H = _late_relative_errors(times, fields, V, exps, t_min, span + 1)
+    c, m, span = exps.c, exps.m, 5
+    ts, H = _late_relative_errors(times, fields, V, exps, span + 1)
     twocm = 2.0 * c * m
     worst = 0.0
     for i0 in range(0, ts.size - span, span):
@@ -429,12 +419,11 @@ def time_monotonicity_check(times, fields, V, exps: Exponents,
     return worst
 
 
-def benilan_crandall_margin(times, fields, V, exps: Exponents,
-                            t_min: float | None = None):
+def benilan_crandall_margin(times, fields, V, exps: Exponents):
     """Worst violation of the discrete d/dt h <= 2 c m (h+1) check over the
     rescaled fields sampled at times (per unit O(dt) slack is the caller's
     business).  Valid for t >= T log 2."""
-    ts, H = _late_relative_errors(times, fields, V, exps, t_min, 2)
+    ts, H = _late_relative_errors(times, fields, V, exps, 2)
     rate = np.diff(H, axis=0) / np.diff(ts)[:, None]
     return float(np.max(rate - 2.0 * exps.c * exps.m * (H[:-1] + 1.0)))
 

@@ -45,6 +45,7 @@ _EPS = np.finfo(float).eps
 _DT_MIN = 1e-8       # evolve halves dt on StepFailure down to this,
 _DT_GROW = 1.2       # then regrows it by this factor, up to the given dt,
 _EASY_ITERS = 3      # after each step of at most this many Newton iterations
+_MAX_ITERS = 30      # Newton iterations before a step fails
 
 
 @dataclass
@@ -110,8 +111,7 @@ def _dt_rows(grid: Grid, dt: float):
 
 
 def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float,
-                    w_max: float, v_max: float, start: np.ndarray | None = None,
-                    max_iters: int = 30):
+                    w_max: float, start: np.ndarray | None = None):
     """One implicit Euler step of w_t = lap w^m + c w by damped Newton.
 
     Solves F(w) = w - dt (lap w^m + c w) - w_old = 0, starting from start (a
@@ -120,11 +120,11 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
     floor.  The start moves only the first iterate; everything below depends
     on w_old alone, so a step from any start solves the same equation to the
     same residual, or ends in StepFailure (march then retries it from w_old).
-    scale = w_max + 4 dt v_max / h^2 + dt c w_max (w_max = sup w_old, v_max =
-    sup w_old^m) estimates the terms composing F, so that eps * scale is the
-    evaluation noise: convergence is declared below a small multiple of it,
-    and stagnation (no line-search progress) is accepted as converged while
-    the residual sits within a larger multiple.  Stopping at a loose absolute
+    scale = w_max + 4 dt w_max^m / h^2 + dt c w_max (w_max = sup w_old)
+    estimates the terms composing F, so that eps * scale is the evaluation
+    noise: convergence is declared below a small multiple of it, and
+    stagnation (no line-search progress) is accepted as converged while the
+    residual sits within a larger multiple.  Stopping at a loose absolute
     tolerance instead would inject per-step noise into the entropy traces
     (visible for large-amplitude profiles at p near 1).  Returns
     (w, w^m, Newton iterations), w^m as the last residual formed it.
@@ -138,7 +138,7 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
     The Jacobian and the line search are likewise formed in place with
     commuted operands, and 1.0 * step is step.
     """
-    scale = w_max + 4.0 * dt * v_max / grid.h ** 2 + dt * c * w_max
+    scale = w_max + 4.0 * dt * w_max ** m / grid.h ** 2 + dt * c * w_max
     floor = 2.0 * _EPS * scale
     guard = 512.0 * _EPS * scale
     qw = grid.quad_weights
@@ -167,7 +167,7 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
     rnorm = np.abs(res).max()
     if not np.isfinite(rnorm):
         raise NumericalFailure("implicit step residual is not finite")
-    for it in range(1, max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         if rnorm <= floor:
             return accept(it - 1)
         dmu = x ** (m - 1.0)
@@ -193,7 +193,7 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
                 return accept(it)
             raise StepFailure(f"line search stalled (residual {rnorm:.3e})")
     if rnorm <= guard:
-        return accept(max_iters)
+        return accept(_MAX_ITERS)
     raise StepFailure(f"Newton did not converge (residual {rnorm:.3e})")
 
 
@@ -208,7 +208,7 @@ def step_rescaled(grid: Grid, exps: Exponents, state: FlowState, dt: float,
         raise NumericalFailure("rescaled state must be positive")
     w_old = v ** exps.p
     _, v_new, iters = _implicit_euler(grid, w_old, dt, exps.m, exps.c,
-                                      w_old.max(), v.max(),
+                                      w_old.max(),
                                       None if start is None else start ** exps.p)
     return FlowState(kind="rescaled", field=v_new, time=state.time + dt,
                      newton_iters=iters)
@@ -227,7 +227,7 @@ def step_original(grid: Grid, exps: Exponents, state: FlowState, dt: float,
     if u_max == 0.0:
         return FlowState(kind="original", field=u_old.copy(), time=state.time + dt)
     u_new, _, iters = _implicit_euler(grid, u_old, dt, exps.m, 0.0, u_max,
-                                      (u_old ** exps.m).max(), start)
+                                      start)
     return FlowState(kind="original", field=u_new, time=state.time + dt,
                      newton_iters=iters)
 
@@ -398,16 +398,15 @@ class ExtinctionEstimate:
     fit_residual: float
 
 
-def estimate_extinction_time(traj: Trajectory, m: float,
-                             window=(1e-3, 0.8)) -> ExtinctionEstimate:
+def estimate_extinction_time(traj: Trajectory, m: float) -> ExtinctionEstimate:
     """Extrapolate the extinction time from sup(u)^(1-m) versus t, which the
     separate-variables law makes exactly linear.  The fit window keeps samples
-    with sup(u) in window * sup(u0)."""
+    with sup(u) in (1e-3, 0.8) sup(u0)."""
     if traj.kind != "original":
         raise ValueError("extinction estimate needs an original-flow trajectory")
     times = np.asarray(traj.sample_times)
     sups = traj.sup_norms()
-    lo, hi = window[0] * traj.initial_sup, window[1] * traj.initial_sup
+    lo, hi = 1e-3 * traj.initial_sup, 0.8 * traj.initial_sup
     sel = (sups > lo) & (sups < hi)
     if sel.sum() < 10 or sups.min() > hi:
         raise NumericalFailure(

@@ -164,13 +164,13 @@ def solve_poisson(grid: Grid, rhs) -> np.ndarray:
                              grid.lap_offdiag.copy(), grid.quad_weights * r)
 
 
-def weighted_eigenpairs(grid: Grid, weight, k: int):
+def weighted_eigenpairs(grid: Grid, W, k: int):
     """Lowest k eigenpairs (ascending values, W-orthonormal (n, k) vectors)
-    of A phi = lam W phi, W = quad_weights * weight > 0, by eigh_tridiagonal
+    of A phi = lam W phi, W = quad_weights * a weight > 0, by eigh_tridiagonal
     on the congruence D^-1 A D^-1, D = W^(1/2).  A weight vanishing at the
     boundary, like V^(p-1), makes ||D^-1 A D^-1|| huge (1.4e10 at p = 3.9,
     n = 290), so tol = 2 tiny, not eps ||.||, keeps full relative accuracy."""
-    d = np.sqrt(grid.quad_weights * weight)
+    d = np.sqrt(W)
     try:
         vals, vecs = eigh_tridiagonal(grid.lap_diag / d ** 2,
                                       grid.lap_offdiag / (d[:-1] * d[1:]),

@@ -44,10 +44,10 @@ from .diagnostics import ReportWeights, entropy_report, nonlinear_entropy
 from .errors import NumericalFailure, StepFailure
 from .flow import (FlowState, Run, estimate_extinction_time, evolve,
                    sample_count)
-from .grid import (DomainSpec, Grid, build_domain, dirichlet_energy,
-                   inner_product_weighted)
+from .grid import DomainSpec, Grid, build_domain
 from .rates import EntropyBand, RateFit, RateVerdict, fit_rate, sharp_rate_verdict
-from .spectrum import EigenSystem, GapReport, classify_gap, weighted_eigensystem
+from .spectrum import (EigenSystem, GapReport, classify_gap, linear_entropy,
+                       project_coefficients, weighted_eigensystem)
 from .stationary import Exponents, StationaryProfile, solve_stationary
 
 
@@ -121,8 +121,7 @@ class ClockCalibration:
 
 def _mode1_coefficient(setup: StageSetup, dev: np.ndarray) -> float:
     """<dev, phi_1>_V, the unstable-mode coefficient of a deviation dev."""
-    return inner_product_weighted(setup.grid, dev, setup.eigs.mode(1),
-                                  setup.eigs.weight)
+    return float(project_coefficients(setup.grid, setup.eigs, dev, 1)[0])
 
 
 def _run_trial(setup: StageSetup, v0: np.ndarray, dt: float, horizon: float,
@@ -266,24 +265,23 @@ class LinearModeTrace:
 def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
                    cadence: float = 0.05) -> LinearModeTrace:
     """The linearized flow from f0 taken to the horizon by a Run recording
-    E_lin, I_lin and the mode coefficients at every sample."""
-    grid, exps = setup.grid, setup.exps
-    wq = grid.quad_weights * setup.eigs.weight
+    at every sample E_lin and I_lin (spectrum.linear_entropy) and the
+    coefficients of every computed mode (spectrum.project_coefficients)."""
+    grid, eigs, cp = setup.grid, setup.eigs, setup.gap.cp
+    K = len(eigs.eigenvalues)
 
     def sampler(t, f):   # the record (E_lin, I_lin, coefficients)
-        e = float(np.dot(wq, f * f))
-        return (e, dirichlet_energy(grid, f) - exps.p * exps.c * e,
-                [float(np.dot(wq * phi, f)) for _, _, phi in setup.eigs.pairs()])
+        return (*linear_entropy(grid, eigs, cp, f),
+                project_coefficients(grid, eigs, f, K))
 
-    traj = Run(grid, exps, FlowState(kind="linearized",
-                                     field=np.asarray(f0, float), time=0.0),
+    traj = Run(grid, setup.exps, FlowState(kind="linearized",
+                                           field=np.asarray(f0, float), time=0.0),
                dt, cadence, sampler, setup.profile.V).to_horizon(horizon)
     rows = traj.diagnostics
     return LinearModeTrace(times=np.array(traj.sample_times),
                            E_lin=np.array([r[0] for r in rows]),
                            I_lin=np.array([r[1] for r in rows]),
-                           coefficients=np.array([r[2] for r in rows]).reshape(
-                               len(rows), len(setup.eigs.eigenvalues)))
+                           coefficients=np.reshape([r[2] for r in rows], (-1, K)))
 
 
 @dataclass(frozen=True)
@@ -297,13 +295,14 @@ class ExtinctionPipelineResult:
 
 
 def run_extinction_pipeline(setup: StageSetup, dt_original: float = 2e-4,
-                            rerun_horizon: float = 8.0, rerun_dt: float = 1e-3,
-                            cadence: float = 0.1, n_modes: int = 8) -> ExtinctionPipelineResult:
+                            rerun_horizon: float = 8.0,
+                            rerun_dt: float = 1e-3) -> ExtinctionPipelineResult:
     """Criterion-style closed loop: march the original flow from u0 = S, stop
     near extinction, extrapolate T from sup(u)^(1-m); then rebuild the whole
-    rescaled stage with c = p/((p-1) T_est) and check that the rescaled flow
-    started from the original datum relaxes to the new stationary profile.
-    The rerun is the accepted calibration trial, continued to rerun_horizon."""
+    rescaled stage (as many modes) with c = p/((p-1) T_est) and check that the
+    rescaled flow from the original datum relaxes to the new stationary
+    profile.  The rerun is the accepted calibration trial, continued to
+    rerun_horizon and sampled every 0.1."""
     exps = setup.exps
     u0 = setup.profile.S.copy()
     T_true = exps.T
@@ -316,11 +315,11 @@ def run_extinction_pipeline(setup: StageSetup, dt_original: float = 2e-4,
     est = estimate_extinction_time(traj, exps.m)
 
     exps_est = Exponents.make(p=exps.p, T=est.T_est)
-    setup_est = prepare(setup.grid.spec, exps_est, n_modes=n_modes)
+    setup_est = prepare(setup.grid.spec, exps_est, len(setup.eigs.eigenvalues))
     v0 = u0 ** exps.m
     cal = match_extinction_clock(setup_est, v0, dt=rerun_dt,
                                  horizon=max(rerun_horizon, 20.0),
-                                 deep_floor=1e-14, cadence=cadence)
+                                 deep_floor=1e-14, cadence=0.1)
     reports = list(cal.run.to_horizon(rerun_horizon).diagnostics)
     cal = replace(cal, run=None)
     return ExtinctionPipelineResult(T_est=est.T_est, T_true=T_true, estimate=est,

@@ -103,14 +103,13 @@ def delay_supersolution(lam: float, sigma: float, Y_t0: float, t0: float,
     return float(val) if val.ndim == 0 else val
 
 
-def supersolution_residual(lam: float, sigma: float, Y_t0: float, t0: float,
-                           t, dh: float = 1e-6):
+def supersolution_residual(lam: float, sigma: float, Y_t0: float, t0: float, t):
     """Ybar'(t) + lam Ybar(t) - Ybar^sigma(t-1) Ybar(t), by central differences
-    of the closed form; analytically nonnegative."""
+    of the closed form (step 1e-6); analytically nonnegative."""
     t = np.asarray(t, dtype=float)
     yb = delay_supersolution(lam, sigma, Y_t0, t0, t)
-    der = (delay_supersolution(lam, sigma, Y_t0, t0, t + dh)
-           - delay_supersolution(lam, sigma, Y_t0, t0, t - dh)) / (2.0 * dh)
+    der = (delay_supersolution(lam, sigma, Y_t0, t0, t + 1e-6)
+           - delay_supersolution(lam, sigma, Y_t0, t0, t - 1e-6)) / 2e-6
     delayed = delay_supersolution(lam, sigma, Y_t0, t0, t - 1.0)
     return der + lam * yb - delayed ** sigma * yb
 

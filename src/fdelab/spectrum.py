@@ -8,13 +8,19 @@ tridiagonal eigensolver solves to full relative accuracy.
 Eigenfunctions come back normalized in the weighted space:
 ||phi||^2 = int phi^2 V^(p-1) dx = 1.
 
+This module is the one place that knows the weighted geometry: an
+EigenSystem holds W = quad_weights * V^(p-1), formed once per setup, and the
+modes as one contiguous (K, n) row array.  Every <f, phi_k>_V is
+project_coefficients, rows[:k] @ (W f), and every E[f] = int f^2 V^(p-1) dx
+with I[f] = int |grad f|^2 dx - c p E[f] is linear_entropy.
+
 The discrete spectrum is simple.  On a generic domain an eigenvalue lambda_k
 can have multiplicity N_k > 1, which is why the paper states its inequalities
 over eigenspaces.  The interval and the radial sector of a ball, the only
 domains discretised here, give an unreduced symmetric tridiagonal T: every
 off-diagonal A_{i,i+1} / (d_i d_{i+1}) is nonzero.  Such a (Jacobi) matrix
-has n distinct eigenvalues, so every N_k = 1 and mode k is column k - 1 of
-one (n, K) eigenvector array (measured: consecutive computed eigenvalues are
+has n distinct eigenvalues, so every N_k = 1 and mode k is row k - 1 of
+one (K, n) eigenvector array (measured: consecutive computed eigenvalues are
 at least 0.23 apart, relative, over 150 random setups).
 
 For radial balls only the radial sector of the spectrum is computed.  The
@@ -38,29 +44,31 @@ from .grid import Grid, apply_A, dirichlet_energy, weighted_eigenpairs
 class EigenSystem:
     """Lowest part of the weighted spectrum.
 
-    eigenvalues:    (K,) strictly ascending, each simple
-    eigenfunctions: (n, K) array, column k - 1 is phi_k, weighted-orthonormal
-    weight:         the weight V^(p-1) used (against plain quadrature)
-    residuals:      (K,) relative eigen-residual of each pair
+    eigenvalues: (K,) strictly ascending, each simple
+    rows:        contiguous (K, n) array, row k - 1 is phi_k, weighted-orthonormal
+    weight:      the weight V^(p-1) used (against plain quadrature)
+    W:           quad_weights * weight, the weight against quadrature
+    residuals:   (K,) relative eigen-residual of each pair
     """
 
     eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
+    rows: np.ndarray
     weight: np.ndarray
+    W: np.ndarray
     residuals: np.ndarray
 
     @property
-    def inverse_eigenvalues(self) -> np.ndarray:
-        return 1.0 / self.eigenvalues
+    def eigenfunctions(self) -> np.ndarray:
+        """The modes as the columns of an (n, K) array (a view of rows)."""
+        return self.rows.T
 
     def mode(self, k: int) -> np.ndarray:
         """Eigenfunction phi_k; k is 1-based as in the reports."""
-        return self.eigenfunctions[:, k - 1]
+        return self.rows[k - 1]
 
     def pairs(self):
         """Iterate (k, lambda_k, phi_k) over all computed modes."""
-        for k, (lam, phi) in enumerate(zip(self.eigenvalues, self.eigenfunctions.T), 1):
-            yield k, lam, phi
+        return zip(range(1, len(self.eigenvalues) + 1), self.eigenvalues, self.rows)
 
 
 @dataclass(frozen=True)
@@ -89,20 +97,21 @@ def weighted_eigensystem(grid: Grid, V, p: float, K: int) -> EigenSystem:
         raise ValueError(f"K = {K} out of range for n = {grid.n} "
                          f"(need 1 <= K <= n/4)")
     weight = V ** (p - 1.0)
-    vals, phis = weighted_eigenpairs(grid, weight, K)
+    W = grid.quad_weights * weight
+    vals, phis = weighted_eigenpairs(grid, W, K)
 
     # deterministic sign: largest-magnitude component positive; first mode positive
     phis *= np.sign(phis[np.argmax(np.abs(phis), axis=0), np.arange(K)])
     if phis[:, 0].min() < 0:  # first eigenfunction is positive up to sign
         phis[:, 0] = np.abs(phis[:, 0])
+    rows = np.ascontiguousarray(phis.T)
 
     # relative eigen-residuals ||A phi - lam W phi|| / (lam ||W phi||)
-    wq = grid.quad_weights * weight
-    res = np.array([np.linalg.norm(apply_A(grid, phi) - lam * (wq * phi))
-                    / (lam * np.linalg.norm(wq * phi))
-                    for lam, phi in zip(vals, phis.T)])
+    res = np.array([np.linalg.norm(apply_A(grid, phi) - lam * (W * phi))
+                    / (lam * np.linalg.norm(W * phi))
+                    for lam, phi in zip(vals, rows)])
 
-    return EigenSystem(eigenvalues=vals, eigenfunctions=phis, weight=weight,
+    return EigenSystem(eigenvalues=vals, rows=rows, weight=weight, W=W,
                        residuals=res)
 
 
@@ -129,25 +138,29 @@ def classify_gap(eigs: EigenSystem, p: float, c: float,
 
 
 def project_coefficients(grid: Grid, eigs: EigenSystem, field, k_max: int):
-    """Weighted Fourier coefficients <field, phi_k> for k <= k_max, as one
-    array (index k - 1)."""
+    """Weighted Fourier coefficients <field, phi_k>_V for k <= k_max, as one
+    array (index k - 1): rows[:k_max] @ (W field)."""
     f = grid.check_field(field)
     if k_max > len(eigs.eigenvalues):
         raise ValueError(f"k_max = {k_max} exceeds computed spectrum "
                          f"({len(eigs.eigenvalues)} eigenvalues)")
-    wq = grid.quad_weights * eigs.weight
-    return eigs.eigenfunctions[:, :k_max].T @ (wq * f)
+    return eigs.rows[:k_max] @ (eigs.W * f)
+
+
+def linear_entropy(grid: Grid, eigs: EigenSystem, cp: float, field):
+    """(E, I) of a field f: the linear entropy E = int f^2 V^(p-1) dx and its
+    production I = int |grad f|^2 dx - cp E."""
+    f = grid.check_field(field)
+    e = float(np.dot(grid.quad_weights, f * f * eigs.weight))
+    return e, dirichlet_energy(grid, f) - cp * e
 
 
 def deflate(grid: Grid, eigs: EigenSystem, field, k_p: int) -> np.ndarray:
     """Remove the projections onto the first k_p modes (two passes, so the
     residual coefficients sit at the orthogonality floor, ~1e-15)."""
     f = grid.check_field(field).copy()
-    wq = grid.quad_weights * eigs.weight
     for _ in range(2):
-        for k in range(1, k_p + 1):
-            phi = eigs.mode(k)
-            f -= phi * np.dot(phi, wq * f)
+        f -= project_coefficients(grid, eigs, f, k_p) @ eigs.rows[:k_p]
     return f
 
 
@@ -155,8 +168,9 @@ def deflate(grid: Grid, eigs: EigenSystem, field, k_p: int) -> np.ndarray:
 class PoincareMargins:
     """Margins of the improved Poincare inequalities for a deflated field.
 
-    margin_top:  int |grad f|^2 - lambda_{k_p+1} int f^2 V^(p-1)
-    margin_gap:  I[f] - lambda_p E[f]  with  I = int |grad f|^2 - c p int f^2 V^(p-1)
+    margin_top:  int |grad f|^2 - lambda_{k_p+1} E[f]
+    margin_gap:  I[f] - lambda_p E[f]
+    with E and I of linear_entropy.
     """
 
     margin_top: float
@@ -169,10 +183,8 @@ def check_improved_poincare(grid: Grid, eigs: EigenSystem, gap: GapReport,
                             field) -> PoincareMargins:
     """Evaluate both forms of the improved Poincare inequality on a field
     (expected deflated through k_p; negative margins are reported, not raised)."""
-    f = grid.check_field(field)
-    dir_energy = dirichlet_energy(grid, f)
-    e_vp = float(np.dot(grid.quad_weights, f * f * eigs.weight))
-    margin_top = dir_energy - gap.lambda_kp1 * e_vp
-    margin_gap = (dir_energy - gap.cp * e_vp) - gap.lambda_p * e_vp
-    return PoincareMargins(margin_top=margin_top, margin_gap=margin_gap,
-                           energy=e_vp, dirichlet=dir_energy)
+    e, i = linear_entropy(grid, eigs, gap.cp, field)
+    dirichlet = i + gap.cp * e
+    return PoincareMargins(margin_top=dirichlet - gap.lambda_kp1 * e,
+                           margin_gap=i - gap.lambda_p * e,
+                           energy=e, dirichlet=dirichlet)

@@ -90,7 +90,7 @@ class StationaryProfile:
 
 def first_dirichlet_eigenpair(grid: Grid) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of -lap on the grid (unweighted), max-normalized."""
-    vals, vecs = weighted_eigenpairs(grid, 1.0, 1)
+    vals, vecs = weighted_eigenpairs(grid, grid.quad_weights, 1)
     phi = np.abs(vecs[:, 0])
     return float(vals[0]), phi / phi.max()
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fdelab as F
-from fdelab.diagnostics import (_GL, EntropyReport, _kernel_sums, _node_count,
-                                ao_window, decaying_prefix, entropy_density,
-                                power_difference, trace_rows)
+from fdelab.diagnostics import (EntropyReport, _gauss_legendre, _kernel_sums,
+                                _node_count, ao_window, decaying_prefix,
+                                entropy_density, power_difference, trace_rows)
 
 
 def analytic_remainder_kappa(p, c):
@@ -73,8 +73,16 @@ def rel_error(x, exact):
     return abs(float(x[0]) - exact) / abs(exact)
 
 
+def check_kernels_against_mpmath(V, p, f):
+    exact_dp, exact_e = exact_differences(V, f, p)
+    Va, fa = np.array([V]), np.array([f])
+    assert rel_error(power_difference(Va, fa, p), exact_dp) <= 1e-13
+    assert rel_error(entropy_density(Va, fa, p), exact_e) <= 1e-13
+
+
 class TestKernelsAgainstMpmath:
-    # integer p takes its exact rule (2 or 3 nodes), float p the 8-node rule
+    # integer p takes its exact rule (2 or 3 nodes), float p up to 5 the
+    # 8-node rule
     @pytest.mark.parametrize("bound", [0.5, 1e-6])
     @settings(max_examples=300, deadline=None)
     @given(V=st.floats(1e-3, 10.0),
@@ -82,11 +90,16 @@ class TestKernelsAgainstMpmath:
            u=st.floats(-1.0, 1.0))
     def test_power_difference_and_entropy_density(self, bound, V, p, u):
         assume(abs(u) >= 1e-9)          # |f| >= 1e-15 V: no underflow in f^2
-        f = u * bound * V
-        exact_dp, exact_e = exact_differences(V, f, p)
-        Va, fa = np.array([V]), np.array([f])
-        assert rel_error(power_difference(Va, fa, p), exact_dp) <= 1e-13
-        assert rel_error(entropy_density(Va, fa, p), exact_e) <= 1e-13
+        check_kernels_against_mpmath(V, p, u * bound * V)
+
+    # large exponents: 9 and 11 exact nodes at p = 16 and 20, 10 and 12
+    # nodes at p = 12.5 and 20.5 (8 nodes miss by up to 2.4e-9 at 20.5)
+    @pytest.mark.parametrize("p", [12.5, 16.0, 20.0, 20.5])
+    @settings(max_examples=100, deadline=None)
+    @given(V=st.floats(1e-3, 10.0), u=st.floats(-1.0, 1.0))
+    def test_large_exponents(self, p, V, u):
+        assume(abs(u) >= 1e-9)
+        check_kernels_against_mpmath(V, p, u * 0.5 * V)
 
     def test_naive_difference_fails_the_bound(self):
         V, p = 1.7, 2.5
@@ -112,7 +125,7 @@ def closed_form_sums(V, f, q):
 def loop_kernel_sums(V, f, q):
     """The Gauss-Legendre sums of the rule _kernel_sums chooses, as a loop
     over its nodes."""
-    x, wx = _GL[_node_count(q)]
+    x, wx = _gauss_legendre(_node_count(q))
     acc = np.zeros((2,) + np.shape(V))
     for xi, wxi in zip(x[:, 0], wx.T):
         acc += wxi[:, None] * (V + xi * f) ** (q - 1.0)
@@ -161,8 +174,10 @@ def random_kernel_input(n, seed, shrink):
 
 class TestOnePassKernels:
     def test_node_count(self):
-        qs = (2.0, 3.0, 4.0, 5.0, 15.0, 16.0, 1.5, 2.5)
-        assert [_node_count(q) for q in qs] == [2, 2, 3, 3, 8, 8, 8, 8]
+        qs = (2.0, 3.0, 4.0, 5.0, 15.0, 16.0, 20.0, 1.05, 1.5, 2.5, 4.99,
+              5.5, 12.5, 20.5)
+        assert [_node_count(q) for q in qs] == [2, 2, 3, 3, 8, 9, 11, 8, 8, 8,
+                                                8, 9, 10, 12]
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
@@ -224,6 +239,22 @@ class TestEntropyReport:
         r = report_for(s, s.profile.V + eps * s.eigs.mode(k))
         expect = (s.eigs.eigenvalues[k - 1] - s.exps.p * s.exps.c) * eps ** 2
         assert abs(r.I_lin - expect) <= 1e-6 * abs(expect)
+
+    @pytest.mark.parametrize("name", ["interval_p2_small", "ball_p2"])
+    def test_linear_columns_are_the_one_projection(self, request, name):
+        # E_lin, I_lin and Q_lin are linear_entropy and project_coefficients
+        # of f = v - V, bit for bit
+        s = request.getfixturevalue(name)
+        V = s.profile.V
+        rng = np.random.default_rng(9)
+        for amp in (1e-8, 1e-4, 0.1):
+            v = V * (1.0 + amp * rng.uniform(-1.0, 1.0, V.size))
+            r = report_for(s, v)
+            f = v - V
+            e, i_lin = F.linear_entropy(s.grid, s.eigs, s.gap.cp, f)
+            assert (r.E_lin, r.I_lin) == (e, i_lin)
+            coeffs = F.project_coefficients(s.grid, s.eigs, f, s.gap.k_p)
+            assert np.array_equal(r.Q_lin, np.abs(coeffs) / np.sqrt(e))
 
     def test_weighted_norm_consistency(self, calibrated_trace_p2):
         _, result = calibrated_trace_p2

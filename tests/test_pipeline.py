@@ -293,3 +293,33 @@ def test_run_from_a_datum_on_the_floor_is_a_fresh_run(interval_p2_small):
                                     cadence=0.05, want_fit=False)
     assert res.calibration.trials == 0 and res.trivial_fixed_point
     assert_fresh_run(res, setup, setup.profile.V, 1.0)
+
+
+def test_linear_samples_are_the_one_projection(interval_p2_small):
+    # every sample of run_linearized is linear_entropy and
+    # project_coefficients of the field there, bit for bit
+    setup = interval_p2_small
+    rng = np.random.default_rng(3)
+    f0 = 0.01 * setup.profile.V * rng.uniform(-1.0, 1.0, setup.grid.n)
+    trace = F.run_linearized(setup, f0, horizon=1.0, dt=1e-2, cadence=0.1)
+    states = F.march(setup.grid, setup.exps,
+                     F.FlowState(kind="linearized", field=f0, time=0.0),
+                     dt=1e-2, targets=trace.times, V=setup.profile.V)
+    K = len(setup.eigs.eigenvalues)
+    for i, state in enumerate(states):
+        e, i_lin = F.linear_entropy(setup.grid, setup.eigs, setup.gap.cp,
+                                    state.field)
+        assert (trace.E_lin[i], trace.I_lin[i]) == (e, i_lin)
+        assert np.array_equal(trace.coefficients[i],
+                              F.project_coefficients(setup.grid, setup.eigs,
+                                                     state.field, K))
+    assert i + 1 == trace.times.size == 10
+
+
+def test_mode1_coefficient_is_the_projection(interval_p2_small):
+    setup = interval_p2_small
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        dev = setup.profile.V * rng.uniform(-1.0, 1.0, setup.grid.n)
+        assert pipeline._mode1_coefficient(setup, dev) == F.project_coefficients(
+            setup.grid, setup.eigs, dev, 1)[0]

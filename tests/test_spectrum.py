@@ -95,18 +95,22 @@ class TestWeightedEigensystem:
         lam = eigs.eigenvalues
         assert np.min(np.diff(lam) / lam[1:]) >= 0.1
 
+    def test_weight_and_rows_formed_once(self, interval_p2, ball_p2):
+        for s in (interval_p2, ball_p2):
+            eigs = s.eigs
+            assert np.array_equal(eigs.W, s.grid.quad_weights * eigs.weight)
+            assert eigs.rows.flags.c_contiguous
+            assert eigs.rows.shape == (len(eigs.eigenvalues), s.grid.n)
+            for k, _, phi in eigs.pairs():
+                assert np.array_equal(phi, eigs.mode(k))
+                assert np.array_equal(phi, eigs.eigenfunctions[:, k - 1])
+
     def test_input_validation(self):
         g = interval(64)
         with pytest.raises(ValueError):
             F.weighted_eigensystem(g, np.zeros(64), 2.0, K=3)
         with pytest.raises(ValueError):
             F.weighted_eigensystem(g, np.ones(64), 2.0, K=33)
-
-    def test_inverse_eigenvalues(self, interval_p2):
-        eigs = interval_p2.eigs
-        assert np.allclose(eigs.inverse_eigenvalues * eigs.eigenvalues, 1.0,
-                           rtol=1e-14)
-        assert np.all(np.diff(eigs.inverse_eigenvalues) < 0)
 
 
 class TestClassifyGap:
@@ -124,8 +128,9 @@ class TestClassifyGap:
         s = interval_p2
         lam = s.eigs.eigenvalues.copy()
         lam[1] = s.gap.cp      # synthetic: lambda_2 = c p exactly
-        fake = EigenSystem(eigenvalues=lam, eigenfunctions=s.eigs.eigenfunctions,
-                           weight=s.eigs.weight, residuals=s.eigs.residuals)
+        fake = EigenSystem(eigenvalues=lam, rows=s.eigs.rows,
+                           weight=s.eigs.weight, W=s.eigs.W,
+                           residuals=s.eigs.residuals)
         rep = F.classify_gap(fake, s.exps.p, s.exps.c)
         assert not rep.h2_ok
         assert rep.lambda_p is None and rep.gamma_p is None
@@ -138,8 +143,9 @@ class TestClassifyGap:
     def test_spectrum_too_short(self, interval_p2):
         s = interval_p2
         short = EigenSystem(eigenvalues=s.eigs.eigenvalues[:1],
-                            eigenfunctions=s.eigs.eigenfunctions[:, :1],
-                            weight=s.eigs.weight, residuals=s.eigs.residuals[:1])
+                            rows=s.eigs.rows[:1],
+                            weight=s.eigs.weight, W=s.eigs.W,
+                            residuals=s.eigs.residuals[:1])
         with pytest.raises(F.NumericalFailure, match=r"does not exceed c\*p"):
             F.classify_gap(short, s.exps.p, s.exps.c)
 
