@@ -20,9 +20,8 @@ print("single-mode growth/decay over one time unit (dt = 1e-3):")
 for k in (1, 2, 3):
     state = F.FlowState(kind="linearized", field=eigs.mode(k).copy(), time=0.0)
     for _ in range(1000):
-        state = F.step_linearized(setup.grid, setup.profile.V, exps, state, 1e-3)
-    coef = F.inner_product_weighted(setup.grid, state.field, eigs.mode(k),
-                                    eigs.weight)
+        state = F.step_linearized(setup.grid, eigs.W, exps, state, 1e-3)
+    coef = F.project_coefficients(setup.grid, eigs, state.field, k)[k - 1]
     target = (cp - eigs.eigenvalues[k - 1]) / exps.p
     print(f"  mode {k}: measured rate {np.log(coef):+8.5f}   "
           f"spectral (cp - lambda_k)/p = {target:+8.5f}"

@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, NumericalFailure, StepFailure
 from .grid import (DomainSpec, Grid, apply_laplacian, build_domain,
-                   dirichlet_energy, inner_product_weighted, integrate,
-                   solve_poisson)
+                   dirichlet_energy, integrate)
 from .stationary import (Exponents, StationaryProfile, boundary_slope_bounds,
                          oracle_profile_1d, solve_stationary)
 from .spectrum import (EigenSystem, GapReport, PoincareMargins,
@@ -20,8 +19,8 @@ from .spectrum import (EigenSystem, GapReport, PoincareMargins,
                        linear_entropy, project_coefficients,
                        weighted_eigensystem)
 from .flow import (ExtinctionEstimate, FlowState, Run, Trajectory,
-                   estimate_extinction_time, evolve, march, original_time_of,
-                   original_to_rescaled, step_linearized, step_original,
+                   discrete_rate, estimate_extinction_time, evolve,
+                   lattice_step, march, step_linearized, step_original,
                    step_rescaled)
 from .diagnostics import (ComparisonConstants, EntropyReport, ReportWeights,
                           benilan_crandall_margin, delayed_ratio_sup,

@@ -35,6 +35,7 @@ from . import __version__
 from .config import ExperimentConfig, load_config
 from .diagnostics import linear_trace_rows, trace_rows
 from .errors import ConfigError, NumericalFailure
+from .flow import lattice_step
 from .pipeline import (mode_perturbed_field, prepare, run_linearized,
                        run_nonlinear_rate_case)
 from .rates import EntropyBand
@@ -150,13 +151,16 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     exps = cfg.exponents()
-    # march steps at most min(flow.dt, sampler.cadence); the linear step
-    # matrix is singular at dt = T, and step_linearized refuses dt >= T/2
-    step = min(cfg["flow.dt"], cfg["sampler.cadence"])
-    if stage == "linear" and step >= 0.5 * exps.T:
-        raise ConfigError(f"flow.dt: the linear stage steps min(flow.dt, "
+    # singular at dt = T: the linear step matrix (step_linearized refuses
+    # dt >= T/2) and a clock-matched run's unstable-mode factor 1/(1 - dt/T)
+    step = lattice_step(cfg["flow.dt"], cfg["sampler.cadence"])
+    clocked = stage in ("evolve", "rates") and cfg["initial.match_clock"]
+    bound, name = ((0.5 * exps.T, "T/2") if stage == "linear" else
+                   (exps.T, "T") if clocked else (np.inf, ""))
+    if step >= bound:
+        raise ConfigError(f"flow.dt: the {stage} stage steps min(flow.dt, "
                           f"sampler.cadence) = {step!r}, which must be below "
-                          f"T/2 = {0.5 * exps.T!r}")
+                          f"{name} = {bound!r}")
     setup = prepare(cfg.domain_spec(), exps, n_modes=int(cfg["spectrum.modes"]),
                     gap_tol=cfg["spectrum.gap_tol"])
     grid, profile = setup.grid, setup.profile

@@ -4,19 +4,19 @@ original:    u_t = lap u^m                      (extinction in finite time)
 rescaled:    d/dt v^p = lap v + c v^p           (stationary profile V)
 linearized:  p V^(p-1) f_t = lap f + c p V^(p-1) f
 
-All steppers are implicit Euler.  The two nonlinear flows share one stepper
-for w_t = lap w^m + c w: the rescaled flow is advanced in the conserved
-variable w = v^p, which has a maximum principle, and returns v = w^m; the
-original flow is the case c = 0 with w = u.  The stepper uses damped Newton
-with a positivity-preserving line search (iterates are clipped at 1e-300
-only inside the search; an accepted step must be strictly positive), and
-solves each tridiagonal Newton system directly with LAPACK dgtsv.  Near the
-extinction profile both nonlinear flows are smooth in time, so march starts
-each step's Newton iteration from the linear extrapolation of the last two
-accepted fields (floored at half the current field), which lies O(dt^2) from
-the root instead of O(dt); the step solves the same equation to the same
-residual, and a step that fails from that start is retried from the old state
-before dt is halved.
+All steppers are implicit Euler (its rate for a linear mode: discrete_rate).
+The two nonlinear flows share one stepper for w_t = lap w^m + c w: the
+rescaled flow is advanced in the conserved variable w = v^p, which has a
+maximum principle, and returns v = w^m; the original flow is c = 0, w = u.
+The stepper uses damped Newton with a positivity-preserving line search
+(iterates are clipped at 1e-300 only inside the search; an accepted step must
+be strictly positive), and solves each tridiagonal Newton system directly with
+LAPACK dgtsv.  Near the extinction profile both nonlinear flows are smooth in
+time, so march starts each step's Newton iteration from the linear
+extrapolation of the last two accepted fields (floored at half the current
+field), which lies O(dt^2) from the root instead of O(dt); the step solves the
+same equation to the same residual, and a step that fails from that start is
+retried from the old state before dt is halved.
 
 A Run keeps no field: per sample (i + 1) cadence it records the time,
 sup|field| and the sampler's output, and it marches only as far as it is
@@ -232,38 +232,29 @@ def step_original(grid: Grid, exps: Exponents, state: FlowState, dt: float,
                      newton_iters=iters)
 
 
-def step_linearized(grid: Grid, V, exps: Exponents, state: FlowState,
+def step_linearized(grid: Grid, W, exps: Exponents, state: FlowState,
                     dt: float) -> FlowState:
     """One implicit Euler step of p V^(p-1) f_t = lap f + c p V^(p-1) f.
 
-    The step matrix p W + dt (A - c p W) is singular at dt = T (the lowest
-    weighted mode); dt is rejected well before that pole.
+    The step matrix p W + dt (A - c p W), W = quad_weights * V^(p-1) the
+    setup's EigenSystem.W, is singular at dt = T (the lowest weighted mode);
+    dt is rejected well before that pole.
     """
     if state.kind != "linearized":
         raise ValueError("step_linearized needs a linearized state")
     if dt >= 0.5 * exps.T:
         raise ValueError(f"dt = {dt} too close to the spectral pole at T = {exps.T}")
     f = grid.check_field(state.field)
-    V = grid.check_field(V)
+    W = grid.check_field(W)
     p, c = exps.p, exps.c
-    wq = grid.quad_weights * V ** (p - 1.0)   # W against quadrature
     off = dt * grid.lap_offdiag
-    f_new = solve_tridiagonal(off, p * wq + dt * (grid.lap_diag - c * p * wq),
-                              off.copy(), p * wq * f)
+    f_new = solve_tridiagonal(off, p * W + dt * (grid.lap_diag - c * p * W),
+                              off.copy(), p * W * f)
     return FlowState(kind="linearized", field=f_new, time=state.time + dt)
 
 
-def _step(grid: Grid, exps: Exponents, V, state: FlowState, dt: float,
-          start) -> FlowState:
-    if state.kind == "rescaled":
-        return step_rescaled(grid, exps, state, dt, start=start)
-    if state.kind == "original":
-        return step_original(grid, exps, state, dt, start=start)
-    return step_linearized(grid, V, exps, state, dt)
-
-
 def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
-          V=None, traj: Trajectory | None = None):
+          W=None, traj: Trajectory | None = None):
     """Advance state to each of the increasing times in targets and yield it
     there.  Steps are dt long, except that a step ending in StepFailure is
     retried at half the dt (down to _DT_MIN), which then regrows after easy
@@ -289,7 +280,12 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
                 start += f
                 np.maximum(start, 0.5 * f, out=start)
             try:
-                new_state = _step(grid, exps, V, state, dt_eff, start)
+                if state.kind == "linearized":
+                    new_state = step_linearized(grid, W, exps, state, dt_eff)
+                else:
+                    step = (step_rescaled if state.kind == "rescaled"
+                            else step_original)
+                    new_state = step(grid, exps, state, dt_eff, start=start)
             except StepFailure:
                 if start is not None:
                     prev = None
@@ -321,6 +317,19 @@ def sample_count(horizon: float, cadence: float) -> int:
     return n
 
 
+def lattice_step(dt: float, cadence: float) -> float:
+    """The step of a run sampled every cadence: march clips each step to the
+    next sample, so it steps min(dt, cadence).  discrete_rate there is the
+    run's exact rate if the cadence is below dt or a whole multiple of it."""
+    return min(dt, cadence)
+
+
+def discrete_rate(mu: float, dt: float) -> float:
+    """Implicit Euler's decay rate at step dt of a linear mode f_t = -mu f:
+    each step divides f by 1 + dt mu (singular at dt mu = -1); mu at dt = 0."""
+    return np.log1p(dt * mu) / dt if dt > 0 else mu
+
+
 class Run:
     """A flow from initial, sampled at (i + 1) cadence for ever and marched
     (see march) only as far as it is iterated: each next() advances it to the
@@ -329,9 +338,9 @@ class Run:
     run, step for step, as marching straight through."""
 
     def __init__(self, grid: Grid, exps: Exponents, initial: FlowState,
-                 dt: float, cadence: float, sampler=None, V=None):
-        if initial.kind == "linearized" and V is None:
-            raise ValueError("a linearized run needs the profile V")
+                 dt: float, cadence: float, sampler=None, W=None):
+        if initial.kind == "linearized" and W is None:
+            raise ValueError("a linearized run needs the weight W")
         # the lattice reads a local cadence: one reading self would make a
         # reference cycle, and a finished run would wait for the collector
         self.cadence = cadence = float(cadence)
@@ -339,7 +348,7 @@ class Run:
         self.traj = Trajectory(kind=initial.kind,
                                initial_sup=float(np.max(np.abs(initial.field))))
         self._states = march(grid, exps, initial, dt,
-                             ((i + 1) * cadence for i in count()), V, self.traj)
+                             ((i + 1) * cadence for i in count()), W, self.traj)
         self._steps = []     # steps behind each sample
 
     def __iter__(self):
@@ -377,12 +386,12 @@ class Run:
 
 
 def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
-           dt: float, sample_every: float, sampler=None, V=None,
+           dt: float, sample_every: float, sampler=None, W=None,
            stop_sup_below: float | None = None) -> Trajectory:
     """A Run sampled every sample_every, taken to the horizon (see
     Run.to_horizon): its Trajectory.  An original run halts near extinction,
     by default once sup|u| < 1e-6 sup|u0|."""
-    run = Run(grid, exps, initial, dt, sample_every, sampler, V)
+    run = Run(grid, exps, initial, dt, sample_every, sampler, W)
     if initial.kind == "original" and stop_sup_below is None:
         # near-extinction stop: extrapolate, never simulate the degenerate limit
         stop_sup_below = 1e-6 * run.traj.initial_sup
@@ -423,13 +432,3 @@ def estimate_extinction_time(traj: Trajectory, m: float) -> ExtinctionEstimate:
                               slope=float(slope), intercept=float(intercept),
                               fit_residual=fit_res)
 
-
-def original_time_of(t, T: float):
-    """Original time tau = T (1 - exp(-t/T)) of the rescaled time t."""
-    return T * (1.0 - np.exp(-np.asarray(t) / T))
-
-
-def original_to_rescaled(u, t, exps: Exponents):
-    """Map an original-flow field at rescaled time t to the conserved variable
-    w(t) = exp(t/((1-m)T)) u(tau(t)) = exp(c t) u."""
-    return np.exp(exps.c * t) * np.asarray(u)

@@ -157,13 +157,6 @@ def apply_laplacian(grid: Grid, field) -> np.ndarray:
     return -apply_A(grid, grid.check_field(field)) / grid.quad_weights
 
 
-def solve_poisson(grid: Grid, rhs) -> np.ndarray:
-    """Discrete Green operator: g with -lap g = rhs (Dirichlet): A g = W rhs."""
-    r = grid.check_field(rhs)
-    return solve_tridiagonal(grid.lap_offdiag.copy(), grid.lap_diag.copy(),
-                             grid.lap_offdiag.copy(), grid.quad_weights * r)
-
-
 def weighted_eigenpairs(grid: Grid, W, k: int):
     """Lowest k eigenpairs (ascending values, W-orthonormal (n, k) vectors)
     of A phi = lam W phi, W = quad_weights * a weight > 0, by eigh_tridiagonal
@@ -184,14 +177,6 @@ def weighted_eigenpairs(grid: Grid, W, k: int):
 def integrate(grid: Grid, field) -> float:
     """Quadrature realization of int_Omega field dx."""
     return float(np.dot(grid.quad_weights, grid.check_field(field)))
-
-
-def inner_product_weighted(grid: Grid, f, g, w) -> float:
-    """<f, g> against the weight w: int f g w dx."""
-    f = grid.check_field(f)
-    g = grid.check_field(g)
-    w = grid.check_field(w)
-    return float(np.dot(grid.quad_weights, f * g * w))
 
 
 def dirichlet_energy(grid: Grid, f) -> float:

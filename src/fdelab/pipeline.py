@@ -16,12 +16,12 @@ soon as its entropy rises fourfold above its running minimum: on the stable
 manifold the entropy only decays, so such a rise can only come from the
 growing unstable mode, and the trial can no longer reach the floor.  Each
 diverging trial stops at some time t with unstable-mode coefficient
-a = <v(t) - V, phi_1>_V.  Implicit Euler grows that mode by exactly
-1/(1 - dt gamma) per step, gamma = c(p-1)/p, so g = a exp(-gamma_dt t), with
-gamma_dt = -log(1 - dt gamma)/dt, is about K (b - b*) whatever t was.  K is
-close to <v0, phi_1>_V, the b-derivative of a at t = 0 (positive, as phi_1
-is), so the first trial, at b = 1, already predicts b*; a secant on g, kept
-inside the sign bracket once there is one, finishes the match.
+a = <v(t) - V, phi_1>_V.  That mode grows at c(p-1)/p, and at gamma_dt =
+-flow.discrete_rate(-c(p-1)/p, step) at the run's step, so g =
+a exp(-gamma_dt t) is about K (b - b*) whatever t was.  K is close to
+<v0, phi_1>_V, the b-derivative of a at t = 0 (positive, as phi_1 is), so
+the first trial, at b = 1, already predicts b*; a secant on g, kept inside
+the sign bracket once there is one, finishes the match.
 
 Each trial is a flow.Run on the run's own sample lattice (i + 1) cadence and
 records there the entropy report the run would record (from report weights
@@ -42,8 +42,8 @@ import numpy as np
 
 from .diagnostics import ReportWeights, entropy_report, nonlinear_entropy
 from .errors import NumericalFailure, StepFailure
-from .flow import (FlowState, Run, estimate_extinction_time, evolve,
-                   sample_count)
+from .flow import (FlowState, Run, discrete_rate, estimate_extinction_time,
+                   evolve, lattice_step, sample_count)
 from .grid import DomainSpec, Grid, build_domain
 from .rates import EntropyBand, RateFit, RateVerdict, fit_rate, sharp_rate_verdict
 from .spectrum import (EigenSystem, GapReport, classify_gap, linear_entropy,
@@ -183,8 +183,8 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
     base = setup.grid.check_field(base_field)
     exps = setup.exps
     cadence = cadence or 10 * dt
-    # implicit Euler grows the unstable mode by 1/(1 - dt gamma) per step
-    gamma_dt = -np.log1p(-dt * exps.c * (exps.p - 1.0) / exps.p) / dt
+    gamma_dt = -discrete_rate(-exps.c * (exps.p - 1.0) / exps.p,
+                              lattice_step(dt, cadence))
     slope = _mode1_coefficient(setup, base)   # da/db at t = 0, ~ g's slope
     log, latest = [], None     # latest: the last trial's Run
 
@@ -276,7 +276,7 @@ def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
 
     traj = Run(grid, setup.exps, FlowState(kind="linearized",
                                            field=np.asarray(f0, float), time=0.0),
-               dt, cadence, sampler, setup.profile.V).to_horizon(horizon)
+               dt, cadence, sampler, eigs.W).to_horizon(horizon)
     rows = traj.diagnostics
     return LinearModeTrace(times=np.array(traj.sample_times),
                            E_lin=np.array([r[0] for r in rows]),
@@ -345,8 +345,8 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
                             calibration_horizon: float | None = None,
                             want_fit: bool = True) -> NonlinearRateResult:
     """Calibrate the clock, run the flow, and (want_fit) fit the entropy decay
-    against the spectral prediction 2 lambda_p / p (and its implicit-Euler
-    form at this dt).
+    against the spectral prediction 2 lambda_p / p (and its discrete form
+    at the run's step flow.lattice_step(dt, cadence)).
 
     The calibration's trials march on this run's sample lattice, and the run
     is the accepted trial continued to the horizon (or cut back to it): its
@@ -372,7 +372,8 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
     fit = verdict = None
     if want_fit and not trivial:
         fit = fit_rate([r.t for r in reports], E, band)
-        verdict = sharp_rate_verdict(fit, setup.gap, setup.exps.p, tol, dt)
+        verdict = sharp_rate_verdict(fit, setup.gap, setup.exps.p, tol,
+                                     lattice_step(dt, cadence))
     return NonlinearRateResult(calibration=cal, reports=reports, fit=fit,
                                verdict=verdict, trivial_fixed_point=trivial,
                                step_summary=traj.step_summary())

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
+from .flow import discrete_rate
 from .spectrum import GapReport
 
 
@@ -189,7 +190,7 @@ class RateVerdict:
     k_p: int
     p: float
     fit: RateFit
-    target_dt: float            # 2 log(1 + dt lambda_p / p) / dt
+    target_dt: float            # 2 flow.discrete_rate(lambda_p / p, dt)
     rel_error_dt: float
 
 
@@ -198,17 +199,16 @@ def sharp_rate_verdict(fit: RateFit, gap: GapReport, p: float,
     """Compare the fitted entropy decay rate with the spectral prediction
     2 lambda_p / p at relative tolerance tol.
 
-    Also reports the discrete prediction for implicit Euler at step dt, which
-    shrinks the slowest mode by 1/(1 + dt lambda_p / p) per step, so that the
-    entropy decays at 2 log(1 + dt lambda_p / p) / dt (dt = 0 is the continuum
-    limit, target_dt = target).  The PASS rule uses the continuum target."""
+    Also reports target_dt = 2 flow.discrete_rate(lambda_p / p, dt), the
+    entropy rate of the slowest mode at the run's step dt (target at dt = 0).
+    The PASS rule uses the continuum target."""
     if not gap.h2_ok:
         raise NumericalFailure(
             f"c p = {gap.cp:.6g} collides with the spectrum "
             f"(margin {gap.gap_margin:.3e})")
     target = 2.0 * gap.lambda_p / p
     rel = abs(fit.lambda_fit - target) / target
-    target_dt = 2.0 * np.log1p(dt * gap.lambda_p / p) / dt if dt > 0 else target
+    target_dt = 2.0 * discrete_rate(gap.lambda_p / p, dt)
     return RateVerdict(passed=bool(rel <= tol), lambda_fit=fit.lambda_fit,
                        target=target, rel_error=rel, tol=tol,
                        lambda_p=gap.lambda_p, k_p=gap.k_p, p=p, fit=fit,

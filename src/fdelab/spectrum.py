@@ -57,11 +57,6 @@ class EigenSystem:
     W: np.ndarray
     residuals: np.ndarray
 
-    @property
-    def eigenfunctions(self) -> np.ndarray:
-        """The modes as the columns of an (n, K) array (a view of rows)."""
-        return self.rows.T
-
     def mode(self, k: int) -> np.ndarray:
         """Eigenfunction phi_k; k is 1-based as in the reports."""
         return self.rows[k - 1]
@@ -166,25 +161,22 @@ def deflate(grid: Grid, eigs: EigenSystem, field, k_p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PoincareMargins:
-    """Margins of the improved Poincare inequalities for a deflated field.
+    """Margin of the improved Poincare inequality for a deflated field.
 
-    margin_top:  int |grad f|^2 - lambda_{k_p+1} E[f]
-    margin_gap:  I[f] - lambda_p E[f]
-    with E and I of linear_entropy.
+    margin_top:  int |grad f|^2 - lambda_{k_p+1} E[f] (E, I of linear_entropy),
+                 which is I[f] - lambda_p E[f] as lambda_p = lambda_{k_p+1} - c p
     """
 
     margin_top: float
-    margin_gap: float
     energy: float       # int f^2 V^(p-1)
     dirichlet: float    # int |grad f|^2
 
 
 def check_improved_poincare(grid: Grid, eigs: EigenSystem, gap: GapReport,
                             field) -> PoincareMargins:
-    """Evaluate both forms of the improved Poincare inequality on a field
-    (expected deflated through k_p; negative margins are reported, not raised)."""
+    """Evaluate the improved Poincare inequality on a field (expected
+    deflated through k_p; a negative margin is reported, not raised)."""
     e, i = linear_entropy(grid, eigs, gap.cp, field)
     dirichlet = i + gap.cp * e
     return PoincareMargins(margin_top=dirichlet - gap.lambda_kp1 * e,
-                           margin_gap=i - gap.lambda_p * e,
                            energy=e, dirichlet=dirichlet)

@@ -1,14 +1,33 @@
-"""Shared fixtures: prepared stages and one long calibrated nonlinear trace.
+"""Shared fixtures: prepared stages and one long calibrated nonlinear trace;
+and two reference helpers that the library does not need.
 
 The calibrated trace is expensive (clock matching plus a long horizon), so it
 is session-scoped and reused by the diagnostics tests and by acceptance
-criteria 6-10.
+criteria 6-10.  The helpers, written apart from the library's weighted
+projections and steppers, check them independently:
+`from conftest import inner_product_weighted, solve_poisson`.
 """
 
 import numpy as np
 import pytest
 
 import fdelab as F
+from fdelab.grid import solve_tridiagonal
+
+
+def inner_product_weighted(grid, f, g, w) -> float:
+    """<f, g> against the weight w: int f g w dx."""
+    f = grid.check_field(f)
+    g = grid.check_field(g)
+    w = grid.check_field(w)
+    return float(np.dot(grid.quad_weights, f * g * w))
+
+
+def solve_poisson(grid, rhs) -> np.ndarray:
+    """Discrete Green operator: g with -lap g = rhs (Dirichlet): A g = W rhs."""
+    r = grid.check_field(rhs)
+    return solve_tridiagonal(grid.lap_offdiag.copy(), grid.lap_diag.copy(),
+                             grid.lap_offdiag.copy(), grid.quad_weights * r)
 
 
 @pytest.fixture(scope="session")

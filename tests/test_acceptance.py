@@ -12,6 +12,8 @@ import fdelab.cli as cli
 from fdelab.diagnostics import ao_window, decaying_prefix
 from fdelab.stationary import energy_identity_gap
 
+from conftest import inner_product_weighted
+
 
 def announce(num, name):
     print(f"\nACCEPTANCE {num:>2} [{name}]: PASS")
@@ -92,9 +94,9 @@ def test_criterion_02_first_eigenpair_identity():
         errs_lam2.append(abs(eigs.eigenvalues[1] - (p + 3.0) * c))
         if n == 512:
             vnorm = prof.V / np.sqrt(
-                F.inner_product_weighted(grid, prof.V, prof.V, eigs.weight))
+                inner_product_weighted(grid, prof.V, prof.V, eigs.weight))
             diff = vnorm - eigs.mode(1)
-            l2v = np.sqrt(F.inner_product_weighted(grid, diff, diff, eigs.weight))
+            l2v = np.sqrt(inner_product_weighted(grid, diff, diff, eigs.weight))
             assert l2v <= 1e-4
     orders = np.log2(np.array(errs_lam2[:-1]) / np.array(errs_lam2[1:]))
     assert np.all(orders >= 1.8), f"orders {orders}"
@@ -136,9 +138,9 @@ def test_criterion_05_linear_flow_rates(interval_p2):
         state = F.FlowState(kind="linearized", field=s.eigs.mode(k).copy(),
                             time=0.0)
         for _ in range(int(round(t_end / dt))):
-            state = F.step_linearized(s.grid, s.profile.V, exps, state, dt)
-        coef = F.inner_product_weighted(s.grid, state.field, s.eigs.mode(k),
-                                        s.eigs.weight)
+            state = F.step_linearized(s.grid, s.eigs.W, exps, state, dt)
+        coef = inner_product_weighted(s.grid, state.field, s.eigs.mode(k),
+                                      s.eigs.weight)
         rate = np.log(coef) / t_end
         target = (exps.c * exps.p - s.eigs.eigenvalues[k - 1]) / exps.p
         assert abs(rate - target) <= 0.01 * abs(target), f"mode {k}"

@@ -63,6 +63,10 @@ BAD_INPUTS = [
     ({"domain.nodes": "1" + "0" * 400}, "domain.nodes"),
     ({"flow.horizon": "1e300", "sampler.cadence": "1e-300"}, "sampler.cadence"),
     ({"initial.modes": "2:1:nan"}, "initial.modes"),
+    # a clock-matched run stepping at T = 2 or beyond, where the unstable
+    # mode's implicit-Euler factor 1/(1 - dt/T) is singular
+    ({"flow.dt": "2.0", "sampler.cadence": "2.0"}, "flow.dt"),
+    ({"flow.dt": "3.0", "sampler.cadence": "3.0"}, "flow.dt"),
 ]
 
 # verdict.json: RateVerdict with its RateFit flattened in, and the clock
@@ -219,6 +223,21 @@ class TestRunExperiment:
         assert header == (["t", "E_lin", "I_lin"] + [f"Q_{k}" for k in ks]
                           + [f"coef_{k}" for k in ks])
         assert "coef_2" in header
+
+    def test_discrete_rates_read_the_step_march_takes(self, tmp_path):
+        # sampled every 5e-3, a run at flow.dt = 1e-2 steps 5e-3 like one at
+        # flow.dt = 5e-3: both calibrate and judge at that step
+        cfg = set_key(set_key(BASE_CFG, "flow.horizon", "12.0"),
+                      "sampler.cadence", "5e-3")
+        verdicts = []
+        for dt in ("1e-2", "5e-3"):
+            path = write_cfg(tmp_path, set_key(cfg, "flow.dt", dt))
+            verdicts.append(cli.run_experiment(path, "rates",
+                                               tmp_path / dt)["verdict"])
+        coarse, fine = verdicts
+        assert coarse["target_dt"] == fine["target_dt"]
+        assert coarse["rel_error_dt"] <= 1e-5
+        assert coarse["clock_trials"] == fine["clock_trials"]
 
     def test_mode_is_its_index_k(self, tmp_path):
         # a mode is named by k alone: spectrum.csv has no j column, gap.json
@@ -501,6 +520,19 @@ class TestMain:
         path = write_cfg(tmp_path, cfg)
         assert cli.main(["linear-evolve", "--config", str(path),
                          "--out", str(tmp_path / "m8")]) == 0
+
+    def test_clock_matched_step_at_T_exit_2(self, tmp_path, capsys):
+        # the rates stage is refused like evolve (BAD_INPUTS); an uncalibrated
+        # run has no unstable-mode factor and steps at T
+        cfg = set_key(set_key(BASE_CFG, "flow.dt", "2.0"), "sampler.cadence", "2.0")
+        path = write_cfg(tmp_path, cfg)
+        assert cli.main(["rates", "--config", str(path),
+                         "--out", str(tmp_path / "m9")]) == 2
+        assert "flow.dt" in capsys.readouterr().err
+        assert not list((tmp_path / "m9").glob("*"))   # nothing written
+        path = write_cfg(tmp_path, set_key(cfg, "initial.match_clock", "false"))
+        assert cli.main(["evolve", "--config", str(path),
+                         "--out", str(tmp_path / "m10")]) == 0
 
     def test_bug_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
         def prepare(*args, **kwargs):

@@ -152,7 +152,7 @@ def reference_report(grid, V, exps, eigs, gap, v, t):
     h_inf = float(np.max(np.abs(h)))
     vpdiff = p * f * acc
     sqrt_e_lin = np.sqrt(e_lin) if e_lin > 0 else 0.0
-    modes_T = np.ascontiguousarray(eigs.eigenfunctions[:, :gap.k_p].T)
+    modes_T = eigs.rows[:gap.k_p]
     coeffs = modes_T @ (wq * eigs.weight * f)
     q_lin = (np.abs(coeffs) / sqrt_e_lin if sqrt_e_lin > 0
              else np.zeros_like(coeffs))

@@ -13,7 +13,9 @@ from scipy.linalg import solve_banded
 import fdelab as F
 import fdelab.flow
 from fdelab.flow import StepFailure
-from fdelab.grid import apply_A
+from fdelab.grid import apply_A, solve_tridiagonal
+
+from conftest import inner_product_weighted, solve_poisson
 
 
 def interval(n):
@@ -123,9 +125,9 @@ class TestStepLinearized:
         state = F.FlowState(kind="linearized", field=s.eigs.mode(k).copy(),
                             time=0.0)
         for _ in range(int(round(t_end / dt))):
-            state = F.step_linearized(s.grid, s.profile.V, exps, state, dt)
-        coef = F.inner_product_weighted(s.grid, state.field, s.eigs.mode(k),
-                                        s.eigs.weight)
+            state = F.step_linearized(s.grid, s.eigs.W, exps, state, dt)
+        coef = inner_product_weighted(s.grid, state.field, s.eigs.mode(k),
+                                      s.eigs.weight)
         expect = np.exp((exps.c * exps.p - lam) / exps.p * t_end)
         assert abs(coef / expect - 1.0) < 5e-3
         if k == 1:
@@ -147,10 +149,10 @@ class TestStepLinearized:
         f0 = F.deflate(s.grid, s.eigs, s.eigs.mode(2).copy(), s.gap.k_p)
         state = F.FlowState(kind="linearized", field=f0, time=0.0)
         for _ in range(500):
-            state = F.step_linearized(s.grid, s.profile.V, s.exps, state, 1e-3)
+            state = F.step_linearized(s.grid, s.eigs.W, s.exps, state, 1e-3)
         coeffs = F.project_coefficients(s.grid, s.eigs, state.field, s.gap.k_p)
-        norm = np.sqrt(F.inner_product_weighted(s.grid, state.field, state.field,
-                                                s.eigs.weight))
+        norm = np.sqrt(inner_product_weighted(s.grid, state.field, state.field,
+                                              s.eigs.weight))
         assert max(abs(float(b)) for b in coeffs) <= 1e-8 * norm
 
     @settings(max_examples=40, deadline=None)
@@ -170,9 +172,9 @@ class TestStepLinearized:
         f0 = data.draw(arrays(np.float64, grid.n,
                               elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
         dt = dt_frac * exps.T
-        f1 = F.step_linearized(grid, V, exps, F.FlowState(
-            kind="linearized", field=f0, time=0.0), dt).field
         W = grid.quad_weights * V ** (p - 1.0)
+        f1 = F.step_linearized(grid, W, exps, F.FlowState(
+            kind="linearized", field=f0, time=0.0), dt).field
         cpW = exps.c * p * W
         res = p * W * (f1 - f0) + dt * (apply_A(grid, f1) - cpW * f1)
         # rounding scale: the size of every summand, |A| |f1| for A f1, which
@@ -184,11 +186,49 @@ class TestStepLinearized:
         scale = p * W * (af + np.abs(f0)) + dt * (abs_A_f1 + cpW * af)
         assert np.abs(res).max() <= 1e-14 * scale.max() + np.finfo(float).tiny
 
+    @pytest.mark.parametrize("dt", [1e-3, 0.05, 0.9])
+    def test_setup_weight_gives_the_reference_step(self, interval_p2, ball_p2,
+                                                   dt):
+        # the step from the setup's W is the solve of
+        # p W (f1 - f0) + dt (A f1 - c p W f1) = 0 with W formed from V
+        rng = np.random.default_rng(5)
+        for s in (interval_p2, ball_p2):
+            grid, p, c = s.grid, s.exps.p, s.exps.c
+            f0 = rng.uniform(-1.0, 1.0, grid.n)
+            W = grid.quad_weights * s.profile.V ** (p - 1.0)
+            off = dt * grid.lap_offdiag
+            ref = solve_tridiagonal(off, p * W + dt * (grid.lap_diag - c * p * W),
+                                    off.copy(), p * W * f0)
+            got = F.step_linearized(grid, s.eigs.W, s.exps, F.FlowState(
+                kind="linearized", field=f0, time=0.0), dt).field
+            assert np.array_equal(got, ref)
+
     def test_rejects_dt_near_pole(self, interval_p2_small):
         s = interval_p2_small
         state = F.FlowState(kind="linearized", field=np.ones(s.grid.n), time=0.0)
         with pytest.raises(ValueError):
-            F.step_linearized(s.grid, s.profile.V, s.exps, state, s.exps.T)
+            F.step_linearized(s.grid, s.eigs.W, s.exps, state, s.exps.T)
+
+
+class TestDiscreteRate:
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(0.05, 20.0),
+           dt_frac=st.floats(1e-9, 1.0, exclude_max=True),
+           lam=st.floats(1e-2, 1e4))
+    def test_bits_of_the_inline_rates_at_p2(self, c, dt_frac, lam):
+        # the calibration's gamma_dt and the verdict's target_dt, as each was
+        # written out before discrete_rate, for steps below T (where the
+        # unstable mode's step is singular)
+        p = 2.0
+        dt = dt_frac * p / ((p - 1.0) * c)
+        gamma_dt = -np.log1p(-dt * c * (p - 1.0) / p) / dt
+        assert -F.discrete_rate(-c * (p - 1.0) / p, dt) == gamma_dt
+        target_dt = 2.0 * np.log1p(dt * lam / p) / dt
+        assert 2.0 * F.discrete_rate(lam / p, dt) == target_dt
+
+    @given(mu=st.floats(-1e4, 1e4))
+    def test_continuum_limit_is_mu(self, mu):
+        assert F.discrete_rate(mu, 0.0) == mu
 
 
 class TestEvolve:
@@ -245,7 +285,7 @@ class TestEvolve:
         v0 = F.mode_perturbed_field(s, [(2, 0.05)])
         u0 = v0 ** exps.p
         t_samples = [0.25, 0.5, 0.75, 1.0]
-        tau_samples = [float(F.original_time_of(t, exps.T)) for t in t_samples]
+        tau_samples = [exps.T * (1.0 - np.exp(-t / exps.T)) for t in t_samples]
         states_o = F.march(s.grid, exps,
                            F.FlowState(kind="original", field=u0.copy(), time=0.0),
                            dt=2e-4, targets=tau_samples)
@@ -255,7 +295,7 @@ class TestEvolve:
         fields_o = [state.field for state in states_o]
         fields_r = [state.field for state in states_r]
         for t, u_field, v_field in zip(t_samples, fields_o, fields_r):
-            w_from_original = F.original_to_rescaled(u_field, t, exps)
+            w_from_original = np.exp(exps.c * t) * u_field
             w_direct = v_field ** exps.p
             rel = np.max(np.abs(w_from_original - w_direct)) / w_direct.max()
             assert rel <= 0.01
@@ -289,7 +329,7 @@ class TestEvolve:
         new = F.step_rescaled(s.grid, exps, state, dt)
         w0, w1 = v0 ** exps.p, new.field ** exps.p
         rhs = -(w1 - w0) / dt + exps.c * (w1 - s.profile.S)
-        hV = F.solve_poisson(s.grid, rhs)
+        hV = solve_poisson(s.grid, rhs)
         expect = (new.field / s.profile.V - 1.0) * s.profile.V
         assert np.max(np.abs(hV - expect)) <= 1e-9 * np.max(np.abs(expect))
 
@@ -702,7 +742,7 @@ class TestRun:
         initial = {"original": s.profile.S,
                    "linearized": 0.1 * s.eigs.mode(2),
                    "rescaled": F.mode_perturbed_field(s, [(2, 0.3)])}[kind]
-        V = s.profile.V if kind == "linearized" else None
+        W = s.eigs.W if kind == "linearized" else None
 
         def state():
             return F.FlowState(kind=kind, field=initial.copy(), time=0.0)
@@ -710,14 +750,14 @@ class TestRun:
         def sampler(t, f):
             return float(np.dot(f, f))
 
-        run = F.Run(s.grid, s.exps, state(), 5e-3, 0.05, sampler, V)
+        run = F.Run(s.grid, s.exps, state(), 5e-3, 0.05, sampler, W)
         for chunk in (2, 5, 1, 3):
             for _ in islice(run, chunk):
                 pass
         assert len(run.traj.sample_times) == 11
         traj = run.to_horizon(horizon)
         straight = F.evolve(s.grid, s.exps, state(), horizon=horizon, dt=5e-3,
-                            sample_every=0.05, sampler=sampler, V=V)
+                            sample_every=0.05, sampler=sampler, W=W)
         assert len(traj.sample_times) == round(horizon / 0.05)
         assert len(traj.dt_history) == round(horizon / 5e-3)
         assert traj == straight

@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 import fdelab as F
 from fdelab.grid import apply_A
 
+from conftest import inner_product_weighted, solve_poisson
+
 
 def interval(n, length=1.0):
     return F.build_domain(F.DomainSpec(geometry="interval", nodes=n, length=length))
@@ -86,7 +88,7 @@ def test_field_length_mismatch():
     with pytest.raises(ValueError, match="field has shape"):
         F.integrate(g, np.ones(17))
     with pytest.raises(ValueError, match="field has shape"):
-        F.inner_product_weighted(g, np.ones(16), np.ones(16), np.ones(15))
+        inner_product_weighted(g, np.ones(16), np.ones(16), np.ones(15))
 
 
 def test_laplacian_on_first_eigenfunction():
@@ -134,14 +136,14 @@ def test_ball_dim1_matches_symmetric_interval_reduction():
 
 def test_solve_poisson_exact_quadratic():
     g = interval(32)
-    got = F.solve_poisson(g, np.full(32, 2.0))
+    got = solve_poisson(g, np.full(32, 2.0))
     assert np.max(np.abs(got - g.coords * (1.0 - g.coords))) < 1e-13
 
 
 def test_solve_poisson_eigenfunction():
     g = interval(256)
     f = np.sin(np.pi * g.coords)
-    got = F.solve_poisson(g, np.pi ** 2 * f)
+    got = solve_poisson(g, np.pi ** 2 * f)
     assert np.max(np.abs(got - f)) < 2e-5   # O(h^2)
 
 
@@ -149,7 +151,7 @@ def test_solve_poisson_backward_residual():
     for g in (interval(512), ball(512)):
         rng = np.random.RandomState(7)
         rhs = rng.standard_normal(g.n)
-        got = F.solve_poisson(g, rhs)
+        got = solve_poisson(g, rhs)
         resid = np.linalg.norm(-np.asarray(F.apply_laplacian(g, got)) - rhs)
         anorm = np.max(np.abs(g.lap_diag / g.quad_weights)) * 3
         assert resid / (anorm * np.linalg.norm(got) + np.linalg.norm(rhs)) < 1e-12
@@ -157,7 +159,7 @@ def test_solve_poisson_backward_residual():
 
 def test_green_matrix_symmetric_under_quadrature():
     g = interval(24)
-    cols = np.stack([F.solve_poisson(g, np.eye(24)[i]) for i in range(24)], axis=1)
+    cols = np.stack([solve_poisson(g, np.eye(24)[i]) for i in range(24)], axis=1)
     weighted = g.quad_weights[:, None] * cols
     assert np.max(np.abs(weighted - weighted.T)) < 1e-12 * np.max(np.abs(weighted))
 
@@ -175,8 +177,8 @@ def test_inner_product_positive_definite():
     g = interval(64)
     rng = np.random.RandomState(0)
     f = rng.standard_normal(64)
-    assert F.inner_product_weighted(g, f, f, np.ones(64)) > 0
-    assert F.inner_product_weighted(g, np.zeros(64), np.zeros(64), np.ones(64)) == 0
+    assert inner_product_weighted(g, f, f, np.ones(64)) > 0
+    assert inner_product_weighted(g, np.zeros(64), np.zeros(64), np.ones(64)) == 0
 
 
 @pytest.mark.parametrize("make", [interval, ball])
@@ -186,13 +188,13 @@ def test_laplacian_symmetry_and_negativity(make):
     for _ in range(20):
         f = rng.standard_normal(g.n)
         w = rng.standard_normal(g.n)
-        lhs = F.inner_product_weighted(g, -np.asarray(F.apply_laplacian(g, f)), w,
-                                       np.ones(g.n))
-        rhs = F.inner_product_weighted(g, f, -np.asarray(F.apply_laplacian(g, w)),
-                                       np.ones(g.n))
+        lhs = inner_product_weighted(g, -np.asarray(F.apply_laplacian(g, f)), w,
+                                     np.ones(g.n))
+        rhs = inner_product_weighted(g, f, -np.asarray(F.apply_laplacian(g, w)),
+                                     np.ones(g.n))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
-        assert F.inner_product_weighted(g, np.asarray(F.apply_laplacian(g, f)), f,
-                                        np.ones(g.n)) <= 0
+        assert inner_product_weighted(g, np.asarray(F.apply_laplacian(g, f)), f,
+                                      np.ones(g.n)) <= 0
 
 
 @pytest.mark.parametrize("make", [interval, ball])
@@ -200,7 +202,7 @@ def test_poisson_inverts_laplacian(make):
     g = make(128)
     rng = np.random.RandomState(5)
     f = rng.standard_normal(g.n)
-    back = F.solve_poisson(g, np.asarray(F.apply_laplacian(g, f)))
+    back = solve_poisson(g, np.asarray(F.apply_laplacian(g, f)))
     assert np.max(np.abs(back + f)) <= 1e-10 * np.max(np.abs(f))
 
 

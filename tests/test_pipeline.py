@@ -10,6 +10,8 @@ import fdelab as F
 from fdelab import pipeline
 from fdelab.errors import NumericalFailure
 
+from conftest import inner_product_weighted
+
 
 def interval_setup(p, nodes=129):
     return F.prepare(F.DomainSpec(geometry="interval", nodes=nodes),
@@ -138,7 +140,7 @@ def test_predicted_slope_is_positive(dim, p, n, seed):
     V = F.solve_stationary(grid, F.Exponents.make(p=p, c=1.0)).V
     eigs = F.weighted_eigensystem(grid, V, p, K=1)
     base = np.random.default_rng(seed).uniform(1e-6, 1.0, n)
-    assert F.inner_product_weighted(grid, base, eigs.mode(1), eigs.weight) > 0
+    assert inner_product_weighted(grid, base, eigs.mode(1), eigs.weight) > 0
 
 
 def test_no_bracket_raises(monkeypatch, interval_p2_small):
@@ -304,7 +306,7 @@ def test_linear_samples_are_the_one_projection(interval_p2_small):
     trace = F.run_linearized(setup, f0, horizon=1.0, dt=1e-2, cadence=0.1)
     states = F.march(setup.grid, setup.exps,
                      F.FlowState(kind="linearized", field=f0, time=0.0),
-                     dt=1e-2, targets=trace.times, V=setup.profile.V)
+                     dt=1e-2, targets=trace.times, W=setup.eigs.W)
     K = len(setup.eigs.eigenvalues)
     for i, state in enumerate(states):
         e, i_lin = F.linear_entropy(setup.grid, setup.eigs, setup.gap.cp,
