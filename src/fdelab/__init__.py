@@ -20,8 +20,8 @@ from .spectrum import (EigenSystem, GapReport, PoincareMargins,
                        weighted_eigensystem)
 from .flow import (ExtinctionEstimate, FlowState, Run, Trajectory,
                    discrete_rate, estimate_extinction_time, evolve,
-                   lattice_step, march, step_linearized, step_original,
-                   step_rescaled)
+                   lattice_step, march, sample_rate, step_linearized,
+                   step_original, step_rescaled)
 from .diagnostics import (ComparisonConstants, EntropyReport, ReportWeights,
                           benilan_crandall_margin, delayed_ratio_sup,
                           entropy_density, entropy_report, linear_trace_rows,

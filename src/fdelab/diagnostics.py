@@ -212,14 +212,12 @@ class ProductionSeries:
     """
 
     times: np.ndarray
-    dE_dt: np.ndarray
     residual: np.ndarray
     kappa: np.ndarray        # |R_p| / int |f|^3 V^(p-2)
-    fd_error: np.ndarray
     valid: np.ndarray
 
 
-def production_residual(reports, p: float, require_valid: bool = True) -> ProductionSeries:
+def production_residual(reports, p: float) -> ProductionSeries:
     """Estimate R_p = dE_nl/dt + (p+1)/p I_lin from consecutive reports.
 
     Needs uniform sampling; raises NumericalFailure when no sample passes the
@@ -244,10 +242,10 @@ def production_residual(reports, p: float, require_valid: bool = True) -> Produc
     with np.errstate(invalid="ignore", divide="ignore"):
         kappa = np.where(cub[idx] > 0, np.abs(resid) / cub[idx], np.nan)
     valid = fd_err <= 0.3 * np.abs(resid)
-    if require_valid and not valid.any():
+    if not valid.any():
         raise NumericalFailure("finite-difference error dominates R_p everywhere")
-    return ProductionSeries(times=ts[idx], dE_dt=d1, residual=resid,
-                            kappa=kappa, fd_error=fd_err, valid=valid)
+    return ProductionSeries(times=ts[idx], residual=resid, kappa=kappa,
+                            valid=valid)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ original:    u_t = lap u^m                      (extinction in finite time)
 rescaled:    d/dt v^p = lap v + c v^p           (stationary profile V)
 linearized:  p V^(p-1) f_t = lap f + c p V^(p-1) f
 
-All steppers are implicit Euler (its rate for a linear mode: discrete_rate).
+All steppers are implicit Euler (its rate for a linear mode: discrete_rate
+per step, sample_rate per sample of a run).
 The two nonlinear flows share one stepper for w_t = lap w^m + c w: the
 rescaled flow is advanced in the conserved variable w = v^p, which has a
 maximum principle, and returns v = w^m; the original flow is c = 0, w = u.
@@ -294,8 +295,6 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
                     raise
                 dt_now = max(_DT_MIN, dt_now / 2.0)
                 continue
-            if clipped:
-                new_state.time = target
             prev = (state.field, dt_eff)
             state = new_state
             if traj is not None:
@@ -318,9 +317,8 @@ def sample_count(horizon: float, cadence: float) -> int:
 
 
 def lattice_step(dt: float, cadence: float) -> float:
-    """The step of a run sampled every cadence: march clips each step to the
-    next sample, so it steps min(dt, cadence).  discrete_rate there is the
-    run's exact rate if the cadence is below dt or a whole multiple of it."""
+    """The longest step of a run sampled every cadence: march clips each step
+    to the next sample, so it steps at most min(dt, cadence)."""
     return min(dt, cadence)
 
 
@@ -328,6 +326,22 @@ def discrete_rate(mu: float, dt: float) -> float:
     """Implicit Euler's decay rate at step dt of a linear mode f_t = -mu f:
     each step divides f by 1 + dt mu (singular at dt mu = -1); mu at dt = 0."""
     return np.log1p(dt * mu) / dt if dt > 0 else mu
+
+
+def sample_rate(mu: float, dt: float, cadence: float) -> float:
+    """Implicit Euler's decay rate of f_t = -mu f over one sample of a run
+    stepping dt and sampled every cadence.  march steps a cadence of at most
+    dt at once, and a longer one k = sample_count(cadence, dt) times dt and
+    then the remainder r = cadence - k dt: the rate is (k log1p(dt mu) +
+    log1p(r mu)) / cadence, or discrete_rate's bits where every step has one
+    length (mu at dt = 0)."""
+    if cadence <= dt or dt <= 0:
+        return discrete_rate(mu, min(dt, cadence))
+    k = sample_count(cadence, dt)
+    r = cadence - k * dt
+    if r <= 1e-9 * cadence:       # a whole multiple of dt
+        return discrete_rate(mu, dt)
+    return (k * np.log1p(dt * mu) + np.log1p(r * mu)) / cadence
 
 
 class Run:
@@ -402,8 +416,6 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
 class ExtinctionEstimate:
     T_est: float
     window: tuple
-    slope: float
-    intercept: float
     fit_residual: float
 
 
@@ -429,6 +441,5 @@ def estimate_extinction_time(traj: Trajectory, m: float) -> ExtinctionEstimate:
         raise NumericalFailure("sup norm is not decaying over the fit window")
     return ExtinctionEstimate(T_est=float(-intercept / slope),
                               window=(float(t[0]), float(t[-1])),
-                              slope=float(slope), intercept=float(intercept),
                               fit_residual=fit_res)
 

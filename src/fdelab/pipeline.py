@@ -17,8 +17,8 @@ manifold the entropy only decays, so such a rise can only come from the
 growing unstable mode, and the trial can no longer reach the floor.  Each
 diverging trial stops at some time t with unstable-mode coefficient
 a = <v(t) - V, phi_1>_V.  That mode grows at c(p-1)/p, and at gamma_dt =
--flow.discrete_rate(-c(p-1)/p, step) at the run's step, so g =
-a exp(-gamma_dt t) is about K (b - b*) whatever t was.  K is close to
+-flow.sample_rate(-c(p-1)/p, dt, cadence) on the run's sample lattice, so
+g = a exp(-gamma_dt t) is about K (b - b*) whatever t was.  K is close to
 <v0, phi_1>_V, the b-derivative of a at t = 0 (positive, as phi_1 is), so
 the first trial, at b = 1, already predicts b*; a secant on g, kept inside
 the sign bracket once there is one, finishes the match.
@@ -42,13 +42,15 @@ import numpy as np
 
 from .diagnostics import ReportWeights, entropy_report, nonlinear_entropy
 from .errors import NumericalFailure, StepFailure
-from .flow import (FlowState, Run, discrete_rate, estimate_extinction_time,
-                   evolve, lattice_step, sample_count)
+from .flow import (FlowState, Run, estimate_extinction_time, evolve,
+                   sample_count, sample_rate)
 from .grid import DomainSpec, Grid, build_domain
-from .rates import EntropyBand, RateFit, RateVerdict, fit_rate, sharp_rate_verdict
+from .rates import EntropyBand, RateVerdict, fit_rate, sharp_rate_verdict
 from .spectrum import (EigenSystem, GapReport, classify_gap, linear_entropy,
                        project_coefficients, weighted_eigensystem)
 from .stationary import Exponents, StationaryProfile, solve_stationary
+
+_MAX_TRIALS = 60     # calibration trials before "no trial reached the floor"
 
 
 @dataclass(frozen=True)
@@ -160,8 +162,7 @@ def _run_trial(setup: StageSetup, v0: np.ndarray, dt: float, horizon: float,
 
 def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
                            horizon: float = 20.0, deep_floor: float = 1e-12,
-                           cadence: float | None = None,
-                           max_trials: int = 60) -> ClockCalibration:
+                           cadence: float | None = None) -> ClockCalibration:
     """Find the scale b so that b * base_field lies on the stable manifold of
     the rescaled flow (extinction time matched to T = p/((p-1)c)).
 
@@ -172,19 +173,23 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
     root through the two latest trials once their g differ, floored at 0.05;
     a floored scale that would repeat, or ten trials, raise "could not
     bracket".  Then it is the secant root, or the bracket's midpoint when
-    that root is not strictly inside.
+    that root is not strictly inside, for at most _MAX_TRIALS trials in all.
 
     Trials check their entropy at the samples (i + 1) cadence of the run
     that is to follow (by default every 10 steps, cadence = 10 dt), and the
     result's run is the accepted trial's march, to be continued by that run.
-    A NumericalFailure raised here carries the trials run so far as its
-    clock_log attribute (a tuple of CalibrationTrial).
+    A step min(dt, cadence) of at least T, where the unstable mode's implicit
+    step is singular, raises ValueError before any trial.  A NumericalFailure
+    raised here carries the trials run so far as its clock_log attribute (a
+    tuple of CalibrationTrial).
     """
     base = setup.grid.check_field(base_field)
     exps = setup.exps
     cadence = cadence or 10 * dt
-    gamma_dt = -discrete_rate(-exps.c * (exps.p - 1.0) / exps.p,
-                              lattice_step(dt, cadence))
+    if min(dt, cadence) >= exps.T:
+        raise ValueError(f"the calibration steps min(dt, cadence) = "
+                         f"{min(dt, cadence)!r}, which must be below T = {exps.T!r}")
+    gamma_dt = -sample_rate(-exps.c * (exps.p - 1.0) / exps.p, dt, cadence)
     slope = _mode1_coefficient(setup, base)   # da/db at t = 0, ~ g's slope
     log, latest = [], None     # latest: the last trial's Run
 
@@ -223,7 +228,7 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
             b = max(secant_root() if len(log) > 1 and log[-2].g != last.g
                     else last.scale - last.g / slope, 0.05)
 
-        while len(log) < max_trials:
+        while len(log) < _MAX_TRIALS:
             bracket = (min(ends.values()), max(ends.values()))
             b = 0.5 * (bracket[0] + bracket[1])
             if log[-1].g != log[-2].g:
@@ -237,7 +242,7 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
                 break
         raise NumericalFailure(
             f"no trial reached the entropy floor {deep_floor:g} within "
-            f"{max_trials} trials (bracket width {abs(ends[1] - ends[-1]):.3e})")
+            f"{_MAX_TRIALS} trials (bracket width {abs(ends[1] - ends[-1]):.3e})")
     except NumericalFailure as exc:
         exc.clock_log = tuple(log)
         raise
@@ -332,7 +337,6 @@ def run_extinction_pipeline(setup: StageSetup, dt_original: float = 2e-4,
 class NonlinearRateResult:
     calibration: ClockCalibration
     reports: list
-    fit: RateFit | None
     verdict: RateVerdict | None
     trivial_fixed_point: bool
     step_summary: dict
@@ -342,11 +346,10 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
                             dt: float = 1e-3, cadence: float = 0.05,
                             band: EntropyBand | None = None, tol: float = 0.05,
                             match_clock: bool = True,
-                            calibration_horizon: float | None = None,
                             want_fit: bool = True) -> NonlinearRateResult:
     """Calibrate the clock, run the flow, and (want_fit) fit the entropy decay
     against the spectral prediction 2 lambda_p / p (and its discrete form
-    at the run's step flow.lattice_step(dt, cadence)).
+    on the run's sample lattice, flow.sample_rate(lambda_p / p, dt, cadence)).
 
     The calibration's trials march on this run's sample lattice, and the run
     is the accepted trial continued to the horizon (or cut back to it): its
@@ -356,8 +359,7 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
     band = band or EntropyBand()
     if match_clock:
         cal = match_extinction_clock(
-            setup, base_field, dt=dt,
-            horizon=calibration_horizon or max(horizon, 20.0),
+            setup, base_field, dt=dt, horizon=max(horizon, 20.0),
             deep_floor=band.lo / 100.0, cadence=cadence)
         traj = cal.run.to_horizon(horizon)
         reports = list(traj.diagnostics)
@@ -369,11 +371,10 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
                                      horizon=horizon, dt=dt, cadence=cadence)
     E = np.array([r.E_nl for r in reports])
     trivial = bool(E.size and E.max() <= 1e-12)   # needs at least one report
-    fit = verdict = None
+    verdict = None
     if want_fit and not trivial:
-        fit = fit_rate([r.t for r in reports], E, band)
-        verdict = sharp_rate_verdict(fit, setup.gap, setup.exps.p, tol,
-                                     lattice_step(dt, cadence))
-    return NonlinearRateResult(calibration=cal, reports=reports, fit=fit,
+        verdict = sharp_rate_verdict(fit_rate([r.t for r in reports], E, band),
+                                     setup.gap, setup.exps.p, tol, dt, cadence)
+    return NonlinearRateResult(calibration=cal, reports=reports,
                                verdict=verdict, trivial_fixed_point=trivial,
                                step_summary=traj.step_summary())

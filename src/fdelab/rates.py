@@ -22,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .flow import discrete_rate
+from .flow import sample_rate
 from .spectrum import GapReport
+
+_CAP = 1e12     # integrate_delay_ode fails once Y exceeds this
 
 
 @dataclass(frozen=True)
@@ -117,23 +119,17 @@ def supersolution_residual(lam: float, sigma: float, Y_t0: float, t0: float, t):
 
 @dataclass(frozen=True)
 class DelayOdeRun:
-    lam: float
-    sigma: float
-    t0: float
     times: np.ndarray
     values: np.ndarray
-    history: object = None          # the initial function on [t0-1, t0]
-    supersolution_C: float = np.nan  # lam Y(t0)^(-sigma) - 1 for the barrier
 
 
 def integrate_delay_ode(lam: float, sigma: float, history, t0: float,
-                        horizon: float, dt: float = 1e-3,
-                        cap: float = 1e12) -> DelayOdeRun:
+                        horizon: float, dt: float = 1e-3) -> DelayOdeRun:
     """RK4 (method of steps) for Y' = -lam Y + Y^sigma(t-1) Y on [t0, t0+horizon].
 
     history: callable on [t0-1, t0] (positive).  The delayed value inside each
     unit window comes from a cubic spline of the previous window's dense
-    output, preserving the RK4 order.
+    output, preserving the RK4 order.  Y above _CAP is a NumericalFailure.
     """
     from scipy.interpolate import CubicSpline
 
@@ -166,17 +162,14 @@ def integrate_delay_ode(lam: float, sigma: float, history, t0: float,
             k4 = rhs(t + step, y + step * k3)
             y = y + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = t + step
-            if not np.isfinite(y) or y > cap:
-                raise NumericalFailure(f"Y exceeded the cap {cap:g} at t = {t:.6g}")
+            if not np.isfinite(y) or y > _CAP:
+                raise NumericalFailure(f"Y exceeded the cap {_CAP:g} at t = {t:.6g}")
             ts.append(t)
             ys.append(y)
         all_t.extend(ts[1:])
         all_y.extend(ys[1:])
         delayed_fn = CubicSpline(np.array(ts), np.array(ys))
-    return DelayOdeRun(lam=lam, sigma=sigma, t0=t0,
-                       times=np.array(all_t), values=np.array(all_y),
-                       history=history,
-                       supersolution_C=lam * y0 ** (-sigma) - 1.0)
+    return DelayOdeRun(times=np.array(all_t), values=np.array(all_y))
 
 
 @dataclass(frozen=True)
@@ -190,25 +183,27 @@ class RateVerdict:
     k_p: int
     p: float
     fit: RateFit
-    target_dt: float            # 2 flow.discrete_rate(lambda_p / p, dt)
+    target_dt: float            # 2 flow.sample_rate(lambda_p / p, dt, cadence)
     rel_error_dt: float
 
 
 def sharp_rate_verdict(fit: RateFit, gap: GapReport, p: float,
-                       tol: float = 0.05, dt: float = 0.0) -> RateVerdict:
+                       tol: float = 0.05, dt: float = 0.0,
+                       cadence: float | None = None) -> RateVerdict:
     """Compare the fitted entropy decay rate with the spectral prediction
     2 lambda_p / p at relative tolerance tol.
 
-    Also reports target_dt = 2 flow.discrete_rate(lambda_p / p, dt), the
-    entropy rate of the slowest mode at the run's step dt (target at dt = 0).
-    The PASS rule uses the continuum target."""
+    Also reports target_dt = 2 flow.sample_rate(lambda_p / p, dt, cadence),
+    the entropy rate of the slowest mode on the run's sample lattice (by
+    default sampled every step dt; target at dt = 0).  The PASS rule uses
+    the continuum target."""
     if not gap.h2_ok:
         raise NumericalFailure(
             f"c p = {gap.cp:.6g} collides with the spectrum "
             f"(margin {gap.gap_margin:.3e})")
     target = 2.0 * gap.lambda_p / p
     rel = abs(fit.lambda_fit - target) / target
-    target_dt = 2.0 * discrete_rate(gap.lambda_p / p, dt)
+    target_dt = 2.0 * sample_rate(gap.lambda_p / p, dt, cadence or dt)
     return RateVerdict(passed=bool(rel <= tol), lambda_fit=fit.lambda_fit,
                        target=target, rel_error=rel, tol=tol,
                        lambda_p=gap.lambda_p, k_p=gap.k_p, p=p, fit=fit,

@@ -23,6 +23,7 @@ from .grid import (Grid, apply_laplacian, dirichlet_energy, integrate,
                    solve_tridiagonal, weighted_eigenpairs)
 
 _EPS = np.finfo(float).eps
+_MAX_ITERS = 100     # Newton iterations before solve_stationary fails
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,8 @@ def _residual(grid: Grid, V: np.ndarray, p: float, c: float) -> np.ndarray:
     return apply_laplacian(grid, V) + c * V ** p
 
 
-def solve_stationary(grid: Grid, exps: Exponents, init=None,
-                     max_iters: int = 100) -> StationaryProfile:
-    """Damped Newton for -lap V = c V^p.
+def solve_stationary(grid: Grid, exps: Exponents, init=None) -> StationaryProfile:
+    """Damped Newton for -lap V = c V^p, at most _MAX_ITERS iterations.
 
     init: None (scaled first Dirichlet eigenfunction) or a positive array.
     """
@@ -125,7 +125,7 @@ def solve_stationary(grid: Grid, exps: Exponents, init=None,
     if not np.isfinite(rnorm):
         raise NumericalFailure("stationary residual is not finite")
     iters = 0
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, _MAX_ITERS + 1):
         if rnorm <= tol(V):
             break
         # J = lap + c p V^(p-1), from the per-grid diagonals of -lap
@@ -147,7 +147,7 @@ def solve_stationary(grid: Grid, exps: Exponents, init=None,
                 f"damping failed at iteration {iters} (residual {rnorm:.3e})")
     else:
         raise NumericalFailure(
-            f"no convergence after {max_iters} iterations (residual {rnorm:.3e})")
+            f"no convergence after {_MAX_ITERS} iterations (residual {rnorm:.3e})")
 
     return StationaryProfile(V=V, S=V ** p, c=c, residual_norm=rnorm,
                              newton_iters=iters)

@@ -33,8 +33,7 @@ def rate_case_ball(ball_p2):
     setup = ball_p2
     base = F.mode_perturbed_field(setup, [(2, 0.1)])
     return setup, F.run_nonlinear_rate_case(setup, base, horizon=14.0, dt=1e-3,
-                                            cadence=0.02,
-                                            calibration_horizon=24.0)
+                                            cadence=0.02)
 
 
 def test_criterion_01_stationary_oracle_equivalence():

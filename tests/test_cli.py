@@ -239,6 +239,18 @@ class TestRunExperiment:
         assert coarse["rel_error_dt"] <= 1e-5
         assert coarse["clock_trials"] == fine["clock_trials"]
 
+    @pytest.mark.parametrize("dt", ["1.5e-3", "3e-3"])
+    def test_discrete_rates_read_the_remainder_step(self, tmp_path, dt):
+        # sampled every 0.02, a run steps 13 times 1.5e-3 and then 5e-4 (or
+        # 6 times 3e-3 and then 2e-3): the calibration and the verdict read
+        # the rate of that lattice, not of one step of dt
+        cfg = set_key(set_key(set_key(BASE_CFG, "flow.horizon", "12.0"),
+                              "sampler.cadence", "0.02"), "flow.dt", dt)
+        verdict = cli.run_experiment(write_cfg(tmp_path, cfg), "rates",
+                                     tmp_path / "out")["verdict"]
+        assert verdict["rel_error_dt"] <= 1e-5
+        assert verdict["clock_trials"] == 2
+
     def test_mode_is_its_index_k(self, tmp_path):
         # a mode is named by k alone: spectrum.csv has no j column, gap.json
         # no multiplicities, and the manifest echoes (k, amplitude) pairs

@@ -273,7 +273,7 @@ class TestProductionResidual:
         s = interval_p2_small
         _, reports = F.run_rescaled(s, s.profile.V.copy(), horizon=1.0,
                                     dt=5e-3, cadence=0.05)
-        ps = F.production_residual(reports, s.exps.p, require_valid=False)
+        ps = F.production_residual(reports, s.exps.p)
         assert np.max(np.abs(ps.residual)) < 1e-10
 
     def test_kappa_finite_and_below_analytic_envelope(self, amp3_uncalibrated_traces):

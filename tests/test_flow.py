@@ -230,6 +230,40 @@ class TestDiscreteRate:
     def test_continuum_limit_is_mu(self, mu):
         assert F.discrete_rate(mu, 0.0) == mu
 
+    @settings(max_examples=200, deadline=None)
+    @given(dt=st.floats(1e-6, 1.0), frac=st.floats(1e-6, 1.0),
+           k=st.integers(1, 50), mu_dt=st.floats(-0.99, 100.0))
+    def test_sample_rate_is_discrete_rate_on_equal_steps(self, dt, frac, k, mu_dt):
+        # one step of a cadence at most dt, or k steps of dt: the same bits
+        mu = mu_dt / dt
+        assert F.sample_rate(mu, dt, frac * dt) == F.discrete_rate(mu, frac * dt)
+        assert F.sample_rate(mu, dt, k * dt) == F.discrete_rate(mu, dt)
+        assert F.sample_rate(mu, 0.0, 0.0) == mu
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 20), frac=st.floats(0.01, 0.99),
+           mu_dt=st.floats(-0.99, 100.0))
+    def test_sample_rate_is_the_rate_of_one_sample(self, interval_p2_small, k,
+                                                   frac, mu_dt):
+        # a cadence of k + frac steps: march steps k times dt and then the
+        # remainder, and the mode's decay over that sample is the rate
+        s, dt = interval_p2_small, 0.01
+        cadence, phi = (k + frac) * dt, s.eigs.mode(2)
+        run = F.Run(s.grid, s.exps,
+                    F.FlowState(kind="linearized", field=phi, time=0.0),
+                    dt, cadence, W=s.eigs.W)
+        f1 = next(run).field
+        steps = run.traj.dt_history
+        assert len(steps) == k + 1 and steps[:k] == [dt] * k
+        mu = mu_dt / dt
+        read = sum(np.log1p(h * mu) for h in steps) / cadence
+        assert F.sample_rate(mu, dt, cadence) == pytest.approx(read, rel=1e-12)
+        # mode 2 itself decays at mu = lambda_2 / p - c
+        mu2 = s.eigs.eigenvalues[1] / s.exps.p - s.exps.c
+        decay = np.log(np.dot(phi, s.eigs.W * phi)
+                       / np.dot(phi, s.eigs.W * f1)) / cadence
+        assert F.sample_rate(mu2, dt, cadence) == pytest.approx(decay, rel=1e-11)
+
 
 class TestEvolve:
     def test_fixed_point_entropy_stays_tiny(self, interval_p2_small):

@@ -175,14 +175,28 @@ def test_bracket_widens_only_on_the_side_of_b_star(monkeypatch, interval_p2_smal
     assert min(scales) == pytest.approx(b_star, abs=1e-12)
 
 
+def test_a_step_of_T_is_refused_before_any_trial(monkeypatch):
+    # T = 2 at p = 2, c = 1: the unstable mode's implicit step is singular,
+    # and forming its rate first would raise log1p's RuntimeWarning (an
+    # error under this suite's filterwarnings) instead of the ValueError
+    setup = interval_setup(2.0, nodes=65)
+    scales = fake_trials(monkeypatch, lambda b: pytest.fail("a trial ran"))
+    with pytest.raises(ValueError, match=r"min\(dt, cadence\) = 2\.0, which "
+                                         r"must be below T = 2\.0"):
+        F.match_extinction_clock(setup, 1.01 * setup.profile.V, dt=2.0,
+                                 cadence=2.0)
+    assert scales == []
+
+
 def test_max_trials_raises(monkeypatch, interval_p2_small):
     def outcome(b):   # a sign but no slope: the secant falls back to bisection
         sign = 1 if b > 1.0003 else -1
         return sign, 1.0, 1.0, float(sign)
 
     scales = fake_trials(monkeypatch, outcome)
+    monkeypatch.setattr(pipeline, "_MAX_TRIALS", 10)
     with pytest.raises(NumericalFailure, match="within 10 trials") as exc:
-        F.match_extinction_clock(interval_p2_small, np.ones(129), max_trials=10)
+        F.match_extinction_clock(interval_p2_small, np.ones(129))
     assert len(scales) == 10
     g = exc.value.clock_log[0].g
     hi = 1.0 - g / pipeline._mode1_coefficient(interval_p2_small, np.ones(129))

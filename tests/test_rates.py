@@ -113,10 +113,11 @@ class TestIntegrateDelayOde:
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 3.3)
 
-    def test_blowup_detected(self):
+    def test_blowup_detected(self, monkeypatch):
+        monkeypatch.setattr("fdelab.rates._CAP", 100.0)
         with pytest.raises(F.NumericalFailure, match="Y exceeded the cap 100"):
             F.integrate_delay_ode(0.05, 0.5, lambda t: 4.0, t0=0.0,
-                                  horizon=200.0, dt=1e-2, cap=100.0)
+                                  horizon=200.0, dt=1e-2)
 
     def test_rejects_bad_history_and_dt(self):
         with pytest.raises(ValueError):

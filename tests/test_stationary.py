@@ -112,14 +112,15 @@ class TestSolveStationary:
         prof = F.solve_stationary(g, exps, init=1.3 * ref.V)
         assert np.max(np.abs(prof.V - ref.V)) < 1e-8 * ref.V.max()
 
-    def test_error_paths(self):
+    def test_error_paths(self, monkeypatch):
         g = interval(129)
         exps = F.Exponents.make(p=2.0, c=1.0)
         with pytest.raises(F.NumericalFailure,
                            match="supplied initial guess is not positive"):
             F.solve_stationary(g, exps, init=-np.ones(129))
+        monkeypatch.setattr("fdelab.stationary._MAX_ITERS", 0)
         with pytest.raises(F.NumericalFailure, match="no convergence after 0 iterations"):
-            F.solve_stationary(g, exps, max_iters=0)
+            F.solve_stationary(g, exps)
         with pytest.raises(ValueError):
             gb = F.build_domain(F.DomainSpec(geometry="ball", nodes=64, dimension=3))
             F.solve_stationary(gb, F.Exponents.make(p=6.0, c=1.0))
