@@ -45,7 +45,7 @@ STAGES = ("stationary", "spectrum", "linear", "evolve", "rates")
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):        # float and np.float64: most trace cells
+    if isinstance(x, float):        # np.float64, a float subclass: array rows
         return repr(float(x))
     if x is None:
         return ""
@@ -64,8 +64,9 @@ def write_csv(path: Path, header, rows) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for row in rows:   # a float cell is repr(x), as _fmt would write it
+            fh.write(",".join([repr(x) if type(x) is float else _fmt(x)
+                               for x in row]) + "\n")
     os.replace(tmp, path)
 
 

@@ -20,7 +20,13 @@ Both sums come from one (2, N) @ (N, n) product.
 
 entropy_report reads what depends on the setup alone from a ReportWeights
 built once per run, and takes E_lin, I_lin and the coefficients behind Q_lin
-from spectrum.linear_entropy and spectrum.project_coefficients.
+from spectrum.linear_entropy and spectrum.project_coefficients.  It takes one
+field or a stack of fields (B, n) through one code path: every sum runs
+along the last axis, as np.vecdot (ddot per row, the bits of np.dot), as
+matmul of the mode rows with a (..., n, 1) column (gemv per field) or as the
+kernel's matmul over a (..., N, n) stack (gemm per field), and every other
+operation is elementwise.  A field's report therefore has the same bits
+whatever block it was computed in.
 
 Checks that differentiate sampled traces in time use centered differences
 with a Richardson estimate of the finite-difference error; inequalities carry
@@ -67,11 +73,12 @@ def _node_count(q: float) -> int:
 
 def _kernel_sums(V, f, q: float):
     """Gauss-Legendre sums for int_0^1 (V + s f)^(q-1) ds and
-    int_0^1 (V + s f)^(q-1) s ds: the powers (V + x_i f)^(q-1) formed as one
-    (N, n) array, and both sums taken by one product with the (2, N)
-    weights."""
+    int_0^1 (V + s f)^(q-1) s ds, as (..., 2, n) for a field or a stack of
+    fields f (..., n): the powers (V + x_i f)^(q-1) formed as one (..., N, n)
+    array, and both sums taken by one product with the (2, N) weights, one
+    gemm per field, as for a single field."""
     x, wx = _gauss_legendre(_node_count(q))
-    return wx @ (V + x * f) ** (q - 1.0)
+    return np.matmul(wx, (V + x * f[..., None, :]) ** (q - 1.0))
 
 
 def power_difference(V, f, q: float) -> np.ndarray:
@@ -79,12 +86,12 @@ def power_difference(V, f, q: float) -> np.ndarray:
 
     Requires V > 0 and V + f > 0 nodewise.
     """
-    return q * f * _kernel_sums(V, f, q)[0]
+    return q * f * _kernel_sums(V, f, q)[..., 0, :]
 
 
 def entropy_density(V, f, p: float) -> np.ndarray:
     """Pointwise entropy integrand: (p+1) f^2 int_0^1 (V + s f)^(p-1) s ds >= 0."""
-    return (p + 1.0) * f * f * _kernel_sums(V, f, p)[1]
+    return (p + 1.0) * f * f * _kernel_sums(V, f, p)[..., 1, :]
 
 
 def nonlinear_entropy(grid: Grid, V, p: float, v) -> float:
@@ -139,32 +146,44 @@ class ReportWeights:
                    V_pp1=V ** (p + 1.0), V_pm2=V ** (p - 2.0))
 
 
-def entropy_report(weights: ReportWeights, v, t: float) -> EntropyReport:
-    """Evaluate every tracked functional for a rescaled-flow field v > 0."""
+def entropy_report(weights: ReportWeights, v, t):
+    """Every tracked functional of a rescaled-flow field v > 0 at time t: its
+    EntropyReport, or for a stack of fields v (B, n) at the B times t, the
+    list of their reports, by one code path; a field's report has the same
+    bits in any stack (see the module docstring)."""
     w = weights
-    v = w.grid.check_field(v)
+    v = w.grid.check_fields(v)
     if v.min() <= 0:
         raise ValueError("rescaled field must be positive")
+    single = v.ndim == 1
     p, V, wq, k_p = w.p, w.V, w.grid.quad_weights, w.gap.k_p
-    f = v - V
+    f = v.reshape(-1, V.size) - V
     h = f / V
 
     e_lin, i_lin = linear_entropy(w.grid, w.eigs, w.gap.cp, f)
-    h_l2v_sq = float(np.dot(wq, h * h * w.V_pp1))
-    acc, acc_s = _kernel_sums(V, f, p)
-    e_nl = float(np.dot(wq, (p + 1.0) * f * f * acc_s))
-    cubic = float(np.dot(wq, np.abs(f) ** 3 * w.V_pm2))
-    h_inf = float(np.abs(h).max())
+    h_l2v_sq = np.vecdot(h * h * w.V_pp1, wq)
+    sums = _kernel_sums(V, f, p)
+    acc, acc_s = sums[:, 0], sums[:, 1]
+    e_nl = np.vecdot((p + 1.0) * f * f * acc_s, wq)
+    cubic = np.vecdot(np.abs(f) ** 3 * w.V_pm2, wq)
+    h_inf = np.abs(h).max(axis=-1)
 
-    coeffs = project_coefficients(w.grid, w.eigs, f, k_p)
-    q_lin = (np.abs(coeffs) / np.sqrt(e_lin) if e_lin > 0
-             else np.zeros_like(coeffs))
-    a_nl = np.abs(w.eigs.rows[:k_p] @ (wq * (p * f * acc)))
-    q_nl = a_nl / np.sqrt(e_nl) if e_nl > QN_ENTROPY_FLOOR else None
+    # a zero E_lin (v = V) gives Q_lin zeros: |coefficient| / inf
+    q_lin = np.abs(project_coefficients(w.grid, w.eigs, f, k_p)) \
+        / np.sqrt(np.where(e_lin > 0, e_lin, np.inf))[:, None]
+    a_nl = np.abs(w.eigs.rows[:k_p] @ (wq * (p * f * acc))[..., None])[..., 0]
+    defined = e_nl > QN_ENTROPY_FLOOR
+    q_nl = a_nl / np.sqrt(np.where(defined, e_nl, np.inf))[:, None]
 
-    return EntropyReport(t=t, E_lin=e_lin, I_lin=i_lin, E_nl=e_nl, h_inf=h_inf,
-                         h_L2V_sq=h_l2v_sq, cubic=cubic, Q_lin=q_lin, Q_nl=q_nl,
-                         A_nl=a_nl)
+    reports = [EntropyReport(t=ti, E_lin=el, I_lin=il, E_nl=en, h_inf=hi,
+                             h_L2V_sq=hl, cubic=cu, Q_lin=ql,
+                             Q_nl=qn if ok else None, A_nl=an)
+               for ti, el, il, en, hi, hl, cu, ql, qn, ok, an in zip(
+                   [t] if single else t, e_lin.tolist(), i_lin.tolist(),
+                   e_nl.tolist(), h_inf.tolist(), h_l2v_sq.tolist(),
+                   cubic.tolist(), q_lin, q_nl, defined.tolist(), a_nl,
+                   strict=True)]
+    return reports[0] if single else reports
 
 
 @dataclass(frozen=True)

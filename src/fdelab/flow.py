@@ -19,8 +19,9 @@ field), which lies O(dt^2) from the root instead of O(dt); the step solves the
 same equation to the same residual, and a step that fails from that start is
 retried from the old state before dt is halved.
 
-A Run keeps no field: per sample (i + 1) cadence it records the time,
-sup|field| and the sampler's output, and it marches only as far as it is
+A Run keeps no field beyond one block of samples: per sample (i + 1) cadence
+it records the time, sup|field| and the sampler's output, which the sampler
+forms for a block of samples at once, and it marches only as far as it is
 iterated, so it can be stopped and resumed.  Run.to_horizon alone takes it
 to a horizon, marching it on or cutting it back for good; evolve is a Run
 taken there.  A caller that needs the fields iterates march instead.
@@ -33,7 +34,7 @@ sup(u)^(1-m) in time, never simulated to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import count
 
 import numpy as np
 
@@ -47,6 +48,11 @@ _DT_MIN = 1e-8       # evolve halves dt on StepFailure down to this,
 _DT_GROW = 1.2       # then regrows it by this factor, up to the given dt,
 _EASY_ITERS = 3      # after each step of at most this many Newton iterations
 _MAX_ITERS = 30      # Newton iterations before a step fails
+# Field values Run.to_horizon stacks for one sampler call: a (B, n) block is
+# then at most 64 KB, under glibc's 128 KB mmap threshold, so the stacks it
+# forms come from the heap; 8,192 was the fastest of 1,024 to 32,768 on two
+# `fdelab evolve` runs at n = 1024, sampled every step
+_BLOCK_VALUES = 8192
 
 
 @dataclass
@@ -349,7 +355,14 @@ class Run:
     (see march) only as far as it is iterated: each next() advances it to the
     next sample, appends the sample's time, sup|field| and sampler output to
     traj, and returns the state there.  Stopping and resuming gives the same
-    run, step for step, as marching straight through."""
+    run, step for step, as marching straight through.
+
+    The sampler takes a block, sampler(times, fields) with fields a (B, n)
+    stack, and returns its B records.  next() records a block of one, so a
+    caller reads each sample's record before the next step; to_horizon
+    records up to _BLOCK_VALUES // n samples at once.  A sampler that forms
+    each record along the last axis, as diagnostics.entropy_report does,
+    gives records that do not depend on the block."""
 
     def __init__(self, grid: Grid, exps: Exponents, initial: FlowState,
                  dt: float, cadence: float, sampler=None, W=None):
@@ -364,19 +377,30 @@ class Run:
         self._states = march(grid, exps, initial, dt,
                              ((i + 1) * cadence for i in count()), W, self.traj)
         self._steps = []     # steps behind each sample
+        self._block = max(1, _BLOCK_VALUES // grid.n)
 
     def __iter__(self):
         return self
 
-    def __next__(self) -> FlowState:
+    def _advance(self) -> FlowState:
+        """March to the next sample and append its time, sup|field| and step
+        count, but not its sampler output."""
         if self._states is None:
             raise ValueError("a run cut back cannot be marched on")
         state, traj = next(self._states), self.traj
         traj.sample_times.append(state.time)
         traj.sups.append(float(np.max(np.abs(state.field))))
-        if self.sampler is not None:
-            traj.diagnostics.append(self.sampler(state.time, state.field))
         self._steps.append(len(traj.dt_history))
+        return state
+
+    def _record(self, times: list, fields: list) -> None:
+        """Append the sampler's records of the samples at times."""
+        if self.sampler is not None and times:
+            self.traj.diagnostics.extend(self.sampler(times, np.array(fields)))
+
+    def __next__(self) -> FlowState:
+        state = self._advance()
+        self._record([state.time], [state.field])
         return state
 
     def to_horizon(self, horizon: float,
@@ -384,13 +408,26 @@ class Run:
         """The trajectory to the horizon: marched on if the run stopped short
         of it (halting after the first sample whose sup|field| is below
         stop_sup_below, if given), else cut back to its last sample there,
-        after which the run cannot be marched on."""
+        after which the run cannot be marched on.  Samples marched here are
+        recorded in blocks, the last one before it returns."""
         traj, n = self.traj, sample_count(horizon, self.cadence)
         have = len(traj.sample_times)
         if n >= have:
-            for _ in islice(self, n - have):
-                if stop_sup_below is not None and traj.sups[-1] < stop_sup_below:
-                    break
+            times, fields = [], []      # the samples not yet recorded
+            try:
+                for _ in range(n - have):
+                    state = self._advance()
+                    times.append(state.time)
+                    fields.append(state.field)
+                    if len(times) == self._block:
+                        # emptied before the call: a sampler that raises
+                        # leaves nothing for finally to record twice
+                        block, times, fields = (times, fields), [], []
+                        self._record(*block)
+                    if stop_sup_below is not None and traj.sups[-1] < stop_sup_below:
+                        break
+            finally:
+                self._record(times, fields)
         else:
             k = self._steps[n - 1] if n else 0
             del traj.sample_times[n:], traj.sups[n:], traj.diagnostics[n:]

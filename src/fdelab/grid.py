@@ -95,6 +95,13 @@ class Grid:
             raise ValueError(f"field has shape {f.shape}, expected ({self.n},)")
         return f
 
+    def check_fields(self, f) -> np.ndarray:
+        """A field (n,) or a stack of fields (..., n), as floats."""
+        f = np.asarray(f, dtype=float)
+        if f.shape[-1:] != (self.n,):
+            raise ValueError(f"field has shape {f.shape}, expected (..., {self.n})")
+        return f
+
 
 def _ball_surface(ndim: int) -> float:
     # |S^(N-1)| = 2 pi^(N/2) / Gamma(N/2)
@@ -132,11 +139,12 @@ def build_domain(spec: DomainSpec) -> Grid:
 
 
 def apply_A(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """A f for the weighted tridiagonal A = W_quad * (-lap); f is not checked."""
+    """A f for the weighted tridiagonal A = W_quad * (-lap), along the last
+    axis of a field or a stack of fields (..., n); f is not checked."""
     af = grid.lap_diag * f
-    below, above = af[1:], af[:-1]     # += on views writes through, no copy back
-    below += grid.lap_offdiag * f[:-1]
-    above += grid.lap_offdiag * f[1:]
+    below, above = af[..., 1:], af[..., :-1]   # += on views writes through
+    below += grid.lap_offdiag * f[..., :-1]
+    above += grid.lap_offdiag * f[..., 1:]
     return af
 
 
@@ -179,7 +187,15 @@ def integrate(grid: Grid, field) -> float:
     return float(np.dot(grid.quad_weights, grid.check_field(field)))
 
 
-def dirichlet_energy(grid: Grid, f) -> float:
-    """int |grad f|^2 dx as the quadratic form <-lap f, f>_quad (f^T A f)."""
-    f = grid.check_field(f)
-    return float(np.dot(f, apply_A(grid, f)))
+def per_field(x):
+    """A reduction over the last axis: a float for one field, the (...)
+    array for a stack of fields."""
+    return float(x) if x.ndim == 0 else x
+
+
+def dirichlet_energy(grid: Grid, f):
+    """int |grad f|^2 dx as the quadratic form <-lap f, f>_quad (f^T A f),
+    for a field or, row by row, a stack of fields (..., n): np.vecdot calls
+    ddot per row, so a row has np.dot's bits."""
+    f = grid.check_fields(f)
+    return per_field(np.vecdot(f, apply_A(grid, f)))

@@ -104,7 +104,7 @@ def _rescaled_run(setup: StageSetup, v0: np.ndarray, dt: float,
                                  setup.eigs, setup.gap)
     return Run(setup.grid, setup.exps,
                FlowState(kind="rescaled", field=v0, time=0.0), dt, cadence,
-               sampler=lambda t, v: entropy_report(weights, v, t))
+               sampler=lambda times, v: entropy_report(weights, v, times))
 
 
 @dataclass(frozen=True)
@@ -275,9 +275,9 @@ def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
     grid, eigs, cp = setup.grid, setup.eigs, setup.gap.cp
     K = len(eigs.eigenvalues)
 
-    def sampler(t, f):   # the record (E_lin, I_lin, coefficients)
-        return (*linear_entropy(grid, eigs, cp, f),
-                project_coefficients(grid, eigs, f, K))
+    def sampler(times, f):   # per field, the record (E_lin, I_lin, coefficients)
+        return list(zip(*linear_entropy(grid, eigs, cp, f),
+                        project_coefficients(grid, eigs, f, K)))
 
     traj = Run(grid, setup.exps, FlowState(kind="linearized",
                                            field=np.asarray(f0, float), time=0.0),

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .grid import Grid, apply_A, dirichlet_energy, weighted_eigenpairs
+from .grid import (Grid, apply_A, dirichlet_energy, per_field,
+                   weighted_eigenpairs)
 
 
 @dataclass(frozen=True)
@@ -133,21 +134,23 @@ def classify_gap(eigs: EigenSystem, p: float, c: float,
 
 
 def project_coefficients(grid: Grid, eigs: EigenSystem, field, k_max: int):
-    """Weighted Fourier coefficients <field, phi_k>_V for k <= k_max, as one
-    array (index k - 1): rows[:k_max] @ (W field)."""
-    f = grid.check_field(field)
+    """Weighted Fourier coefficients <field, phi_k>_V for k <= k_max, along
+    the last axis (index k - 1) of a field or a stack of fields (..., n):
+    rows[:k_max] @ (W field), one gemv per field, as for a single field."""
+    f = grid.check_fields(field)
     if k_max > len(eigs.eigenvalues):
         raise ValueError(f"k_max = {k_max} exceeds computed spectrum "
                          f"({len(eigs.eigenvalues)} eigenvalues)")
-    return eigs.rows[:k_max] @ (eigs.W * f)
+    return (eigs.rows[:k_max] @ (eigs.W * f)[..., None])[..., 0]
 
 
 def linear_entropy(grid: Grid, eigs: EigenSystem, cp: float, field):
-    """(E, I) of a field f: the linear entropy E = int f^2 V^(p-1) dx and its
-    production I = int |grad f|^2 dx - cp E."""
-    f = grid.check_field(field)
-    e = float(np.dot(grid.quad_weights, f * f * eigs.weight))
-    return e, dirichlet_energy(grid, f) - cp * e
+    """(E, I) of a field f, or of each field of a stack (..., n): the linear
+    entropy E = int f^2 V^(p-1) dx and its production
+    I = int |grad f|^2 dx - cp E."""
+    f = grid.check_fields(field)
+    e = np.vecdot(f * f * eigs.weight, grid.quad_weights)
+    return per_field(e), per_field(dirichlet_energy(grid, f) - cp * e)
 
 
 def deflate(grid: Grid, eigs: EigenSystem, field, k_p: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import fdelab as F
 from fdelab.diagnostics import (EntropyReport, _gauss_legendre, _kernel_sums,
                                 _node_count, ao_window, decaying_prefix,
                                 entropy_density, power_difference, trace_rows)
+from fdelab.flow import _BLOCK_VALUES
 
 
 def analytic_remainder_kappa(p, c):
@@ -207,11 +208,30 @@ class TestOnePassKernels:
             s = request.getfixturevalue(name)
         V = s.profile.V
         rng = np.random.default_rng(7)
+        fields, wants = [], []
         for i in range(60):
             amp = 10.0 ** rng.uniform(-9.0, -0.5)
             v = V * (1.0 + amp * rng.uniform(-1.0, 1.0, V.size))
             want = reference_report(s.grid, V, s.exps, s.eigs, s.gap, v, 0.1 * i)
             assert pickle.dumps(report_for(s, v, 0.1 * i)) == pickle.dumps(want)
+            fields.append(v)
+            wants.append(pickle.dumps(want))
+        # the same fields in stacks: each row's report has the bits of the
+        # field's own, in blocks of 1, 3 and 8 and one beyond Run's bound
+        weights = F.ReportWeights.make(s.grid, V, s.exps, s.eigs, s.gap)
+        over = _BLOCK_VALUES // V.size + 1
+        blocks = [range(i, min(i + size, 60)) for size in (1, 3, 8)
+                  for i in range(0, 60, size)]
+        for rows in blocks + [[i % 60 for i in range(over)]]:
+            got = F.entropy_report(weights, np.stack([fields[i] for i in rows]),
+                                   [0.1 * i for i in rows])
+            assert [pickle.dumps(r) for r in got] == [wants[i] for i in rows]
+        # V itself in a stack: Q_lin zeros and no Q_nl, with no warning
+        got = F.entropy_report(weights, np.stack([fields[0], V, fields[1]]),
+                               [0.0, 0.05, 0.1])
+        assert pickle.dumps(got[0]) == wants[0]
+        assert not got[1].Q_lin.any() and got[1].Q_nl is None
+        assert pickle.dumps(got[2]) == wants[1]
 
 
 class TestEntropyReport:

@@ -1,12 +1,13 @@
 """Flow steppers: fixed points, rates, ordering, rescaling consistency."""
 
+import pickle
 import tracemalloc
 import weakref
 from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 
@@ -221,6 +222,9 @@ class TestDiscreteRate:
         # unstable mode's step is singular)
         p = 2.0
         dt = dt_frac * p / ((p - 1.0) * c)
+        # below T after rounding too: dt_frac = 1 - 2**-53 at c = 1.5 rounds
+        # dt to T itself, where log1p(-1) is singular
+        assume(-dt * c * (p - 1.0) / p > -1.0)
         gamma_dt = -np.log1p(-dt * c * (p - 1.0) / p) / dt
         assert -F.discrete_rate(-c * (p - 1.0) / p, dt) == gamma_dt
         target_dt = 2.0 * np.log1p(dt * lam / p) / dt
@@ -781,8 +785,8 @@ class TestRun:
         def state():
             return F.FlowState(kind=kind, field=initial.copy(), time=0.0)
 
-        def sampler(t, f):
-            return float(np.dot(f, f))
+        def sampler(times, fields):   # a block of (time, field) samples
+            return [float(np.dot(f, f)) for f in fields]
 
         run = F.Run(s.grid, s.exps, state(), 5e-3, 0.05, sampler, W)
         for chunk in (2, 5, 1, 3):
@@ -796,13 +800,68 @@ class TestRun:
         assert len(traj.dt_history) == round(horizon / 5e-3)
         assert traj == straight
 
+    @staticmethod
+    def stepped(run, samples):
+        """run's trajectory after samples next() calls, each recording a
+        block of one sample."""
+        for _ in islice(run, samples):
+            pass
+        return run.traj
+
+    @staticmethod
+    def assert_same_records(traj, stepped):
+        assert len(traj.diagnostics) == len(traj.sample_times)
+        assert traj.sample_times == stepped.sample_times
+        assert traj.sups == stepped.sups
+        assert traj.dt_history == stepped.dt_history
+        assert ([pickle.dumps(r) for r in traj.diagnostics]
+                == [pickle.dumps(r) for r in stepped.diagnostics])
+
+    def test_horizon_ending_mid_block_records_as_next_does(self,
+                                                           interval_p2_small):
+        # at n = 129 to_horizon records 63 samples at once: 140 samples are
+        # two full blocks and 14 in a last one, flushed before it returns
+        s = interval_p2_small
+        weights = F.ReportWeights.make(s.grid, s.profile.V, s.exps, s.eigs,
+                                       s.gap)
+
+        def run():
+            return F.Run(s.grid, s.exps, F.FlowState(
+                kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.3)]),
+                time=0.0), 5e-3, 5e-3,
+                lambda times, v: F.entropy_report(weights, v, times))
+
+        assert fdelab.flow._BLOCK_VALUES // s.grid.n == 63
+        traj = run().to_horizon(0.7)
+        assert len(traj.sample_times) == 140
+        self.assert_same_records(traj, self.stepped(run(), 140))
+
+    def test_stop_firing_mid_block_records_as_next_does(self,
+                                                        interval_p2_small):
+        # the original flow's near-extinction stop fires at the 100th
+        # sample, 37 samples into to_horizon's second block
+        s = interval_p2_small
+
+        def run():
+            return F.Run(s.grid, s.exps, F.FlowState(
+                kind="original", field=s.profile.S.copy(), time=0.0),
+                1e-2, 1e-2, lambda times, fields: list(zip(
+                    times, np.vecdot(fields, fields).tolist())))
+
+        stepped = self.stepped(run(), 100)
+        stop = 0.5 * (stepped.sups[98] + stepped.sups[99])
+        assert stepped.sups[98] > stop > stepped.sups[99]
+        traj = run().to_horizon(10.0, stop_sup_below=stop)
+        assert len(traj.sample_times) == 100
+        self.assert_same_records(traj, stepped)
+
     def test_a_run_cut_back_cannot_be_marched_on(self, interval_p2_small):
         # its march has gone past the samples it keeps: marching on would
         # resume from the last sample marched, not from the horizon
         s = interval_p2_small
         run = F.Run(s.grid, s.exps, F.FlowState(
             kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.3)]),
-            time=0.0), 5e-3, 0.05, lambda t, v: t)
+            time=0.0), 5e-3, 0.05, lambda times, fields: times)
         for _ in islice(run, 20):
             pass
         traj = run.to_horizon(0.5)
