@@ -21,10 +21,11 @@ retried from the old state before dt is halved.
 
 A Run keeps no field beyond one block of samples: per sample (i + 1) cadence
 it records the time, sup|field| and the sampler's output, which the sampler
-forms for a block of samples at once, and it marches only as far as it is
-iterated, so it can be stopped and resumed.  Run.to_horizon alone takes it
-to a horizon, marching it on or cutting it back for good; evolve is a Run
-taken there.  A caller that needs the fields iterates march instead.
+forms for a block of samples at once.  Run.to_horizon is its one march loop:
+it marches the run on to a horizon, halting early at a sample where a stop
+rule holds, so that the run can be stopped and resumed, or cuts it back for
+good; evolve is a Run taken there.  A caller that needs the fields iterates
+march instead.
 
 Original runs stop near extinction (default sup u < 1e-6 sup u0); the
 extinction time itself is always extrapolated from the exact linearity of
@@ -34,7 +35,7 @@ sup(u)^(1-m) in time, never simulated to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, islice
 
 import numpy as np
 
@@ -352,17 +353,15 @@ def sample_rate(mu: float, dt: float, cadence: float) -> float:
 
 class Run:
     """A flow from initial, sampled at (i + 1) cadence for ever and marched
-    (see march) only as far as it is iterated: each next() advances it to the
-    next sample, appends the sample's time, sup|field| and sampler output to
-    traj, and returns the state there.  Stopping and resuming gives the same
-    run, step for step, as marching straight through.
+    (see march) only as far as to_horizon takes it: each sample's time,
+    sup|field| and sampler output are appended to traj.  Stopping and
+    resuming gives the same run, step for step, as marching straight through.
 
     The sampler takes a block, sampler(times, fields) with fields a (B, n)
-    stack, and returns its B records.  next() records a block of one, so a
-    caller reads each sample's record before the next step; to_horizon
-    records up to _BLOCK_VALUES // n samples at once.  A sampler that forms
-    each record along the last axis, as diagnostics.entropy_report does,
-    gives records that do not depend on the block."""
+    stack, and returns its B records; to_horizon records up to
+    _BLOCK_VALUES // n samples at once.  A sampler that forms each record
+    along the last axis, as diagnostics.entropy_report does, gives records
+    that do not depend on the block."""
 
     def __init__(self, grid: Grid, exps: Exponents, initial: FlowState,
                  dt: float, cadence: float, sampler=None, W=None):
@@ -379,44 +378,29 @@ class Run:
         self._steps = []     # steps behind each sample
         self._block = max(1, _BLOCK_VALUES // grid.n)
 
-    def __iter__(self):
-        return self
-
-    def _advance(self) -> FlowState:
-        """March to the next sample and append its time, sup|field| and step
-        count, but not its sampler output."""
-        if self._states is None:
-            raise ValueError("a run cut back cannot be marched on")
-        state, traj = next(self._states), self.traj
-        traj.sample_times.append(state.time)
-        traj.sups.append(float(np.max(np.abs(state.field))))
-        self._steps.append(len(traj.dt_history))
-        return state
-
     def _record(self, times: list, fields: list) -> None:
         """Append the sampler's records of the samples at times."""
         if self.sampler is not None and times:
             self.traj.diagnostics.extend(self.sampler(times, np.array(fields)))
 
-    def __next__(self) -> FlowState:
-        state = self._advance()
-        self._record([state.time], [state.field])
-        return state
-
-    def to_horizon(self, horizon: float,
-                   stop_sup_below: float | None = None) -> Trajectory:
+    def to_horizon(self, horizon: float, stop=None) -> Trajectory:
         """The trajectory to the horizon: marched on if the run stopped short
-        of it (halting after the first sample whose sup|field| is below
-        stop_sup_below, if given), else cut back to its last sample there,
-        after which the run cannot be marched on.  Samples marched here are
-        recorded in blocks, the last one before it returns."""
+        of it, else cut back to its last sample there, after which the run
+        cannot be marched on.  stop(state), if given, is called at each
+        sample marched here, and the march halts after the first sample
+        where it is true.  Samples marched here are recorded in blocks, the
+        last one before it returns or raises."""
         traj, n = self.traj, sample_count(horizon, self.cadence)
         have = len(traj.sample_times)
-        if n >= have:
+        if n > have:
+            if self._states is None:
+                raise ValueError("a run cut back cannot be marched on")
             times, fields = [], []      # the samples not yet recorded
             try:
-                for _ in range(n - have):
-                    state = self._advance()
+                for state in islice(self._states, n - have):
+                    traj.sample_times.append(state.time)
+                    traj.sups.append(float(np.max(np.abs(state.field))))
+                    self._steps.append(len(traj.dt_history))
                     times.append(state.time)
                     fields.append(state.field)
                     if len(times) == self._block:
@@ -424,11 +408,11 @@ class Run:
                         # leaves nothing for finally to record twice
                         block, times, fields = (times, fields), [], []
                         self._record(*block)
-                    if stop_sup_below is not None and traj.sups[-1] < stop_sup_below:
+                    if stop is not None and stop(state):
                         break
             finally:
                 self._record(times, fields)
-        else:
+        elif n < have:
             k = self._steps[n - 1] if n else 0
             del traj.sample_times[n:], traj.sups[n:], traj.diagnostics[n:]
             del traj.dt_history[k:], traj.newton_history[k:], self._steps[n:]
@@ -440,13 +424,16 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
            dt: float, sample_every: float, sampler=None, W=None,
            stop_sup_below: float | None = None) -> Trajectory:
     """A Run sampled every sample_every, taken to the horizon (see
-    Run.to_horizon): its Trajectory.  An original run halts near extinction,
-    by default once sup|u| < 1e-6 sup|u0|."""
+    Run.to_horizon): its Trajectory.  It halts after the first sample whose
+    sup|field| is below stop_sup_below, if given; an original run halts near
+    extinction, by default once sup|u| < 1e-6 sup|u0|."""
     run = Run(grid, exps, initial, dt, sample_every, sampler, W)
     if initial.kind == "original" and stop_sup_below is None:
         # near-extinction stop: extrapolate, never simulate the degenerate limit
         stop_sup_below = 1e-6 * run.traj.initial_sup
-    return run.to_horizon(horizon, stop_sup_below)
+    sups = run.traj.sups
+    return run.to_horizon(horizon, None if stop_sup_below is None
+                          else lambda state: sups[-1] < stop_sup_below)
 
 
 @dataclass(frozen=True)

@@ -23,27 +23,29 @@ g = a exp(-gamma_dt t) is about K (b - b*) whatever t was.  K is close to
 the first trial, at b = 1, already predicts b*; a secant on g, kept inside
 the sign bracket once there is one, finishes the match.
 
-Each trial is a flow.Run on the run's own sample lattice (i + 1) cadence and
-records there the entropy report the run would record (from report weights
-formed once per trial); its collapse and divergence checks read that report's
-E_nl.  The accepted trial is therefore the first stretch of the run: the
-calibrated run is that Run, suspended where it was accepted, taken on to the
-horizon (or cut back to it), which gives the same trace as a fresh run from
-the accepted scale without marching that stretch twice.  run_rescaled, which
-an uncalibrated rate case calls, takes such a Run from its start.
+Each trial is a flow.Run on the run's own sample lattice (i + 1) cadence,
+taken to the horizon by Run.to_horizon with a stop rule, and records there,
+in blocks, the entropy report the run would record (from report weights
+formed once per trial).  The stop rule makes the collapse and divergence
+checks at every sample on diagnostics.nonlinear_entropy, which gives the
+report's E_nl bit for bit.  The accepted trial is therefore the first
+stretch of the run: the calibrated run is that Run, suspended where it was
+accepted, taken on to the horizon (or cut back to it), which gives the same
+trace as a fresh run from the accepted scale without marching that stretch
+twice.  run_rescaled, which an uncalibrated rate case calls, takes such a
+Run from its start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
 from .diagnostics import ReportWeights, entropy_report, nonlinear_entropy
 from .errors import NumericalFailure, StepFailure
 from .flow import (FlowState, Run, estimate_extinction_time, evolve,
-                   sample_count, sample_rate)
+                   sample_rate)
 from .grid import DomainSpec, Grid, build_domain
 from .rates import EntropyBand, RateVerdict, fit_rate, sharp_rate_verdict
 from .spectrum import (EigenSystem, GapReport, classify_gap, linear_entropy,
@@ -128,36 +130,40 @@ def _mode1_coefficient(setup: StageSetup, dev: np.ndarray) -> float:
 
 def _run_trial(setup: StageSetup, v0: np.ndarray, dt: float, horizon: float,
                deep_floor: float, cadence: float):
-    """March the rescaled flow until the entropy either collapses below
-    deep_floor (verdict 0) or diverges (verdict +-1, the sign of the
-    unstable-mode coefficient a), checking at every sample (i + 1) cadence
-    the E_nl of the entropy report recorded there.  It has diverged at the
-    first sample where E_nl exceeds 4 times its running minimum (which is at
-    least deep_floor until it collapses): only the growing unstable mode can
-    make the entropy rise, so the trial can no longer reach the floor, and
-    its verdict and a are settled.  It has also diverged when the flow cannot
-    be continued even at the smallest dt (it collapses in finite time); a
-    trial that does neither by the horizon is accepted.  Returns (verdict, t,
-    e_min, a, run), with t and a taken at the last check and run (a flow.Run)
-    suspended there."""
+    """Take the rescaled flow's Run to the horizon, stopping it once the
+    entropy either collapses below deep_floor (verdict 0) or diverges
+    (verdict +-1, the sign of the unstable-mode coefficient a); its stop rule
+    checks E_nl (diagnostics.nonlinear_entropy) at every sample (i + 1)
+    cadence.  It has diverged at the first sample where E_nl exceeds 4 times
+    its running minimum (which is at least deep_floor until it collapses):
+    only the growing unstable mode can make the entropy rise, so the trial
+    can no longer reach the floor, and its verdict and a are settled.  It
+    has also diverged when the flow cannot be continued even at the smallest
+    dt (it collapses in finite time); a trial that does neither by the
+    horizon is accepted.  Returns (verdict, t, e_min, a, run), with t and a
+    taken at the last check and run (a flow.Run) suspended there."""
+    grid, V, p = setup.grid, setup.profile.V, setup.exps.p
     run = _rescaled_run(setup, v0, dt, cadence)
-    state = FlowState(kind="rescaled", field=v0, time=0.0)
-    e_min = nonlinear_entropy(setup.grid, setup.profile.V, setup.exps.p, v0)
+    last = FlowState(kind="rescaled", field=v0, time=0.0)
+    e_min = nonlinear_entropy(grid, V, p, v0)
     diverged = False
+
+    def stop(state):
+        nonlocal last, e_min, diverged
+        last, e = state, nonlinear_entropy(grid, V, p, state.field)
+        e_min = min(e_min, e)
+        if e_min < deep_floor:
+            return True
+        diverged = e > 4.0 * e_min
+        return diverged
+
     try:
-        for state in islice(run, sample_count(horizon, run.cadence)):
-            e = run.traj.diagnostics[-1].E_nl
-            e_min = min(e_min, e)
-            if e_min < deep_floor:
-                break
-            if e > 4.0 * e_min:
-                diverged = True
-                break
+        run.to_horizon(horizon, stop)
     except StepFailure:
         diverged = True
-    a = _mode1_coefficient(setup, state.field - setup.profile.V)
+    a = _mode1_coefficient(setup, last.field - V)
     verdict = (1 if a > 0 else -1) if diverged else 0
-    return verdict, state.time, e_min, a, run
+    return verdict, last.time, e_min, a, run
 
 
 def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,

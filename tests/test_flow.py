@@ -3,7 +3,6 @@
 import pickle
 import tracemalloc
 import weakref
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -255,8 +254,8 @@ class TestDiscreteRate:
         cadence, phi = (k + frac) * dt, s.eigs.mode(2)
         run = F.Run(s.grid, s.exps,
                     F.FlowState(kind="linearized", field=phi, time=0.0),
-                    dt, cadence, W=s.eigs.W)
-        f1 = next(run).field
+                    dt, cadence, lambda times, fields: list(fields), s.eigs.W)
+        f1 = run.to_horizon(cadence).diagnostics[0]
         steps = run.traj.dt_history
         assert len(steps) == k + 1 and steps[:k] == [dt] * k
         mu = mu_dt / dt
@@ -773,8 +772,8 @@ class TestRun:
     @pytest.mark.parametrize("kind", ["original", "linearized", "rescaled"])
     def test_stopped_and_resumed_run_is_evolve_straight_through(
             self, interval_p2_small, kind, horizon):
-        # a Run advanced in uneven chunks to 11 samples (t = 0.55), then
-        # marched on to the horizon or cut back to it; evolve runs the
+        # a Run taken in uneven chunks to 2, 7, 8 and 11 samples (t = 0.55),
+        # then marched on to the horizon or cut back to it; evolve runs the
         # original flow from S with its stop level, not reached by then
         s = interval_p2_small
         initial = {"original": s.profile.S,
@@ -789,9 +788,8 @@ class TestRun:
             return [float(np.dot(f, f)) for f in fields]
 
         run = F.Run(s.grid, s.exps, state(), 5e-3, 0.05, sampler, W)
-        for chunk in (2, 5, 1, 3):
-            for _ in islice(run, chunk):
-                pass
+        for samples in (2, 7, 8, 11):
+            run.to_horizon(samples * 0.05)
         assert len(run.traj.sample_times) == 11
         traj = run.to_horizon(horizon)
         straight = F.evolve(s.grid, s.exps, state(), horizon=horizon, dt=5e-3,
@@ -802,10 +800,10 @@ class TestRun:
 
     @staticmethod
     def stepped(run, samples):
-        """run's trajectory after samples next() calls, each recording a
-        block of one sample."""
-        for _ in islice(run, samples):
-            pass
+        """run's trajectory after samples to_horizon calls, each one sample
+        further and so recording a block of one sample."""
+        for i in range(samples):
+            run.to_horizon((i + 1) * run.cadence)
         return run.traj
 
     @staticmethod
@@ -851,7 +849,8 @@ class TestRun:
         stepped = self.stepped(run(), 100)
         stop = 0.5 * (stepped.sups[98] + stepped.sups[99])
         assert stepped.sups[98] > stop > stepped.sups[99]
-        traj = run().to_horizon(10.0, stop_sup_below=stop)
+        traj = run().to_horizon(
+            10.0, stop=lambda state: float(np.max(np.abs(state.field))) < stop)
         assert len(traj.sample_times) == 100
         self.assert_same_records(traj, stepped)
 
@@ -862,16 +861,13 @@ class TestRun:
         run = F.Run(s.grid, s.exps, F.FlowState(
             kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.3)]),
             time=0.0), 5e-3, 0.05, lambda times, fields: times)
-        for _ in islice(run, 20):
-            pass
+        run.to_horizon(20 * 0.05)
         traj = run.to_horizon(0.5)
         assert len(traj.sample_times) == len(traj.diagnostics) == 10
         assert len(traj.dt_history) == 100
         assert run.to_horizon(0.5) is traj and run.to_horizon(0.3) is traj
         with pytest.raises(ValueError, match="cut back"):
             run.to_horizon(1.0)
-        with pytest.raises(ValueError, match="cut back"):
-            next(run)
         assert traj.sample_times == [(i + 1) * 0.05 for i in range(6)]
 
     def test_a_dropped_run_is_freed_at_once(self, interval_p2_small):
@@ -882,7 +878,7 @@ class TestRun:
                                                 field=s.profile.V.copy(),
                                                 time=0.0),
                     5e-3, 0.05)
-        next(run)
+        run.to_horizon(0.05)
         gone = weakref.ref(run)
         del run
         assert gone() is None

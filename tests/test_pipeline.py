@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fdelab as F
+import fdelab.flow
 from fdelab import pipeline
 from fdelab.errors import NumericalFailure
 
@@ -288,6 +289,42 @@ def test_calibrated_run_is_a_fresh_run_from_the_accepted_scale(
     assert (res.calibration.log[-1].t_stop > horizon) == accepted_after
     assert_fresh_run(res, setup, res.calibration.scale * base, horizon, cadence)
     assert pickle.loads(pickle.dumps(res)).calibration == res.calibration
+
+
+def test_reports_are_recorded_in_blocks_by_to_horizon_alone(monkeypatch,
+                                                            interval_p2_small):
+    # every entropy report of a calibrated rate case, its trials' included,
+    # is formed inside Run.to_horizon, in full blocks but for each call's
+    # last flush; the reports are still run_rescaled's from the accepted scale
+    setup = interval_p2_small
+    to_horizon, report = F.Run.to_horizon, pipeline.entropy_report
+    per_call, outside = [], []      # report stack sizes per to_horizon call
+    current = None
+
+    def counted_to_horizon(run, *args, **kwargs):
+        nonlocal current
+        current = []
+        per_call.append(current)
+        try:
+            return to_horizon(run, *args, **kwargs)
+        finally:
+            current = None
+
+    def counted_report(weights, v, t):
+        (outside if current is None else current).append(len(v))
+        return report(weights, v, t)
+
+    monkeypatch.setattr(F.Run, "to_horizon", counted_to_horizon)
+    monkeypatch.setattr(pipeline, "entropy_report", counted_report)
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
+    res = F.run_nonlinear_rate_case(setup, base, horizon=3.0, dt=1e-3,
+                                    want_fit=False)
+    block = fdelab.flow._BLOCK_VALUES // setup.grid.n
+    assert res.calibration.trials >= 2 and outside == []
+    assert len(per_call) == res.calibration.trials + 1
+    assert all(size == block for sizes in per_call for size in sizes[:-1])
+    monkeypatch.undo()
+    assert_fresh_run(res, setup, res.calibration.scale * base, 3.0)
 
 
 @pytest.mark.parametrize("match_clock", [True, False])
