@@ -31,7 +31,7 @@ print("\nnow with the extinction clock matched by scale calibration:")
 res = F.run_nonlinear_rate_case(setup, base, horizon=10.0, dt=1e-3, cadence=0.02)
 cal = res.calibration
 print(f"  calibrated scale b = {cal.scale:.12f} after {cal.trials} trials "
-      f"(entropy floor {cal.achieved_entropy:.1e})")
+      f"(accepted trial's smallest entropy {cal.achieved_entropy:.1e})")
 v = res.verdict
 print(f"  fitted rate   = {v.lambda_fit:.6f}")
 print(f"  2 lambda_p/p  = {v.target:.6f}")

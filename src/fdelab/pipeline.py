@@ -11,29 +11,30 @@ linearized flow (growth rate c(p-1)/p along V), which would eventually throw
 any desk-scale run off the profile.  The FDE scaling symmetry makes the family
 b -> b * v0 cross the matched-clock manifold transversally, so a one-parameter
 shooting on the scale b realizes "T = T(u0)" exactly to solver resolution.
-A trial is accepted once its entropy falls below a floor, and has diverged as
-soon as its entropy rises fourfold above its running minimum: on the stable
-manifold the entropy only decays, so such a rise can only come from the
-growing unstable mode, and the trial can no longer reach the floor.  Each
-diverging trial stops at some time t with unstable-mode coefficient
-a = <v(t) - V, phi_1>_V.  That mode grows at c(p-1)/p, and at gamma_dt =
+A trial is accepted once its entropy falls below a floor.  Its unstable-mode
+coefficient a = <v(t) - V, phi_1>_V grows at c(p-1)/p, and at gamma_dt =
 -flow.sample_rate(-c(p-1)/p, dt, cadence) on the run's sample lattice, so
-g = a exp(-gamma_dt t) is about K (b - b*) whatever t was.  K is close to
-<v0, phi_1>_V, the b-derivative of a at t = 0 (positive, as phi_1 is), so
-the first trial, at b = 1, already predicts b*; a secant on g, kept inside
-the sign bracket once there is one, finishes the match.
+g = a exp(-gamma_dt t) settles to about K (b - b*).  The trial has diverged
+once that mode alone holds more than four floors of entropy, a part of E_nl
+that only grows, so the trial can no longer reach the floor, and its g has
+settled; as a backstop also once its entropy rises fourfold above its
+running minimum (on the stable manifold the entropy only decays, so such a
+rise can only come from the unstable mode).  K is close to <v0, phi_1>_V,
+the b-derivative of a at t = 0 (positive, as phi_1 is), so the first trial,
+at b = 1, already predicts b*; a secant on g, kept inside the sign bracket
+once there is one, finishes the match.
 
 Each trial is a flow.Run on the run's own sample lattice (i + 1) cadence,
 taken to the horizon by Run.to_horizon with a stop rule, and records there,
 in blocks, the entropy report the run would record (from report weights
 formed once per trial).  The stop rule makes the collapse and divergence
-checks at every sample on diagnostics.nonlinear_entropy, which gives the
-report's E_nl bit for bit.  The accepted trial is therefore the first
-stretch of the run: the calibrated run is that Run, suspended where it was
-accepted, taken on to the horizon (or cut back to it), which gives the same
-trace as a fresh run from the accepted scale without marching that stretch
-twice.  run_rescaled, which an uncalibrated rate case calls, takes such a
-Run from its start.
+checks at every sample on a and on diagnostics.nonlinear_entropy, which
+gives the report's E_nl bit for bit.  The accepted trial is therefore the
+first stretch of the run: the calibrated run is that Run, suspended where
+it was accepted, taken on to the horizon (or cut back to it), which gives
+the same trace as a fresh run from the accepted scale without marching
+that stretch twice.  run_rescaled, which an uncalibrated rate case calls,
+takes such a Run from its start.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ from .spectrum import (EigenSystem, GapReport, classify_gap, linear_entropy,
 from .stationary import Exponents, StationaryProfile, solve_stationary
 
 _MAX_TRIALS = 60     # calibration trials before "no trial reached the floor"
+# A diverging trial's g has settled once the drift still to come is below
+# this fraction of |g|.  The next scale moves by that drift over K (g ~
+# K (b - b*)), far inside the window of scales whose trial is accepted: on
+# the reference p = 2 run 9e-11 in b, where a trial 6.3e-10 from b* still
+# bottoms under two floors.
+_G_SETTLED = 1e-5
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,8 @@ class ClockCalibration:
     scale: float
     trials: int
     bracket: tuple
-    achieved_entropy: float    # smallest entropy reached by the accepted run
+    achieved_entropy: float    # smallest entropy of the accepted trial (the
+                               # datum's own when no trial ran)
     log: tuple = ()            # every trial, in order (CalibrationTrial)
     # the accepted trial's Run from scale * base, suspended where it was
     # accepted (unstarted when no trial ran), for the run to continue; the
@@ -128,25 +136,46 @@ def _mode1_coefficient(setup: StageSetup, dev: np.ndarray) -> float:
     return float(project_coefficients(setup.grid, setup.eigs, dev, 1)[0])
 
 
+def _unstable_sample_rate(exps: Exponents, dt: float, cadence: float) -> float:
+    """gamma_dt, the unstable mode's growth rate c(p-1)/p on the run's
+    sample lattice: implicit Euler's, per sample (flow.sample_rate)."""
+    return -sample_rate(-exps.c * (exps.p - 1.0) / exps.p, dt, cadence)
+
+
 def _run_trial(setup: StageSetup, v0: np.ndarray, dt: float, horizon: float,
                deep_floor: float, cadence: float):
     """Take the rescaled flow's Run to the horizon, stopping it once the
     entropy either collapses below deep_floor (verdict 0) or diverges
     (verdict +-1, the sign of the unstable-mode coefficient a); its stop rule
-    checks E_nl (diagnostics.nonlinear_entropy) at every sample (i + 1)
-    cadence.  It has diverged at the first sample where E_nl exceeds 4 times
-    its running minimum (which is at least deep_floor until it collapses):
-    only the growing unstable mode can make the entropy rise, so the trial
-    can no longer reach the floor, and its verdict and a are settled.  It
-    has also diverged when the flow cannot be continued even at the smallest
-    dt (it collapses in finite time); a trial that does neither by the
-    horizon is accepted.  Returns (verdict, t, e_min, a, run), with t and a
-    taken at the last check and run (a flow.Run) suspended there."""
+    checks E_nl (diagnostics.nonlinear_entropy) and a at every sample
+    (i + 1) cadence.  It has diverged at the first sample where (i) the
+    unstable mode alone holds more than 4 deep_floor of entropy,
+    (p + 1)/2 a^2, a part of E_nl that only grows, so E_nl cannot come back
+    below the floor, and (ii) g = a exp(-gamma_dt t) has settled: the drift
+    still to come, |dg| r / (1 - r) with r the ratio of g's last two
+    changes dg, is below _G_SETTLED |g|, at any cadence.  As backstops it
+    has also diverged where E_nl exceeds 4 times its running minimum (only
+    the growing mode can make the entropy rise), or where the flow cannot
+    be continued even at the smallest dt (it collapses in finite time); a
+    trial that does none of these by the horizon is accepted.  Returns
+    (verdict, t, e_min, a, run), with t and a taken at the last check and
+    run (a flow.Run) suspended there."""
     grid, V, p = setup.grid, setup.profile.V, setup.exps.p
+    gamma_dt = _unstable_sample_rate(setup.exps, dt, cadence)
     run = _rescaled_run(setup, v0, dt, cadence)
     last = FlowState(kind="rescaled", field=v0, time=0.0)
     e_min = nonlinear_entropy(grid, V, p, v0)
+    gs = []     # g = a exp(-gamma_dt t) at every sample so far
     diverged = False
+
+    def settled(a, t):
+        # the drift still to come, |dg| r / (1 - r) with r = dg / dg_prev
+        gs.append(a * np.exp(-gamma_dt * t))
+        if len(gs) < 3 or gs[-2] == gs[-3]:
+            return False
+        dg = gs[-1] - gs[-2]
+        r = dg / (gs[-2] - gs[-3])
+        return 0.0 <= r < 1.0 and abs(dg) * r < _G_SETTLED * abs(gs[-1]) * (1 - r)
 
     def stop(state):
         nonlocal last, e_min, diverged
@@ -154,7 +183,9 @@ def _run_trial(setup: StageSetup, v0: np.ndarray, dt: float, horizon: float,
         e_min = min(e_min, e)
         if e_min < deep_floor:
             return True
-        diverged = e > 4.0 * e_min
+        a = _mode1_coefficient(setup, state.field - V)
+        unreachable = 0.5 * (p + 1.0) * a * a > 4.0 * deep_floor
+        diverged = settled(a, state.time) and unreachable or e > 4.0 * e_min
         return diverged
 
     try:
@@ -173,7 +204,9 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
     the rescaled flow (extinction time matched to T = p/((p-1)c)).
 
     The accepted scale is the first trial whose entropy collapses below
-    deep_floor before any divergence is detected.  The first trial is b = 1.
+    deep_floor before it is seen to diverge, at the latest once it can no
+    longer reach deep_floor and its g has settled (see _run_trial).  The
+    first trial is b = 1.
     Until a sign bracket is found, each next scale is the root of g through
     the latest trial with the slope K = <base_field, phi_1>_V, or the secant
     root through the two latest trials once their g differ, floored at 0.05;
@@ -195,13 +228,14 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
     if min(dt, cadence) >= exps.T:
         raise ValueError(f"the calibration steps min(dt, cadence) = "
                          f"{min(dt, cadence)!r}, which must be below T = {exps.T!r}")
-    gamma_dt = -sample_rate(-exps.c * (exps.p - 1.0) / exps.p, dt, cadence)
+    gamma_dt = _unstable_sample_rate(exps, dt, cadence)
     slope = _mode1_coefficient(setup, base)   # da/db at t = 0, ~ g's slope
     log, latest = [], None     # latest: the last trial's Run
 
-    if nonlinear_entropy(setup.grid, setup.profile.V, exps.p, base) < deep_floor:
+    e0 = nonlinear_entropy(setup.grid, setup.profile.V, exps.p, base)
+    if e0 < deep_floor:
         return ClockCalibration(scale=1.0, trials=0, bracket=(1.0, 1.0),
-                                achieved_entropy=0.0,
+                                achieved_entropy=e0,
                                 run=_rescaled_run(setup, base, dt, cadence))
 
     def trial(b):

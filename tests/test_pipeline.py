@@ -39,9 +39,10 @@ def test_accepted_trial_is_deep_and_inside_its_bracket(p, modes):
     assert cal.achieved_entropy < 1e-12
     assert cal.bracket[0] <= cal.scale <= cal.bracket[1]
     # measured 2, 2 and 3 trials (5, 4 and 5 with the old 1 -+ 2e-3 opening).
-    # The accepted trials bottom out at 9.97e-13, 9.80e-13 and 9.86e-13, within
-    # 2 % of the floor: a stepper change at rounding level can add a trial,
-    # so such a change must re-measure these margins and counts.
+    # An accepted trial stops at its first sample below the floor, so its
+    # e_min (9.97e-13, 9.95e-13 and 9.85e-13) always lies just under it and
+    # is no margin; marched on, these trials would bottom at 1.5e-18,
+    # 2.9e-15 and 2.5e-16, at least 300 times below the floor.
     assert cal.trials == {1.5: 2, 2.0: 2, 3.0: 3}[p]
     first = cal.log[0]
     assert first.scale == 1.0
@@ -225,44 +226,122 @@ def test_trial_survives_a_step_failure():
 
 
 def stopped_trial(setup, v0, floor):
-    """Run one trial from v0 and check that it diverged at its first and only
-    fourfold entropy rise; returns (verdict, t, e_min, a, E_last / e0)."""
+    """Run one trial from v0 on the rate-p2 lattice; returns (verdict, t,
+    e_min, a, E, rises), with E its recorded E_nl and rises the indices of
+    the samples where E_nl exceeds 4 times its running minimum."""
     verdict, t, e_min, a, run = pipeline._run_trial(setup, v0, 1e-3, 20.0,
                                                     floor, 0.02)
     E = np.array([r.E_nl for r in run.traj.diagnostics])
     e0 = F.nonlinear_entropy(setup.grid, setup.profile.V, setup.exps.p, v0)
     running = np.minimum.accumulate(np.concatenate([[e0], E]))[1:]
-    assert np.flatnonzero(E > 4.0 * running).tolist() == [E.size - 1]
-    return verdict, t, e_min, a, E[-1]
+    return verdict, t, e_min, a, E, np.flatnonzero(E > 4.0 * running).tolist()
 
 
-def test_trial_stops_at_its_first_fourfold_rise(calibrated_trace_p2):
-    # A diverging trial stops at its first fourfold rise over its running
-    # minimum, with its verdict and g already settled, whether it bottoms out
-    # far above the floor or just above it.
+# a trial 6.3e-10 above b* (the third trial of the old 1 -+ 2e-3 opening)
+NEAR_B_STAR = 0.9999912990054277
+
+
+def test_trial_stops_once_it_cannot_reach_the_floor_and_g_settled(
+        calibrated_trace_p2):
+    # A diverging trial stops once its unstable mode alone holds more than
+    # four floors of entropy and its g has settled, before any fourfold rise,
+    # whether it bottoms out far above the floor or just above it.
+    setup, result = calibrated_trace_p2
+    floor = F.EntropyBand().lo / 100.0
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
+    log = result.calibration.log
+    assert [r.verdict for r in log] == [1, 0]
+    first = log[0]
+    assert first.scale == 1.0 and first.t_stop <= 3.5    # 5.02 at its rise
+    # its g is the one a stop at its fourfold rise (t = 5.02) reads
+    assert first.g == pytest.approx(2.229800e-4, rel=2e-5)
+    verdict, t, e_min, a, E, rises = stopped_trial(setup, base, floor)
+    assert (verdict, t, e_min) == (1, first.t_stop, first.e_min) and a > 0
+    assert rises == [] and 1.5 * a * a > 4.0 * floor    # (p + 1)/2 a^2
+    # the near-b* trial bottoms out between the floor and 25 floors; its g
+    # has settled by t = 7.88, so it stops once its unstable part exceeds
+    # 4 floors
+    verdict, t, e_min, a, E, rises = stopped_trial(setup, NEAR_B_STAR * base,
+                                                   floor)
+    assert verdict == 1 and a > 0
+    assert floor <= e_min < 25.0 * floor
+    assert rises == [] and 1.5 * a * a > 4.0 * floor
+    assert t == pytest.approx(9.28, abs=1e-9)        # 9.78 at its rise
+
+
+def test_trial_stops_at_its_first_fourfold_rise(monkeypatch,
+                                                calibrated_trace_p2):
+    # With no g ever counted as settled, the fourfold rise over the running
+    # minimum is the backstop that stops a diverging trial, with its verdict
+    # and g already settled, whether it bottoms out far above the floor or
+    # just above it.
+    monkeypatch.setattr(pipeline, "_G_SETTLED", 0.0)
     setup, result = calibrated_trace_p2
     floor = F.EntropyBand().lo / 100.0
     base = F.mode_perturbed_field(setup, [(2, 0.1)])
     e0 = F.nonlinear_entropy(setup.grid, setup.profile.V, setup.exps.p, base)
     # the rate-p2-shaped calibration's first trial, from b = 1, bottoms out
-    # at 2.8e-6 and stops at t = 5.02, long before 10 e0
-    log = result.calibration.log
-    assert [r.verdict for r in log] == [1, 0]
-    first = log[0]
-    assert first.scale == 1.0
-    assert first.t_stop == pytest.approx(5.02, abs=1e-9)
-    verdict, t, e_min, a, e_last = stopped_trial(setup, base, floor)
-    assert (verdict, t, e_min) == (1, first.t_stop, first.e_min) and a > 0
-    assert e_last < 10.0 * e0
-    # a trial 6.3e-10 above b* (the third trial of the old 1 -+ 2e-3
-    # opening) bottoms out between the floor and 25 floors, so its first
-    # fourfold rise stays below 100 floors: it stops there (t = 9.78)
-    v0 = 0.9999912990054277 * base
-    verdict, t, e_min, a, e_last = stopped_trial(setup, v0, floor)
-    assert verdict == 1 and a > 0
+    # at 2.8e-6 and rises fourfold at t = 5.02, long before 10 e0
+    verdict, t, e_min, a, E, rises = stopped_trial(setup, base, floor)
+    assert verdict == 1 and a > 0 and rises == [E.size - 1]
+    assert t == pytest.approx(5.02, abs=1e-9)
+    assert E[-1] < 10.0 * e0
+    g = a * np.exp(-pipeline._unstable_sample_rate(setup.exps, 1e-3, 0.02) * t)
+    assert g == pytest.approx(result.calibration.log[0].g, rel=2e-5)
+    # the near-b* trial's first fourfold rise stays below 100 floors: it
+    # stops there (t = 9.78)
+    verdict, t, e_min, a, E, rises = stopped_trial(setup, NEAR_B_STAR * base,
+                                                   floor)
+    assert verdict == 1 and a > 0 and rises == [E.size - 1]
     assert floor <= e_min < 25.0 * floor
     assert t == pytest.approx(9.78, abs=1e-9)
-    assert e_last < 100.0 * floor     # the fourfold rise alone stops it
+    assert E[-1] < 100.0 * floor     # the fourfold rise alone stops it
+
+
+def test_settled_g_does_not_depend_on_the_cadence(calibrated_trace_p2):
+    # the same calibration checked every 5e-3 instead of every 0.02 stops
+    # trial 1 at about the same time with about the same g (at a fixed
+    # per-sample change of g it would stop later at the finer cadence)
+    setup, result = calibrated_trace_p2
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
+    fine = F.match_extinction_clock(setup, base, dt=1e-3, horizon=20.0,
+                                    deep_floor=1e-12, cadence=5e-3)
+    coarse = result.calibration
+    assert [r.verdict for r in fine.log] == [r.verdict for r in coarse.log] == [1, 0]
+    assert max(fine.log[0].t_stop, coarse.log[0].t_stop) < 3.5
+    assert abs(fine.log[0].t_stop - coarse.log[0].t_stop) <= 0.02
+    assert fine.log[0].g == pytest.approx(coarse.log[0].g, rel=2e-5)
+
+
+def test_accepted_trial_bottoms_far_below_the_floor(calibrated_trace_p2):
+    # from the accepted scale with no floor the trial is stopped once its g
+    # has settled (t = 10.1); its e_min then bounds its bottom from above
+    setup, result = calibrated_trace_p2
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
+    v0 = result.calibration.scale * base
+    _, _, e_min, _, _ = pipeline._run_trial(setup, v0, 1e-3, 20.0, 0.0, 0.02)
+    assert e_min <= 1e-13      # measured 2.9e-15: 340 times below the floor
+
+
+def test_trial_from_the_accepted_scale_is_accepted(calibrated_trace_p2):
+    # its unstable part stays far under four floors (1.9e-16 where it
+    # collapses), so no settled g can stop it
+    setup, result = calibrated_trace_p2
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
+    last = result.calibration.log[-1]
+    verdict, t, e_min, a, _ = pipeline._run_trial(
+        setup, last.scale * base, 1e-3, 20.0, F.EntropyBand().lo / 100.0, 0.02)
+    assert (verdict, t, e_min) == (0, last.t_stop, last.e_min)
+    assert 1.5 * a * a < 4.0 * F.EntropyBand().lo / 100.0
+
+
+def test_datum_on_the_floor_reports_its_own_entropy(interval_p2_small):
+    # no trial runs, and the smallest entropy reached is the datum's
+    setup = interval_p2_small
+    base = setup.profile.V + 1e-9 * setup.eigs.mode(2)
+    cal = F.match_extinction_clock(setup, base)
+    e0 = F.nonlinear_entropy(setup.grid, setup.profile.V, setup.exps.p, base)
+    assert cal.trials == 0 and cal.achieved_entropy == e0 > 0
 
 
 def assert_fresh_run(res, setup, v0, horizon, cadence=0.05):
