@@ -33,6 +33,7 @@ from .rates import (DelayOdeRun, EntropyBand, ExplicitWindow, RateFit,
                     RateVerdict, delay_supersolution, fit_rate,
                     integrate_delay_ode, sharp_rate_verdict,
                     supersolution_residual)
-from .pipeline import (ClockCalibration, StageSetup, match_extinction_clock,
-                       mode_perturbed_field, prepare, run_extinction_pipeline,
-                       run_linearized, run_nonlinear_rate_case, run_rescaled)
+from .pipeline import (ClockCalibration, StageSetup, clock_rule,
+                       match_extinction_clock, mode_perturbed_field, prepare,
+                       run_extinction_pipeline, run_linearized,
+                       run_nonlinear_rate_case, run_rescaled)

@@ -191,25 +191,17 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         write_csv(out / "trace.csv", *linear_trace_rows(tr))
         return summary
 
-    try:
-        result = run_nonlinear_rate_case(
-            setup, base, horizon=cfg["flow.horizon"], dt=cfg["flow.dt"],
-            cadence=cfg["sampler.cadence"],
-            band=EntropyBand(cfg["rates.band_lo"], cfg["rates.band_hi"]),
-            tol=cfg["rates.tol"], match_clock=cfg["initial.match_clock"],
-            want_fit=(stage == "rates"))
-    except NumericalFailure as exc:
-        if hasattr(exc, "clock_log"):   # a failed calibration: keep its trials
-            write_json(out / "trajectory.json",
-                       {"clock_trials": len(exc.clock_log),
-                        "clock_log": [asdict(trial) for trial in exc.clock_log]})
-        raise
+    result = run_nonlinear_rate_case(
+        setup, base, horizon=cfg["flow.horizon"], dt=cfg["flow.dt"],
+        cadence=cfg["sampler.cadence"],
+        band=EntropyBand(cfg["rates.band_lo"], cfg["rates.band_hi"]),
+        tol=cfg["rates.tol"], match_clock=cfg["initial.match_clock"],
+        want_fit=(stage == "rates"))
     header, rows = trace_rows(result.reports)
     write_csv(out / "trace.csv", header, rows)
     meta = dict(result.step_summary)
     meta["clock_scale"] = result.calibration.scale
-    meta["clock_trials"] = result.calibration.trials
-    meta["clock_log"] = [asdict(trial) for trial in result.calibration.log]
+    meta["clock_max_shift"] = result.calibration.max_shift
     write_json(out / "trajectory.json", meta)
     if stage == "evolve":
         return summary
@@ -221,8 +213,7 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         verdict = asdict(result.verdict)
         verdict.update(verdict.pop("fit"),
                        verdict="PASS" if result.verdict.passed else "FAIL",
-                       clock_scale=result.calibration.scale,
-                       clock_trials=result.calibration.trials)
+                       clock_scale=result.calibration.scale)
     write_json(out / "verdict.json", verdict)
     summary["verdict"] = verdict
     return summary

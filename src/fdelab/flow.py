@@ -23,9 +23,10 @@ A Run keeps no field beyond one block of samples: per sample (i + 1) cadence
 it records the time, sup|field| and the sampler's output, which the sampler
 forms for a block of samples at once.  Run.to_horizon is its one march loop:
 it marches the run on to a horizon, halting early at a sample where a stop
-rule holds, so that the run can be stopped and resumed, or cuts it back for
-good; evolve is a Run taken there.  A caller that needs the fields iterates
-march instead.
+rule holds, so that the run can be stopped and resumed; evolve is a Run taken
+there.  A caller that needs the fields iterates march instead.  A run may
+carry a rescale rule, which march applies at t = 0 and after every sample
+(the clock-matched rescaled run of fdelab.pipeline).
 
 Original runs stop near extinction (default sup u < 1e-6 sup u0); the
 extinction time itself is always extrapolated from the exact linearity of
@@ -262,7 +263,7 @@ def step_linearized(grid: Grid, W, exps: Exponents, state: FlowState,
 
 
 def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
-          W=None, traj: Trajectory | None = None):
+          W=None, traj: Trajectory | None = None, rescale=None):
     """Advance state to each of the increasing times in targets and yield it
     there.  Steps are dt long, except that a step ending in StepFailure is
     retried at half the dt (down to _DT_MIN), which then regrows after easy
@@ -271,10 +272,22 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
     f + (dt_eff/dt_prev) (f - f_prev), the linear extrapolation of the last
     two fields, floored at f/2; if that step fails, the same dt is retried
     without the start before it is halved.  Each accepted step's dt and
-    Newton count are appended to traj's histories, if traj is given."""
+    Newton count are appended to traj's histories, if traj is given.
+
+    rescale(field), if given, returns a factor sigma by which the state is
+    multiplied before the march to each target (at the start, and after
+    each yielded sample), and so is f_prev, so that the extrapolated start
+    survives.  The products are new arrays, as the caller may still hold
+    the yielded field."""
     dt_now = dt
     prev = None         # (field, dt) before the last accepted step
     for target in targets:
+        if rescale is not None:
+            sigma = rescale(state.field)
+            state = FlowState(kind=state.kind, field=sigma * state.field,
+                              time=state.time)
+            if prev is not None:
+                prev = (sigma * prev[0], prev[1])
         while state.time < target - 1e-12 * max(1.0, target):
             dt_eff = min(dt_now, target - state.time)
             clipped = dt_eff < dt_now
@@ -353,9 +366,10 @@ def sample_rate(mu: float, dt: float, cadence: float) -> float:
 
 class Run:
     """A flow from initial, sampled at (i + 1) cadence for ever and marched
-    (see march) only as far as to_horizon takes it: each sample's time,
-    sup|field| and sampler output are appended to traj.  Stopping and
-    resuming gives the same run, step for step, as marching straight through.
+    (see march, which applies the rescale rule, if any) only as far as
+    to_horizon takes it: each sample's time, sup|field| and sampler output
+    are appended to traj.  Stopping and resuming gives the same run, step
+    for step, as marching straight through.
 
     The sampler takes a block, sampler(times, fields) with fields a (B, n)
     stack, and returns its B records; to_horizon records up to
@@ -364,7 +378,8 @@ class Run:
     that do not depend on the block."""
 
     def __init__(self, grid: Grid, exps: Exponents, initial: FlowState,
-                 dt: float, cadence: float, sampler=None, W=None):
+                 dt: float, cadence: float, sampler=None, W=None,
+                 rescale=None):
         if initial.kind == "linearized" and W is None:
             raise ValueError("a linearized run needs the weight W")
         # the lattice reads a local cadence: one reading self would make a
@@ -374,8 +389,8 @@ class Run:
         self.traj = Trajectory(kind=initial.kind,
                                initial_sup=float(np.max(np.abs(initial.field))))
         self._states = march(grid, exps, initial, dt,
-                             ((i + 1) * cadence for i in count()), W, self.traj)
-        self._steps = []     # steps behind each sample
+                             ((i + 1) * cadence for i in count()), W, self.traj,
+                             rescale)
         self._block = max(1, _BLOCK_VALUES // grid.n)
 
     def _record(self, times: list, fields: list) -> None:
@@ -384,39 +399,28 @@ class Run:
             self.traj.diagnostics.extend(self.sampler(times, np.array(fields)))
 
     def to_horizon(self, horizon: float, stop=None) -> Trajectory:
-        """The trajectory to the horizon: marched on if the run stopped short
-        of it, else cut back to its last sample there, after which the run
-        cannot be marched on.  stop(state), if given, is called at each
-        sample marched here, and the march halts after the first sample
-        where it is true.  Samples marched here are recorded in blocks, the
-        last one before it returns or raises."""
-        traj, n = self.traj, sample_count(horizon, self.cadence)
-        have = len(traj.sample_times)
-        if n > have:
-            if self._states is None:
-                raise ValueError("a run cut back cannot be marched on")
-            times, fields = [], []      # the samples not yet recorded
-            try:
-                for state in islice(self._states, n - have):
-                    traj.sample_times.append(state.time)
-                    traj.sups.append(float(np.max(np.abs(state.field))))
-                    self._steps.append(len(traj.dt_history))
-                    times.append(state.time)
-                    fields.append(state.field)
-                    if len(times) == self._block:
-                        # emptied before the call: a sampler that raises
-                        # leaves nothing for finally to record twice
-                        block, times, fields = (times, fields), [], []
-                        self._record(*block)
-                    if stop is not None and stop(state):
-                        break
-            finally:
-                self._record(times, fields)
-        elif n < have:
-            k = self._steps[n - 1] if n else 0
-            del traj.sample_times[n:], traj.sups[n:], traj.diagnostics[n:]
-            del traj.dt_history[k:], traj.newton_history[k:], self._steps[n:]
-            self._states = None
+        """The trajectory, marched on to the horizon if the run stopped short
+        of it.  stop(state), if given, is called at each sample marched
+        here, and the march halts after the first sample where it is true.
+        Samples marched here are recorded in blocks, the last one before it
+        returns or raises."""
+        traj, times, fields = self.traj, [], []     # the samples not yet recorded
+        todo = sample_count(horizon, self.cadence) - len(traj.sample_times)
+        try:
+            for state in islice(self._states, max(todo, 0)):
+                traj.sample_times.append(state.time)
+                traj.sups.append(float(np.max(np.abs(state.field))))
+                times.append(state.time)
+                fields.append(state.field)
+                if len(times) == self._block:
+                    # emptied before the call: a sampler that raises
+                    # leaves nothing for finally to record twice
+                    block, times, fields = (times, fields), [], []
+                    self._record(*block)
+                if stop is not None and stop(state):
+                    break
+        finally:
+            self._record(times, fields)
         return traj
 
 

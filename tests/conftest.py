@@ -65,13 +65,16 @@ def calibrated_trace_p2(interval_p2):
 
 @pytest.fixture(scope="session")
 def calibrated_fields_p2(calibrated_trace_p2):
-    """(times, fields) of the calibrated trace's run, replayed through march:
-    the trace keeps no field, and the h-checks need them."""
+    """(times, fields) of the calibrated trace's run, replayed through march
+    with the same rescale rule: the trace keeps no field, and the h-checks
+    need them."""
     setup, result = calibrated_trace_p2
-    v0 = result.calibration.scale * F.mode_perturbed_field(setup, [(2, 0.1)])
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
+    sigmas = []
     states = F.march(setup.grid, setup.exps,
-                     F.FlowState(kind="rescaled", field=v0, time=0.0),
-                     dt=1e-3, targets=[r.t for r in result.reports])
+                     F.FlowState(kind="rescaled", field=base, time=0.0),
+                     dt=1e-3, targets=[r.t for r in result.reports],
+                     rescale=F.clock_rule(setup, sigmas))
     times, fields = [], []
     for state in states:
         times.append(state.time)
@@ -79,24 +82,25 @@ def calibrated_fields_p2(calibrated_trace_p2):
     V = setup.profile.V
     assert [float(np.max(np.abs((v - V) / V))) for v in fields] \
         == [r.h_inf for r in result.reports]      # the same run, bit for bit
+    assert sigmas == result.calibration.sigmas
     return times, fields
 
 
 @pytest.fixture(scope="session")
 def amp3_calibrated_traces(interval_p2_small):
     """Large-amplitude (h ~ 0.22) clock-matched runs at two time steps, used
-    for the entropy-production decomposition and the quotient ladder.  The
-    scale is calibrated once at dt = 1e-3; the early and middle window of the
-    finer-dt runs is insensitive to the O(dt) shift of the matched scale."""
+    for the entropy-production decomposition and the quotient ladder; each
+    run holds its own clock.  The horizon 3.5 lets the quotient ladder's
+    smallest rung fall below 1e-4: on a matched trace Q falls like sqrt(E),
+    and crosses 1e-4 at t = 3.27 at both time steps."""
     setup = interval_p2_small
     base = F.mode_perturbed_field(setup, [(2, 3.0)])
-    cal = F.match_extinction_clock(setup, base, dt=1e-3, horizon=16.0)
-    traces = {}
+    traces, clocks = {}, {}
     for dt in (5e-4, 2.5e-4):
-        _, reports = F.run_rescaled(setup, cal.scale * base, horizon=3.0,
-                                    dt=dt, cadence=5e-3)
-        traces[dt] = reports
-    return setup, cal, traces
+        res = F.run_nonlinear_rate_case(setup, base, horizon=3.5, dt=dt,
+                                        cadence=5e-3, want_fit=False)
+        traces[dt], clocks[dt] = res.reports, res.calibration
+    return setup, clocks, traces
 
 
 @pytest.fixture(scope="session")

@@ -773,7 +773,7 @@ class TestRun:
     def test_stopped_and_resumed_run_is_evolve_straight_through(
             self, interval_p2_small, kind, horizon):
         # a Run taken in uneven chunks to 2, 7, 8 and 11 samples (t = 0.55),
-        # then marched on to the horizon or cut back to it; evolve runs the
+        # none beyond the horizon, then marched on to it; evolve runs the
         # original flow from S with its stop level, not reached by then
         s = interval_p2_small
         initial = {"original": s.profile.S,
@@ -789,8 +789,8 @@ class TestRun:
 
         run = F.Run(s.grid, s.exps, state(), 5e-3, 0.05, sampler, W)
         for samples in (2, 7, 8, 11):
-            run.to_horizon(samples * 0.05)
-        assert len(run.traj.sample_times) == 11
+            run.to_horizon(min(samples * 0.05, horizon))
+        assert len(run.traj.sample_times) == min(11, round(horizon / 0.05))
         traj = run.to_horizon(horizon)
         straight = F.evolve(s.grid, s.exps, state(), horizon=horizon, dt=5e-3,
                             sample_every=0.05, sampler=sampler, W=W)
@@ -854,21 +854,41 @@ class TestRun:
         assert len(traj.sample_times) == 100
         self.assert_same_records(traj, stepped)
 
-    def test_a_run_cut_back_cannot_be_marched_on(self, interval_p2_small):
-        # its march has gone past the samples it keeps: marching on would
-        # resume from the last sample marched, not from the horizon
+    def test_rescale_scales_the_state_and_the_start(self, interval_p2_small):
+        # a rule that scales by 2 at t = 0 and by 1.0 after every sample
+        # gives the run from 2 v0, bit for bit: the extrapolated start is
+        # formed from fields scaled alike, and each yielded field is left
+        # as it was yielded
         s = interval_p2_small
-        run = F.Run(s.grid, s.exps, F.FlowState(
-            kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.3)]),
-            time=0.0), 5e-3, 0.05, lambda times, fields: times)
-        run.to_horizon(20 * 0.05)
-        traj = run.to_horizon(0.5)
-        assert len(traj.sample_times) == len(traj.diagnostics) == 10
-        assert len(traj.dt_history) == 100
-        assert run.to_horizon(0.5) is traj and run.to_horizon(0.3) is traj
-        with pytest.raises(ValueError, match="cut back"):
-            run.to_horizon(1.0)
-        assert traj.sample_times == [(i + 1) * 0.05 for i in range(6)]
+        v0 = F.mode_perturbed_field(s, [(2, 0.3)])
+        sigmas = iter([2.0])
+
+        def rule(field):
+            return next(sigmas, 1.0)
+
+        def run(field, rescale=None):
+            states = F.march(s.grid, s.exps,
+                             F.FlowState(kind="rescaled", field=field, time=0.0),
+                             5e-3, [0.05 * (i + 1) for i in range(10)],
+                             rescale=rescale)
+            return [(state.field, state.field.copy()) for state in states]
+
+        scaled, straight = run(v0, rule), run(2.0 * v0)
+        assert all(np.array_equal(a, b) and np.array_equal(a, kept)
+                   for (a, kept), (b, _) in zip(scaled, straight))
+
+        def newton_total(rescale):
+            traj = F.Trajectory(kind="rescaled", initial_sup=0.0)
+            for _ in F.march(s.grid, s.exps,
+                             F.FlowState(kind="rescaled", field=v0, time=0.0),
+                             5e-3, [0.05 * (i + 1) for i in range(40)],
+                             traj=traj, rescale=rescale):
+                pass
+            return sum(traj.newton_history)
+
+        # scaling by 1 + 1e-4 after every sample costs no Newton iteration
+        # (measured 407 either way; 448 with f_prev left unscaled)
+        assert newton_total(lambda field: 1.0 + 1e-4) <= newton_total(None)
 
     def test_a_dropped_run_is_freed_at_once(self, interval_p2_small):
         # no reference cycle: a finished run and the samples it recorded go
