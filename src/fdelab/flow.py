@@ -17,7 +17,13 @@ time, so march starts each step's Newton iteration from the linear
 extrapolation of the last two accepted fields (floored at half the current
 field), which lies O(dt^2) from the root instead of O(dt); the step solves the
 same equation to the same residual, and a step that fails from that start is
-retried from the old state before dt is halved.
+retried from the old state before dt is halved.  A step's fixed cost is
+mostly Python, not its LAPACK solve, so the stepper keeps its bookkeeping in
+Python floats (whose ** calls C pow, as numpy's scalar ** does) and makes no
+array pass that changes no bit: it takes maxima and minima with the ufunc
+reductions ndarray.max and min call, solves for -step (dgtsv is odd in its
+right-hand side) instead of negating the residual, and march skips
+multiplying its start by a dt ratio of 1.0 (x * 1.0 is x).
 
 A Run keeps no field beyond one block of samples: per sample (i + 1) cadence
 it records the time, sup|field| and the sampler's output, which the sampler
@@ -35,6 +41,7 @@ sup(u)^(1-m) in time, never simulated to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import count, islice
 
@@ -119,6 +126,27 @@ def _dt_rows(grid: Grid, dt: float):
     return rows[2:]
 
 
+def _residual(grid: Grid, w: np.ndarray, w_old: np.ndarray, dt: float,
+              m: float, c: float):
+    """(F(w), w^m) for F(w) = w - dt (lap w^m + c w) - w_old, formed in place
+    as ((A w^m / qw - c w) dt + w) - w_old (see _implicit_euler)."""
+    wm = w ** m
+    r = apply_A(grid, wm)
+    r /= grid.quad_weights
+    if c:
+        r -= c * w
+    r *= dt
+    r += w
+    r -= w_old
+    return r, wm
+
+
+def _accepted(x: np.ndarray, xm: np.ndarray, iters: int):
+    if np.minimum.reduce(x) <= _FLOOR * 10:
+        raise NumericalFailure("converged step is not strictly positive")
+    return x, xm, iters
+
+
 def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float,
                     w_max: float, start: np.ndarray | None = None):
     """One implicit Euler step of w_t = lap w^m + c w by damped Newton.
@@ -129,80 +157,74 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
     floor.  The start moves only the first iterate; everything below depends
     on w_old alone, so a step from any start solves the same equation to the
     same residual, or ends in StepFailure (march then retries it from w_old).
-    scale = w_max + 4 dt w_max^m / h^2 + dt c w_max (w_max = sup w_old)
-    estimates the terms composing F, so that eps * scale is the evaluation
-    noise: convergence is declared below a small multiple of it, and
-    stagnation (no line-search progress) is accepted as converged while the
-    residual sits within a larger multiple.  Stopping at a loose absolute
+    scale = w_max + 4 dt w_max^m / h^2 + dt c w_max (w_max = sup w_old, a
+    Python float) estimates the terms composing F, so that eps * scale is the
+    evaluation noise: convergence is declared below a small multiple of it,
+    and stagnation (no line-search progress) is accepted as converged while
+    the residual sits within a larger multiple.  Stopping at a loose absolute
     tolerance instead would inject per-step noise into the entropy traces
     (visible for large-amplitude profiles at p near 1).  Returns
     (w, w^m, Newton iterations), w^m as the last residual formed it.
 
-    F is formed in place as ((A w^m / qw - c w) dt + w) - w_old, with
-    lap = -A / qw.  That is the written w - dt (-A w^m / qw + c w) - w_old
+    F is formed in place by _residual as ((A w^m / qw - c w) dt + w) - w_old,
+    with lap = -A / qw.  That is the written w - dt (-A w^m / qw + c w) - w_old
     bit for bit: round-to-nearest is odd-symmetric, so the bracket and its dt
     multiple are the exact negatives of the written ones, adding w is
     subtracting the written term, and where that term is a zero its sign is
     lost in + w, as w > 0; skipping - c w at c = 0 moves only such a sign.
-    The Jacobian and the line search are likewise formed in place with
-    commuted operands, and 1.0 * step is step.
+    The Jacobian is likewise formed in place with commuted operands.  The
+    Newton step is solved for the right-hand side F itself, not -F: dgtsv
+    pivots on the matrix alone and is odd in its right-hand side, so it
+    returns s = -step exactly, and x - lam s is x + lam step bit for bit
+    (with s itself at lam = 1, as 1.0 * s is s).
+
+    The bookkeeping around the array passes is in Python floats: scale, its
+    floor and guard, and the residual norms, which np.maximum.reduce takes
+    (the ufunc reduction ndarray.max calls, so the same value) and
+    math.isfinite tests.  Python's float ** and numpy's scalar ** both call
+    C pow, so scale has numpy's bits (800,000 random draws at m in {1/2,
+    2/3, 1/3, 0.8} agreed).
     """
     scale = w_max + 4.0 * dt * w_max ** m / grid.h ** 2 + dt * c * w_max
     floor = 2.0 * _EPS * scale
     guard = 512.0 * _EPS * scale
-    qw = grid.quad_weights
     # Jacobian I - dt (-lap diag(m w^(m-1)) + c): dt rows formed once per dt
     dt_lower, dt_diag, dt_upper = _dt_rows(grid, dt)
     one_minus = 1.0 - dt * c
-
-    def residual(w):
-        wm = w ** m
-        r = apply_A(grid, wm)
-        r /= qw
-        if c:
-            r -= c * w
-        r *= dt
-        r += w
-        r -= w_old
-        return r, wm
-
-    def accept(iters):
-        if x.min() <= _FLOOR * 10:
-            raise NumericalFailure("converged step is not strictly positive")
-        return x, xm, iters
+    m_minus = m - 1.0
 
     x = np.maximum(w_old if start is None else start, _FLOOR)
-    res, xm = residual(x)
-    rnorm = np.abs(res).max()
-    if not np.isfinite(rnorm):
+    res, xm = _residual(grid, x, w_old, dt, m, c)
+    rnorm = float(np.maximum.reduce(np.abs(res)))
+    if not math.isfinite(rnorm):
         raise NumericalFailure("implicit step residual is not finite")
     for it in range(1, _MAX_ITERS + 1):
         if rnorm <= floor:
-            return accept(it - 1)
-        dmu = x ** (m - 1.0)
+            return _accepted(x, xm, it - 1)
+        dmu = x ** m_minus
         dmu *= m
         diag = dt_diag * dmu
         diag += one_minus
-        step = solve_tridiagonal(dt_lower * dmu[:-1], diag, dt_upper * dmu[1:],
-                                 np.negative(res, out=res))
+        s = solve_tridiagonal(dt_lower * dmu[:-1], diag, dt_upper * dmu[1:],
+                              res)                      # s = -step
         lam = 1.0
         while lam >= 1e-12:
-            xt = x + (step if lam == 1.0 else lam * step)
+            xt = x - (s if lam == 1.0 else lam * s)
             np.maximum(xt, _FLOOR, out=xt)
-            rt, xtm = residual(xt)
-            rtn = np.abs(rt).max()
+            rt, xtm = _residual(grid, xt, w_old, dt, m, c)
+            rtn = float(np.maximum.reduce(np.abs(rt)))
             if rtn < rnorm:
                 x, xm, res, rnorm = xt, xtm, rt, rtn
                 break
             if lam == 1.0 and rnorm <= guard:
-                return accept(it)      # stagnation at the rounding floor
+                return _accepted(x, xm, it)   # stagnation at the rounding floor
             lam *= 0.5
         else:
             if rnorm <= guard:
-                return accept(it)
+                return _accepted(x, xm, it)
             raise StepFailure(f"line search stalled (residual {rnorm:.3e})")
     if rnorm <= guard:
-        return accept(_MAX_ITERS)
+        return _accepted(x, xm, _MAX_ITERS)
     raise StepFailure(f"Newton did not converge (residual {rnorm:.3e})")
 
 
@@ -213,11 +235,11 @@ def step_rescaled(grid: Grid, exps: Exponents, state: FlowState, dt: float,
     if state.kind != "rescaled":
         raise ValueError("step_rescaled needs a rescaled state")
     v = grid.check_field(state.field)
-    if v.min() <= 0:
+    if np.minimum.reduce(v) <= 0:
         raise NumericalFailure("rescaled state must be positive")
     w_old = v ** exps.p
     _, v_new, iters = _implicit_euler(grid, w_old, dt, exps.m, exps.c,
-                                      w_old.max(),
+                                      float(np.maximum.reduce(w_old)),
                                       None if start is None else start ** exps.p)
     return FlowState(kind="rescaled", field=v_new, time=state.time + dt,
                      newton_iters=iters)
@@ -230,9 +252,9 @@ def step_original(grid: Grid, exps: Exponents, state: FlowState, dt: float,
     if state.kind != "original":
         raise ValueError("step_original needs an original state")
     u_old = grid.check_field(state.field)
-    if u_old.min() < 0:
+    if np.minimum.reduce(u_old) < 0:
         raise NumericalFailure("original state must be nonnegative")
-    u_max = u_old.max()
+    u_max = float(np.maximum.reduce(u_old))
     if u_max == 0.0:
         return FlowState(kind="original", field=u_old.copy(), time=state.time + dt)
     u_new, _, iters = _implicit_euler(grid, u_old, dt, exps.m, 0.0, u_max,
@@ -270,9 +292,11 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
     steps, never beyond dt.  Steps are clipped so that each target is hit
     exactly.  A nonlinear step after an accepted one starts Newton from
     f + (dt_eff/dt_prev) (f - f_prev), the linear extrapolation of the last
-    two fields, floored at f/2; if that step fails, the same dt is retried
-    without the start before it is halved.  Each accepted step's dt and
-    Newton count are appended to traj's histories, if traj is given.
+    two fields, floored at f/2 (formed in place, and not multiplied by a
+    ratio of exactly 1.0, as x * 1.0 is x: the same bits); if that step
+    fails, the same dt is retried without the start before it is halved.
+    Each accepted step's dt and Newton count are appended to traj's
+    histories, if traj is given.
 
     rescale(field), if given, returns a factor sigma by which the state is
     multiplied before the march to each target (at the start, and after
@@ -295,9 +319,12 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
             if prev is not None and state.kind != "linearized":
                 f, (f_prev, dt_prev) = state.field, prev
                 # f + (dt_eff/dt_prev) (f - f_prev), in place with commuted
-                # operands: the same bits
+                # operands: the same bits; a ratio of 1.0 is every unclipped
+                # step at a constant dt
                 start = f - f_prev
-                start *= dt_eff / dt_prev
+                ratio = dt_eff / dt_prev
+                if ratio != 1.0:
+                    start *= ratio
                 start += f
                 np.maximum(start, 0.5 * f, out=start)
             try:
@@ -409,7 +436,7 @@ class Run:
         try:
             for state in islice(self._states, max(todo, 0)):
                 traj.sample_times.append(state.time)
-                traj.sups.append(float(np.max(np.abs(state.field))))
+                traj.sups.append(float(np.maximum.reduce(np.abs(state.field))))
                 times.append(state.time)
                 fields.append(state.field)
                 if len(times) == self._block:

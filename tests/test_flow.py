@@ -637,6 +637,83 @@ class TestSharedStepper:
             assert out.newton_iters == iters
             prev = (f, h, out)
 
+    @pytest.mark.parametrize("kind", ["rescaled", "original"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_damped_steps_are_the_reference(self, kind, p, monkeypatch):
+        # starts far from the root, where the line search halves lam: uniform
+        # multiples of the old state take full Newton steps at n = 129, so most
+        # starts oscillate; a step from each must be the reference step from
+        # that start, in its bits and Newton count, or fail as the reference
+        # does (a stalled line search halves lam down to 1e-12)
+        s = F.prepare(F.DomainSpec(geometry="interval", nodes=129),
+                      F.Exponents.make(p=p, c=1.0))
+        v0 = F.mode_perturbed_field(s, [(2, 0.3)])
+        if kind == "rescaled":
+            field, dt, step = v0, 1e-3, F.step_rescaled
+        else:
+            field, dt, step = v0 ** p, s.exps.T / 400.0, F.step_original
+        real, evaluations = fdelab.flow._residual, []
+
+        def counted(*args):
+            evaluations.append(None)
+            return real(*args)
+
+        def outcome(stepper):
+            try:
+                return stepper()
+            except StepFailure as exc:
+                return str(exc)
+
+        monkeypatch.setattr(fdelab.flow, "_residual", counted)
+        x = s.grid.coords
+        starts = [4.0 * field, 0.25 * field] + [
+            field * np.exp(a * np.sin(k * np.pi * x))
+            for a in (1.0, 2.0, 3.0) for k in (2, 10, 20, 40)]
+        state = F.FlowState(kind=kind, field=field, time=0.0)
+        damped = 0
+        for h in (dt, 4.0 * dt, 10.0 * dt):
+            for start in starts:
+                evaluations.clear()
+                out = outcome(lambda: step(s.grid, s.exps, state, h, start=start))
+                ref = outcome(lambda: _reference_step(s.grid, s.exps, field, h,
+                                                      kind, start))
+                if isinstance(ref, str):
+                    assert out == ref
+                    continue
+                assert np.array_equal(out.field, ref[0])
+                assert out.newton_iters == ref[1]
+                damped += len(evaluations) > 1 + out.newton_iters
+        assert damped >= 1
+
+    @pytest.mark.parametrize("kind", ["rescaled", "original"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_nonfinite_state_is_a_numerical_failure(self, interval_p2_small,
+                                                    kind, bad, with_start):
+        s = interval_p2_small
+        V = s.profile.V
+        field = (V if kind == "rescaled" else V ** s.exps.p).copy()
+        start = field.copy() if with_start else None
+        field[5] = bad
+        step = F.step_rescaled if kind == "rescaled" else F.step_original
+        state = F.FlowState(kind=kind, field=field, time=0.0)
+        # from an infinite old state, the first residual forms inf - inf
+        # (a numpy warning) before the stepper tests it
+        invalid = "ignore" if bad == np.inf and start is None else "warn"
+        with np.errstate(invalid=invalid), pytest.raises(
+                F.NumericalFailure, match="implicit step residual is not finite"):
+            step(s.grid, s.exps, state, 1e-3, start=start)
+
+    def test_negative_original_state_is_a_numerical_failure(self,
+                                                            interval_p2_small):
+        s = interval_p2_small
+        field = s.profile.S.copy()
+        field[5] = -1e-3
+        state = F.FlowState(kind="original", field=field, time=0.0)
+        with pytest.raises(F.NumericalFailure,
+                           match="original state must be nonnegative"):
+            F.step_original(s.grid, s.exps, state, 1e-3)
+
     def test_steps_on_two_grids_and_two_dts_are_fresh(self):
         # the stepper reuses its dt-scaled Jacobian rows from step to step: a
         # step on another grid at the same dt, or on the same grid at another
