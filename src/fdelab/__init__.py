@@ -30,8 +30,8 @@ from .diagnostics import (ComparisonConstants, EntropyReport, ReportWeights,
                           rayleigh_compare, sandwich_check, smoothing_check,
                           time_monotonicity_check, trace_rows)
 from .rates import (DelayOdeRun, EntropyBand, ExplicitWindow, RateFit,
-                    RateVerdict, delay_supersolution, fit_rate,
-                    integrate_delay_ode, sharp_rate_verdict,
+                    RateVerdict, band_passage_closed, delay_supersolution,
+                    fit_rate, integrate_delay_ode, sharp_rate_verdict,
                     supersolution_residual)
 from .pipeline import (ClockCalibration, StageSetup, clock_rule,
                        match_extinction_clock, mode_perturbed_field, prepare,

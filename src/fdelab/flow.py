@@ -185,6 +185,8 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
     C pow, so scale has numpy's bits (800,000 random draws at m in {1/2,
     2/3, 1/3, 0.8} agreed).
     """
+    if not math.isfinite(w_max):   # w_old - w_old would form inf - inf
+        raise NumericalFailure("implicit step residual is not finite")
     scale = w_max + 4.0 * dt * w_max ** m / grid.h ** 2 + dt * c * w_max
     floor = 2.0 * _EPS * scale
     guard = 512.0 * _EPS * scale

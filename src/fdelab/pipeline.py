@@ -56,14 +56,17 @@ clock_rule, and run_rescaled takes it to the horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .diagnostics import ReportWeights, entropy_report
+from .errors import NumericalFailure
 from .flow import FlowState, Run, estimate_extinction_time, evolve
 from .grid import DomainSpec, Grid, build_domain
-from .rates import EntropyBand, RateVerdict, fit_rate, sharp_rate_verdict
+from .rates import (EntropyBand, RateVerdict, band_passage_closed, fit_rate,
+                    sharp_rate_verdict)
 from .spectrum import (EigenSystem, GapReport, classify_gap, linear_entropy,
                        project_coefficients, weighted_eigensystem)
 from .stationary import Exponents, StationaryProfile, solve_stationary
@@ -184,14 +187,18 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
 
 
 def run_rescaled(setup: StageSetup, v0, horizon: float, dt: float = 1e-3,
-                 cadence: float = 0.05, run: Run | None = None):
+                 cadence: float = 0.05, run: Run | None = None, stop=None):
     """The rescaled flow from v0 taken to the horizon: its Trajectory and
     its entropy reports.  run, if given, is taken there instead of a fresh
     Run from v0: the clock-matched run of match_extinction_clock from v0 at
-    this dt and cadence."""
+    this dt and cadence.  stop(reports), if given, is called at every sample
+    with the reports recorded so far (Run.to_horizon records them a block
+    at a time), and the run halts after the first sample where it is true,
+    at most one block past the report that made it so."""
     run = run or _rescaled_run(setup, np.asarray(v0, float), dt, cadence)
-    traj = run.to_horizon(horizon)
-    return traj, list(traj.diagnostics)
+    reports = run.traj.diagnostics
+    traj = run.to_horizon(horizon, stop and (lambda state: stop(reports)))
+    return traj, list(reports)
 
 
 @dataclass(frozen=True)
@@ -269,6 +276,51 @@ def run_extinction_pipeline(setup: StageSetup, dt_original: float = 2e-4,
                                     closed_loop_calibration=cal)
 
 
+def _trivial(E: np.ndarray) -> bool:
+    """Whether entropies E, at least one, are all at most 1e-12: a run on
+    the fixed point V.  A prefix that is not trivial settles that its run
+    is not either."""
+    return bool(E.size and E.max() <= 1e-12)
+
+
+def _fit_settled(band: EntropyBand):
+    """run_rescaled's stop rule for a run that is fitted: true once the
+    reports recorded so far settle the verdict of any longer run, that is,
+    they are not trivial and their first passage through the band has
+    closed (rates.band_passage_closed).  It reads them once per block."""
+    seen = 0
+
+    def stop(reports):
+        nonlocal seen
+        if len(reports) == seen:
+            return False
+        seen = len(reports)
+        E = np.array([r.E_nl for r in reports])
+        return not _trivial(E) and band_passage_closed(E, band)
+
+    return stop
+
+
+def _fit(setup: StageSetup, reports, E: np.ndarray, band: EntropyBand):
+    """fit_rate on the band.  A failure of a run that ended at its horizon
+    with the passage still open above band.lo names the horizon at which
+    the sharp rate 2 lambda_p / p would take the entropy down to band.lo."""
+    try:
+        return fit_rate([r.t for r in reports], E, band)
+    except NumericalFailure as exc:
+        if not (E.size and 0 < band.lo < E[-1]
+                and not band_passage_closed(E, band)):
+            raise
+        rate = 2.0 * setup.gap.lambda_p / setup.exps.p
+        t_end = reports[-1].t
+        need = t_end + math.log(E[-1] / band.lo) / rate
+        raise NumericalFailure(
+            f"{exc}; E_nl is {E[-1]:.3g} at t = {t_end:g}, and the sharp rate "
+            f"2 lambda_p / p = {rate:.6g} takes it to rates.band_lo = "
+            f"{band.lo:g} by t = {need:.4g}: set flow.horizon to at least "
+            f"{need:.4g}") from exc
+
+
 @dataclass(frozen=True)
 class NonlinearRateResult:
     calibration: ClockCalibration
@@ -287,18 +339,27 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
     if match_clock, and (want_fit) fit the entropy decay against the
     spectral prediction 2 lambda_p / p (and its discrete form on the run's
     sample lattice, flow.sample_rate(lambda_p / p, dt, cadence)).  An
-    unmatched run has a calibration with no sigma."""
+    unmatched run has a calibration with no sigma.
+
+    A run that is fitted treats the horizon as a cap: it stops within one
+    block of samples (flow.Run) after the one that closes the entropy's
+    first passage through the band, once some entropy is above 1e-12.  Its
+    reports and sigmas are then a prefix of those of the run taken to the
+    horizon, and its verdict and trivial_fixed_point are that run's, bit
+    for bit.  A fit that fails at the horizon with the entropy still above
+    band.lo names the horizon the band needs."""
     band = band or EntropyBand()
     base = setup.grid.check_field(base_field)
     cal = (match_extinction_clock(setup, base, dt, cadence) if match_clock
            else ClockCalibration(sigmas=[]))
-    traj, reports = run_rescaled(setup, base, horizon, dt, cadence, cal.run)
+    traj, reports = run_rescaled(setup, base, horizon, dt, cadence, cal.run,
+                                 _fit_settled(band) if want_fit else None)
     cal = replace(cal, run=None)
     E = np.array([r.E_nl for r in reports])
-    trivial = bool(E.size and E.max() <= 1e-12)   # needs at least one report
+    trivial = _trivial(E)
     verdict = None
     if want_fit and not trivial:
-        verdict = sharp_rate_verdict(fit_rate([r.t for r in reports], E, band),
+        verdict = sharp_rate_verdict(_fit(setup, reports, E, band),
                                      setup.gap, setup.exps.p, tol, dt, cadence)
     return NonlinearRateResult(calibration=cal, reports=reports,
                                verdict=verdict, trivial_fixed_point=trivial,

@@ -3,7 +3,11 @@
 fit_rate performs least squares on log E versus t.  The EntropyBand policy
 selects the first contiguous monotone passage of the trace through the band,
 so that a trace which bottoms out (solver noise floor, residual instability)
-and re-enters the band never pollutes the fit.
+and re-enters the band never pollutes the fit.  _band_first_passage is the one
+definition of that passage: it runs from the first positive sample in the band
+while each next sample stays in the band and not above its predecessor.  The
+passage has closed once a sample after it breaks that rule (band_passage_closed);
+no later sample can then change the fit, so a run may stop there.
 
 The delay machinery realizes the barrier for Y' <= -lam Y + Y^sigma(t-1) Y:
 the closed-form supersolution
@@ -49,15 +53,26 @@ class RateFit:
     n_samples: int
 
 
-def _band_first_passage(E: np.ndarray, lo: float, hi: float) -> slice:
+def _band_first_passage(E: np.ndarray, lo: float, hi: float) -> slice | None:
+    """The samples of E's first monotone passage through [lo, hi], or None
+    if no positive sample lies in the band."""
     inside = np.nonzero((E > 0) & (E <= hi) & (E >= lo))[0]
     if inside.size == 0:
-        raise NumericalFailure(f"no samples with entropy in [{lo:g}, {hi:g}]")
+        return None
     first = int(inside[0])
     last = first
     while last + 1 < E.size and lo <= E[last + 1] <= E[last]:
         last += 1
     return slice(first, last + 1)
+
+
+def band_passage_closed(entropies, band: EntropyBand) -> bool:
+    """Whether the trace's first passage through the band has closed: a
+    sample after it lies below band.lo or above its predecessor, so that
+    fit_rate's window is that of every longer trace with this prefix."""
+    E = np.asarray(entropies, dtype=float)
+    passage = _band_first_passage(E, band.lo, band.hi)
+    return passage is not None and passage.stop < E.size
 
 
 def fit_rate(times, entropies, window_policy) -> RateFit:
@@ -70,7 +85,10 @@ def fit_rate(times, entropies, window_policy) -> RateFit:
             raise NumericalFailure(
                 f"only {int(sel.sum())} positive samples in the window")
     elif isinstance(window_policy, EntropyBand):
-        sl = _band_first_passage(E, window_policy.lo, window_policy.hi)
+        lo, hi = window_policy.lo, window_policy.hi
+        sl = _band_first_passage(E, lo, hi)
+        if sl is None:
+            raise NumericalFailure(f"no samples with entropy in [{lo:g}, {hi:g}]")
         if sl.stop - sl.start < 10:
             raise NumericalFailure(
                 f"only {sl.stop - sl.start} samples in the first band passage")

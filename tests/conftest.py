@@ -3,7 +3,8 @@ and two reference helpers that the library does not need.
 
 The calibrated trace is expensive (clock matching plus a long horizon), so it
 is session-scoped and reused by the diagnostics tests and by acceptance
-criteria 6-10.  The helpers, written apart from the library's weighted
+criteria 8-10; criterion 6 reads the fitted rate cases, which stop once their
+fit window has closed.  The helpers, written apart from the library's weighted
 projections and steppers, check them independently:
 `from conftest import inner_product_weighted, solve_poisson`.
 """
@@ -54,13 +55,39 @@ def interval_p2_small():
 @pytest.fixture(scope="session")
 def calibrated_trace_p2(interval_p2):
     """Clock-matched rescaled run, horizon long enough that the entropy falls
-    through the whole fit band and keeps going; cadence 0.02."""
+    through the whole fit band and keeps going; cadence 0.02.  It is not
+    fitted, so it runs to the horizon (600 samples)."""
     setup = interval_p2
     base = F.mode_perturbed_field(setup, [(2, 0.1)])
     result = F.run_nonlinear_rate_case(setup, base, horizon=12.0, dt=1e-3,
-                                       cadence=0.02)
+                                       cadence=0.02, want_fit=False)
     assert not result.trivial_fixed_point
     return setup, result
+
+
+def fitted_rate_case(setup, horizon):
+    """The fitted clock-matched run from V + 0.1 phi_2 at dt 1e-3, cadence
+    0.02: it stops once its fit window has closed."""
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
+    return setup, F.run_nonlinear_rate_case(setup, base, horizon=horizon,
+                                            dt=1e-3, cadence=0.02)
+
+
+@pytest.fixture(scope="session")
+def rate_case_p2(interval_p2):
+    """calibrated_trace_p2's run, fitted."""
+    return fitted_rate_case(interval_p2, 12.0)
+
+
+@pytest.fixture(scope="session")
+def rate_case_p15():
+    spec = F.DomainSpec(geometry="interval", nodes=257)
+    return fitted_rate_case(F.prepare(spec, F.Exponents.make(p=1.5, c=1.0)), 8.0)
+
+
+@pytest.fixture(scope="session")
+def rate_case_ball(ball_p2):
+    return fitted_rate_case(ball_p2, 14.0)
 
 
 @pytest.fixture(scope="session")

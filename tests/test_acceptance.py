@@ -19,23 +19,6 @@ def announce(num, name):
     print(f"\nACCEPTANCE {num:>2} [{name}]: PASS")
 
 
-@pytest.fixture(scope="session")
-def rate_case_p15():
-    spec = F.DomainSpec(geometry="interval", nodes=257)
-    setup = F.prepare(spec, F.Exponents.make(p=1.5, c=1.0))
-    base = F.mode_perturbed_field(setup, [(2, 0.1)])
-    return setup, F.run_nonlinear_rate_case(setup, base, horizon=8.0, dt=1e-3,
-                                            cadence=0.02)
-
-
-@pytest.fixture(scope="session")
-def rate_case_ball(ball_p2):
-    setup = ball_p2
-    base = F.mode_perturbed_field(setup, [(2, 0.1)])
-    return setup, F.run_nonlinear_rate_case(setup, base, horizon=14.0, dt=1e-3,
-                                            cadence=0.02)
-
-
 def test_criterion_01_stationary_oracle_equivalence():
     # solve_stationary returns the exact solution of the discrete problem
     # (3-point energy identity to ~1e-14..1e-10), so its gap to the oracle is
@@ -157,9 +140,9 @@ def test_criterion_05_linear_flow_rates(interval_p2):
     announce(5, "linear flow rates")
 
 
-def test_criterion_06_sharp_nonlinear_rate(calibrated_trace_p2, rate_case_p15,
+def test_criterion_06_sharp_nonlinear_rate(rate_case_p2, rate_case_p15,
                                            rate_case_ball):
-    for label, (setup, result) in (("interval p=2", calibrated_trace_p2),
+    for label, (setup, result) in (("interval p=2", rate_case_p2),
                                    ("interval p=1.5", rate_case_p15),
                                    ("ball N=3 p=2", rate_case_ball)):
         v = result.verdict

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,19 @@ flow.horizon      = 9.0
 initial.kind      = mode_perturbed
 initial.modes     = 2:1:0.1
 sampler.cadence   = 0.05
+"""
+
+# the benchmark's rate-p2 run: its first band passage closes at sample 315
+RATE_P2_CFG = """\
+domain.geometry   = interval
+domain.nodes      = 257
+exponents.p       = 2.0
+exponents.c       = 1.0
+flow.dt           = 1e-3
+flow.horizon      = 12.0
+initial.kind      = mode_perturbed
+initial.modes     = 2:1:0.1
+sampler.cadence   = 0.02
 """
 
 
@@ -200,6 +214,20 @@ class TestRunExperiment:
         assert abs(meta["clock_scale"] - 1.0) <= 1e-4
         assert 0.0 < meta["clock_max_shift"] <= 1e-9
         assert sum(meta["newton_hist"]) == meta["steps"]
+
+    def test_rates_stop_once_the_fit_window_has_closed(self, tmp_path):
+        # the rates stage ends with the block of 31 samples (n = 257) that
+        # holds sample 315; evolve is not fitted and runs to the horizon
+        path = write_cfg(tmp_path, RATE_P2_CFG)
+        rates, evolve = tmp_path / "rates", tmp_path / "evolve"
+        assert cli.run_experiment(path, "rates", rates)["verdict"]["passed"]
+        cli.run_experiment(path, "evolve", evolve)
+        meta = json.loads((rates / "trajectory.json").read_text())
+        assert (meta["steps"], meta["samples"]) == (6820, 341)
+        fitted, full = ((out / "trace.csv").read_bytes() for out in (rates, evolve))
+        assert fitted.count(b"\n") == 1 + 341 and full.count(b"\n") == 1 + 600
+        assert full.startswith(fitted)
+        assert set(json.loads((rates / "verdict.json").read_text())) == VERDICT_KEYS
 
     def test_trivial_fixed_point_verdict(self, tmp_path):
         cfg = BASE_CFG.replace("initial.kind      = mode_perturbed",
@@ -568,6 +596,23 @@ class TestMain:
         code = cli.main(["spectrum", "--config", str(path),
                          "--out", str(tmp_path / "m2")])
         assert code == 3
+
+    def test_short_horizon_names_the_horizon_the_band_needs(self, tmp_path,
+                                                            capsys):
+        # the rate-p2 shape at n = 129 ends at t = 1 with E_nl 7.5e-4, above
+        # the band: no sample to fit.  At the sharp rate the entropy reaches
+        # band_lo at t = 6.28, where the first band passage ends
+        cfg = set_key(set_key(RATE_P2_CFG, "domain.nodes", "129"),
+                      "flow.horizon", "1.0")
+        assert cli.main(["rates", "--config", str(write_cfg(tmp_path, cfg)),
+                         "--out", str(tmp_path / "short")]) == 3
+        err = capsys.readouterr().err
+        assert "no samples with entropy in [1e-10, 0.0001]" in err
+        need = re.search(r"set flow\.horizon to at least (\S+)$", err.strip())[1]
+        assert float(need) == pytest.approx(6.28, abs=0.01)
+        path = write_cfg(tmp_path, set_key(cfg, "flow.horizon", need), "long.cfg")
+        assert cli.main(["rates", "--config", str(path),
+                         "--out", str(tmp_path / "long")]) == 0
 
     def test_scaled_stationary_datum_is_matched_at_once(self, tmp_path):
         # 100 V lies on V's ray: the first sigma is 0.01, and every later

@@ -157,6 +157,52 @@ def test_exponent_range_cell_passes(p, bound):
     assert res.verdict.rel_error_dt <= bound
 
 
+def full_run(setup, horizon, cadence):
+    """The clock-matched run from V + 0.1 phi_2 at dt 1e-3, not fitted: it
+    runs to the horizon."""
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
+    return F.run_nonlinear_rate_case(setup, base, horizon=horizon, dt=1e-3,
+                                     cadence=cadence, want_fit=False)
+
+
+@pytest.fixture(scope="module")
+def rate_case_p5():
+    # the rate-p2 shape at p = 5, n = 129, cadence 0.05: the entropy is
+    # still in the band at t = 12, so the passage never closes
+    setup = interval_setup(5.0)
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
+    return setup, F.run_nonlinear_rate_case(setup, base, horizon=12.0, dt=1e-3)
+
+
+@pytest.mark.parametrize("fitted_case, horizon, cadence, samples, total", [
+    ("rate_case_p2", 12.0, 0.02, 341, 600),
+    ("rate_case_p15", 8.0, 0.02, 248, 400),
+    ("rate_case_ball", 14.0, 0.02, 403, 700),
+    ("rate_case_p5", 12.0, 0.05, 240, 240)])
+def test_fitted_run_stops_once_its_fit_window_has_closed(
+        request, fitted_case, horizon, cadence, samples, total):
+    # a fitted run halts at the end of the block of samples (31 at n = 257)
+    # in which its first band passage closed; it is a prefix of the run
+    # taken to the horizon, with that run's verdict bit for bit
+    setup, fitted = request.getfixturevalue(fitted_case)
+    full = (request.getfixturevalue("calibrated_trace_p2")[1]
+            if fitted_case == "rate_case_p2"
+            else full_run(setup, horizon, cadence))
+    assert len(fitted.reports) == fitted.step_summary["samples"] == samples
+    assert len(full.reports) == total
+    assert [pickle.dumps(r) for r in fitted.reports] \
+        == [pickle.dumps(r) for r in full.reports[:samples]]
+    assert fitted.calibration.sigmas == full.calibration.sigmas[:samples]
+    E, band = [r.E_nl for r in full.reports], F.EntropyBand()
+    fit = F.fit_rate([r.t for r in full.reports], E, band)
+    assert fitted.verdict == F.sharp_rate_verdict(fit, setup.gap, setup.exps.p,
+                                                  0.05, 1e-3, cadence)
+    assert fitted.trivial_fixed_point is full.trivial_fixed_point is False
+    block = fdelab.flow._BLOCK_VALUES // setup.grid.n
+    assert F.band_passage_closed(E[:samples], band) is (samples < total)
+    assert not F.band_passage_closed(E[:samples - block], band)
+
+
 def assert_replayed(res, setup, base, horizon, cadence=0.05):
     """res's reports, step summary and sigmas are those of the rescaled flow
     from base replayed through march with clock_rule, one report per

@@ -35,6 +35,20 @@ class TestFitRate:
         sl = _band_first_passage(E, 1e-10, 1e-4)
         assert np.all(np.diff(E[sl]) < 0)
 
+    def test_passage_closes_at_the_first_sample_after_it(self):
+        # every prefix that holds a sample after the first passage has the
+        # full trace's fit, and no shorter prefix is closed
+        t = np.arange(0.0, 28.0, 0.05)
+        band = F.EntropyBand(1e-10, 1e-4)
+        for E in (np.exp(-3.0 * t) + 1e-15 * np.exp(t),    # rises in the band
+                  np.exp(-3.0 * t)):                       # falls below it
+            sl = _band_first_passage(E, band.lo, band.hi)
+            closed = [F.band_passage_closed(E[:k], band) for k in range(t.size)]
+            assert closed == [k > sl.stop for k in range(t.size)]
+            full = F.fit_rate(t, E, band)
+            assert F.fit_rate(t[:sl.stop + 1], E[:sl.stop + 1], band) == full
+        assert not F.band_passage_closed(np.full(50, 1e-2), band)
+
     def test_scale_invariance(self):
         t = np.linspace(0.0, 5.0, 100)
         E = np.exp(-2.0 * t + 0.3)
