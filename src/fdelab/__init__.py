@@ -22,13 +22,14 @@ from .flow import (ExtinctionEstimate, FlowState, Run, Trajectory,
                    discrete_rate, estimate_extinction_time, evolve,
                    lattice_step, march, sample_rate, step_linearized,
                    step_original, step_rescaled)
-from .diagnostics import (ComparisonConstants, EntropyReport, ReportWeights,
-                          benilan_crandall_margin, delayed_ratio_sup,
-                          entropy_density, entropy_report, linear_trace_rows,
-                          nonlinear_entropy, power_difference,
-                          production_residual, quotient_smallness_times,
-                          rayleigh_compare, sandwich_check, smoothing_check,
-                          time_monotonicity_check, trace_rows)
+from .diagnostics import (ComparisonConstants, EntropyReport, EntropyTrace,
+                          ReportWeights, benilan_crandall_margin,
+                          delayed_ratio_sup, entropy_density, entropy_report,
+                          linear_trace_rows, nonlinear_entropy,
+                          power_difference, production_residual,
+                          quotient_smallness_times, rayleigh_compare,
+                          sandwich_check, smoothing_check,
+                          time_monotonicity_check, trace_csv, trace_rows)
 from .rates import (DelayOdeRun, EntropyBand, ExplicitWindow, RateFit,
                     RateVerdict, band_passage_closed, delay_supersolution,
                     fit_rate, integrate_delay_ode, sharp_rate_verdict,

@@ -33,7 +33,7 @@ import scipy
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .diagnostics import linear_trace_rows, trace_rows
+from .diagnostics import linear_trace_rows, trace_csv
 from .errors import ConfigError, NumericalFailure
 from .flow import lattice_step
 from .pipeline import (mode_perturbed_field, prepare, run_linearized,
@@ -197,8 +197,7 @@ def run_experiment(config, stage: str = "rates", out_dir=None) -> dict:
         band=EntropyBand(cfg["rates.band_lo"], cfg["rates.band_hi"]),
         tol=cfg["rates.tol"], match_clock=cfg["initial.match_clock"],
         want_fit=(stage == "rates"))
-    header, rows = trace_rows(result.reports)
-    write_csv(out / "trace.csv", header, rows)
+    write_csv(out / "trace.csv", *trace_csv(result.reports))
     meta = dict(result.step_summary)
     meta["clock_scale"] = result.calibration.scale
     meta["clock_max_shift"] = result.calibration.max_shift

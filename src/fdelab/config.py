@@ -204,6 +204,11 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
               f"sampler.cadence = {cadence!r} leaves no sample time within "
               f"flow.horizon = {horizon!r}")
 
+    lo, hi = resolved["rates.band_lo"], resolved["rates.band_hi"]
+    if not 0.0 < lo < hi:
+        _fail(source, lines.get("rates.band_lo"),
+              f"rates.band_lo = {lo!r} must lie in (0, rates.band_hi = {hi!r})")
+
     try:   # DomainSpec leads its message with the offending field's name
         ExperimentConfig(source, resolved).domain_spec()
     except ConfigError as exc:

@@ -28,6 +28,16 @@ kernel's matmul over a (..., N, n) stack (gemm per field), and every other
 operation is elementwise.  A field's report therefore has the same bits
 whatever block it was computed in.
 
+A trace is kept as columns, not as one object per sample: an EntropyTrace
+is one (S, 8 + 3 k_p) float array, t, E_lin, I_lin, E_nl, h_inf, then
+Q_lin, Q_nl and A_nl (k_p each), then h_L2V_sq, cubic and the Q_nl mask.
+entropy_report writes a stack's functionals into such a block, a run keeps
+one block per stack, and the run's trace is its blocks joined, each row the
+bits of its field's report: storing a float64 in a float64 column and
+reading it back changes no bit.  Indexing a trace gives the EntropyReport of
+a sample, the trace functions below read its columns, and trace_csv writes
+them a chunk of rows at a time.
+
 Checks that differentiate sampled traces in time use centered differences
 with a Richardson estimate of the finite-difference error; inequalities carry
 an explicit O(dt) slack.
@@ -146,44 +156,115 @@ class ReportWeights:
                    V_pp1=V ** (p + 1.0), V_pm2=V ** (p - 2.0))
 
 
+class EntropyTrace:
+    """A sampled entropy trace as columns: one (S, 8 + 3 k_p) float array,
+    row i the sample i, whose columns are t, E_lin, I_lin, E_nl, h_inf, then
+    Q_lin, Q_nl and A_nl (k_p each), then h_L2V_sq, cubic and the Q_nl mask
+    (1.0 where Q_nl is defined; the undefined Q_nl read 0.0).  The first
+    7 + 3 k_p columns are those of the trace CSV (trace_csv).
+
+    Indexing a trace at i gives the EntropyReport of sample i, and slicing it
+    a trace of the sliced samples; iterating it gives its reports."""
+
+    __slots__ = ("data", "k_p")
+
+    def __init__(self, data: np.ndarray, k_p: int):
+        self.data = data
+        self.k_p = k_p
+
+    @classmethod
+    def join(cls, traces, k_p: int) -> "EntropyTrace":
+        """The traces, each of k_p modes, one after another, as one trace."""
+        return cls(np.concatenate([np.empty((0, 8 + 3 * k_p)),
+                                   *(tr.data for tr in traces)]), k_p)
+
+    @classmethod
+    def of(cls, reports) -> "EntropyTrace":
+        """A trace as it is, or the trace of a sequence of EntropyReports."""
+        if isinstance(reports, cls):
+            return reports
+        reports = list(reports)
+        k = reports[0].Q_lin.size if reports else 0
+        return cls(np.array([[r.t, r.E_lin, r.I_lin, r.E_nl, r.h_inf,
+                              *r.Q_lin.tolist(),
+                              *([0.0] * k if r.Q_nl is None else r.Q_nl.tolist()),
+                              *r.A_nl.tolist(), r.h_L2V_sq, r.cubic,
+                              float(r.Q_nl is not None)] for r in reports],
+                            dtype=float).reshape(-1, 8 + 3 * k), k)
+
+    def __len__(self) -> int:
+        return self.data.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return EntropyTrace(self.data[i], self.k_p)
+        return self._report(self.data[i])
+
+    def __iter__(self):
+        return map(self._report, self.data)
+
+    def _report(self, row) -> EntropyReport:
+        k = self.k_p
+        t, e_lin, i_lin, e_nl, h_inf = row[:5].tolist()
+        h_l2v_sq, cubic, defined = row[5 + 3 * k:].tolist()
+        return EntropyReport(t=t, E_lin=e_lin, I_lin=i_lin, E_nl=e_nl,
+                             h_inf=h_inf, h_L2V_sq=h_l2v_sq, cubic=cubic,
+                             Q_lin=row[5:5 + k],
+                             Q_nl=row[5 + k:5 + 2 * k] if defined else None,
+                             A_nl=row[5 + 2 * k:5 + 3 * k])
+
+    t = property(lambda self: self.data[:, 0])
+    E_lin = property(lambda self: self.data[:, 1])
+    I_lin = property(lambda self: self.data[:, 2])
+    E_nl = property(lambda self: self.data[:, 3])
+    h_inf = property(lambda self: self.data[:, 4])
+    Q_lin = property(lambda self: self.data[:, 5:5 + self.k_p])
+    Q_nl = property(lambda self: self.data[:, 5 + self.k_p:5 + 2 * self.k_p])
+    A_nl = property(lambda self: self.data[:, 5 + 2 * self.k_p:5 + 3 * self.k_p])
+    h_L2V_sq = property(lambda self: self.data[:, -3])
+    cubic = property(lambda self: self.data[:, -2])
+    defined = property(lambda self: self.data[:, -1] != 0.0)   # where Q_nl is
+
+    def max_q_nl(self, undefined: float) -> np.ndarray:
+        """Each sample's EntropyReport.max_q_nl, undefined where it is None."""
+        return np.where(self.defined, self.Q_nl.max(axis=1, initial=0.0),
+                        undefined)
+
+
 def entropy_report(weights: ReportWeights, v, t):
     """Every tracked functional of a rescaled-flow field v > 0 at time t: its
-    EntropyReport, or for a stack of fields v (B, n) at the B times t, the
-    list of their reports, by one code path; a field's report has the same
-    bits in any stack (see the module docstring)."""
+    EntropyReport, or for a stack of fields v (B, n) at the B times t, their
+    EntropyTrace, by one code path; a field's report has the same bits in
+    any stack (see the module docstring)."""
     w = weights
     v = w.grid.check_fields(v)
     if v.min() <= 0:
         raise ValueError("rescaled field must be positive")
-    single = v.ndim == 1
-    p, V, wq, k_p = w.p, w.V, w.grid.quad_weights, w.gap.k_p
+    p, V, wq, k = w.p, w.V, w.grid.quad_weights, w.gap.k_p
     f = v.reshape(-1, V.size) - V
     h = f / V
 
+    out = np.empty((f.shape[0], 8 + 3 * k))
+    out[:, 0] = t
     e_lin, i_lin = linear_entropy(w.grid, w.eigs, w.gap.cp, f)
-    h_l2v_sq = np.vecdot(h * h * w.V_pp1, wq)
+    out[:, 1], out[:, 2] = e_lin, i_lin
     sums = _kernel_sums(V, f, p)
     acc, acc_s = sums[:, 0], sums[:, 1]
-    e_nl = np.vecdot((p + 1.0) * f * f * acc_s, wq)
-    cubic = np.vecdot(np.abs(f) ** 3 * w.V_pm2, wq)
-    h_inf = np.abs(h).max(axis=-1)
-
+    out[:, 3] = e_nl = np.vecdot((p + 1.0) * f * f * acc_s, wq)
+    out[:, 4] = np.abs(h).max(axis=-1)
     # a zero E_lin (v = V) gives Q_lin zeros: |coefficient| / inf
-    q_lin = np.abs(project_coefficients(w.grid, w.eigs, f, k_p)) \
+    out[:, 5:5 + k] = np.abs(project_coefficients(w.grid, w.eigs, f, k)) \
         / np.sqrt(np.where(e_lin > 0, e_lin, np.inf))[:, None]
-    a_nl = np.abs(w.eigs.rows[:k_p] @ (wq * (p * f * acc))[..., None])[..., 0]
+    out[:, 5 + 2 * k:5 + 3 * k] = a_nl = np.abs(
+        w.eigs.rows[:k] @ (wq * (p * f * acc))[..., None])[..., 0]
     defined = e_nl > QN_ENTROPY_FLOOR
-    q_nl = a_nl / np.sqrt(np.where(defined, e_nl, np.inf))[:, None]
-
-    reports = [EntropyReport(t=ti, E_lin=el, I_lin=il, E_nl=en, h_inf=hi,
-                             h_L2V_sq=hl, cubic=cu, Q_lin=ql,
-                             Q_nl=qn if ok else None, A_nl=an)
-               for ti, el, il, en, hi, hl, cu, ql, qn, ok, an in zip(
-                   [t] if single else t, e_lin.tolist(), i_lin.tolist(),
-                   e_nl.tolist(), h_inf.tolist(), h_l2v_sq.tolist(),
-                   cubic.tolist(), q_lin, q_nl, defined.tolist(), a_nl,
-                   strict=True)]
-    return reports[0] if single else reports
+    out[:, 5 + k:5 + 2 * k] = a_nl \
+        / np.sqrt(np.where(defined, e_nl, np.inf))[:, None]
+    out[:, -3] = np.vecdot(h * h * w.V_pp1, wq)
+    out[:, -2] = np.vecdot(np.abs(f) ** 3 * w.V_pm2, wq)
+    out[:, -1] = defined
+    trace = EntropyTrace(out, k)
+    return trace[0] if v.ndim == 1 else trace
 
 
 @dataclass(frozen=True)
@@ -201,9 +282,11 @@ def measure_comparison_constants(reports, p: float, ndim: int) -> ComparisonCons
     """Extract the measured comparison constants from a uniformly sampled
     trace: extremal ratios 2 E_nl / ((p+1) E_lin), the median cubic-remainder
     ratio over Richardson-valid samples, and the delayed smoothing sup."""
-    ratios = [2.0 * r.E_nl / ((p + 1.0) * r.E_lin)
-              for r in reports if r.E_lin > 1e-22]
-    if not ratios:
+    reports = EntropyTrace.of(reports)
+    measurable = reports.E_lin > 1e-22
+    ratios = (2.0 * reports.E_nl[measurable]
+              / ((p + 1.0) * reports.E_lin[measurable]))
+    if not ratios.size:
         raise NumericalFailure("no samples with measurable linear entropy")
     try:
         prod = production_residual(reports, p)
@@ -215,8 +298,8 @@ def measure_comparison_constants(reports, p: float, ndim: int) -> ComparisonCons
         smoothing, _, _ = smoothing_check(reports, ndim)
     except NumericalFailure:
         smoothing = np.nan
-    return ComparisonConstants(sandwich_lo=float(min(ratios)),
-                               sandwich_hi=float(max(ratios)),
+    return ComparisonConstants(sandwich_lo=float(ratios.min()),
+                               sandwich_hi=float(ratios.max()),
                                remainder_kappa=remainder,
                                smoothing_kappa=smoothing)
 
@@ -242,16 +325,15 @@ def production_residual(reports, p: float) -> ProductionSeries:
     Needs uniform sampling; raises NumericalFailure when no sample passes the
     Richardson check (finite differences dominated by curvature error).
     """
-    ts = np.array([r.t for r in reports])
+    reports = EntropyTrace.of(reports)
+    ts = reports.t
     if ts.size < 5:
         raise NumericalFailure("need at least 5 uniformly spaced reports")
     dts = np.diff(ts)
     if np.max(np.abs(dts - dts[0])) > 1e-9 * dts[0]:
         raise ValueError("production residual needs uniform sampling")
     dt = dts[0]
-    E = np.array([r.E_nl for r in reports])
-    I = np.array([r.I_lin for r in reports])
-    cub = np.array([r.cubic for r in reports])
+    E, I, cub = reports.E_nl, reports.I_lin, reports.cubic
 
     idx = np.arange(2, ts.size - 2)
     d1 = (E[idx + 1] - E[idx - 1]) / (2.0 * dt)
@@ -322,17 +404,16 @@ def delayed_ratio_sup(reports, numerator, exponent: float, t_start: float):
     where E_nl(t-1) has collapsed to 1e-250 or below are excluded (0/0
     exclusion at the fixed point).  Returns (sup, time at sup, series).
     """
-    ts = np.array([r.t for r in reports])
-    Es = np.array([r.E_nl for r in reports])
+    reports = EntropyTrace.of(reports)
+    ts, Es = reports.t, reports.E_nl
     if ts.size < 3 or ts[-1] < t_start:
         raise NumericalFailure("trace does not reach the requested start time")
     pos = Es > 0
     if not pos.any():
         raise NumericalFailure("entropy vanishes along the whole trace (0/0)")
     sup, arg, series = 0.0, None, []
-    for r in reports:
-        if r.t < t_start or r.t - 1.0 < ts[pos][0]:
-            continue
+    for i in np.flatnonzero((ts >= t_start) & (ts - 1.0 >= ts[pos][0])):
+        r = reports[i]
         e_del = _interp_log(ts[pos], Es[pos], r.t - 1.0)
         if e_del <= 1e-250:
             continue
@@ -352,29 +433,27 @@ def smoothing_check(reports, ndim: int):
     """sup over t >= t_0 + 1 (t_0 the first sample) of ||h(t)||_inf /
     E_nl(t-1)^(1/(4N)); a finite, horizon-stable value certifies the delayed
     smoothing bound."""
+    reports = EntropyTrace.of(reports)
     return delayed_ratio_sup(reports, lambda r: r.h_inf, 1.0 / (4.0 * ndim),
-                             reports[0].t + 1.0)
+                             float(reports.t[0]) + 1.0)
 
 
-def decaying_prefix(reports):
+def decaying_prefix(reports) -> EntropyTrace:
     """Reports up to and including the entropy minimum.  Beyond it a finite
     clock-matching resolution lets the unstable profile direction re-emerge,
     so quotient diagnostics are meaningful only on the decaying segment."""
-    Es = np.array([r.E_nl for r in reports])
-    return list(reports[: int(np.argmin(Es)) + 1])
+    reports = EntropyTrace.of(reports)
+    return reports[: int(np.argmin(reports.E_nl)) + 1]
 
 
-def ao_window(reports):
+def ao_window(reports) -> EntropyTrace:
     """Reports up to the minimum of the worst nonlinear quotient.  The
     quotients decay while the trajectory tracks the matched-clock flow and
     re-grow once the residual instability outruns sqrt(E); the turning point
     bounds the window on which almost-orthogonality statements are testable
     at the given calibration resolution."""
-    qs = []
-    for r in reports:
-        q = r.max_q_nl()
-        qs.append(np.inf if q is None else q)
-    return list(reports[: int(np.argmin(qs)) + 1])
+    reports = EntropyTrace.of(reports)
+    return reports[: int(np.argmin(reports.max_q_nl(np.inf))) + 1]
 
 
 def quotient_smallness_times(reports):
@@ -382,19 +461,13 @@ def quotient_smallness_times(reports):
     every nonlinear quotient stays <= eps for the rest of the trace (None if
     that never happens); samples with undefined quotients (entropy at the
     floor) count as small."""
-    maxq = []
-    for r in reports:
-        m = r.max_q_nl()
-        maxq.append(0.0 if m is None else m)
+    reports = EntropyTrace.of(reports)
+    maxq = reports.max_q_nl(0.0)
     out = {}
     for eps in (0.1, 0.03, 0.01):
-        time = None
-        for r, q in zip(reversed(reports), reversed(maxq)):
-            if q <= eps:
-                time = r.t
-            else:
-                break
-        out[eps] = time
+        large = np.flatnonzero(~(maxq <= eps))   # the samples after the last hold
+        first = large[-1] + 1 if large.size else 0
+        out[eps] = float(reports.t[first]) if first < maxq.size else None
     return out
 
 
@@ -445,23 +518,45 @@ def benilan_crandall_margin(times, fields, V, exps: Exponents):
     return float(np.max(rate - 2.0 * exps.c * exps.m * (H[:-1] + 1.0)))
 
 
+def _trace_header(k_p: int) -> list:
+    header = ["t", "E_lin", "I_lin", "E_nl", "h_inf"]
+    header += [f"{name}_{k}" for name in ("Q", "Qn", "A")
+               for k in range(1, k_p + 1)]
+    return header + ["h_L2V_sq", "cubic"]
+
+
 def trace_rows(reports) -> tuple:
     """Flatten reports into (header, rows) for the trace CSV.  Column names
     and their order are part of the stable interface: t, E_lin, I_lin, E_nl,
     h_inf, then Q_k, Qn_k, A_k per tracked mode k (Qn cells are empty when
     the quotient is undefined), then auxiliary columns."""
     if not reports:
-        return ["t", "E_lin", "I_lin", "E_nl", "h_inf", "h_L2V_sq", "cubic"], []
-    ks = range(1, reports[0].Q_lin.size + 1)
-    header = ["t", "E_lin", "I_lin", "E_nl", "h_inf"]
-    header += [f"{name}_{k}" for name in ("Q", "Qn", "A") for k in ks]
-    header += ["h_L2V_sq", "cubic"]
+        return _trace_header(0), []
+    k_p = reports[0].Q_lin.size
     rows = []
     for r in reports:
-        qn = [None] * len(ks) if r.Q_nl is None else r.Q_nl.tolist()
+        qn = [None] * k_p if r.Q_nl is None else r.Q_nl.tolist()
         rows.append([r.t, r.E_lin, r.I_lin, r.E_nl, r.h_inf, *r.Q_lin.tolist(),
                      *qn, *r.A_nl.tolist(), r.h_L2V_sq, r.cubic])
-    return header, rows
+    return _trace_header(k_p), rows
+
+
+def trace_csv(trace: EntropyTrace, chunk: int = 256) -> tuple:
+    """trace_rows of an EntropyTrace, read from its columns: the header and
+    an iterator over the rows, formed chunk rows at a time, so that a
+    writer holds no more of them at once."""
+    k_p = trace.k_p if len(trace) else 0    # the header of trace_rows([])
+    qn = slice(5 + k_p, 5 + 2 * k_p)
+
+    def rows():
+        for i in range(0, len(trace), chunk):
+            block = trace.data[i:i + chunk]
+            out = block[:, :-1].tolist()
+            for j in np.flatnonzero(block[:, -1] == 0.0).tolist():
+                out[j][qn] = [None] * k_p
+            yield from out
+
+    return _trace_header(k_p), rows()
 
 
 def linear_trace_rows(trace) -> tuple:

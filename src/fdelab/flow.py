@@ -26,17 +26,21 @@ right-hand side) instead of negating the residual, and march skips
 multiplying its start by a dt ratio of 1.0 (x * 1.0 is x).
 
 A Run keeps no field beyond one block of samples: per sample (i + 1) cadence
-it records the time, sup|field| and the sampler's output, which the sampler
-forms for a block of samples at once.  Run.to_horizon is its one march loop:
-it marches the run on to a horizon, halting early at a sample where a stop
-rule holds, so that the run can be stopped and resumed; evolve is a Run taken
-there.  A caller that needs the fields iterates march instead.  A run may
-carry a rescale rule, which march applies at t = 0 and after every sample
-(the clock-matched rescaled run of fdelab.pipeline).
+it records the time and sup|field|, and per block of samples one object, the
+sampler's block of records for them (for diagnostics.entropy_report, an
+EntropyTrace of float columns), not one object per sample.  Run.to_horizon
+is its one march loop: it marches the run on to a horizon, halting early at
+a sample where a stop rule holds, so that the run can be stopped and
+resumed; evolve is a Run taken there.  A caller that needs the fields
+iterates march instead.  A run may carry a rescale rule, which march
+applies at t = 0 and after every sample (the clock-matched rescaled run of
+fdelab.pipeline).
 
 Original runs stop near extinction (default sup u < 1e-6 sup u0); the
 extinction time itself is always extrapolated from the exact linearity of
-sup(u)^(1-m) in time, never simulated to zero.
+sup(u)^(1-m) in time, never simulated to zero, over the samples with sup u
+above EXTINCTION_FIT_FLOOR sup u0, so a run marched for that fit can stop
+at the first sample below it.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ _MAX_ITERS = 30      # Newton iterations before a step fails
 # forms come from the heap; 8,192 was the fastest of 1,024 to 32,768 on two
 # `fdelab evolve` runs at n = 1024, sampled every step
 _BLOCK_VALUES = 8192
+# sup u / sup u0 at and below which estimate_extinction_time fits no sample
+EXTINCTION_FIT_FLOOR = 1e-3
 
 
 @dataclass
@@ -78,14 +84,15 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    """Per sample: time, sup|field| and sampler output; per step: dt and
-    Newton count.  No field is kept: march yields the fields."""
+    """Per sample: time and sup|field|; per sampler call: its output for
+    the block of samples; per step: dt and Newton count.  No field is kept:
+    march yields the fields."""
 
     kind: str
     initial_sup: float                                  # sup|field| at time 0
     sample_times: list = field(default_factory=list)
     sups: list = field(default_factory=list)            # sup|field| at each sample
-    diagnostics: list = field(default_factory=list)     # sampler outputs, if any
+    diagnostics: list = field(default_factory=list)     # sampler blocks, if any
     dt_history: list = field(default_factory=list)
     newton_history: list = field(default_factory=list)
 
@@ -396,15 +403,18 @@ def sample_rate(mu: float, dt: float, cadence: float) -> float:
 class Run:
     """A flow from initial, sampled at (i + 1) cadence for ever and marched
     (see march, which applies the rescale rule, if any) only as far as
-    to_horizon takes it: each sample's time, sup|field| and sampler output
-    are appended to traj.  Stopping and resuming gives the same run, step
-    for step, as marching straight through.
+    to_horizon takes it: each sample's time and sup|field| are appended to
+    traj, and the sampler's output for each block of samples to
+    traj.diagnostics.  Stopping and resuming gives the same run, step for
+    step, as marching straight through.
 
     The sampler takes a block, sampler(times, fields) with fields a (B, n)
-    stack, and returns its B records; to_horizon records up to
-    _BLOCK_VALUES // n samples at once.  A sampler that forms each record
-    along the last axis, as diagnostics.entropy_report does, gives records
-    that do not depend on the block."""
+    stack, and returns one block of records for the B samples, which the
+    Run keeps as it is; to_horizon records up to _BLOCK_VALUES // n samples
+    at once, and a stopped and resumed run may record in other blocks.  A
+    sampler that forms each record along the last axis, as
+    diagnostics.entropy_report does, gives records that do not depend on
+    the block, so the joined blocks do not either."""
 
     def __init__(self, grid: Grid, exps: Exponents, initial: FlowState,
                  dt: float, cadence: float, sampler=None, W=None,
@@ -423,9 +433,9 @@ class Run:
         self._block = max(1, _BLOCK_VALUES // grid.n)
 
     def _record(self, times: list, fields: list) -> None:
-        """Append the sampler's records of the samples at times."""
+        """Append the sampler's block of the samples at times."""
         if self.sampler is not None and times:
-            self.traj.diagnostics.extend(self.sampler(times, np.array(fields)))
+            self.traj.diagnostics.append(self.sampler(times, np.array(fields)))
 
     def to_horizon(self, horizon: float, stop=None) -> Trajectory:
         """The trajectory, marched on to the horizon if the run stopped short
@@ -479,12 +489,12 @@ class ExtinctionEstimate:
 def estimate_extinction_time(traj: Trajectory, m: float) -> ExtinctionEstimate:
     """Extrapolate the extinction time from sup(u)^(1-m) versus t, which the
     separate-variables law makes exactly linear.  The fit window keeps samples
-    with sup(u) in (1e-3, 0.8) sup(u0)."""
+    with sup(u) in (EXTINCTION_FIT_FLOOR, 0.8) sup(u0)."""
     if traj.kind != "original":
         raise ValueError("extinction estimate needs an original-flow trajectory")
     times = np.asarray(traj.sample_times)
     sups = traj.sup_norms()
-    lo, hi = 1e-3 * traj.initial_sup, 0.8 * traj.initial_sup
+    lo, hi = EXTINCTION_FIT_FLOOR * traj.initial_sup, 0.8 * traj.initial_sup
     sel = (sups > lo) & (sups < hi)
     if sel.sum() < 10 or sups.min() > hi:
         raise NumericalFailure(

@@ -61,9 +61,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diagnostics import ReportWeights, entropy_report
+from .diagnostics import EntropyTrace, ReportWeights, entropy_report
 from .errors import NumericalFailure
-from .flow import FlowState, Run, estimate_extinction_time, evolve
+from .flow import (EXTINCTION_FIT_FLOOR, FlowState, Run,
+                   estimate_extinction_time, evolve)
 from .grid import DomainSpec, Grid, build_domain
 from .rates import (EntropyBand, RateVerdict, band_passage_closed, fit_rate,
                     sharp_rate_verdict)
@@ -106,9 +107,9 @@ def mode_perturbed_field(setup: StageSetup, modes) -> np.ndarray:
 
 def _rescaled_run(setup: StageSetup, v0: np.ndarray, dt: float,
                   cadence: float, rescale=None) -> Run:
-    """The rescaled flow from v0 as a Run recording the entropy report at
-    every sample (i + 1) cadence, from report weights formed once per run,
-    with the rescale rule, if given."""
+    """The rescaled flow from v0 as a Run recording the entropy reports of
+    every sample (i + 1) cadence, an EntropyTrace per block, from report
+    weights formed once per run, with the rescale rule, if given."""
     weights = ReportWeights.make(setup.grid, setup.profile.V, setup.exps,
                                  setup.eigs, setup.gap)
     return Run(setup.grid, setup.exps,
@@ -189,16 +190,17 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
 def run_rescaled(setup: StageSetup, v0, horizon: float, dt: float = 1e-3,
                  cadence: float = 0.05, run: Run | None = None, stop=None):
     """The rescaled flow from v0 taken to the horizon: its Trajectory and
-    its entropy reports.  run, if given, is taken there instead of a fresh
-    Run from v0: the clock-matched run of match_extinction_clock from v0 at
-    this dt and cadence.  stop(reports), if given, is called at every sample
-    with the reports recorded so far (Run.to_horizon records them a block
-    at a time), and the run halts after the first sample where it is true,
-    at most one block past the report that made it so."""
+    its entropy reports, the EntropyTrace of its blocks joined.  run, if
+    given, is taken there instead of a fresh Run from v0: the clock-matched
+    run of match_extinction_clock from v0 at this dt and cadence.
+    stop(blocks), if given, is called at every sample with the list of
+    EntropyTrace blocks recorded so far (Run.to_horizon records one at a
+    time), and the run halts after the first sample where it is true, at
+    most one block past the report that made it so."""
     run = run or _rescaled_run(setup, np.asarray(v0, float), dt, cadence)
-    reports = run.traj.diagnostics
-    traj = run.to_horizon(horizon, stop and (lambda state: stop(reports)))
-    return traj, list(reports)
+    blocks = run.traj.diagnostics
+    traj = run.to_horizon(horizon, stop and (lambda state: stop(blocks)))
+    return traj, EntropyTrace.join(blocks, setup.gap.k_p)
 
 
 @dataclass(frozen=True)
@@ -219,18 +221,16 @@ def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
     grid, eigs, cp = setup.grid, setup.eigs, setup.gap.cp
     K = len(eigs.eigenvalues)
 
-    def sampler(times, f):   # per field, the record (E_lin, I_lin, coefficients)
-        return list(zip(*linear_entropy(grid, eigs, cp, f),
-                        project_coefficients(grid, eigs, f, K)))
+    def sampler(times, f):   # per field, the row E_lin, I_lin, coefficients
+        return np.column_stack([*linear_entropy(grid, eigs, cp, f),
+                                project_coefficients(grid, eigs, f, K)])
 
     traj = Run(grid, setup.exps, FlowState(kind="linearized",
                                            field=np.asarray(f0, float), time=0.0),
                dt, cadence, sampler, eigs.W).to_horizon(horizon)
-    rows = traj.diagnostics
-    return LinearModeTrace(times=np.array(traj.sample_times),
-                           E_lin=np.array([r[0] for r in rows]),
-                           I_lin=np.array([r[1] for r in rows]),
-                           coefficients=np.reshape([r[2] for r in rows], (-1, K)))
+    rows = np.concatenate([np.empty((0, 2 + K)), *traj.diagnostics])
+    return LinearModeTrace(times=np.array(traj.sample_times), E_lin=rows[:, 0],
+                           I_lin=rows[:, 1], coefficients=rows[:, 2:])
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ class ExtinctionPipelineResult:
     T_true: float
     estimate: object                 # flow.ExtinctionEstimate
     closed_loop_setup: StageSetup
-    closed_loop_reports: list        # entropy trace of the rerun
+    closed_loop_reports: EntropyTrace    # entropy trace of the rerun
     closed_loop_calibration: ClockCalibration
 
 
@@ -247,11 +247,13 @@ def run_extinction_pipeline(setup: StageSetup, dt_original: float = 2e-4,
                             rerun_horizon: float = 8.0,
                             rerun_dt: float = 1e-3) -> ExtinctionPipelineResult:
     """Criterion-style closed loop: march the original flow from u0 = S, stop
-    near extinction, extrapolate T from sup(u)^(1-m); then rebuild the whole
-    rescaled stage (as many modes) with c = p/((p-1) T_est) and check that the
-    rescaled flow from the original datum relaxes to the new stationary
-    profile.  The rerun is the clock-matched run from the original datum,
-    sampled every 0.1 to rerun_horizon."""
+    at the first sample below the extrapolation's fit window
+    (flow.EXTINCTION_FIT_FLOOR sup u0), extrapolate T from sup(u)^(1-m);
+    then rebuild the whole rescaled stage (as many modes) with
+    c = p/((p-1) T_est) and check that the rescaled flow from the original
+    datum relaxes to the new stationary profile.  The rerun is the
+    clock-matched run from the original datum, sampled every 0.1 to
+    rerun_horizon."""
     exps = setup.exps
     u0 = setup.profile.S.copy()
     T_true = exps.T
@@ -260,7 +262,7 @@ def run_extinction_pipeline(setup: StageSetup, dt_original: float = 2e-4,
                   FlowState(kind="original", field=u0, time=0.0),
                   horizon=1.5 * T_true, dt=dt,
                   sample_every=max(dt, T_true / 2000.0),
-                  stop_sup_below=5e-4 * float(u0.max()))
+                  stop_sup_below=EXTINCTION_FIT_FLOOR * float(u0.max()))
     est = estimate_extinction_time(traj, exps.m)
 
     exps_est = Exponents.make(p=exps.p, T=est.T_est)
@@ -287,32 +289,34 @@ def _fit_settled(band: EntropyBand):
     """run_rescaled's stop rule for a run that is fitted: true once the
     reports recorded so far settle the verdict of any longer run, that is,
     they are not trivial and their first passage through the band has
-    closed (rates.band_passage_closed).  It reads them once per block."""
-    seen = 0
+    closed (rates.band_passage_closed).  It reads each block's E_nl column
+    once, when the block is new."""
+    seen, E = 0, np.empty(0)
 
-    def stop(reports):
-        nonlocal seen
-        if len(reports) == seen:
+    def stop(blocks):
+        nonlocal seen, E
+        if len(blocks) == seen:
             return False
-        seen = len(reports)
-        E = np.array([r.E_nl for r in reports])
+        E = np.concatenate([E, *(block.E_nl for block in blocks[seen:])])
+        seen = len(blocks)
         return not _trivial(E) and band_passage_closed(E, band)
 
     return stop
 
 
-def _fit(setup: StageSetup, reports, E: np.ndarray, band: EntropyBand):
+def _fit(setup: StageSetup, reports: EntropyTrace, band: EntropyBand):
     """fit_rate on the band.  A failure of a run that ended at its horizon
     with the passage still open above band.lo names the horizon at which
     the sharp rate 2 lambda_p / p would take the entropy down to band.lo."""
+    E = reports.E_nl
     try:
-        return fit_rate([r.t for r in reports], E, band)
+        return fit_rate(reports.t, E, band)
     except NumericalFailure as exc:
         if not (E.size and 0 < band.lo < E[-1]
                 and not band_passage_closed(E, band)):
             raise
         rate = 2.0 * setup.gap.lambda_p / setup.exps.p
-        t_end = reports[-1].t
+        t_end = reports.t[-1]
         need = t_end + math.log(E[-1] / band.lo) / rate
         raise NumericalFailure(
             f"{exc}; E_nl is {E[-1]:.3g} at t = {t_end:g}, and the sharp rate "
@@ -324,7 +328,7 @@ def _fit(setup: StageSetup, reports, E: np.ndarray, band: EntropyBand):
 @dataclass(frozen=True)
 class NonlinearRateResult:
     calibration: ClockCalibration
-    reports: list
+    reports: EntropyTrace
     verdict: RateVerdict | None
     trivial_fixed_point: bool
     step_summary: dict
@@ -355,11 +359,10 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
     traj, reports = run_rescaled(setup, base, horizon, dt, cadence, cal.run,
                                  _fit_settled(band) if want_fit else None)
     cal = replace(cal, run=None)
-    E = np.array([r.E_nl for r in reports])
-    trivial = _trivial(E)
+    trivial = _trivial(reports.E_nl)
     verdict = None
     if want_fit and not trivial:
-        verdict = sharp_rate_verdict(_fit(setup, reports, E, band),
+        verdict = sharp_rate_verdict(_fit(setup, reports, band),
                                      setup.gap, setup.exps.p, tol, dt, cadence)
     return NonlinearRateResult(calibration=cal, reports=reports,
                                verdict=verdict, trivial_fixed_point=trivial,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fdelab as F
 import fdelab.cli as cli
 from fdelab.config import (ConfigError, _parse_token, load_config,
                            parse_config_text, resolve_config)
@@ -81,6 +82,10 @@ BAD_INPUTS = [
     # mode's implicit-Euler factor 1/(1 - dt/T) is singular
     ({"flow.dt": "2.0", "sampler.cadence": "2.0"}, "flow.dt"),
     ({"flow.dt": "3.0", "sampler.cadence": "3.0"}, "flow.dt"),
+    # the fit band: 0 < rates.band_lo < rates.band_hi (1e-4 by default)
+    ({"rates.band_lo": "0"}, "rates.band_lo"),
+    ({"rates.band_lo": "-1e-10"}, "rates.band_lo"),
+    ({"rates.band_lo": "1e-3"}, "rates.band_lo"),
 ]
 
 # verdict.json: RateVerdict with its RateFit flattened in, and the clock
@@ -334,6 +339,49 @@ class TestDeterminism:
                      "manifest.json", "trajectory.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_trace_csv_of_a_stack_is_trace_rows_of_its_fields(
+            self, tmp_path, interval_p2_small):
+        # the columns of one stack, written 4 rows at a time, are trace_rows
+        # of each field's own report, byte for byte; V itself and the fields
+        # 1e-9 and 1e-10 off it have no Q_nl and so empty Qn_1 cells
+        s = interval_p2_small
+        V = s.profile.V
+        weights = F.ReportWeights.make(s.grid, V, s.exps, s.eigs, s.gap)
+        rng = np.random.default_rng(5)
+        fields = [V * (1.0 + 10.0 ** -e * rng.uniform(-1.0, 1.0, V.size))
+                  for e in range(1, 11)]
+        fields.insert(3, V)
+        times = [0.05 * (i + 1) for i in range(len(fields))]
+        columns = F.entropy_report(weights, np.stack(fields), times)
+        cli.write_csv(tmp_path / "columns.csv", *F.trace_csv(columns, chunk=4))
+        cli.write_csv(tmp_path / "reports.csv", *F.trace_rows(
+            [F.entropy_report(weights, v, t) for v, t in zip(fields, times)]))
+        text = (tmp_path / "columns.csv").read_text()
+        assert text == (tmp_path / "reports.csv").read_text()
+        rows = [line.split(",") for line in text.splitlines()]
+        qn = rows[0].index("Qn_1")
+        assert [i for i, row in enumerate(rows[1:]) if row[qn] == ""] == [3, 9, 10]
+
+    def test_evolve_trace_is_trace_rows_of_the_replayed_reports(self, tmp_path):
+        # 600 samples: blocks of 63 fields and CSV chunks of 256 rows; the
+        # trace.csv of fdelab evolve is trace_rows of each field's report
+        cfg = set_key(set_key(set_key(BASE_CFG, "initial.match_clock", "false"),
+                              "sampler.cadence", "2e-3"), "flow.horizon", "1.2")
+        path, out = write_cfg(tmp_path, cfg), tmp_path / "ev"
+        cli.run_experiment(path, stage="evolve", out_dir=out)
+        c = load_config(path)
+        s = F.prepare(c.domain_spec(), c.exponents())
+        weights = F.ReportWeights.make(s.grid, s.profile.V, s.exps, s.eigs,
+                                       s.gap)
+        states = F.march(s.grid, s.exps, F.FlowState(
+            kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.1)]),
+            time=0.0), 2e-3, [(i + 1) * 2e-3 for i in range(600)])
+        cli.write_csv(tmp_path / "replayed.csv", *F.trace_rows(
+            [F.entropy_report(weights, state.field, state.time)
+             for state in states]))
+        text = (out / "trace.csv").read_text()
+        assert text == (tmp_path / "replayed.csv").read_text()
+        assert len(text.splitlines()) == 601
 
     def test_write_json_writes_numpy_as_python(self, tmp_path):
         x = 0.1 + 0.2   # a float whose repr needs all 17 digits

@@ -1,8 +1,8 @@
 """Flow steppers: fixed points, rates, ordering, rescaling consistency."""
 
-import pickle
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,7 +255,7 @@ class TestDiscreteRate:
         run = F.Run(s.grid, s.exps,
                     F.FlowState(kind="linearized", field=phi, time=0.0),
                     dt, cadence, lambda times, fields: list(fields), s.eigs.W)
-        f1 = run.to_horizon(cadence).diagnostics[0]
+        f1 = run.to_horizon(cadence).diagnostics[0][0]     # a block of one
         steps = run.traj.dt_history
         assert len(steps) == k + 1 and steps[:k] == [dt] * k
         mu = mu_dt / dt
@@ -428,6 +428,23 @@ class TestEvolve:
             tracemalloc.stop()
         assert len(traj.sample_times) == 2000
         assert kept < 2e6
+
+    def test_keeps_the_entropy_trace_as_columns(self):
+        # 2,000 EntropyReports, one object per sample, held about 820 B each;
+        # the trace's columns hold 8 + 3 k_p floats a sample (k_p = 1 here)
+        setup = F.prepare(F.DomainSpec(geometry="interval", nodes=1024),
+                          F.Exponents.make(p=2.0, c=1.0))
+        v0 = F.mode_perturbed_field(setup, [(2, 0.1)])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = F.run_rescaled(setup, v0, horizon=2.0, dt=1e-3,
+                                   cadence=1e-3)[1]     # the Trajectory goes
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 2000 and trace.data.shape == (2000, 11)
+        assert kept <= 200 * 2000
 
 
 class TestExtinction:
@@ -872,7 +889,10 @@ class TestRun:
                             sample_every=0.05, sampler=sampler, W=W)
         assert len(traj.sample_times) == round(horizon / 0.05)
         assert len(traj.dt_history) == round(horizon / 5e-3)
-        assert traj == straight
+        # the stops split the records into other blocks than straight's
+        assert replace(traj, diagnostics=[]) == replace(straight, diagnostics=[])
+        assert ([x for block in traj.diagnostics for x in block]
+                == [x for block in straight.diagnostics for x in block])
 
     @staticmethod
     def stepped(run, samples):
@@ -883,13 +903,19 @@ class TestRun:
         return run.traj
 
     @staticmethod
-    def assert_same_records(traj, stepped):
-        assert len(traj.diagnostics) == len(traj.sample_times)
+    def assert_same_records(traj, stepped, blocks, join):
+        """traj recorded in blocks of the given sizes, stepped one sample
+        per block, and join(blocks), their records as one array, is the
+        same array, bit for bit."""
+        assert [len(block) for block in traj.diagnostics] == blocks
+        assert len(stepped.diagnostics) == len(stepped.sample_times) == sum(blocks)
         assert traj.sample_times == stepped.sample_times
         assert traj.sups == stepped.sups
         assert traj.dt_history == stepped.dt_history
-        assert ([pickle.dumps(r) for r in traj.diagnostics]
-                == [pickle.dumps(r) for r in stepped.diagnostics])
+        joined = join(traj.diagnostics)
+        assert len(joined) == sum(blocks)
+        assert joined.dtype == float and joined.tobytes() == join(
+            stepped.diagnostics).tobytes()
 
     def test_horizon_ending_mid_block_records_as_next_does(self,
                                                            interval_p2_small):
@@ -908,7 +934,9 @@ class TestRun:
         assert fdelab.flow._BLOCK_VALUES // s.grid.n == 63
         traj = run().to_horizon(0.7)
         assert len(traj.sample_times) == 140
-        self.assert_same_records(traj, self.stepped(run(), 140))
+        self.assert_same_records(
+            traj, self.stepped(run(), 140), [63, 63, 14],
+            lambda blocks: F.EntropyTrace.join(blocks, s.gap.k_p).data)
 
     def test_stop_firing_mid_block_records_as_next_does(self,
                                                         interval_p2_small):
@@ -919,8 +947,8 @@ class TestRun:
         def run():
             return F.Run(s.grid, s.exps, F.FlowState(
                 kind="original", field=s.profile.S.copy(), time=0.0),
-                1e-2, 1e-2, lambda times, fields: list(zip(
-                    times, np.vecdot(fields, fields).tolist())))
+                1e-2, 1e-2, lambda times, fields: np.column_stack(
+                    [times, np.vecdot(fields, fields)]))
 
         stepped = self.stepped(run(), 100)
         stop = 0.5 * (stepped.sups[98] + stepped.sups[99])
@@ -928,7 +956,7 @@ class TestRun:
         traj = run().to_horizon(
             10.0, stop=lambda state: float(np.max(np.abs(state.field))) < stop)
         assert len(traj.sample_times) == 100
-        self.assert_same_records(traj, stepped)
+        self.assert_same_records(traj, stepped, [63, 37], np.concatenate)
 
     def test_rescale_scales_the_state_and_the_start(self, interval_p2_small):
         # a rule that scales by 2 at t = 0 and by 1.0 after every sample

@@ -281,7 +281,7 @@ def test_run_without_a_sample_is_not_a_trivial_fixed_point(interval_p2_small,
             else F.mode_perturbed_field(setup, [(2, 0.1)]))
     res = F.run_nonlinear_rate_case(setup, base, horizon=1.0, cadence=2.0,
                                     match_clock=match_clock, want_fit=False)
-    assert res.reports == [] and res.step_summary["steps"] == 0
+    assert len(res.reports) == 0 and res.step_summary["steps"] == 0
     assert not res.trivial_fixed_point
 
 
