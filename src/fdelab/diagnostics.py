@@ -58,6 +58,7 @@ from .spectrum import (EigenSystem, GapReport, linear_entropy,
 from .stationary import Exponents
 
 QN_ENTROPY_FLOOR = 1e-14   # below this, nonlinear quotients are undefined (0/0 guard)
+_CSV_ROWS = 256            # trace CSV rows that trace_csv forms at a time
 
 
 @cache
@@ -178,20 +179,6 @@ class EntropyTrace:
         return cls(np.concatenate([np.empty((0, 8 + 3 * k_p)),
                                    *(tr.data for tr in traces)]), k_p)
 
-    @classmethod
-    def of(cls, reports) -> "EntropyTrace":
-        """A trace as it is, or the trace of a sequence of EntropyReports."""
-        if isinstance(reports, cls):
-            return reports
-        reports = list(reports)
-        k = reports[0].Q_lin.size if reports else 0
-        return cls(np.array([[r.t, r.E_lin, r.I_lin, r.E_nl, r.h_inf,
-                              *r.Q_lin.tolist(),
-                              *([0.0] * k if r.Q_nl is None else r.Q_nl.tolist()),
-                              *r.A_nl.tolist(), r.h_L2V_sq, r.cubic,
-                              float(r.Q_nl is not None)] for r in reports],
-                            dtype=float).reshape(-1, 8 + 3 * k), k)
-
     def __len__(self) -> int:
         return self.data.shape[0]
 
@@ -217,11 +204,7 @@ class EntropyTrace:
     E_lin = property(lambda self: self.data[:, 1])
     I_lin = property(lambda self: self.data[:, 2])
     E_nl = property(lambda self: self.data[:, 3])
-    h_inf = property(lambda self: self.data[:, 4])
-    Q_lin = property(lambda self: self.data[:, 5:5 + self.k_p])
     Q_nl = property(lambda self: self.data[:, 5 + self.k_p:5 + 2 * self.k_p])
-    A_nl = property(lambda self: self.data[:, 5 + 2 * self.k_p:5 + 3 * self.k_p])
-    h_L2V_sq = property(lambda self: self.data[:, -3])
     cubic = property(lambda self: self.data[:, -2])
     defined = property(lambda self: self.data[:, -1] != 0.0)   # where Q_nl is
 
@@ -278,11 +261,11 @@ class ComparisonConstants:
     smoothing_kappa: float
 
 
-def measure_comparison_constants(reports, p: float, ndim: int) -> ComparisonConstants:
+def measure_comparison_constants(reports: EntropyTrace, p: float,
+                                 ndim: int) -> ComparisonConstants:
     """Extract the measured comparison constants from a uniformly sampled
     trace: extremal ratios 2 E_nl / ((p+1) E_lin), the median cubic-remainder
     ratio over Richardson-valid samples, and the delayed smoothing sup."""
-    reports = EntropyTrace.of(reports)
     measurable = reports.E_lin > 1e-22
     ratios = (2.0 * reports.E_nl[measurable]
               / ((p + 1.0) * reports.E_lin[measurable]))
@@ -319,13 +302,12 @@ class ProductionSeries:
     valid: np.ndarray
 
 
-def production_residual(reports, p: float) -> ProductionSeries:
+def production_residual(reports: EntropyTrace, p: float) -> ProductionSeries:
     """Estimate R_p = dE_nl/dt + (p+1)/p I_lin from consecutive reports.
 
     Needs uniform sampling; raises NumericalFailure when no sample passes the
     Richardson check (finite differences dominated by curvature error).
     """
-    reports = EntropyTrace.of(reports)
     ts = reports.t
     if ts.size < 5:
         raise NumericalFailure("need at least 5 uniformly spaced reports")
@@ -397,14 +379,14 @@ def _interp_log(ts, values, t):
     return float(np.exp(np.interp(t, ts, logs)))
 
 
-def delayed_ratio_sup(reports, numerator, exponent: float, t_start: float):
+def delayed_ratio_sup(reports: EntropyTrace, numerator, exponent: float,
+                      t_start: float):
     """sup over samples t >= t_start of numerator(report) / E_nl(t-1)^exponent.
 
     E_nl at the delayed time is log-interpolated between samples.  Samples
     where E_nl(t-1) has collapsed to 1e-250 or below are excluded (0/0
     exclusion at the fixed point).  Returns (sup, time at sup, series).
     """
-    reports = EntropyTrace.of(reports)
     ts, Es = reports.t, reports.E_nl
     if ts.size < 3 or ts[-1] < t_start:
         raise NumericalFailure("trace does not reach the requested start time")
@@ -429,39 +411,35 @@ def delayed_ratio_sup(reports, numerator, exponent: float, t_start: float):
     return sup, arg, series
 
 
-def smoothing_check(reports, ndim: int):
+def smoothing_check(reports: EntropyTrace, ndim: int):
     """sup over t >= t_0 + 1 (t_0 the first sample) of ||h(t)||_inf /
     E_nl(t-1)^(1/(4N)); a finite, horizon-stable value certifies the delayed
     smoothing bound."""
-    reports = EntropyTrace.of(reports)
     return delayed_ratio_sup(reports, lambda r: r.h_inf, 1.0 / (4.0 * ndim),
                              float(reports.t[0]) + 1.0)
 
 
-def decaying_prefix(reports) -> EntropyTrace:
+def decaying_prefix(reports: EntropyTrace) -> EntropyTrace:
     """Reports up to and including the entropy minimum.  Beyond it a finite
     clock-matching resolution lets the unstable profile direction re-emerge,
     so quotient diagnostics are meaningful only on the decaying segment."""
-    reports = EntropyTrace.of(reports)
     return reports[: int(np.argmin(reports.E_nl)) + 1]
 
 
-def ao_window(reports) -> EntropyTrace:
+def ao_window(reports: EntropyTrace) -> EntropyTrace:
     """Reports up to the minimum of the worst nonlinear quotient.  The
     quotients decay while the trajectory tracks the matched-clock flow and
     re-grow once the residual instability outruns sqrt(E); the turning point
     bounds the window on which almost-orthogonality statements are testable
     at the given calibration resolution."""
-    reports = EntropyTrace.of(reports)
     return reports[: int(np.argmin(reports.max_q_nl(np.inf))) + 1]
 
 
-def quotient_smallness_times(reports):
+def quotient_smallness_times(reports: EntropyTrace):
     """For each eps in (0.1, 0.03, 0.01), the first sample time after which
     every nonlinear quotient stays <= eps for the rest of the trace (None if
     that never happens); samples with undefined quotients (entropy at the
     floor) count as small."""
-    reports = EntropyTrace.of(reports)
     maxq = reports.max_q_nl(0.0)
     out = {}
     for eps in (0.1, 0.03, 0.01):
@@ -541,16 +519,16 @@ def trace_rows(reports) -> tuple:
     return _trace_header(k_p), rows
 
 
-def trace_csv(trace: EntropyTrace, chunk: int = 256) -> tuple:
+def trace_csv(trace: EntropyTrace) -> tuple:
     """trace_rows of an EntropyTrace, read from its columns: the header and
-    an iterator over the rows, formed chunk rows at a time, so that a
+    an iterator over the rows, formed _CSV_ROWS rows at a time, so that a
     writer holds no more of them at once."""
     k_p = trace.k_p if len(trace) else 0    # the header of trace_rows([])
     qn = slice(5 + k_p, 5 + 2 * k_p)
 
     def rows():
-        for i in range(0, len(trace), chunk):
-            block = trace.data[i:i + chunk]
+        for i in range(0, len(trace), _CSV_ROWS):
+            block = trace.data[i:i + _CSV_ROWS]
             out = block[:, :-1].tolist()
             for j in np.flatnonzero(block[:, -1] == 0.0).tolist():
                 out[j][qn] = [None] * k_p

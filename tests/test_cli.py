@@ -340,7 +340,7 @@ class TestDeterminism:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_trace_csv_of_a_stack_is_trace_rows_of_its_fields(
-            self, tmp_path, interval_p2_small):
+            self, tmp_path, interval_p2_small, monkeypatch):
         # the columns of one stack, written 4 rows at a time, are trace_rows
         # of each field's own report, byte for byte; V itself and the fields
         # 1e-9 and 1e-10 off it have no Q_nl and so empty Qn_1 cells
@@ -353,7 +353,8 @@ class TestDeterminism:
         fields.insert(3, V)
         times = [0.05 * (i + 1) for i in range(len(fields))]
         columns = F.entropy_report(weights, np.stack(fields), times)
-        cli.write_csv(tmp_path / "columns.csv", *F.trace_csv(columns, chunk=4))
+        monkeypatch.setattr(F.diagnostics, "_CSV_ROWS", 4)
+        cli.write_csv(tmp_path / "columns.csv", *F.trace_csv(columns))
         cli.write_csv(tmp_path / "reports.csv", *F.trace_rows(
             [F.entropy_report(weights, v, t) for v, t in zip(fields, times)]))
         text = (tmp_path / "columns.csv").read_text()

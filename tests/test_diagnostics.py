@@ -332,7 +332,8 @@ class TestProductionResidual:
 
     def test_requires_uniform_sampling(self, calibrated_trace_p2):
         _, result = calibrated_trace_p2
-        ragged = [*result.reports[:10], *result.reports[11:20]]
+        ragged = F.EntropyTrace.join([result.reports[:10], result.reports[11:20]],
+                                     result.reports.k_p)
         with pytest.raises(ValueError):
             F.production_residual(ragged, 2.0)
 
