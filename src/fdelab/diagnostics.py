@@ -31,12 +31,12 @@ whatever block it was computed in.
 A trace is kept as columns, not as one object per sample: an EntropyTrace
 is one (S, 8 + 3 k_p) float array, t, E_lin, I_lin, E_nl, h_inf, then
 Q_lin, Q_nl and A_nl (k_p each), then h_L2V_sq, cubic and the Q_nl mask.
-entropy_report writes a stack's functionals into such a block, a run keeps
-one block per stack, and the run's trace is its blocks joined, each row the
-bits of its field's report: storing a float64 in a float64 column and
-reading it back changes no bit.  Indexing a trace gives the EntropyReport of
-a sample, the trace functions below read its columns, and trace_csv writes
-them a chunk of rows at a time.
+entropy_report writes a stack's functionals into such a block, a run writes
+each block into its one buffer, and the run's trace is the buffer's filled
+rows, each row the bits of its field's report: storing a float64 in a
+float64 column and reading it back changes no bit.  Indexing a trace
+gives the EntropyReport of a sample, the trace functions below read its
+columns, and trace_csv writes them a chunk of rows at a time.
 
 Checks that differentiate sampled traces in time use centered differences
 with a Richardson estimate of the finite-difference error; inequalities carry
@@ -172,12 +172,6 @@ class EntropyTrace:
     def __init__(self, data: np.ndarray, k_p: int):
         self.data = data
         self.k_p = k_p
-
-    @classmethod
-    def join(cls, traces, k_p: int) -> "EntropyTrace":
-        """The traces, each of k_p modes, one after another, as one trace."""
-        return cls(np.concatenate([np.empty((0, 8 + 3 * k_p)),
-                                   *(tr.data for tr in traces)]), k_p)
 
     def __len__(self) -> int:
         return self.data.shape[0]

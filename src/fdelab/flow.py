@@ -25,10 +25,10 @@ reductions ndarray.max and min call, solves for -step (dgtsv is odd in its
 right-hand side) instead of negating the residual, and march skips
 multiplying its start by a dt ratio of 1.0 (x * 1.0 is x).
 
-A Run keeps no field beyond one block of samples: per sample (i + 1) cadence
-it records the time and sup|field|, and per block of samples one object, the
-sampler's block of records for them (for diagnostics.entropy_report, an
-EntropyTrace of float columns), not one object per sample.  Run.to_horizon
+A Run keeps no field beyond one block of samples and no Python object per
+sample or step: typed columns of each sample's time and sup|field| and each
+step's dt and Newton count, and one float buffer that the sampler's rows for
+each block of samples (i + 1) cadence are written into.  Run.to_horizon
 is its one march loop: it marches the run on to a horizon, halting early at
 a sample where a stop rule holds, so that the run can be stopped and
 resumed; evolve is a Run taken there.  A caller that needs the fields
@@ -46,6 +46,7 @@ at the first sample below it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import count, islice
 
@@ -84,17 +85,17 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    """Per sample: time and sup|field|; per sampler call: its output for
-    the block of samples; per step: dt and Newton count.  No field is kept:
-    march yields the fields."""
+    """Per sample its time and sup|field| (8 B each), per step its dt
+    (8 B) and Newton count (2 B), and the sampler's rows recorded so far, a
+    view of the Run's buffer.  No field is kept: march yields the fields."""
 
     kind: str
-    initial_sup: float                                  # sup|field| at time 0
-    sample_times: list = field(default_factory=list)
-    sups: list = field(default_factory=list)            # sup|field| at each sample
-    diagnostics: list = field(default_factory=list)     # sampler blocks, if any
-    dt_history: list = field(default_factory=list)
-    newton_history: list = field(default_factory=list)
+    initial_sup: float                          # sup|field| at time 0
+    sample_times: array = field(default_factory=lambda: array("d"))
+    sups: array = field(default_factory=lambda: array("d"))     # sup|field|
+    diagnostics: np.ndarray | None = None       # (samples, W), None before any
+    dt_history: array = field(default_factory=lambda: array("d"))
+    newton_history: array = field(default_factory=lambda: array("H"))
 
     def sup_norms(self) -> np.ndarray:
         return np.array(self.sups, dtype=float)
@@ -116,21 +117,30 @@ class Trajectory:
         }
 
 
-_rows = None     # (grid, dt, dt * the three diagonals of -lap) of the last step
+_rows = (None, {})  # (grid, dt -> dt * the three diagonals of -lap), last used last
+_DTS_KEPT = 4       # the dts whose rows _rows keeps
 
 
 def _dt_rows(grid: Grid, dt: float):
     """dt times the sub, main and super diagonals of -lap, formed once per
-    (grid, dt): march keeps dt for many steps and changes it only on a
-    clipped, halved or regrown step.  The key holds the grid itself, so a
-    different grid with the same dt never reads another grid's rows."""
+    (grid, dt) while dt is among the _DTS_KEPT last used: march keeps dt for
+    many steps, and a run sampled every step alternates between dt and the
+    step clipped to the next sample, a few distinct dts in all.  The key
+    holds the grid itself, so a different grid with the same dt never reads
+    another grid's rows."""
     global _rows
-    rows = _rows
-    if rows is None or rows[0] is not grid or rows[1] != dt:
-        rows = (grid, dt, dt * grid.neglap_lower, dt * grid.neglap_diag,
+    owner, kept = _rows
+    if owner is not grid:
+        kept = {}
+        _rows = (grid, kept)
+    rows = kept.pop(dt, None)
+    if rows is None:
+        if len(kept) == _DTS_KEPT:
+            del kept[next(iter(kept))]          # the least recently used
+        rows = (dt * grid.neglap_lower, dt * grid.neglap_diag,
                 dt * grid.neglap_upper)
-        _rows = rows
-    return rows[2:]
+    kept[dt] = rows
+    return rows
 
 
 def _residual(grid: Grid, w: np.ndarray, w_old: np.ndarray, dt: float,
@@ -404,17 +414,17 @@ class Run:
     """A flow from initial, sampled at (i + 1) cadence for ever and marched
     (see march, which applies the rescale rule, if any) only as far as
     to_horizon takes it: each sample's time and sup|field| are appended to
-    traj, and the sampler's output for each block of samples to
-    traj.diagnostics.  Stopping and resuming gives the same run, step for
-    step, as marching straight through.
+    traj, and the sampler's rows for each block of samples are written into
+    one float buffer of the Run's own, whose filled rows traj.diagnostics
+    views.  Stopping and resuming gives the same run, step for step, as
+    marching straight through; rows once written are never rewritten.
 
     The sampler takes a block, sampler(times, fields) with fields a (B, n)
-    stack, and returns one block of records for the B samples, which the
-    Run keeps as it is; to_horizon records up to _BLOCK_VALUES // n samples
-    at once, and a stopped and resumed run may record in other blocks.  A
-    sampler that forms each record along the last axis, as
-    diagnostics.entropy_report does, gives records that do not depend on
-    the block, so the joined blocks do not either."""
+    stack, and returns a (B, W) float block, one row per sample; to_horizon
+    records up to _BLOCK_VALUES // n samples at once, and a stopped and
+    resumed run may record in other blocks.  A sampler that forms each row
+    along the last axis, as diagnostics.entropy_report does, gives rows that
+    do not depend on the block, so the buffer does not either."""
 
     def __init__(self, grid: Grid, exps: Exponents, initial: FlowState,
                  dt: float, cadence: float, sampler=None, W=None,
@@ -431,22 +441,38 @@ class Run:
                              ((i + 1) * cadence for i in count()), W, self.traj,
                              rescale)
         self._block = max(1, _BLOCK_VALUES // grid.n)
+        self._buffer = np.empty((0, 0))
 
-    def _record(self, times: list, fields: list) -> None:
-        """Append the sampler's block of the samples at times."""
-        if self.sampler is not None and times:
-            self.traj.diagnostics.append(self.sampler(times, np.array(fields)))
+    def _record(self, times: list, fields: list, total: int,
+                doubling: bool) -> None:
+        """Write the sampler's rows of the samples at times after those
+        recorded, growing a full buffer to total rows (the run's at the
+        horizon), or with doubling to at most twice its rows."""
+        if self.sampler is None or not times:
+            return
+        block = self.sampler(times, np.array(fields))
+        rows, buf = self.traj.diagnostics, self._buffer
+        start = 0 if rows is None else len(rows)
+        end = start + len(block)
+        if end > len(buf):
+            size = min(total, max(end, 2 * len(buf))) if doubling else total
+            buf = self._buffer = np.empty((size, block.shape[1]))
+            if rows is not None:
+                buf[:start] = rows
+        buf[start:end] = block
+        self.traj.diagnostics = buf[:end]
 
     def to_horizon(self, horizon: float, stop=None) -> Trajectory:
         """The trajectory, marched on to the horizon if the run stopped short
         of it.  stop(state), if given, is called at each sample marched
         here, and the march halts after the first sample where it is true.
         Samples marched here are recorded in blocks, the last one before it
-        returns or raises."""
+        returns or raises, into a buffer sized once if there is no stop."""
         traj, times, fields = self.traj, [], []     # the samples not yet recorded
-        todo = sample_count(horizon, self.cadence) - len(traj.sample_times)
+        todo = max(0, sample_count(horizon, self.cadence) - len(traj.sample_times))
+        grow = (len(traj.sample_times) + todo, stop is not None)
         try:
-            for state in islice(self._states, max(todo, 0)):
+            for state in islice(self._states, todo):
                 traj.sample_times.append(state.time)
                 traj.sups.append(float(np.maximum.reduce(np.abs(state.field))))
                 times.append(state.time)
@@ -455,11 +481,11 @@ class Run:
                     # emptied before the call: a sampler that raises
                     # leaves nothing for finally to record twice
                     block, times, fields = (times, fields), [], []
-                    self._record(*block)
+                    self._record(*block, *grow)
                 if stop is not None and stop(state):
                     break
         finally:
-            self._record(times, fields)
+            self._record(times, fields, *grow)
         return traj
 
 

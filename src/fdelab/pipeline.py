@@ -108,13 +108,13 @@ def mode_perturbed_field(setup: StageSetup, modes) -> np.ndarray:
 def _rescaled_run(setup: StageSetup, v0: np.ndarray, dt: float,
                   cadence: float, rescale=None) -> Run:
     """The rescaled flow from v0 as a Run recording the entropy reports of
-    every sample (i + 1) cadence, an EntropyTrace per block, from report
-    weights formed once per run, with the rescale rule, if given."""
+    every sample (i + 1) cadence, each block's EntropyTrace columns, from
+    report weights formed once per run, with the rescale rule, if given."""
     weights = ReportWeights.make(setup.grid, setup.profile.V, setup.exps,
                                  setup.eigs, setup.gap)
     return Run(setup.grid, setup.exps,
                FlowState(kind="rescaled", field=v0, time=0.0), dt, cadence,
-               sampler=lambda times, v: entropy_report(weights, v, times),
+               sampler=lambda times, v: entropy_report(weights, v, times).data,
                rescale=rescale)
 
 
@@ -190,17 +190,23 @@ def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
 def run_rescaled(setup: StageSetup, v0, horizon: float, dt: float = 1e-3,
                  cadence: float = 0.05, run: Run | None = None, stop=None):
     """The rescaled flow from v0 taken to the horizon: its Trajectory and
-    its entropy reports, the EntropyTrace of its blocks joined.  run, if
-    given, is taken there instead of a fresh Run from v0: the clock-matched
-    run of match_extinction_clock from v0 at this dt and cadence.
-    stop(blocks), if given, is called at every sample with the list of
-    EntropyTrace blocks recorded so far (Run.to_horizon records one at a
-    time), and the run halts after the first sample where it is true, at
-    most one block past the report that made it so."""
+    its entropy reports, an EntropyTrace over the run's recorded rows (a view
+    of its buffer, not a copy).  run, if given, is taken there instead of a
+    fresh Run from v0: the clock-matched run of match_extinction_clock from
+    v0 at this dt and cadence.  stop(reports), if given, is called at every
+    sample with the EntropyTrace of the rows recorded so far (Run.to_horizon
+    records a block at a time), and the run halts after the first sample
+    where it is true, at most one block past the report that made it so."""
     run = run or _rescaled_run(setup, np.asarray(v0, float), dt, cadence)
-    blocks = run.traj.diagnostics
-    traj = run.to_horizon(horizon, stop and (lambda state: stop(blocks)))
-    return traj, EntropyTrace.join(blocks, setup.gap.k_p)
+    k = setup.gap.k_p
+
+    def reports():
+        rows = run.traj.diagnostics
+        return EntropyTrace(np.empty((0, 8 + 3 * k)) if rows is None else rows,
+                            k)
+
+    traj = run.to_horizon(horizon, stop and (lambda state: stop(reports())))
+    return traj, reports()
 
 
 @dataclass(frozen=True)
@@ -228,7 +234,7 @@ def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
     traj = Run(grid, setup.exps, FlowState(kind="linearized",
                                            field=np.asarray(f0, float), time=0.0),
                dt, cadence, sampler, eigs.W).to_horizon(horizon)
-    rows = np.concatenate([np.empty((0, 2 + K)), *traj.diagnostics])
+    rows = np.empty((0, 2 + K)) if traj.diagnostics is None else traj.diagnostics
     return LinearModeTrace(times=np.array(traj.sample_times), E_lin=rows[:, 0],
                            I_lin=rows[:, 1], coefficients=rows[:, 2:])
 
@@ -289,16 +295,17 @@ def _fit_settled(band: EntropyBand):
     """run_rescaled's stop rule for a run that is fitted: true once the
     reports recorded so far settle the verdict of any longer run, that is,
     they are not trivial and their first passage through the band has
-    closed (rates.band_passage_closed).  It reads each block's E_nl column
-    once, when the block is new."""
-    seen, E = 0, np.empty(0)
+    closed (rates.band_passage_closed).  It reads the E_nl column of the
+    reports once per recorded block: their rows are a new view only when
+    the Run has recorded one."""
+    last = None
 
-    def stop(blocks):
-        nonlocal seen, E
-        if len(blocks) == seen:
+    def stop(reports):
+        nonlocal last
+        if reports.data is last:
             return False
-        E = np.concatenate([E, *(block.E_nl for block in blocks[seen:])])
-        seen = len(blocks)
+        last = reports.data
+        E = reports.E_nl
         return not _trivial(E) and band_passage_closed(E, band)
 
     return stop

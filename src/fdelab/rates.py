@@ -7,7 +7,10 @@ and re-enters the band never pollutes the fit.  _band_first_passage is the one
 definition of that passage: it runs from the first positive sample in the band
 while each next sample stays in the band and not above its predecessor.  The
 passage has closed once a sample after it breaks that rule (band_passage_closed);
-no later sample can then change the fit, so a run may stop there.
+no later sample can then change the fit, so a run may stop there.  It closes
+either below band.lo or by a rise while still above it, where the trace
+floors inside the band; fit_rate reads no rate off a passage that ends at a
+floor.
 
 The delay machinery realizes the barrier for Y' <= -lam Y + Y^sigma(t-1) Y:
 the closed-form supersolution
@@ -53,9 +56,11 @@ class RateFit:
     n_samples: int
 
 
-def _band_first_passage(E: np.ndarray, lo: float, hi: float) -> slice | None:
-    """The samples of E's first monotone passage through [lo, hi], or None
-    if no positive sample lies in the band."""
+def _band_first_passage(E: np.ndarray, lo: float,
+                        hi: float) -> tuple[slice, bool] | None:
+    """The samples of E's first monotone passage through [lo, hi] and
+    whether a rise closed it (the sample after it is above its predecessor
+    and not below lo), or None if no positive sample lies in the band."""
     inside = np.nonzero((E > 0) & (E <= hi) & (E >= lo))[0]
     if inside.size == 0:
         return None
@@ -63,7 +68,7 @@ def _band_first_passage(E: np.ndarray, lo: float, hi: float) -> slice | None:
     last = first
     while last + 1 < E.size and lo <= E[last + 1] <= E[last]:
         last += 1
-    return slice(first, last + 1)
+    return slice(first, last + 1), last + 1 < E.size and E[last + 1] >= lo
 
 
 def band_passage_closed(entropies, band: EntropyBand) -> bool:
@@ -72,7 +77,7 @@ def band_passage_closed(entropies, band: EntropyBand) -> bool:
     fit_rate's window is that of every longer trace with this prefix."""
     E = np.asarray(entropies, dtype=float)
     passage = _band_first_passage(E, band.lo, band.hi)
-    return passage is not None and passage.stop < E.size
+    return passage is not None and passage[0].stop < E.size
 
 
 def fit_rate(times, entropies, window_policy) -> RateFit:
@@ -86,9 +91,15 @@ def fit_rate(times, entropies, window_policy) -> RateFit:
                 f"only {int(sel.sum())} positive samples in the window")
     elif isinstance(window_policy, EntropyBand):
         lo, hi = window_policy.lo, window_policy.hi
-        sl = _band_first_passage(E, lo, hi)
-        if sl is None:
+        passage = _band_first_passage(E, lo, hi)
+        if passage is None:
             raise NumericalFailure(f"no samples with entropy in [{lo:g}, {hi:g}]")
+        sl, rose = passage
+        if rose:
+            raise NumericalFailure(
+                f"the first band passage ends in a rise at E_nl = "
+                f"{E[sl.stop - 1]:.3g}, above rates.band_lo = {lo:g}: the "
+                f"entropy floors inside the band, so no rate can be read off it")
         if sl.stop - sl.start < 10:
             raise NumericalFailure(
                 f"only {sl.stop - sl.start} samples in the first band passage")

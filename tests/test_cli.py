@@ -663,6 +663,21 @@ class TestMain:
         assert cli.main(["rates", "--config", str(path),
                          "--out", str(tmp_path / "long")]) == 0
 
+    def test_passage_ending_at_a_floor_is_a_numerical_failure(self, tmp_path,
+                                                               capsys):
+        # the rate-p2 shape at n = 129, horizon 12, at p = 1.1: E_nl floors
+        # at about 9e-7, inside the band, and its first passage closes by a
+        # rise there; a fit over it was a wrong FAIL (exit 4), 13 % off
+        cfg = set_key(set_key(RATE_P2_CFG, "domain.nodes", "129"),
+                      "exponents.p", "1.1")
+        assert cli.main(["rates", "--config", str(write_cfg(tmp_path, cfg)),
+                         "--out", str(tmp_path / "floor")]) == 3
+        err = capsys.readouterr().err
+        floor = re.search(r"ends in a rise at E_nl = (\S+), above "
+                          r"rates\.band_lo = 1e-10:", err)[1]
+        assert 1e-7 < float(floor) < 1e-5
+        assert not (tmp_path / "floor" / "verdict.json").exists()
+
     def test_scaled_stationary_datum_is_matched_at_once(self, tmp_path):
         # 100 V lies on V's ray: the first sigma is 0.01, and every later
         # one is 1 to rounding (the shooting could not bracket this scale)

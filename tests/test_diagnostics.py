@@ -332,8 +332,8 @@ class TestProductionResidual:
 
     def test_requires_uniform_sampling(self, calibrated_trace_p2):
         _, result = calibrated_trace_p2
-        ragged = F.EntropyTrace.join([result.reports[:10], result.reports[11:20]],
-                                     result.reports.k_p)
+        ragged = F.EntropyTrace(np.delete(result.reports.data[:20], 10, axis=0),
+                                result.reports.k_p)
         with pytest.raises(ValueError):
             F.production_residual(ragged, 2.0)
 

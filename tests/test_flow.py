@@ -254,10 +254,10 @@ class TestDiscreteRate:
         cadence, phi = (k + frac) * dt, s.eigs.mode(2)
         run = F.Run(s.grid, s.exps,
                     F.FlowState(kind="linearized", field=phi, time=0.0),
-                    dt, cadence, lambda times, fields: list(fields), s.eigs.W)
-        f1 = run.to_horizon(cadence).diagnostics[0][0]     # a block of one
+                    dt, cadence, lambda times, fields: fields, s.eigs.W)
+        f1 = run.to_horizon(cadence).diagnostics[0]     # the one sample's row
         steps = run.traj.dt_history
-        assert len(steps) == k + 1 and steps[:k] == [dt] * k
+        assert len(steps) == k + 1 and steps[:k].tolist() == [dt] * k
         mu = mu_dt / dt
         read = sum(np.log1p(h * mu) for h in steps) / cadence
         assert F.sample_rate(mu, dt, cadence) == pytest.approx(read, rel=1e-12)
@@ -282,7 +282,7 @@ class TestEvolve:
                                     time=0.0),
                         horizon=1.0, dt=3e-3,
                         sample_every=0.1)
-        assert traj.sample_times == [(i + 1) * 0.1 for i in range(10)]
+        assert traj.sample_times.tolist() == [(i + 1) * 0.1 for i in range(10)]
 
     @pytest.mark.parametrize("horizon, cadence", [
         (1.9661201932684186e+304, 0.1622317579724788),
@@ -310,8 +310,8 @@ class TestEvolve:
                         horizon=0.1, dt=4e-3, sample_every=0.1)
         assert tried[:2] == [4e-3, 2e-3]
         # easy steps at the fixed point regrow dt by 1.2, capped at dt
-        assert traj.dt_history[:5] == pytest.approx([2e-3, 2.4e-3, 2.88e-3,
-                                                     3.456e-3, 4e-3])
+        assert traj.dt_history[:5].tolist() == pytest.approx(
+            [2e-3, 2.4e-3, 2.88e-3, 3.456e-3, 4e-3])
         assert max(traj.dt_history) == 4e-3
 
     def test_rescaling_consistency_between_flows(self, interval_p2_small):
@@ -409,7 +409,7 @@ class TestEvolve:
                          dt=3e-3, targets=times)
         sups = [np.max(np.abs(state.field)) for state in states]
         assert traj.initial_sup == np.max(np.abs(field0))
-        assert traj.sample_times == times
+        assert traj.sample_times.tolist() == times
         assert traj.sup_norms().tolist() == sups
 
     def test_keeps_no_field(self):
@@ -430,21 +430,29 @@ class TestEvolve:
         assert kept < 2e6
 
     def test_keeps_the_entropy_trace_as_columns(self):
-        # 2,000 EntropyReports, one object per sample, held about 820 B each;
-        # the trace's columns hold 8 + 3 k_p floats a sample (k_p = 1 here)
+        # a sample keeps its report row, 8 + 3 k_p floats (k_p = 1 here),
+        # and its time and sup, 8 B each; a step its dt (8 B) and Newton
+        # count (2 B).  The trace is a view of the run's buffer, sized once
+        # to the 2,000 samples: no blocks, no joined copy.  Python floats
+        # per sample and step, blocks and a join kept about 300 B a sample
+        # and peaked at 520 B a sample
         setup = F.prepare(F.DomainSpec(geometry="interval", nodes=1024),
                           F.Exponents.make(p=2.0, c=1.0))
         v0 = F.mode_perturbed_field(setup, [(2, 0.1)])
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            trace = F.run_rescaled(setup, v0, horizon=2.0, dt=1e-3,
-                                   cadence=1e-3)[1]     # the Trajectory goes
-            kept = tracemalloc.get_traced_memory()[0] - before
+            traj, trace = F.run_rescaled(setup, v0, horizon=2.0, dt=1e-3,
+                                         cadence=1e-3)
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(trace) == 2000 and trace.data.shape == (2000, 11)
-        assert kept <= 200 * 2000
+        assert len(trace) == len(traj.sample_times) == len(traj.dt_history) \
+            == 2000
+        assert np.shares_memory(trace.data, traj.diagnostics)
+        assert trace.data.base.shape == trace.data.shape == (2000, 11)
+        assert kept - before <= 200 * 2000
+        assert peak - before <= 500 * 2000
 
 
 class TestExtinction:
@@ -751,6 +759,26 @@ class TestSharedStepper:
             assert np.array_equal(states[i].field, ref)
             assert states[i].newton_iters == iters
 
+    def test_rows_are_formed_once_per_dt_of_a_run_sampled_every_step(
+            self, interval_p2_small, monkeypatch):
+        # clipping each step to the next sample alternates dt with the few
+        # steps a rounding ulp shorter; the rows of each are formed once
+        s, real = interval_p2_small, fdelab.flow._dt_rows
+        dts, rows = set(), {}     # rows kept alive: ids stay distinct
+
+        def spy(grid, dt):
+            out = real(grid, dt)
+            dts.add(dt)
+            rows[id(out[1])] = out
+            return out
+
+        monkeypatch.setattr(fdelab.flow, "_dt_rows", spy)
+        traj = F.evolve(s.grid, s.exps, F.FlowState(
+            kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.3)]),
+            time=0.0), horizon=1.0, dt=5e-3, sample_every=5e-3)
+        assert len(set(traj.dt_history)) == len(dts) > 2
+        assert len(rows) <= len(dts)
+
     @settings(max_examples=40, deadline=None)
     @given(p=st.floats(1.2, 4.0),
            dt=st.floats(1e-5, 1e-2),
@@ -843,7 +871,7 @@ class TestMarchStart:
         # retried at the same dt without it
         assert calls[0] == (5e-3, False)
         assert calls[1:] == [(5e-3, True), (5e-3, False)] * 9
-        assert traj.dt_history == [5e-3] * 10
+        assert traj.dt_history.tolist() == [5e-3] * 10
 
     def test_original_flow_needs_about_one_iteration_per_step(self,
                                                               interval_p2_small):
@@ -877,8 +905,8 @@ class TestRun:
         def state():
             return F.FlowState(kind=kind, field=initial.copy(), time=0.0)
 
-        def sampler(times, fields):   # a block of (time, field) samples
-            return [float(np.dot(f, f)) for f in fields]
+        def sampler(times, fields):   # a row per sample of the block
+            return np.array([[np.dot(f, f)] for f in fields])
 
         run = F.Run(s.grid, s.exps, state(), 5e-3, 0.05, sampler, W)
         for samples in (2, 7, 8, 11):
@@ -890,9 +918,38 @@ class TestRun:
         assert len(traj.sample_times) == round(horizon / 0.05)
         assert len(traj.dt_history) == round(horizon / 5e-3)
         # the stops split the records into other blocks than straight's
-        assert replace(traj, diagnostics=[]) == replace(straight, diagnostics=[])
-        assert ([x for block in traj.diagnostics for x in block]
-                == [x for block in straight.diagnostics for x in block])
+        assert replace(traj, diagnostics=None) == replace(straight,
+                                                          diagnostics=None)
+        assert traj.diagnostics.tobytes() == straight.diagnostics.tobytes()
+
+    def test_buffer_is_sized_once_without_a_stop_and_doubles_with_one(
+            self, interval_p2_small):
+        # at n = 129 a block holds 63 samples.  Marched to 200 samples and
+        # resumed to 300 the buffer is sized to each count in turn; a run
+        # with a stop doubles it from its first block, up to the 300
+        # samples at the horizon; the rows survive each growth
+        s = interval_p2_small
+
+        def run():
+            return F.Run(s.grid, s.exps, F.FlowState(
+                kind="original", field=s.profile.S.copy(), time=0.0),
+                1e-3, 1e-3, lambda times, fields: np.array(times)[:, None])
+
+        resumed = run()
+        assert [len(resumed.to_horizon(h).diagnostics.base)
+                for h in (0.2, 0.3)] == [200, 300]
+        stopped, sizes = run(), []
+
+        def stop(state):
+            rows = stopped.traj.diagnostics
+            if rows is not None and len(rows.base) not in sizes:
+                sizes.append(len(rows.base))
+            return False
+
+        stopped.to_horizon(0.3, stop)     # the last block is recorded after it
+        assert sizes + [len(stopped.traj.diagnostics.base)] == [63, 126, 252, 300]
+        for traj in (resumed.traj, stopped.traj):
+            assert traj.diagnostics[:, 0].tolist() == traj.sample_times.tolist()
 
     @staticmethod
     def stepped(run, samples):
@@ -903,19 +960,27 @@ class TestRun:
         return run.traj
 
     @staticmethod
-    def assert_same_records(traj, stepped, blocks, join):
-        """traj recorded in blocks of the given sizes, stepped one sample
-        per block, and join(blocks), their records as one array, is the
-        same array, bit for bit."""
-        assert [len(block) for block in traj.diagnostics] == blocks
+    def recording(sampler, sizes):
+        """sampler, appending the size of each block it is called with to
+        sizes."""
+        def record(times, fields):
+            sizes.append(len(times))
+            return sampler(times, fields)
+        return record
+
+    @staticmethod
+    def assert_same_records(traj, stepped, sizes, blocks):
+        """traj recorded in sampler calls of the given block sizes, stepped
+        one sample per call, and their rows are the same array, bit for
+        bit."""
+        assert sizes == blocks
         assert len(stepped.diagnostics) == len(stepped.sample_times) == sum(blocks)
         assert traj.sample_times == stepped.sample_times
         assert traj.sups == stepped.sups
         assert traj.dt_history == stepped.dt_history
-        joined = join(traj.diagnostics)
-        assert len(joined) == sum(blocks)
-        assert joined.dtype == float and joined.tobytes() == join(
-            stepped.diagnostics).tobytes()
+        assert len(traj.diagnostics) == sum(blocks)
+        assert traj.diagnostics.dtype == float
+        assert traj.diagnostics.tobytes() == stepped.diagnostics.tobytes()
 
     def test_horizon_ending_mid_block_records_as_next_does(self,
                                                            interval_p2_small):
@@ -925,18 +990,19 @@ class TestRun:
         weights = F.ReportWeights.make(s.grid, s.profile.V, s.exps, s.eigs,
                                        s.gap)
 
-        def run():
+        def run(sizes):
             return F.Run(s.grid, s.exps, F.FlowState(
                 kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.3)]),
-                time=0.0), 5e-3, 5e-3,
-                lambda times, v: F.entropy_report(weights, v, times))
+                time=0.0), 5e-3, 5e-3, self.recording(
+                    lambda times, v: F.entropy_report(weights, v, times).data,
+                    sizes))
 
         assert fdelab.flow._BLOCK_VALUES // s.grid.n == 63
-        traj = run().to_horizon(0.7)
+        sizes = []
+        traj = run(sizes).to_horizon(0.7)
         assert len(traj.sample_times) == 140
-        self.assert_same_records(
-            traj, self.stepped(run(), 140), [63, 63, 14],
-            lambda blocks: F.EntropyTrace.join(blocks, s.gap.k_p).data)
+        self.assert_same_records(traj, self.stepped(run([]), 140), sizes,
+                                 [63, 63, 14])
 
     def test_stop_firing_mid_block_records_as_next_does(self,
                                                         interval_p2_small):
@@ -944,19 +1010,20 @@ class TestRun:
         # sample, 37 samples into to_horizon's second block
         s = interval_p2_small
 
-        def run():
+        def run(sizes):
             return F.Run(s.grid, s.exps, F.FlowState(
                 kind="original", field=s.profile.S.copy(), time=0.0),
-                1e-2, 1e-2, lambda times, fields: np.column_stack(
-                    [times, np.vecdot(fields, fields)]))
+                1e-2, 1e-2, self.recording(lambda times, fields: np.column_stack(
+                    [times, np.vecdot(fields, fields)]), sizes))
 
-        stepped = self.stepped(run(), 100)
+        stepped = self.stepped(run([]), 100)
         stop = 0.5 * (stepped.sups[98] + stepped.sups[99])
         assert stepped.sups[98] > stop > stepped.sups[99]
-        traj = run().to_horizon(
+        sizes = []
+        traj = run(sizes).to_horizon(
             10.0, stop=lambda state: float(np.max(np.abs(state.field))) < stop)
         assert len(traj.sample_times) == 100
-        self.assert_same_records(traj, stepped, [63, 37], np.concatenate)
+        self.assert_same_records(traj, stepped, sizes, [63, 37])
 
     def test_rescale_scales_the_state_and_the_start(self, interval_p2_small):
         # a rule that scales by 2 at t = 0 and by 1.0 after every sample

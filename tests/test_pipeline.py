@@ -143,12 +143,13 @@ def test_constant_field_is_matched_by_its_first_sigma():
     assert res.reports[-1].E_nl < 1e-12
 
 
-@pytest.mark.parametrize("p, bound", [(1.15, 5e-3), (5.0, 1e-6)])
+@pytest.mark.parametrize("p, bound", [(1.15, 5e-3), (1.2, 1e-3), (3.0, 1e-6),
+                                      (5.0, 1e-6)])
 def test_exponent_range_cell_passes(p, bound):
     # the rate-p2 shape at n = 129, horizon 12: the shooting gave a wrong
     # FAIL at p = 1.15 (rate 4.50 against 5.22) and needed 6 trials at
-    # p = 5; the clock-matched run passes both (rel_error_dt measured
-    # 1.28e-3 and 1.46e-8)
+    # p = 5; the clock-matched run passes every cell (rel_error_dt measured
+    # 1.28e-3, 2.35e-4, 1.6e-8 and 1.46e-8)
     setup = interval_setup(p)
     base = F.mode_perturbed_field(setup, [(2, 0.1)])
     res = F.run_nonlinear_rate_case(setup, base, horizon=12.0, dt=1e-3,

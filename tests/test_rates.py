@@ -32,8 +32,8 @@ class TestFitRate:
         assert E[-1] > 1e-4          # trace re-enters the band from below
         fit = F.fit_rate(t, E, F.EntropyBand(1e-10, 1e-4))
         assert abs(fit.lambda_fit - 3.0) < 0.01
-        sl = _band_first_passage(E, 1e-10, 1e-4)
-        assert np.all(np.diff(E[sl]) < 0)
+        sl, rose = _band_first_passage(E, 1e-10, 1e-4)
+        assert np.all(np.diff(E[sl]) < 0) and not rose
 
     def test_passage_closes_at_the_first_sample_after_it(self):
         # every prefix that holds a sample after the first passage has the
@@ -42,12 +42,28 @@ class TestFitRate:
         band = F.EntropyBand(1e-10, 1e-4)
         for E in (np.exp(-3.0 * t) + 1e-15 * np.exp(t),    # rises in the band
                   np.exp(-3.0 * t)):                       # falls below it
-            sl = _band_first_passage(E, band.lo, band.hi)
+            sl, rose = _band_first_passage(E, band.lo, band.hi)
+            assert not rose
             closed = [F.band_passage_closed(E[:k], band) for k in range(t.size)]
             assert closed == [k > sl.stop for k in range(t.size)]
             full = F.fit_rate(t, E, band)
             assert F.fit_rate(t[:sl.stop + 1], E[:sl.stop + 1], band) == full
         assert not F.band_passage_closed(np.full(50, 1e-2), band)
+
+    def test_passage_closed_by_a_rise_above_lo_is_refused(self):
+        # the trace floors at about 1e-7, inside the band, and rises: the
+        # passage has closed, but no rate can be read off it
+        t = np.arange(0.0, 12.0, 0.05)
+        E = np.exp(-3.0 * t) + 1e-9 * np.exp(t)
+        band = F.EntropyBand(1e-10, 1e-4)
+        sl, rose = _band_first_passage(E, band.lo, band.hi)
+        assert rose and E[sl.stop] > E[sl.stop - 1] > band.lo
+        assert F.band_passage_closed(E[:sl.stop + 1], band)
+        assert not F.band_passage_closed(E[:sl.stop], band)
+        with pytest.raises(F.NumericalFailure,
+                           match=f"ends in a rise at E_nl = {E[sl.stop - 1]:.3g}, "
+                                 r"above rates\.band_lo = 1e-10"):
+            F.fit_rate(t, E, band)
 
     def test_scale_invariance(self):
         t = np.linspace(0.0, 5.0, 100)
