@@ -18,10 +18,9 @@ from .spectrum import (EigenSystem, GapReport, PoincareMargins,
                        check_improved_poincare, classify_gap, deflate,
                        linear_entropy, project_coefficients,
                        weighted_eigensystem)
-from .flow import (ExtinctionEstimate, FlowState, Run, Trajectory,
-                   discrete_rate, estimate_extinction_time, evolve,
-                   lattice_step, march, sample_rate, step_linearized,
-                   step_original, step_rescaled)
+from .flow import (ExtinctionEstimate, FlowState, Trajectory, discrete_rate,
+                   estimate_extinction_time, evolve, lattice_step, march,
+                   sample_rate, step_linearized, step_original, step_rescaled)
 from .diagnostics import (ComparisonConstants, EntropyReport, EntropyTrace,
                           ReportWeights, benilan_crandall_margin,
                           delayed_ratio_sup, entropy_density, entropy_report,

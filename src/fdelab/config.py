@@ -190,9 +190,13 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
         if (a in values) == (b in values):
             _fail(source, None, f"give exactly one of {a}, {b}")
 
-    for key in ("flow.dt", "flow.horizon", "sampler.cadence"):
+    for key in ("flow.dt", "flow.horizon", "sampler.cadence", "rates.tol"):
         if resolved[key] <= 0:
             _fail(source, lines.get(key), f"{key} must be positive")
+    if not 0.0 <= resolved["spectrum.gap_tol"] < 1.0:
+        _fail(source, lines.get("spectrum.gap_tol"),
+              f"spectrum.gap_tol must lie in [0, 1), "
+              f"got {resolved['spectrum.gap_tol']!r}")
     from .flow import sample_count
     horizon, cadence = resolved["flow.horizon"], resolved["sampler.cadence"]
     if not _finite(horizon / cadence):

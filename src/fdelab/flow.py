@@ -25,16 +25,14 @@ reductions ndarray.max and min call, solves for -step (dgtsv is odd in its
 right-hand side) instead of negating the residual, and march skips
 multiplying its start by a dt ratio of 1.0 (x * 1.0 is x).
 
-A Run keeps no field beyond one block of samples and no Python object per
+A run keeps no field beyond one block of samples and no Python object per
 sample or step: typed columns of each sample's time and sup|field| and each
 step's dt and Newton count, and one float buffer that the sampler's rows for
-each block of samples (i + 1) cadence are written into.  Run.to_horizon
-is its one march loop: it marches the run on to a horizon, halting early at
-a sample where a stop rule holds, so that the run can be stopped and
-resumed; evolve is a Run taken there.  A caller that needs the fields
-iterates march instead.  A run may carry a rescale rule, which march
-applies at t = 0 and after every sample (the clock-matched rescaled run of
-fdelab.pipeline).
+each block of samples (i + 1) cadence are written into.  evolve is the one
+loop that takes a run to its horizon, halting early after a sample where a
+stop rule holds; a caller that needs the fields iterates march instead.  A
+run may carry a rescale rule, which march applies at t = 0 and after every
+sample (the clock-matched rescaled run of fdelab.pipeline).
 
 Original runs stop near extinction (default sup u < 1e-6 sup u0); the
 extinction time itself is always extrapolated from the exact linearity of
@@ -48,7 +46,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import count, islice
 
 import numpy as np
 
@@ -62,7 +59,7 @@ _DT_MIN = 1e-8       # evolve halves dt on StepFailure down to this,
 _DT_GROW = 1.2       # then regrows it by this factor, up to the given dt,
 _EASY_ITERS = 3      # after each step of at most this many Newton iterations
 _MAX_ITERS = 30      # Newton iterations before a step fails
-# Field values Run.to_horizon stacks for one sampler call: a (B, n) block is
+# Field values evolve stacks for one sampler call: a (B, n) block is
 # then at most 64 KB, under glibc's 128 KB mmap threshold, so the stacks it
 # forms come from the heap; 8,192 was the fastest of 1,024 to 32,768 on two
 # `fdelab evolve` runs at n = 1024, sampled every step
@@ -87,7 +84,7 @@ class FlowState:
 class Trajectory:
     """Per sample its time and sup|field| (8 B each), per step its dt
     (8 B) and Newton count (2 B), and the sampler's rows recorded so far, a
-    view of the Run's buffer.  No field is kept: march yields the fields."""
+    view of evolve's buffer.  No field is kept: march yields the fields."""
 
     kind: str
     initial_sup: float                          # sup|field| at time 0
@@ -410,99 +407,75 @@ def sample_rate(mu: float, dt: float, cadence: float) -> float:
     return (k * np.log1p(dt * mu) + np.log1p(r * mu)) / cadence
 
 
-class Run:
-    """A flow from initial, sampled at (i + 1) cadence for ever and marched
-    (see march, which applies the rescale rule, if any) only as far as
-    to_horizon takes it: each sample's time and sup|field| are appended to
-    traj, and the sampler's rows for each block of samples are written into
-    one float buffer of the Run's own, whose filled rows traj.diagnostics
-    views.  Stopping and resuming gives the same run, step for step, as
-    marching straight through; rows once written are never rewritten.
+def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
+           dt: float, sample_every: float, sampler=None, W=None, rescale=None,
+           stop=None) -> Trajectory:
+    """The flow from initial marched to each sample time (i + 1)
+    sample_every within the horizon (see march, which applies the rescale
+    rule, if any): its Trajectory.  Each sample's time and sup|field| are
+    appended to it, and stop(traj), if given, is called after each sample
+    and halts the run after the first where it is true; an original run
+    with no stop halts near extinction, once sup|u| < 1e-6 sup|u0|.
 
     The sampler takes a block, sampler(times, fields) with fields a (B, n)
-    stack, and returns a (B, W) float block, one row per sample; to_horizon
-    records up to _BLOCK_VALUES // n samples at once, and a stopped and
-    resumed run may record in other blocks.  A sampler that forms each row
-    along the last axis, as diagnostics.entropy_report does, gives rows that
-    do not depend on the block, so the buffer does not either."""
-
-    def __init__(self, grid: Grid, exps: Exponents, initial: FlowState,
-                 dt: float, cadence: float, sampler=None, W=None,
-                 rescale=None):
-        if initial.kind == "linearized" and W is None:
-            raise ValueError("a linearized run needs the weight W")
-        # the lattice reads a local cadence: one reading self would make a
-        # reference cycle, and a finished run would wait for the collector
-        self.cadence = cadence = float(cadence)
-        self.sampler = sampler
-        self.traj = Trajectory(kind=initial.kind,
-                               initial_sup=float(np.max(np.abs(initial.field))))
-        self._states = march(grid, exps, initial, dt,
-                             ((i + 1) * cadence for i in count()), W, self.traj,
-                             rescale)
-        self._block = max(1, _BLOCK_VALUES // grid.n)
-        self._buffer = np.empty((0, 0))
-
-    def _record(self, times: list, fields: list, total: int,
-                doubling: bool) -> None:
-        """Write the sampler's rows of the samples at times after those
-        recorded, growing a full buffer to total rows (the run's at the
-        horizon), or with doubling to at most twice its rows."""
-        if self.sampler is None or not times:
-            return
-        block = self.sampler(times, np.array(fields))
-        rows, buf = self.traj.diagnostics, self._buffer
-        start = 0 if rows is None else len(rows)
-        end = start + len(block)
-        if end > len(buf):
-            size = min(total, max(end, 2 * len(buf))) if doubling else total
-            buf = self._buffer = np.empty((size, block.shape[1]))
-            if rows is not None:
-                buf[:start] = rows
-        buf[start:end] = block
-        self.traj.diagnostics = buf[:end]
-
-    def to_horizon(self, horizon: float, stop=None) -> Trajectory:
-        """The trajectory, marched on to the horizon if the run stopped short
-        of it.  stop(state), if given, is called at each sample marched
-        here, and the march halts after the first sample where it is true.
-        Samples marched here are recorded in blocks, the last one before it
-        returns or raises, into a buffer sized once if there is no stop."""
-        traj, times, fields = self.traj, [], []     # the samples not yet recorded
-        todo = max(0, sample_count(horizon, self.cadence) - len(traj.sample_times))
-        grow = (len(traj.sample_times) + todo, stop is not None)
-        try:
-            for state in islice(self._states, todo):
-                traj.sample_times.append(state.time)
-                traj.sups.append(float(np.maximum.reduce(np.abs(state.field))))
-                times.append(state.time)
-                fields.append(state.field)
-                if len(times) == self._block:
-                    # emptied before the call: a sampler that raises
-                    # leaves nothing for finally to record twice
-                    block, times, fields = (times, fields), [], []
-                    self._record(*block, *grow)
-                if stop is not None and stop(state):
-                    break
-        finally:
-            self._record(times, fields, *grow)
-        return traj
-
-
-def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
-           dt: float, sample_every: float, sampler=None, W=None,
-           stop_sup_below: float | None = None) -> Trajectory:
-    """A Run sampled every sample_every, taken to the horizon (see
-    Run.to_horizon): its Trajectory.  It halts after the first sample whose
-    sup|field| is below stop_sup_below, if given; an original run halts near
-    extinction, by default once sup|u| < 1e-6 sup|u0|."""
-    run = Run(grid, exps, initial, dt, sample_every, sampler, W)
-    if initial.kind == "original" and stop_sup_below is None:
+    stack, and returns a (B, W) float block, one row per sample: evolve
+    records up to _BLOCK_VALUES // n samples at once, the last block before
+    it returns or raises, into one float buffer whose filled rows
+    traj.diagnostics views.  The buffer is sized once to the samples within
+    the horizon if nothing can stop the run, and otherwise doubled as
+    needed, up to that count.  A sampler that forms each row along the last
+    axis, as diagnostics.entropy_report does, gives rows that do not depend
+    on the block, so the buffer does not either."""
+    if initial.kind == "linearized" and W is None:
+        raise ValueError("a linearized run needs the weight W")
+    traj = Trajectory(kind=initial.kind,
+                      initial_sup=float(np.max(np.abs(initial.field))))
+    if stop is None and initial.kind == "original":
         # near-extinction stop: extrapolate, never simulate the degenerate limit
-        stop_sup_below = 1e-6 * run.traj.initial_sup
-    sups = run.traj.sups
-    return run.to_horizon(horizon, None if stop_sup_below is None
-                          else lambda state: sups[-1] < stop_sup_below)
+        level = 1e-6 * traj.initial_sup
+        stop = lambda traj: traj.sups[-1] < level
+    cadence = float(sample_every)
+    total = sample_count(horizon, cadence)
+    per_block = max(1, _BLOCK_VALUES // grid.n)
+    buf, times, fields = np.empty((0, 0)), [], []   # samples not yet recorded
+
+    def record():
+        """Write the sampler's rows of the samples not yet recorded after
+        those recorded, growing the buffer when it is full."""
+        nonlocal buf, times, fields
+        # emptied before the call: a sampler that raises leaves nothing
+        # for finally to record twice
+        block_times, block_fields, times, fields = times, fields, [], []
+        if sampler is None or not block_times:
+            return
+        rows = sampler(block_times, np.array(block_fields))
+        done = traj.diagnostics
+        start = 0 if done is None else len(done)
+        end = start + len(rows)
+        if end > len(buf):
+            size = (total if stop is None
+                    else min(total, max(end, 2 * len(buf))))
+            buf = np.empty((size, rows.shape[1]))
+            if done is not None:
+                buf[:start] = done
+        buf[start:end] = rows
+        traj.diagnostics = buf[:end]
+
+    try:
+        for state in march(grid, exps, initial, dt,
+                           ((i + 1) * cadence for i in range(total)), W, traj,
+                           rescale):
+            traj.sample_times.append(state.time)
+            traj.sups.append(float(np.maximum.reduce(np.abs(state.field))))
+            times.append(state.time)
+            fields.append(state.field)
+            if len(times) == per_block:
+                record()
+            if stop is not None and stop(traj):
+                break
+    finally:
+        record()
+    return traj
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gamma, pi
+from sys import float_info
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -55,6 +56,11 @@ class DomainSpec:
             if self.dimension < 1 or int(self.dimension) != self.dimension:
                 raise ConfigError(f"dimension must be a positive integer, "
                                   f"got {self.dimension}")
+        h = self.extent / (self.nodes + 1)
+        if not float_info.min <= h * h <= float_info.max:   # so 1/h^2 is finite
+            name = "length" if self.geometry == "interval" else "radius"
+            raise ConfigError(f"{name} = {self.extent!r} gives the grid spacing "
+                              f"h = {h!r}, whose square is not a finite normal float")
 
     @property
     def extent(self) -> float:

@@ -50,21 +50,22 @@ shifted in t by a constant, which leaves the decay rate alone.  Once the
 state is on the manifold, each later sigma is 1 up to the O(f^3) error and
 the step's (7e-11 on the reference p = 2 run).
 
-match_extinction_clock builds that run, a flow.Run with the rescale rule
-clock_rule, and run_rescaled takes it to the horizon.
+The clock-matched run is run_rescaled with the rescale rule clock_rule,
+after match_extinction_clock has checked its step; like every run here, it
+is one flow.evolve call, taken to the horizon once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import EntropyTrace, ReportWeights, entropy_report
 from .errors import NumericalFailure
-from .flow import (EXTINCTION_FIT_FLOOR, FlowState, Run,
-                   estimate_extinction_time, evolve)
+from .flow import (EXTINCTION_FIT_FLOOR, FlowState, estimate_extinction_time,
+                   evolve)
 from .grid import DomainSpec, Grid, build_domain
 from .rates import (EntropyBand, RateVerdict, band_passage_closed, fit_rate,
                     sharp_rate_verdict)
@@ -105,19 +106,6 @@ def mode_perturbed_field(setup: StageSetup, modes) -> np.ndarray:
     return v0
 
 
-def _rescaled_run(setup: StageSetup, v0: np.ndarray, dt: float,
-                  cadence: float, rescale=None) -> Run:
-    """The rescaled flow from v0 as a Run recording the entropy reports of
-    every sample (i + 1) cadence, each block's EntropyTrace columns, from
-    report weights formed once per run, with the rescale rule, if given."""
-    weights = ReportWeights.make(setup.grid, setup.profile.V, setup.exps,
-                                 setup.eigs, setup.gap)
-    return Run(setup.grid, setup.exps,
-               FlowState(kind="rescaled", field=v0, time=0.0), dt, cadence,
-               sampler=lambda times, v: entropy_report(weights, v, times).data,
-               rescale=rescale)
-
-
 def _mode1_coefficient(setup: StageSetup, dev: np.ndarray) -> float:
     """<dev, phi_1>_V, the unstable-mode coefficient of a deviation dev."""
     return float(project_coefficients(setup.grid, setup.eigs, dev, 1)[0])
@@ -149,13 +137,11 @@ def clock_rule(setup: StageSetup, sigmas: list):
 
 @dataclass(frozen=True)
 class ClockCalibration:
-    """A clock-matched run and its scalings: sigmas[0] at t = 0, then one
-    after every sample but the last, appended as the run marches."""
+    """A clock-matched run's scalings, which its clock_rule appends as the
+    run marches: sigmas[0] at t = 0, then one after every sample but the
+    last."""
 
     sigmas: list
-    # the run, unstarted; the results of run_nonlinear_rate_case and
-    # run_extinction_pipeline keep None here, so that they can be pickled
-    run: Run | None = field(default=None, repr=False, compare=False)
     trials: int = 0     # no trial runs; benchmarks/tracing.py sums this count
 
     @property
@@ -169,44 +155,48 @@ class ClockCalibration:
         return max((abs(1.0 - s) for s in self.sigmas[1:]), default=0.0)
 
 
-def match_extinction_clock(setup: StageSetup, base_field, dt: float = 1e-3,
+def match_extinction_clock(setup: StageSetup, dt: float = 1e-3,
                            cadence: float = 0.05) -> ClockCalibration:
-    """The clock-matched rescaled run from base_field, unstarted: a Run
-    sampled every cadence whose rescale rule (clock_rule) holds it on the
-    stable manifold of V at t = 0 and after each sample, so that its
+    """The empty calibration of a clock-matched run stepping dt and sampled
+    every cadence, whose rescale rule clock_rule(setup, sigmas) holds it on
+    the stable manifold of V at t = 0 and after each sample, so that its
     extinction time stays matched to T = p/((p-1)c).  A step
     min(dt, cadence) of at least T, where the unstable mode's implicit step
     is singular, raises ValueError."""
-    base = setup.grid.check_field(base_field)
     T = setup.exps.T
     if min(dt, cadence) >= T:
         raise ValueError(f"the clock-matched run steps min(dt, cadence) = "
                          f"{min(dt, cadence)!r}, which must be below T = {T!r}")
-    sigmas = []
-    return ClockCalibration(sigmas=sigmas, run=_rescaled_run(
-        setup, base, dt, cadence, clock_rule(setup, sigmas)))
+    return ClockCalibration(sigmas=[])
 
 
 def run_rescaled(setup: StageSetup, v0, horizon: float, dt: float = 1e-3,
-                 cadence: float = 0.05, run: Run | None = None, stop=None):
-    """The rescaled flow from v0 taken to the horizon: its Trajectory and
-    its entropy reports, an EntropyTrace over the run's recorded rows (a view
-    of its buffer, not a copy).  run, if given, is taken there instead of a
-    fresh Run from v0: the clock-matched run of match_extinction_clock from
-    v0 at this dt and cadence.  stop(reports), if given, is called at every
-    sample with the EntropyTrace of the rows recorded so far (Run.to_horizon
-    records a block at a time), and the run halts after the first sample
-    where it is true, at most one block past the report that made it so."""
-    run = run or _rescaled_run(setup, np.asarray(v0, float), dt, cadence)
+                 cadence: float = 0.05, rescale=None, stop=None):
+    """The rescaled flow from v0 taken to the horizon by flow.evolve, with
+    the rescale rule, if given (clock_rule for the clock-matched run): its
+    Trajectory and its entropy reports at every sample (i + 1) cadence, from
+    report weights formed once per run, as an EntropyTrace over the run's
+    recorded rows (a view of its buffer, not a copy).  stop(reports), if
+    given, is called at every sample with the EntropyTrace of the rows
+    recorded so far (evolve records a block at a time), and the run halts
+    after the first sample where it is true, at most one block past the
+    report that made it so."""
+    weights = ReportWeights.make(setup.grid, setup.profile.V, setup.exps,
+                                 setup.eigs, setup.gap)
     k = setup.gap.k_p
 
-    def reports():
-        rows = run.traj.diagnostics
+    def reports(traj):
+        rows = traj.diagnostics
         return EntropyTrace(np.empty((0, 8 + 3 * k)) if rows is None else rows,
                             k)
 
-    traj = run.to_horizon(horizon, stop and (lambda state: stop(reports())))
-    return traj, reports()
+    traj = evolve(setup.grid, setup.exps,
+                  FlowState(kind="rescaled", field=np.asarray(v0, float),
+                            time=0.0), horizon, dt, cadence,
+                  lambda times, v: entropy_report(weights, v, times).data,
+                  rescale=rescale,
+                  stop=stop and (lambda traj: stop(reports(traj))))
+    return traj, reports(traj)
 
 
 @dataclass(frozen=True)
@@ -221,9 +211,9 @@ class LinearModeTrace:
 
 def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
                    cadence: float = 0.05) -> LinearModeTrace:
-    """The linearized flow from f0 taken to the horizon by a Run recording
-    at every sample E_lin and I_lin (spectrum.linear_entropy) and the
-    coefficients of every computed mode (spectrum.project_coefficients)."""
+    """The linearized flow from f0 taken to the horizon by flow.evolve,
+    recording at every sample E_lin and I_lin (spectrum.linear_entropy) and
+    the coefficients of every computed mode (spectrum.project_coefficients)."""
     grid, eigs, cp = setup.grid, setup.eigs, setup.gap.cp
     K = len(eigs.eigenvalues)
 
@@ -231,9 +221,9 @@ def run_linearized(setup: StageSetup, f0, horizon: float, dt: float = 1e-3,
         return np.column_stack([*linear_entropy(grid, eigs, cp, f),
                                 project_coefficients(grid, eigs, f, K)])
 
-    traj = Run(grid, setup.exps, FlowState(kind="linearized",
-                                           field=np.asarray(f0, float), time=0.0),
-               dt, cadence, sampler, eigs.W).to_horizon(horizon)
+    traj = evolve(grid, setup.exps,
+                  FlowState(kind="linearized", field=np.asarray(f0, float),
+                            time=0.0), horizon, dt, cadence, sampler, eigs.W)
     rows = np.empty((0, 2 + K)) if traj.diagnostics is None else traj.diagnostics
     return LinearModeTrace(times=np.array(traj.sample_times), E_lin=rows[:, 0],
                            I_lin=rows[:, 1], coefficients=rows[:, 2:])
@@ -264,20 +254,20 @@ def run_extinction_pipeline(setup: StageSetup, dt_original: float = 2e-4,
     u0 = setup.profile.S.copy()
     T_true = exps.T
     dt = dt_original * T_true
+    floor = EXTINCTION_FIT_FLOOR * float(u0.max())
     traj = evolve(setup.grid, exps,
                   FlowState(kind="original", field=u0, time=0.0),
                   horizon=1.5 * T_true, dt=dt,
                   sample_every=max(dt, T_true / 2000.0),
-                  stop_sup_below=EXTINCTION_FIT_FLOOR * float(u0.max()))
+                  stop=lambda traj: traj.sups[-1] < floor)
     est = estimate_extinction_time(traj, exps.m)
 
     exps_est = Exponents.make(p=exps.p, T=est.T_est)
     setup_est = prepare(setup.grid.spec, exps_est, len(setup.eigs.eigenvalues))
     v0 = u0 ** exps.m
-    cal = match_extinction_clock(setup_est, v0, dt=rerun_dt, cadence=0.1)
+    cal = match_extinction_clock(setup_est, dt=rerun_dt, cadence=0.1)
     _, reports = run_rescaled(setup_est, v0, rerun_horizon, rerun_dt, 0.1,
-                              cal.run)
-    cal = replace(cal, run=None)
+                              clock_rule(setup_est, cal.sigmas))
     return ExtinctionPipelineResult(T_est=est.T_est, T_true=T_true, estimate=est,
                                     closed_loop_setup=setup_est,
                                     closed_loop_reports=reports,
@@ -297,7 +287,7 @@ def _fit_settled(band: EntropyBand):
     they are not trivial and their first passage through the band has
     closed (rates.band_passage_closed).  It reads the E_nl column of the
     reports once per recorded block: their rows are a new view only when
-    the Run has recorded one."""
+    evolve has recorded one."""
     last = None
 
     def stop(reports):
@@ -353,7 +343,7 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
     unmatched run has a calibration with no sigma.
 
     A run that is fitted treats the horizon as a cap: it stops within one
-    block of samples (flow.Run) after the one that closes the entropy's
+    block of samples (flow.evolve) after the one that closes the entropy's
     first passage through the band, once some entropy is above 1e-12.  Its
     reports and sigmas are then a prefix of those of the run taken to the
     horizon, and its verdict and trivial_fixed_point are that run's, bit
@@ -361,11 +351,12 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
     band.lo names the horizon the band needs."""
     band = band or EntropyBand()
     base = setup.grid.check_field(base_field)
-    cal = (match_extinction_clock(setup, base, dt, cadence) if match_clock
+    cal = (match_extinction_clock(setup, dt, cadence) if match_clock
            else ClockCalibration(sigmas=[]))
-    traj, reports = run_rescaled(setup, base, horizon, dt, cadence, cal.run,
+    traj, reports = run_rescaled(setup, base, horizon, dt, cadence,
+                                 clock_rule(setup, cal.sigmas) if match_clock
+                                 else None,
                                  _fit_settled(band) if want_fit else None)
-    cal = replace(cal, run=None)
     trivial = _trivial(reports.E_nl)
     verdict = None
     if want_fit and not trivial:

@@ -86,6 +86,13 @@ BAD_INPUTS = [
     ({"rates.band_lo": "0"}, "rates.band_lo"),
     ({"rates.band_lo": "-1e-10"}, "rates.band_lo"),
     ({"rates.band_lo": "1e-3"}, "rates.band_lo"),
+    # a verdict tolerance that fails every fit, a gap check switched off
+    ({"rates.tol": "0"}, "rates.tol"),
+    ({"rates.tol": "-0.1"}, "rates.tol"),
+    ({"spectrum.gap_tol": "-1"}, "spectrum.gap_tol"),
+    # a grid spacing whose square overflows, or underflows past the normals
+    ({"domain.length": "1e200"}, "domain.length"),
+    ({"domain.length": "1e-160"}, "domain.length"),
 ]
 
 # verdict.json: RateVerdict with its RateFit flattened in, and the clock
@@ -599,6 +606,12 @@ class TestMain:
                          "--out", str(tmp_path / "m5")]) == 2
         assert named in capsys.readouterr().err
         assert not list((tmp_path / "m5").glob("*"))   # nothing written
+
+    def test_tiny_domain_runs(self, tmp_path):
+        # h^2 ~ 6e-45 is a normal float: a tiny extent is no bad input
+        path = write_cfg(tmp_path, set_key(BASE_CFG, "domain.length", "1e-20"))
+        assert cli.main(["evolve", "--config", str(path),
+                         "--out", str(tmp_path / "m11")]) == 0
 
     def test_linear_step_at_half_T_exit_2(self, tmp_path, capsys):
         # T = 2: march never steps beyond min(flow.dt, sampler.cadence) = 1.5,

@@ -217,7 +217,7 @@ class TestOnePassKernels:
             fields.append(v)
             wants.append(pickle.dumps(want))
         # the same fields in stacks: each row's report has the bits of the
-        # field's own, in blocks of 1, 3 and 8 and one beyond Run's bound
+        # field's own, in blocks of 1, 3 and 8 and one beyond evolve's bound
         weights = F.ReportWeights.make(s.grid, V, s.exps, s.eigs, s.gap)
         over = _BLOCK_VALUES // V.size + 1
         blocks = [range(i, min(i + size, 60)) for size in (1, 3, 8)

@@ -2,7 +2,6 @@
 
 import tracemalloc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,11 +251,12 @@ class TestDiscreteRate:
         # remainder, and the mode's decay over that sample is the rate
         s, dt = interval_p2_small, 0.01
         cadence, phi = (k + frac) * dt, s.eigs.mode(2)
-        run = F.Run(s.grid, s.exps,
-                    F.FlowState(kind="linearized", field=phi, time=0.0),
-                    dt, cadence, lambda times, fields: fields, s.eigs.W)
-        f1 = run.to_horizon(cadence).diagnostics[0]     # the one sample's row
-        steps = run.traj.dt_history
+        traj = F.evolve(s.grid, s.exps,
+                        F.FlowState(kind="linearized", field=phi, time=0.0),
+                        cadence, dt, cadence, lambda times, fields: fields,
+                        s.eigs.W)
+        f1 = traj.diagnostics[0]     # the one sample's row
+        steps = traj.dt_history
         assert len(steps) == k + 1 and steps[:k].tolist() == [dt] * k
         mu = mu_dt / dt
         read = sum(np.log1p(h * mu) for h in steps) / cadence
@@ -473,13 +473,14 @@ class TestExtinction:
         s = interval_p2_small
         exps = s.exps
         dt = exps.T / 4000.0
+        level = 5e-4 * s.profile.S.max()
         traj = F.evolve(s.grid, exps,
                         F.FlowState(kind="original", field=s.profile.S.copy(),
                                     time=0.0),
                         horizon=1.2 * exps.T,
                         dt=dt,
                         sample_every=exps.T / 200.0,
-                        stop_sup_below=5e-4 * s.profile.S.max())
+                        stop=lambda traj: traj.sups[-1] < level)
         est = F.estimate_extinction_time(traj, exps.m)
         assert abs(est.T_est - exps.T) / exps.T < 0.01
 
@@ -489,13 +490,14 @@ class TestExtinction:
         exps = s.exps
         T2 = 2.0 ** (1.0 - exps.m) * exps.T
         dt = T2 / 4000.0
+        level = 1e-3 * s.profile.S.max()
         traj = F.evolve(s.grid, exps,
                         F.FlowState(kind="original",
                                     field=2.0 * s.profile.S, time=0.0),
                         horizon=1.2 * T2,
                         dt=dt,
                         sample_every=T2 / 200.0,
-                        stop_sup_below=1e-3 * s.profile.S.max())
+                        stop=lambda traj: traj.sups[-1] < level)
         est = F.estimate_extinction_time(traj, exps.m)
         assert abs(est.T_est - T2) / T2 < 0.01
 
@@ -889,75 +891,48 @@ class TestMarchStart:
 
 
 class TestRun:
-    @pytest.mark.parametrize("horizon", [1.0, 0.3])     # beyond, short of 0.55
-    @pytest.mark.parametrize("kind", ["original", "linearized", "rescaled"])
-    def test_stopped_and_resumed_run_is_evolve_straight_through(
-            self, interval_p2_small, kind, horizon):
-        # a Run taken in uneven chunks to 2, 7, 8 and 11 samples (t = 0.55),
-        # none beyond the horizon, then marched on to it; evolve runs the
-        # original flow from S with its stop level, not reached by then
-        s = interval_p2_small
-        initial = {"original": s.profile.S,
-                   "linearized": 0.1 * s.eigs.mode(2),
-                   "rescaled": F.mode_perturbed_field(s, [(2, 0.3)])}[kind]
-        W = s.eigs.W if kind == "linearized" else None
-
-        def state():
-            return F.FlowState(kind=kind, field=initial.copy(), time=0.0)
-
-        def sampler(times, fields):   # a row per sample of the block
-            return np.array([[np.dot(f, f)] for f in fields])
-
-        run = F.Run(s.grid, s.exps, state(), 5e-3, 0.05, sampler, W)
-        for samples in (2, 7, 8, 11):
-            run.to_horizon(min(samples * 0.05, horizon))
-        assert len(run.traj.sample_times) == min(11, round(horizon / 0.05))
-        traj = run.to_horizon(horizon)
-        straight = F.evolve(s.grid, s.exps, state(), horizon=horizon, dt=5e-3,
-                            sample_every=0.05, sampler=sampler, W=W)
-        assert len(traj.sample_times) == round(horizon / 0.05)
-        assert len(traj.dt_history) == round(horizon / 5e-3)
-        # the stops split the records into other blocks than straight's
-        assert replace(traj, diagnostics=None) == replace(straight,
-                                                          diagnostics=None)
-        assert traj.diagnostics.tobytes() == straight.diagnostics.tobytes()
-
     def test_buffer_is_sized_once_without_a_stop_and_doubles_with_one(
-            self, interval_p2_small):
-        # at n = 129 a block holds 63 samples.  Marched to 200 samples and
-        # resumed to 300 the buffer is sized to each count in turn; a run
-        # with a stop doubles it from its first block, up to the 300
-        # samples at the horizon; the rows survive each growth
+            self, interval_p2_small, monkeypatch):
+        # at n = 129 a block holds 63 samples, and the run to t = 0.3 holds
+        # 300.  The sampler sees the buffer of the blocks before its own:
+        # without a stop it is sized once, to the 300 samples at the
+        # horizon; with one it doubles from the first block, up to 300; the
+        # rows survive each growth
         s = interval_p2_small
+        march, trajs = fdelab.flow.march, []
 
-        def run():
-            return F.Run(s.grid, s.exps, F.FlowState(
-                kind="original", field=s.profile.S.copy(), time=0.0),
-                1e-3, 1e-3, lambda times, fields: np.array(times)[:, None])
+        def held_march(*args):      # evolve passes its trajectory 7th
+            trajs.append(args[6])
+            return march(*args)
 
-        resumed = run()
-        assert [len(resumed.to_horizon(h).diagnostics.base)
-                for h in (0.2, 0.3)] == [200, 300]
-        stopped, sizes = run(), []
+        monkeypatch.setattr(fdelab.flow, "march", held_march)
 
-        def stop(state):
-            rows = stopped.traj.diagnostics
-            if rows is not None and len(rows.base) not in sizes:
-                sizes.append(len(rows.base))
-            return False
+        def sizes(stop=None):
+            seen = []
 
-        stopped.to_horizon(0.3, stop)     # the last block is recorded after it
-        assert sizes + [len(stopped.traj.diagnostics.base)] == [63, 126, 252, 300]
-        for traj in (resumed.traj, stopped.traj):
+            def sampler(times, fields):
+                rows = trajs[-1].diagnostics
+                if rows is not None:
+                    seen.append(len(rows.base))
+                return np.array(times)[:, None]
+
+            traj = F.evolve(s.grid, s.exps, F.FlowState(
+                kind="rescaled", field=s.profile.V.copy(), time=0.0),
+                horizon=0.3, dt=1e-3, sample_every=1e-3, sampler=sampler,
+                stop=stop)
             assert traj.diagnostics[:, 0].tolist() == traj.sample_times.tolist()
+            return seen + [len(traj.diagnostics.base)]
+
+        assert sizes() == [300] * 5
+        assert sizes(lambda traj: False) == [63, 126, 252, 252, 300]
 
     @staticmethod
-    def stepped(run, samples):
-        """run's trajectory after samples to_horizon calls, each one sample
-        further and so recording a block of one sample."""
-        for i in range(samples):
-            run.to_horizon((i + 1) * run.cadence)
-        return run.traj
+    def one_sample_blocks(monkeypatch, grid, run):
+        """run() with _BLOCK_VALUES at n, so that evolve records every
+        sample in a sampler call of its own."""
+        with monkeypatch.context() as patch:
+            patch.setattr(fdelab.flow, "_BLOCK_VALUES", grid.n)
+            return run()
 
     @staticmethod
     def recording(sampler, sizes):
@@ -983,45 +958,51 @@ class TestRun:
         assert traj.diagnostics.tobytes() == stepped.diagnostics.tobytes()
 
     def test_horizon_ending_mid_block_records_as_next_does(self,
-                                                           interval_p2_small):
-        # at n = 129 to_horizon records 63 samples at once: 140 samples are
+                                                           interval_p2_small,
+                                                           monkeypatch):
+        # at n = 129 evolve records 63 samples at once: 140 samples are
         # two full blocks and 14 in a last one, flushed before it returns
         s = interval_p2_small
         weights = F.ReportWeights.make(s.grid, s.profile.V, s.exps, s.eigs,
                                        s.gap)
 
         def run(sizes):
-            return F.Run(s.grid, s.exps, F.FlowState(
+            return F.evolve(s.grid, s.exps, F.FlowState(
                 kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.3)]),
-                time=0.0), 5e-3, 5e-3, self.recording(
+                time=0.0), horizon=0.7, dt=5e-3, sample_every=5e-3,
+                sampler=self.recording(
                     lambda times, v: F.entropy_report(weights, v, times).data,
                     sizes))
 
         assert fdelab.flow._BLOCK_VALUES // s.grid.n == 63
-        sizes = []
-        traj = run(sizes).to_horizon(0.7)
+        sizes, stepped_sizes = [], []
+        traj = run(sizes)
         assert len(traj.sample_times) == 140
-        self.assert_same_records(traj, self.stepped(run([]), 140), sizes,
-                                 [63, 63, 14])
+        stepped = self.one_sample_blocks(monkeypatch, s.grid,
+                                         lambda: run(stepped_sizes))
+        assert stepped_sizes == [1] * 140
+        self.assert_same_records(traj, stepped, sizes, [63, 63, 14])
 
     def test_stop_firing_mid_block_records_as_next_does(self,
-                                                        interval_p2_small):
-        # the original flow's near-extinction stop fires at the 100th
-        # sample, 37 samples into to_horizon's second block
+                                                        interval_p2_small,
+                                                        monkeypatch):
+        # a stop between the 99th and 100th samples' sup fires at the
+        # 100th sample, 37 samples into evolve's second block
         s = interval_p2_small
 
-        def run(sizes):
-            return F.Run(s.grid, s.exps, F.FlowState(
+        def run(sizes, horizon, stop=None):
+            return F.evolve(s.grid, s.exps, F.FlowState(
                 kind="original", field=s.profile.S.copy(), time=0.0),
-                1e-2, 1e-2, self.recording(lambda times, fields: np.column_stack(
-                    [times, np.vecdot(fields, fields)]), sizes))
+                horizon=horizon, dt=1e-2, sample_every=1e-2,
+                sampler=self.recording(lambda times, fields: np.column_stack(
+                    [times, np.vecdot(fields, fields)]), sizes), stop=stop)
 
-        stepped = self.stepped(run([]), 100)
-        stop = 0.5 * (stepped.sups[98] + stepped.sups[99])
-        assert stepped.sups[98] > stop > stepped.sups[99]
+        stepped = self.one_sample_blocks(monkeypatch, s.grid,
+                                         lambda: run([], 1.0))
+        level = 0.5 * (stepped.sups[98] + stepped.sups[99])
+        assert stepped.sups[98] > level > stepped.sups[99]
         sizes = []
-        traj = run(sizes).to_horizon(
-            10.0, stop=lambda state: float(np.max(np.abs(state.field))) < stop)
+        traj = run(sizes, 10.0, stop=lambda traj: traj.sups[-1] < level)
         assert len(traj.sample_times) == 100
         self.assert_same_records(traj, stepped, sizes, [63, 37])
 
@@ -1062,14 +1043,14 @@ class TestRun:
         assert newton_total(lambda field: 1.0 + 1e-4) <= newton_total(None)
 
     def test_a_dropped_run_is_freed_at_once(self, interval_p2_small):
-        # no reference cycle: a finished run and the samples it recorded go
-        # when the last reference does, not at a later cyclic collection
+        # no reference cycle: the trajectory evolve returns and the buffer
+        # its rows view go when the last reference does, not at a later
+        # cyclic collection
         s = interval_p2_small
-        run = F.Run(s.grid, s.exps, F.FlowState(kind="rescaled",
-                                                field=s.profile.V.copy(),
-                                                time=0.0),
-                    5e-3, 0.05)
-        run.to_horizon(0.05)
-        gone = weakref.ref(run)
-        del run
-        assert gone() is None
+        traj = F.evolve(s.grid, s.exps, F.FlowState(
+            kind="rescaled", field=s.profile.V.copy(), time=0.0),
+            horizon=0.05, dt=5e-3, sample_every=0.05,
+            sampler=lambda times, fields: np.array(times)[:, None])
+        gone = [weakref.ref(traj), weakref.ref(traj.diagnostics.base)]
+        del traj
+        assert [ref() for ref in gone] == [None, None]

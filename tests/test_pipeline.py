@@ -113,14 +113,19 @@ def test_predicted_slope_is_positive(dim, p, n, seed):
 
 def test_a_step_of_T_is_refused_before_any_trial(monkeypatch):
     # T = 2 at p = 2, c = 1: the unstable mode's implicit step is singular;
-    # the clock-matched run is refused before it is built
+    # the clock-matched run is refused before it starts.  A shorter step
+    # gets the empty calibration
     setup = interval_setup(2.0, nodes=65)
-    monkeypatch.setattr(pipeline, "_rescaled_run",
-                        lambda *args: pytest.fail("a run was built"))
-    with pytest.raises(ValueError, match=r"min\(dt, cadence\) = 2\.0, which "
-                                         r"must be below T = 2\.0"):
-        F.match_extinction_clock(setup, 1.01 * setup.profile.V, dt=2.0,
-                                 cadence=2.0)
+    monkeypatch.setattr(pipeline, "evolve",
+                        lambda *args, **kwargs: pytest.fail("a run started"))
+    refused = r"min\(dt, cadence\) = 2\.0, which must be below T = 2\.0"
+    with pytest.raises(ValueError, match=refused):
+        F.match_extinction_clock(setup, dt=2.0, cadence=2.0)
+    with pytest.raises(ValueError, match=refused):
+        F.run_nonlinear_rate_case(setup, 1.01 * setup.profile.V, horizon=4.0,
+                                  dt=2.0, cadence=2.0)
+    assert F.match_extinction_clock(setup, dt=1.0, cadence=2.0) == \
+        F.ClockCalibration(sigmas=[])
 
 
 def test_constant_field_is_matched_by_its_first_sigma():
@@ -130,10 +135,10 @@ def test_constant_field_is_matched_by_its_first_sigma():
     # shooting took 5 trials to accept a scale between 9 and 10; the first
     # sigma lands there (measured 9.510, product 9.489), and no step fails.
     setup = interval_setup(2.0, nodes=33)
-    run = F.Run(setup.grid, setup.exps,
-                F.FlowState(kind="rescaled", field=0.998 * np.ones(33), time=0.0),
-                2 ** -7, 10 * 2 ** -7)
-    assert min(run.to_horizon(0.2).dt_history) < 2 ** -7
+    traj = F.evolve(setup.grid, setup.exps,
+                    F.FlowState(kind="rescaled", field=0.998 * np.ones(33),
+                                time=0.0), 0.2, 2 ** -7, 10 * 2 ** -7)
+    assert min(traj.dt_history) < 2 ** -7
     res = F.run_nonlinear_rate_case(setup, np.ones(33), horizon=12.0,
                                     dt=2 ** -7, cadence=10 * 2 ** -7,
                                     want_fit=False)
@@ -240,19 +245,19 @@ def test_clock_matched_run_is_the_rule_replayed(interval_p2_small, horizon,
 def test_reports_are_recorded_in_blocks_by_to_horizon_alone(monkeypatch,
                                                             interval_p2_small):
     # every entropy report of a clock-matched rate case is formed inside
-    # its one Run.to_horizon call, in full blocks but for the last flush;
-    # the reports are still those of the rule replayed one field at a time
+    # its one evolve call, in full blocks but for the last flush; the
+    # reports are still those of the rule replayed one field at a time
     setup = interval_p2_small
-    to_horizon, report = F.Run.to_horizon, pipeline.entropy_report
-    per_call, outside = [], []      # report stack sizes per to_horizon call
+    evolve, report = pipeline.evolve, pipeline.entropy_report
+    per_call, outside = [], []      # report stack sizes per evolve call
     current = None
 
-    def counted_to_horizon(run, *args, **kwargs):
+    def counted_evolve(*args, **kwargs):
         nonlocal current
         current = []
         per_call.append(current)
         try:
-            return to_horizon(run, *args, **kwargs)
+            return evolve(*args, **kwargs)
         finally:
             current = None
 
@@ -260,7 +265,7 @@ def test_reports_are_recorded_in_blocks_by_to_horizon_alone(monkeypatch,
         (outside if current is None else current).append(len(v))
         return report(weights, v, t)
 
-    monkeypatch.setattr(F.Run, "to_horizon", counted_to_horizon)
+    monkeypatch.setattr(pipeline, "evolve", counted_evolve)
     monkeypatch.setattr(pipeline, "entropy_report", counted_report)
     base = F.mode_perturbed_field(setup, [(2, 0.1)])
     res = F.run_nonlinear_rate_case(setup, base, horizon=3.0, dt=1e-3,
