@@ -5,34 +5,31 @@ rescaled:    d/dt v^p = lap v + c v^p           (stationary profile V)
 linearized:  p V^(p-1) f_t = lap f + c p V^(p-1) f
 
 All steppers are implicit Euler (its rate for a linear mode: discrete_rate
-per step, sample_rate per sample of a run).
-The two nonlinear flows share one stepper for w_t = lap w^m + c w: the
-rescaled flow is advanced in the conserved variable w = v^p, which has a
-maximum principle, and returns v = w^m; the original flow is c = 0, w = u.
-The stepper uses damped Newton with a positivity-preserving line search
-(iterates are clipped at 1e-300 only inside the search; an accepted step must
-be strictly positive), and solves each tridiagonal Newton system directly with
-LAPACK dgtsv.  Near the extinction profile both nonlinear flows are smooth in
-time, so march starts each step's Newton iteration from the linear
-extrapolation of the last two accepted fields (floored at half the current
-field), which lies O(dt^2) from the root instead of O(dt); the step solves the
-same equation to the same residual, and a step that fails from that start is
-retried from the old state before dt is halved.  A step's fixed cost is
-mostly Python, not its LAPACK solve, so the stepper keeps its bookkeeping in
-Python floats (whose ** calls C pow, as numpy's scalar ** does) and makes no
-array pass that changes no bit: it takes maxima and minima with the ufunc
-reductions ndarray.max and min call, solves for -step (dgtsv is odd in its
-right-hand side) instead of negating the residual, and march skips
-multiplying its start by a dt ratio of 1.0 (x * 1.0 is x).
+per step, sample_rate per sample of a run), in whole steps of dt on the
+sample lattice: a cadence of k dt is k steps of dt, another ends in one
+remainder step.  The two nonlinear flows share one stepper for
+w_t = lap w^m + c w: the rescaled flow is advanced in the conserved variable
+w = v^p, which has a maximum principle, and returns v = w^m; the original
+flow is c = 0, w = u.  The stepper uses damped Newton with a
+positivity-preserving line search (iterates are clipped at 1e-300 only
+inside the search; an accepted step must be strictly positive), and solves
+each tridiagonal Newton system directly with LAPACK dgtsv.  Near the
+extinction profile both nonlinear flows are smooth in time, so march starts
+each step's Newton iteration from the linear extrapolation of the last two
+accepted fields (floored at half the current field), which lies O(dt^2)
+from the root instead of O(dt); the step solves the same equation to the
+same residual, and a step that fails from that start is retried from the
+old state before dt is halved.  A step's fixed cost is mostly Python, not
+its LAPACK solve, so the stepper makes no array pass that changes no bit
+(see _implicit_euler and march).
 
 A run keeps no field beyond one block of samples and no Python object per
 sample or step: typed columns of each sample's time and sup|field| and each
-step's dt and Newton count, and one float buffer that the sampler's rows for
-each block of samples (i + 1) cadence are written into.  evolve is the one
-loop that takes a run to its horizon, halting early after a sample where a
-stop rule holds; a caller that needs the fields iterates march instead.  A
-run may carry a rescale rule, which march applies at t = 0 and after every
-sample (the clock-matched rescaled run of fdelab.pipeline).
+step's dt and Newton count, and one float buffer for the sampler's rows.
+evolve is the one loop that takes a run to its horizon, halting early after
+a sample where a stop rule holds; a caller that needs the fields iterates
+march instead.  A run may carry a rescale rule, which march applies at t = 0
+and after every sample (the clock-matched rescaled run of fdelab.pipeline).
 
 Original runs stop near extinction (default sup u < 1e-6 sup u0); the
 extinction time itself is always extrapolated from the exact linearity of
@@ -66,6 +63,9 @@ _MAX_ITERS = 30      # Newton iterations before a step fails
 _BLOCK_VALUES = 8192
 # sup u / sup u0 at and below which estimate_extinction_time fits no sample
 EXTINCTION_FIT_FLOOR = 1e-3
+# the sample lattice's relative tolerance: a horizon (time left to a sample)
+# within it of whole cadences (steps of dt) is that many of them
+LATTICE_TOL = 1e-9
 
 
 @dataclass
@@ -114,30 +114,19 @@ class Trajectory:
         }
 
 
-_rows = (None, {})  # (grid, dt -> dt * the three diagonals of -lap), last used last
-_DTS_KEPT = 4       # the dts whose rows _rows keeps
+_rows = (None, None, None)   # (grid, dt, dt * the three diagonals of -lap)
 
 
 def _dt_rows(grid: Grid, dt: float):
     """dt times the sub, main and super diagonals of -lap, formed once per
-    (grid, dt) while dt is among the _DTS_KEPT last used: march keeps dt for
-    many steps, and a run sampled every step alternates between dt and the
-    step clipped to the next sample, a few distinct dts in all.  The key
-    holds the grid itself, so a different grid with the same dt never reads
-    another grid's rows."""
+    (grid, dt): march steps whole dt, so a run forms them once, and again
+    after a remainder step or a dt halving.  The key holds the grid itself,
+    so another grid with the same dt never reads these rows."""
     global _rows
-    owner, kept = _rows
-    if owner is not grid:
-        kept = {}
-        _rows = (grid, kept)
-    rows = kept.pop(dt, None)
-    if rows is None:
-        if len(kept) == _DTS_KEPT:
-            del kept[next(iter(kept))]          # the least recently used
-        rows = (dt * grid.neglap_lower, dt * grid.neglap_diag,
-                dt * grid.neglap_upper)
-    kept[dt] = rows
-    return rows
+    if _rows[0] is not grid or _rows[1] != dt:
+        _rows = (grid, dt, (dt * grid.neglap_lower, dt * grid.neglap_diag,
+                            dt * grid.neglap_upper))
+    return _rows[2]
 
 
 def _residual(grid: Grid, w: np.ndarray, w_old: np.ndarray, dt: float,
@@ -180,24 +169,14 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
     (visible for large-amplitude profiles at p near 1).  Returns
     (w, w^m, Newton iterations), w^m as the last residual formed it.
 
-    F is formed in place by _residual as ((A w^m / qw - c w) dt + w) - w_old,
-    with lap = -A / qw.  That is the written w - dt (-A w^m / qw + c w) - w_old
-    bit for bit: round-to-nearest is odd-symmetric, so the bracket and its dt
-    multiple are the exact negatives of the written ones, adding w is
-    subtracting the written term, and where that term is a zero its sign is
-    lost in + w, as w > 0; skipping - c w at c = 0 moves only such a sign.
-    The Jacobian is likewise formed in place with commuted operands.  The
-    Newton step is solved for the right-hand side F itself, not -F: dgtsv
-    pivots on the matrix alone and is odd in its right-hand side, so it
-    returns s = -step exactly, and x - lam s is x + lam step bit for bit
-    (with s itself at lam = 1, as 1.0 * s is s).
-
-    The bookkeeping around the array passes is in Python floats: scale, its
-    floor and guard, and the residual norms, which np.maximum.reduce takes
-    (the ufunc reduction ndarray.max calls, so the same value) and
-    math.isfinite tests.  Python's float ** and numpy's scalar ** both call
-    C pow, so scale has numpy's bits (800,000 random draws at m in {1/2,
-    2/3, 1/3, 0.8} agreed).
+    F and the Jacobian are formed in place with commuted operands, F as
+    ((A w^m / qw - c w) dt + w) - w_old (lap = -A / qw), and the Newton system
+    is solved for s = -step; each has the bits of the written form, as
+    round-to-nearest is odd-symmetric and dgtsv, which pivots on the matrix
+    alone, is odd in its right-hand side (a zero's sign is lost in + w > 0).
+    scale, its floor and guard and the residual norms are Python floats, the
+    norms taken by np.maximum.reduce (what ndarray.max calls); Python's
+    float ** and numpy's scalar ** both call C pow, so scale has numpy's bits.
     """
     if not math.isfinite(w_max):   # w_old - w_old would form inf - inf
         raise NumericalFailure("implicit step residual is not finite")
@@ -305,12 +284,11 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
     """Advance state to each of the increasing times in targets and yield it
     there.  Steps are dt long, except that a step ending in StepFailure is
     retried at half the dt (down to _DT_MIN), which then regrows after easy
-    steps, never beyond dt.  Steps are clipped so that each target is hit
-    exactly.  A nonlinear step after an accepted one starts Newton from
-    f + (dt_eff/dt_prev) (f - f_prev), the linear extrapolation of the last
-    two fields, floored at f/2 (formed in place, and not multiplied by a
-    ratio of exactly 1.0, as x * 1.0 is x: the same bits); if that step
-    fails, the same dt is retried without the start before it is halved.
+    steps, never beyond dt.  A step within LATTICE_TOL of the time left to a
+    target is whole and ends there; only a shorter time left is a remainder
+    step.  A nonlinear step after an accepted one starts Newton from the
+    extrapolation f + (dt_eff/dt_prev) (f - f_prev) floored at f/2; if that
+    step fails, the same dt is retried without it before it is halved.
     Each accepted step's dt and Newton count are appended to traj's
     histories, if traj is given.
 
@@ -328,15 +306,15 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
                               time=state.time)
             if prev is not None:
                 prev = (sigma * prev[0], prev[1])
-        while state.time < target - 1e-12 * max(1.0, target):
-            dt_eff = min(dt_now, target - state.time)
-            clipped = dt_eff < dt_now
+        while (left := target - state.time) > max(LATTICE_TOL * dt_now,
+                                                  1e-12 * max(1.0, target)):
+            clipped = left < (1.0 - LATTICE_TOL) * dt_now
+            dt_eff = left if clipped else dt_now
             start = None
             if prev is not None and state.kind != "linearized":
                 f, (f_prev, dt_prev) = state.field, prev
-                # f + (dt_eff/dt_prev) (f - f_prev), in place with commuted
-                # operands: the same bits; a ratio of 1.0 is every unclipped
-                # step at a constant dt
+                # in place with commuted operands, and no multiplication by
+                # the ratio 1.0 of whole steps (x * 1.0 is x): the same bits
                 start = f - f_prev
                 ratio = dt_eff / dt_prev
                 if ratio != 1.0:
@@ -371,8 +349,8 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
 
 def sample_count(horizon: float, cadence: float) -> int:
     """How many of the sample times (i + 1) cadence, i = 0, 1, ..., lie
-    within the horizon (up to a relative 1e-9 and an absolute 1e-12)."""
-    n = int(np.floor(horizon / cadence + 1e-9))
+    within the horizon (up to LATTICE_TOL and an absolute 1e-12)."""
+    n = int(np.floor(horizon / cadence + LATTICE_TOL))
     while n and n * cadence > horizon + 1e-12:
         # past 2**53, n - 1 is the same float as n: step to the float below
         n = min(n - 1, int(np.nextafter(float(n), 0.0)))
@@ -380,8 +358,9 @@ def sample_count(horizon: float, cadence: float) -> int:
 
 
 def lattice_step(dt: float, cadence: float) -> float:
-    """The longest step of a run sampled every cadence: march clips each step
-    to the next sample, so it steps at most min(dt, cadence)."""
+    """The longest step of a run stepping dt and sampled every cadence:
+    march steps whole dt, and a cadence shorter than dt in one step (a
+    cadence within LATTICE_TOL below dt as dt, the same to that tolerance)."""
     return min(dt, cadence)
 
 
@@ -395,14 +374,14 @@ def sample_rate(mu: float, dt: float, cadence: float) -> float:
     """Implicit Euler's decay rate of f_t = -mu f over one sample of a run
     stepping dt and sampled every cadence.  march steps a cadence of at most
     dt at once, and a longer one k = sample_count(cadence, dt) times dt and
-    then the remainder r = cadence - k dt: the rate is (k log1p(dt mu) +
-    log1p(r mu)) / cadence, or discrete_rate's bits where every step has one
-    length (mu at dt = 0)."""
+    then the remainder r = cadence - k dt, if r is more than LATTICE_TOL dt:
+    the rate is (k log1p(dt mu) + log1p(r mu)) / cadence, or discrete_rate's
+    bits where every step has one length (mu at dt = 0)."""
     if cadence <= dt or dt <= 0:
-        return discrete_rate(mu, min(dt, cadence))
+        return discrete_rate(mu, lattice_step(dt, cadence))
     k = sample_count(cadence, dt)
     r = cadence - k * dt
-    if r <= 1e-9 * cadence:       # a whole multiple of dt
+    if r <= LATTICE_TOL * dt:     # whole steps of dt
         return discrete_rate(mu, dt)
     return (k * np.log1p(dt * mu) + np.log1p(r * mu)) / cadence
 

@@ -57,10 +57,16 @@ class DomainSpec:
                 raise ConfigError(f"dimension must be a positive integer, "
                                   f"got {self.dimension}")
         h = self.extent / (self.nodes + 1)
-        if not float_info.min <= h * h <= float_info.max:   # so 1/h^2 is finite
-            name = "length" if self.geometry == "interval" else "radius"
-            raise ConfigError(f"{name} = {self.extent!r} gives the grid spacing "
-                              f"h = {h!r}, whose square is not a finite normal float")
+        # 1/h^2 must be finite, and so must a ball's shell volumes, h^N to R^N
+        powers = [(h, 2), (h, self.dimension), (self.radius, self.dimension)]
+        for x, k in powers if self.geometry == "ball" else powers[:1]:
+            with np.errstate(over="ignore", under="ignore"):
+                x_k = np.float64(x) ** k
+            if not float_info.min <= x_k <= float_info.max:
+                name = "length" if self.geometry == "interval" else "radius"
+                raise ConfigError(f"{name} = {self.extent!r} gives the grid "
+                                  f"spacing h = {h!r}, and {x!r}^{k} is not a "
+                                  f"finite normal float")
 
     @property
     def extent(self) -> float:
@@ -176,12 +182,19 @@ def weighted_eigenpairs(grid: Grid, W, k: int):
     of A phi = lam W phi, W = quad_weights * a weight > 0, by eigh_tridiagonal
     on the congruence D^-1 A D^-1, D = W^(1/2).  A weight vanishing at the
     boundary, like V^(p-1), makes ||D^-1 A D^-1|| huge (1.4e10 at p = 3.9,
-    n = 290), so tol = 2 tiny, not eps ||.||, keeps full relative accuracy."""
+    n = 290), so tol = 2 tiny, not eps ||.||, keeps full relative accuracy.
+    A congruence beyond the float range (a weight underflowing to 0) raises
+    NumericalFailure."""
     d = np.sqrt(W)
+    with np.errstate(over="ignore", divide="ignore"):
+        diag = grid.lap_diag / d ** 2
+        off = grid.lap_offdiag / (d[:-1] * d[1:])
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise NumericalFailure("the weighted operator W^(-1/2) A W^(-1/2) "
+                               "leaves the float range")
     try:
-        vals, vecs = eigh_tridiagonal(grid.lap_diag / d ** 2,
-                                      grid.lap_offdiag / (d[:-1] * d[1:]),
-                                      select="i", select_range=(0, k - 1),
+        vals, vecs = eigh_tridiagonal(diag, off, select="i",
+                                      select_range=(0, k - 1),
                                       tol=2.0 * np.finfo(float).tiny)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - exotic
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc

@@ -65,7 +65,7 @@ import numpy as np
 from .diagnostics import EntropyTrace, ReportWeights, entropy_report
 from .errors import NumericalFailure
 from .flow import (EXTINCTION_FIT_FLOOR, FlowState, estimate_extinction_time,
-                   evolve)
+                   evolve, lattice_step)
 from .grid import DomainSpec, Grid, build_domain
 from .rates import (EntropyBand, RateVerdict, band_passage_closed, fit_rate,
                     sharp_rate_verdict)
@@ -160,13 +160,13 @@ def match_extinction_clock(setup: StageSetup, dt: float = 1e-3,
     """The empty calibration of a clock-matched run stepping dt and sampled
     every cadence, whose rescale rule clock_rule(setup, sigmas) holds it on
     the stable manifold of V at t = 0 and after each sample, so that its
-    extinction time stays matched to T = p/((p-1)c).  A step
-    min(dt, cadence) of at least T, where the unstable mode's implicit step
-    is singular, raises ValueError."""
-    T = setup.exps.T
-    if min(dt, cadence) >= T:
+    extinction time stays matched to T = p/((p-1)c).  A longest step
+    flow.lattice_step(dt, cadence) of at least T, where the unstable mode's
+    implicit step is singular, raises ValueError."""
+    T, step = setup.exps.T, lattice_step(dt, cadence)
+    if step >= T:
         raise ValueError(f"the clock-matched run steps min(dt, cadence) = "
-                         f"{min(dt, cadence)!r}, which must be below T = {T!r}")
+                         f"{step!r}, which must be below T = {T!r}")
     return ClockCalibration(sigmas=[])
 
 

@@ -14,6 +14,7 @@ on the initial guess.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,8 @@ def solve_stationary(grid: Grid, exps: Exponents, init=None) -> StationaryProfil
     exps.check_subcritical(grid.spec.dimension if grid.spec.geometry == "ball" else 1)
     if init is None:
         lam1, phi = first_dirichlet_eigenpair(grid)
-        V = (lam1 / c) ** (1.0 / (p - 1.0)) * phi
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            V = np.float64(lam1 / c) ** (1.0 / (p - 1.0)) * phi
     else:
         V = grid.check_field(init).copy()
         if V.min() <= 0:
@@ -120,13 +122,12 @@ def solve_stationary(grid: Grid, exps: Exponents, init=None) -> StationaryProfil
         vmax = float(np.max(v))
         return 1e-13 * c * vmax ** p + 32.0 * _EPS * vmax / grid.h ** 2
 
-    res = _residual(grid, V, p, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _residual(grid, V, p, c)
     rnorm = float(np.abs(res).max())
-    if not np.isfinite(rnorm):
-        raise NumericalFailure("stationary residual is not finite")
     iters = 0
     for iters in range(1, _MAX_ITERS + 1):
-        if rnorm <= tol(V):
+        if not math.isfinite(rnorm) or rnorm <= tol(V):
             break
         # J = lap + c p V^(p-1), from the per-grid diagonals of -lap
         step = solve_tridiagonal(-grid.neglap_lower,
@@ -149,6 +150,11 @@ def solve_stationary(grid: Grid, exps: Exponents, init=None) -> StationaryProfil
         raise NumericalFailure(
             f"no convergence after {_MAX_ITERS} iterations (residual {rnorm:.3e})")
 
+    if not (math.isfinite(rnorm) and V.min() > 0):   # the start left the range
+        raise NumericalFailure(
+            f"the profile's scale leaves the float range: V lies in "
+            f"[{float(V.min())!r}, {float(V.max())!r}] with residual "
+            f"lap V + c V^p of {rnorm!r}")
     return StationaryProfile(V=V, S=V ** p, c=c, residual_norm=rnorm,
                              newton_iters=iters)
 

@@ -1,14 +1,21 @@
 """The error contract: config text either resolves to a runnable config or
-raises ConfigError naming where, and every exception class fdelab defines
-lives in fdelab/errors.py."""
+raises ConfigError naming where, a solve that leaves the float range exits 2
+or 3, not with a traceback, and every exception class fdelab defines lives in
+fdelab/errors.py."""
 
 import ast
 import builtins
+import contextlib
+import io
+import math
+import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fdelab
+import fdelab.cli as cli
 from fdelab.config import ConfigError, _KNOWN, parse_config_text, resolve_config
 from fdelab.flow import sample_count
 
@@ -51,6 +58,58 @@ def test_config_resolves_or_raises_config_error(overrides, dropped):
         assert cfg[key] > 0
     # and a sample time within its horizon
     assert sample_count(cfg["flow.horizon"], cfg["sampler.cadence"]) >= 1
+
+
+def spectrum_exit(nodes, p, geometry, extent, dimension=1):
+    """(exit code, stderr) of `fdelab spectrum` at c = 1 on an interval of
+    length extent or a ball of that radius."""
+    keys = {"domain.geometry": geometry, "domain.nodes": nodes,
+            "exponents.p": repr(p), "exponents.c": "1.0"}
+    if geometry == "interval":
+        keys["domain.length"] = repr(extent)
+    else:
+        keys.update({"domain.dimension": dimension, "domain.radius": repr(extent)})
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "exp.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = cli.main(["spectrum", "--config", str(cfg),
+                           "--out", str(Path(tmp) / "out")])
+    return rc, err.getvalue()
+
+
+@st.composite
+def _spectrum_inputs(draw):
+    """An interval or a ball of dimension N <= 3 with an extent 10^u, u in
+    [-150, 150], and p - 1 log-uniform from 1e-4 up to 299 (to 3.99 at
+    N = 3, where p must stay below the critical 5)."""
+    geometry, N = draw(st.sampled_from([("interval", 1), ("ball", 1),
+                                        ("ball", 2), ("ball", 3)]))
+    top = math.log10(299.0 if N < 3 else 3.99)
+    p = 1.0 + 10.0 ** draw(st.floats(-4.0, top))
+    return p, geometry, 10.0 ** draw(st.floats(-150.0, 150.0)), N
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=_spectrum_inputs())
+def test_spectrum_in_or_out_of_the_float_range_exits_0_2_or_3(inputs):
+    p, geometry, extent, N = inputs
+    assert spectrum_exit(33, p, geometry, extent, N)[0] in (0, 2, 3)
+
+
+@pytest.mark.parametrize("p, geometry, extent, N, code, named", [
+    (1.001, "interval", 1.0, 1, 3, "profile's scale leaves the float range"),
+    (200.0, "interval", 1.0, 1, 3, "float range"),
+    (2.0, "interval", 1e90, 1, 3, "profile's scale leaves the float range"),
+    (2.0, "ball", 1e120, 3, 2, "domain.radius"),
+    (2.0, "ball", 1e-120, 3, 2, "domain.radius"),
+])
+def test_spectrum_out_of_the_float_range_at_n_129(p, geometry, extent, N,
+                                                   code, named):
+    rc, err = spectrum_exit(129, p, geometry, extent, N)
+    assert rc == code and named in err
 
 
 def _base_name(node):

@@ -284,6 +284,30 @@ class TestEvolve:
                         sample_every=0.1)
         assert traj.sample_times.tolist() == [(i + 1) * 0.1 for i in range(10)]
 
+    @pytest.mark.parametrize("cadence, dt", [(0.02, 1e-3), (0.1, 2e-3),
+                                             (5e-4, 5e-4), (2.5e-4, 2.5e-4)])
+    def test_a_cadence_of_k_dt_is_k_steps_of_dt(self, interval_p2_small,
+                                                cadence, dt):
+        # no step is clipped to its sample by a rounding ulp
+        s = interval_p2_small
+        traj = F.evolve(s.grid, s.exps, F.FlowState(
+            kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.1)]),
+            time=0.0), horizon=1.0, dt=dt, sample_every=cadence)
+        assert set(traj.dt_history) == {dt}
+
+    def test_another_cadence_is_whole_steps_and_one_remainder(
+            self, interval_p2_small):
+        s, cadence, dt = interval_p2_small, 0.01, 3e-3
+        traj = F.evolve(s.grid, s.exps, F.FlowState(
+            kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.1)]),
+            time=0.0), horizon=1.0, dt=dt, sample_every=cadence)
+        k = fdelab.flow.sample_count(cadence, dt)
+        steps = np.asarray(traj.dt_history).reshape(-1, k + 1)   # per sample
+        assert len(steps) == len(traj.sample_times) == 100
+        assert (steps[:, :k] == dt).all()
+        assert steps[:, k] == pytest.approx(np.full(100, cadence - k * dt),
+                                            rel=1e-12)
+
     @pytest.mark.parametrize("horizon, cadence", [
         (1.9661201932684186e+304, 0.1622317579724788),
         (1.374361482375778e+94, 2960.381341222756)])
@@ -453,6 +477,171 @@ class TestEvolve:
         assert trace.data.base.shape == trace.data.shape == (2000, 11)
         assert kept - before <= 200 * 2000
         assert peak - before <= 500 * 2000
+
+
+    def test_buffer_is_sized_once_without_a_stop_and_doubles_with_one(
+            self, interval_p2_small, monkeypatch):
+        # at n = 129 a block holds 63 samples, and the run to t = 0.3 holds
+        # 300.  The sampler sees the buffer of the blocks before its own:
+        # without a stop it is sized once, to the 300 samples at the
+        # horizon; with one it doubles from the first block, up to 300; the
+        # rows survive each growth
+        s = interval_p2_small
+        march, trajs = fdelab.flow.march, []
+
+        def held_march(*args):      # evolve passes its trajectory 7th
+            trajs.append(args[6])
+            return march(*args)
+
+        monkeypatch.setattr(fdelab.flow, "march", held_march)
+
+        def sizes(stop=None):
+            seen = []
+
+            def sampler(times, fields):
+                rows = trajs[-1].diagnostics
+                if rows is not None:
+                    seen.append(len(rows.base))
+                return np.array(times)[:, None]
+
+            traj = F.evolve(s.grid, s.exps, F.FlowState(
+                kind="rescaled", field=s.profile.V.copy(), time=0.0),
+                horizon=0.3, dt=1e-3, sample_every=1e-3, sampler=sampler,
+                stop=stop)
+            assert traj.diagnostics[:, 0].tolist() == traj.sample_times.tolist()
+            return seen + [len(traj.diagnostics.base)]
+
+        assert sizes() == [300] * 5
+        assert sizes(lambda traj: False) == [63, 126, 252, 252, 300]
+
+    @staticmethod
+    def one_sample_blocks(monkeypatch, grid, run):
+        """run() with _BLOCK_VALUES at n, so that evolve records every
+        sample in a sampler call of its own."""
+        with monkeypatch.context() as patch:
+            patch.setattr(fdelab.flow, "_BLOCK_VALUES", grid.n)
+            return run()
+
+    @staticmethod
+    def recording(sampler, sizes):
+        """sampler, appending the size of each block it is called with to
+        sizes."""
+        def record(times, fields):
+            sizes.append(len(times))
+            return sampler(times, fields)
+        return record
+
+    @staticmethod
+    def assert_same_records(traj, stepped, sizes, blocks):
+        """traj recorded in sampler calls of the given block sizes, stepped
+        one sample per call, and their rows are the same array, bit for
+        bit."""
+        assert sizes == blocks
+        assert len(stepped.diagnostics) == len(stepped.sample_times) == sum(blocks)
+        assert traj.sample_times == stepped.sample_times
+        assert traj.sups == stepped.sups
+        assert traj.dt_history == stepped.dt_history
+        assert len(traj.diagnostics) == sum(blocks)
+        assert traj.diagnostics.dtype == float
+        assert traj.diagnostics.tobytes() == stepped.diagnostics.tobytes()
+
+    def test_horizon_ending_mid_block_records_as_next_does(self,
+                                                           interval_p2_small,
+                                                           monkeypatch):
+        # at n = 129 evolve records 63 samples at once: 140 samples are
+        # two full blocks and 14 in a last one, flushed before it returns
+        s = interval_p2_small
+        weights = F.ReportWeights.make(s.grid, s.profile.V, s.exps, s.eigs,
+                                       s.gap)
+
+        def run(sizes):
+            return F.evolve(s.grid, s.exps, F.FlowState(
+                kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.3)]),
+                time=0.0), horizon=0.7, dt=5e-3, sample_every=5e-3,
+                sampler=self.recording(
+                    lambda times, v: F.entropy_report(weights, v, times).data,
+                    sizes))
+
+        assert fdelab.flow._BLOCK_VALUES // s.grid.n == 63
+        sizes, stepped_sizes = [], []
+        traj = run(sizes)
+        assert len(traj.sample_times) == 140
+        stepped = self.one_sample_blocks(monkeypatch, s.grid,
+                                         lambda: run(stepped_sizes))
+        assert stepped_sizes == [1] * 140
+        self.assert_same_records(traj, stepped, sizes, [63, 63, 14])
+
+    def test_stop_firing_mid_block_records_as_next_does(self,
+                                                        interval_p2_small,
+                                                        monkeypatch):
+        # a stop between the 99th and 100th samples' sup fires at the
+        # 100th sample, 37 samples into evolve's second block
+        s = interval_p2_small
+
+        def run(sizes, horizon, stop=None):
+            return F.evolve(s.grid, s.exps, F.FlowState(
+                kind="original", field=s.profile.S.copy(), time=0.0),
+                horizon=horizon, dt=1e-2, sample_every=1e-2,
+                sampler=self.recording(lambda times, fields: np.column_stack(
+                    [times, np.vecdot(fields, fields)]), sizes), stop=stop)
+
+        stepped = self.one_sample_blocks(monkeypatch, s.grid,
+                                         lambda: run([], 1.0))
+        level = 0.5 * (stepped.sups[98] + stepped.sups[99])
+        assert stepped.sups[98] > level > stepped.sups[99]
+        sizes = []
+        traj = run(sizes, 10.0, stop=lambda traj: traj.sups[-1] < level)
+        assert len(traj.sample_times) == 100
+        self.assert_same_records(traj, stepped, sizes, [63, 37])
+
+    def test_rescale_scales_the_state_and_the_start(self, interval_p2_small):
+        # a rule that scales by 2 at t = 0 and by 1.0 after every sample
+        # gives the run from 2 v0, bit for bit: the extrapolated start is
+        # formed from fields scaled alike, and each yielded field is left
+        # as it was yielded
+        s = interval_p2_small
+        v0 = F.mode_perturbed_field(s, [(2, 0.3)])
+        sigmas = iter([2.0])
+
+        def rule(field):
+            return next(sigmas, 1.0)
+
+        def run(field, rescale=None):
+            states = F.march(s.grid, s.exps,
+                             F.FlowState(kind="rescaled", field=field, time=0.0),
+                             5e-3, [0.05 * (i + 1) for i in range(10)],
+                             rescale=rescale)
+            return [(state.field, state.field.copy()) for state in states]
+
+        scaled, straight = run(v0, rule), run(2.0 * v0)
+        assert all(np.array_equal(a, b) and np.array_equal(a, kept)
+                   for (a, kept), (b, _) in zip(scaled, straight))
+
+        def newton_total(rescale):
+            traj = F.Trajectory(kind="rescaled", initial_sup=0.0)
+            for _ in F.march(s.grid, s.exps,
+                             F.FlowState(kind="rescaled", field=v0, time=0.0),
+                             5e-3, [0.05 * (i + 1) for i in range(40)],
+                             traj=traj, rescale=rescale):
+                pass
+            return sum(traj.newton_history)
+
+        # scaling by 1 + 1e-4 after every sample costs no Newton iteration
+        # (measured 407 either way; 448 with f_prev left unscaled)
+        assert newton_total(lambda field: 1.0 + 1e-4) <= newton_total(None)
+
+    def test_a_dropped_run_is_freed_at_once(self, interval_p2_small):
+        # no reference cycle: the trajectory evolve returns and the buffer
+        # its rows view go when the last reference does, not at a later
+        # cyclic collection
+        s = interval_p2_small
+        traj = F.evolve(s.grid, s.exps, F.FlowState(
+            kind="rescaled", field=s.profile.V.copy(), time=0.0),
+            horizon=0.05, dt=5e-3, sample_every=0.05,
+            sampler=lambda times, fields: np.array(times)[:, None])
+        gone = [weakref.ref(traj), weakref.ref(traj.diagnostics.base)]
+        del traj
+        assert [ref() for ref in gone] == [None, None]
 
 
 class TestExtinction:
@@ -763,23 +952,25 @@ class TestSharedStepper:
 
     def test_rows_are_formed_once_per_dt_of_a_run_sampled_every_step(
             self, interval_p2_small, monkeypatch):
-        # clipping each step to the next sample alternates dt with the few
-        # steps a rounding ulp shorter; the rows of each are formed once
+        # a run sampled every step steps whole dt, one step length, and
+        # forms that length's rows once
         s, real = interval_p2_small, fdelab.flow._dt_rows
-        dts, rows = set(), {}     # rows kept alive: ids stay distinct
+        formed = []
 
         def spy(grid, dt):
+            before = fdelab.flow._rows
             out = real(grid, dt)
-            dts.add(dt)
-            rows[id(out[1])] = out
+            if fdelab.flow._rows is not before:
+                formed.append(dt)
             return out
 
         monkeypatch.setattr(fdelab.flow, "_dt_rows", spy)
+        monkeypatch.setattr(fdelab.flow, "_rows", (None, None, None))
         traj = F.evolve(s.grid, s.exps, F.FlowState(
             kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.3)]),
             time=0.0), horizon=1.0, dt=5e-3, sample_every=5e-3)
-        assert len(set(traj.dt_history)) == len(dts) > 2
-        assert len(rows) <= len(dts)
+        assert set(traj.dt_history) == {5e-3}
+        assert formed == [5e-3]
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.floats(1.2, 4.0),
@@ -888,169 +1079,3 @@ class TestMarchStart:
         meta = traj.step_summary()
         assert meta["steps"] == 4500
         assert meta["newton_total"] <= 1.25 * meta["steps"]
-
-
-class TestRun:
-    def test_buffer_is_sized_once_without_a_stop_and_doubles_with_one(
-            self, interval_p2_small, monkeypatch):
-        # at n = 129 a block holds 63 samples, and the run to t = 0.3 holds
-        # 300.  The sampler sees the buffer of the blocks before its own:
-        # without a stop it is sized once, to the 300 samples at the
-        # horizon; with one it doubles from the first block, up to 300; the
-        # rows survive each growth
-        s = interval_p2_small
-        march, trajs = fdelab.flow.march, []
-
-        def held_march(*args):      # evolve passes its trajectory 7th
-            trajs.append(args[6])
-            return march(*args)
-
-        monkeypatch.setattr(fdelab.flow, "march", held_march)
-
-        def sizes(stop=None):
-            seen = []
-
-            def sampler(times, fields):
-                rows = trajs[-1].diagnostics
-                if rows is not None:
-                    seen.append(len(rows.base))
-                return np.array(times)[:, None]
-
-            traj = F.evolve(s.grid, s.exps, F.FlowState(
-                kind="rescaled", field=s.profile.V.copy(), time=0.0),
-                horizon=0.3, dt=1e-3, sample_every=1e-3, sampler=sampler,
-                stop=stop)
-            assert traj.diagnostics[:, 0].tolist() == traj.sample_times.tolist()
-            return seen + [len(traj.diagnostics.base)]
-
-        assert sizes() == [300] * 5
-        assert sizes(lambda traj: False) == [63, 126, 252, 252, 300]
-
-    @staticmethod
-    def one_sample_blocks(monkeypatch, grid, run):
-        """run() with _BLOCK_VALUES at n, so that evolve records every
-        sample in a sampler call of its own."""
-        with monkeypatch.context() as patch:
-            patch.setattr(fdelab.flow, "_BLOCK_VALUES", grid.n)
-            return run()
-
-    @staticmethod
-    def recording(sampler, sizes):
-        """sampler, appending the size of each block it is called with to
-        sizes."""
-        def record(times, fields):
-            sizes.append(len(times))
-            return sampler(times, fields)
-        return record
-
-    @staticmethod
-    def assert_same_records(traj, stepped, sizes, blocks):
-        """traj recorded in sampler calls of the given block sizes, stepped
-        one sample per call, and their rows are the same array, bit for
-        bit."""
-        assert sizes == blocks
-        assert len(stepped.diagnostics) == len(stepped.sample_times) == sum(blocks)
-        assert traj.sample_times == stepped.sample_times
-        assert traj.sups == stepped.sups
-        assert traj.dt_history == stepped.dt_history
-        assert len(traj.diagnostics) == sum(blocks)
-        assert traj.diagnostics.dtype == float
-        assert traj.diagnostics.tobytes() == stepped.diagnostics.tobytes()
-
-    def test_horizon_ending_mid_block_records_as_next_does(self,
-                                                           interval_p2_small,
-                                                           monkeypatch):
-        # at n = 129 evolve records 63 samples at once: 140 samples are
-        # two full blocks and 14 in a last one, flushed before it returns
-        s = interval_p2_small
-        weights = F.ReportWeights.make(s.grid, s.profile.V, s.exps, s.eigs,
-                                       s.gap)
-
-        def run(sizes):
-            return F.evolve(s.grid, s.exps, F.FlowState(
-                kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.3)]),
-                time=0.0), horizon=0.7, dt=5e-3, sample_every=5e-3,
-                sampler=self.recording(
-                    lambda times, v: F.entropy_report(weights, v, times).data,
-                    sizes))
-
-        assert fdelab.flow._BLOCK_VALUES // s.grid.n == 63
-        sizes, stepped_sizes = [], []
-        traj = run(sizes)
-        assert len(traj.sample_times) == 140
-        stepped = self.one_sample_blocks(monkeypatch, s.grid,
-                                         lambda: run(stepped_sizes))
-        assert stepped_sizes == [1] * 140
-        self.assert_same_records(traj, stepped, sizes, [63, 63, 14])
-
-    def test_stop_firing_mid_block_records_as_next_does(self,
-                                                        interval_p2_small,
-                                                        monkeypatch):
-        # a stop between the 99th and 100th samples' sup fires at the
-        # 100th sample, 37 samples into evolve's second block
-        s = interval_p2_small
-
-        def run(sizes, horizon, stop=None):
-            return F.evolve(s.grid, s.exps, F.FlowState(
-                kind="original", field=s.profile.S.copy(), time=0.0),
-                horizon=horizon, dt=1e-2, sample_every=1e-2,
-                sampler=self.recording(lambda times, fields: np.column_stack(
-                    [times, np.vecdot(fields, fields)]), sizes), stop=stop)
-
-        stepped = self.one_sample_blocks(monkeypatch, s.grid,
-                                         lambda: run([], 1.0))
-        level = 0.5 * (stepped.sups[98] + stepped.sups[99])
-        assert stepped.sups[98] > level > stepped.sups[99]
-        sizes = []
-        traj = run(sizes, 10.0, stop=lambda traj: traj.sups[-1] < level)
-        assert len(traj.sample_times) == 100
-        self.assert_same_records(traj, stepped, sizes, [63, 37])
-
-    def test_rescale_scales_the_state_and_the_start(self, interval_p2_small):
-        # a rule that scales by 2 at t = 0 and by 1.0 after every sample
-        # gives the run from 2 v0, bit for bit: the extrapolated start is
-        # formed from fields scaled alike, and each yielded field is left
-        # as it was yielded
-        s = interval_p2_small
-        v0 = F.mode_perturbed_field(s, [(2, 0.3)])
-        sigmas = iter([2.0])
-
-        def rule(field):
-            return next(sigmas, 1.0)
-
-        def run(field, rescale=None):
-            states = F.march(s.grid, s.exps,
-                             F.FlowState(kind="rescaled", field=field, time=0.0),
-                             5e-3, [0.05 * (i + 1) for i in range(10)],
-                             rescale=rescale)
-            return [(state.field, state.field.copy()) for state in states]
-
-        scaled, straight = run(v0, rule), run(2.0 * v0)
-        assert all(np.array_equal(a, b) and np.array_equal(a, kept)
-                   for (a, kept), (b, _) in zip(scaled, straight))
-
-        def newton_total(rescale):
-            traj = F.Trajectory(kind="rescaled", initial_sup=0.0)
-            for _ in F.march(s.grid, s.exps,
-                             F.FlowState(kind="rescaled", field=v0, time=0.0),
-                             5e-3, [0.05 * (i + 1) for i in range(40)],
-                             traj=traj, rescale=rescale):
-                pass
-            return sum(traj.newton_history)
-
-        # scaling by 1 + 1e-4 after every sample costs no Newton iteration
-        # (measured 407 either way; 448 with f_prev left unscaled)
-        assert newton_total(lambda field: 1.0 + 1e-4) <= newton_total(None)
-
-    def test_a_dropped_run_is_freed_at_once(self, interval_p2_small):
-        # no reference cycle: the trajectory evolve returns and the buffer
-        # its rows view go when the last reference does, not at a later
-        # cyclic collection
-        s = interval_p2_small
-        traj = F.evolve(s.grid, s.exps, F.FlowState(
-            kind="rescaled", field=s.profile.V.copy(), time=0.0),
-            horizon=0.05, dt=5e-3, sample_every=0.05,
-            sampler=lambda times, fields: np.array(times)[:, None])
-        gone = [weakref.ref(traj), weakref.ref(traj.diagnostics.base)]
-        del traj
-        assert [ref() for ref in gone] == [None, None]

@@ -242,7 +242,7 @@ def test_clock_matched_run_is_the_rule_replayed(interval_p2_small, horizon,
     assert pickle.loads(pickle.dumps(res)).calibration == res.calibration
 
 
-def test_reports_are_recorded_in_blocks_by_to_horizon_alone(monkeypatch,
+def test_reports_are_recorded_in_blocks_by_evolve_alone(monkeypatch,
                                                             interval_p2_small):
     # every entropy report of a clock-matched rate case is formed inside
     # its one evolve call, in full blocks but for the last flush; the
