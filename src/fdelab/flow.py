@@ -61,6 +61,11 @@ _MAX_ITERS = 30      # Newton iterations before a step fails
 # forms come from the heap; 8,192 was the fastest of 1,024 to 32,768 on two
 # `fdelab evolve` runs at n = 1024, sampled every step
 _BLOCK_VALUES = 8192
+# Samples a run with a stop rule records at most at once: the rule reads the
+# rows recorded so far, so the run stops within this many samples of the one
+# that made it true (the block _BLOCK_VALUES gives at n = 1024); smaller
+# blocks cost more per row, so a run without a stop keeps the larger ones
+_STOP_BLOCK = 8
 # sup u / sup u0 at and below which estimate_extinction_time fits no sample
 EXTINCTION_FIT_FLOOR = 1e-3
 # the sample lattice's relative tolerance: a horizon (time left to a sample)
@@ -398,15 +403,19 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
 
     The sampler takes a block, sampler(times, fields) with fields a (B, n)
     stack, and returns a (B, W) float block, one row per sample: evolve
-    records up to _BLOCK_VALUES // n samples at once, the last block before
-    it returns or raises, into one float buffer whose filled rows
-    traj.diagnostics views.  The buffer is sized once to the samples within
-    the horizon if nothing can stop the run, and otherwise doubled as
-    needed, up to that count.  A sampler that forms each row along the last
-    axis, as diagnostics.entropy_report does, gives rows that do not depend
-    on the block, so the buffer does not either."""
+    records up to _BLOCK_VALUES // n samples at once, and at most
+    _STOP_BLOCK if given a stop, the last block before it returns or raises,
+    into one float buffer whose filled rows traj.diagnostics views.  The
+    buffer is sized once to the samples within the horizon if nothing can
+    stop the run, and otherwise doubled as needed, up to that count.  A
+    sampler that forms each row along the last axis, as
+    diagnostics.entropy_report does, gives rows that do not depend on the
+    block, so the buffer does not either."""
     if initial.kind == "linearized" and W is None:
         raise ValueError("a linearized run needs the weight W")
+    per_block = max(1, _BLOCK_VALUES // grid.n)
+    if stop is not None:     # the caller's: the default below reads no rows
+        per_block = min(per_block, _STOP_BLOCK)
     traj = Trajectory(kind=initial.kind,
                       initial_sup=float(np.max(np.abs(initial.field))))
     if stop is None and initial.kind == "original":
@@ -415,7 +424,6 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
         stop = lambda traj: traj.sups[-1] < level
     cadence = float(sample_every)
     total = sample_count(horizon, cadence)
-    per_block = max(1, _BLOCK_VALUES // grid.n)
     buf, times, fields = np.empty((0, 0)), [], []   # samples not yet recorded
 
     def record():

@@ -56,6 +56,13 @@ class DomainSpec:
             if self.dimension < 1 or int(self.dimension) != self.dimension:
                 raise ConfigError(f"dimension must be a positive integer, "
                                   f"got {self.dimension}")
+            try:   # Gamma(N/2) in |S^(N-1)| is a finite float up to N = 343
+                _ball_surface(self.dimension)
+            except OverflowError:
+                raise ConfigError(
+                    f"dimension = {self.dimension} is above 343, where "
+                    f"Gamma(N/2) in the sphere's area |S^(N-1)| = "
+                    f"2 pi^(N/2) / Gamma(N/2) overflows a float") from None
         h = self.extent / (self.nodes + 1)
         # 1/h^2 must be finite, and so must a ball's shell volumes, h^N to R^N
         powers = [(h, 2), (h, self.dimension), (self.radius, self.dimension)]

@@ -178,9 +178,10 @@ def run_rescaled(setup: StageSetup, v0, horizon: float, dt: float = 1e-3,
     report weights formed once per run, as an EntropyTrace over the run's
     recorded rows (a view of its buffer, not a copy).  stop(reports), if
     given, is called at every sample with the EntropyTrace of the rows
-    recorded so far (evolve records a block at a time), and the run halts
-    after the first sample where it is true, at most one block past the
-    report that made it so."""
+    recorded so far (evolve records a block of at most flow._STOP_BLOCK = 8
+    samples at a time in a run with a stop), and the run halts after the
+    first sample where it is true, at most 8 samples past the report that
+    made it so."""
     weights = ReportWeights.make(setup.grid, setup.profile.V, setup.exps,
                                  setup.eigs, setup.gap)
     k = setup.gap.k_p
@@ -342,13 +343,13 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
     sample lattice, flow.sample_rate(lambda_p / p, dt, cadence)).  An
     unmatched run has a calibration with no sigma.
 
-    A run that is fitted treats the horizon as a cap: it stops within one
-    block of samples (flow.evolve) after the one that closes the entropy's
-    first passage through the band, once some entropy is above 1e-12.  Its
-    reports and sigmas are then a prefix of those of the run taken to the
-    horizon, and its verdict and trivial_fixed_point are that run's, bit
-    for bit.  A fit that fails at the horizon with the entropy still above
-    band.lo names the horizon the band needs."""
+    A run that is fitted treats the horizon as a cap: it stops within 8
+    samples (flow.evolve's block in a run with a stop) after the one that
+    closes the entropy's first passage through the band, once some entropy
+    is above 1e-12.  Its reports and sigmas are then a prefix of those of
+    the run taken to the horizon, and its verdict and trivial_fixed_point
+    are that run's, bit for bit.  A fit that fails at the horizon with the
+    entropy still above band.lo names the horizon the band needs."""
     band = band or EntropyBand()
     base = setup.grid.check_field(base_field)
     cal = (match_extinction_clock(setup, dt, cadence) if match_clock

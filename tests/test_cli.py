@@ -228,16 +228,16 @@ class TestRunExperiment:
         assert sum(meta["newton_hist"]) == meta["steps"]
 
     def test_rates_stop_once_the_fit_window_has_closed(self, tmp_path):
-        # the rates stage ends with the block of 31 samples (n = 257) that
-        # holds sample 315; evolve is not fitted and runs to the horizon
+        # the rates stage ends with the block of 8 samples (flow._STOP_BLOCK)
+        # that holds sample 315; evolve is not fitted and runs to the horizon
         path = write_cfg(tmp_path, RATE_P2_CFG)
         rates, evolve = tmp_path / "rates", tmp_path / "evolve"
         assert cli.run_experiment(path, "rates", rates)["verdict"]["passed"]
         cli.run_experiment(path, "evolve", evolve)
         meta = json.loads((rates / "trajectory.json").read_text())
-        assert (meta["steps"], meta["samples"]) == (6820, 341)
+        assert (meta["steps"], meta["samples"]) == (6400, 320)
         fitted, full = ((out / "trace.csv").read_bytes() for out in (rates, evolve))
-        assert fitted.count(b"\n") == 1 + 341 and full.count(b"\n") == 1 + 600
+        assert fitted.count(b"\n") == 1 + 320 and full.count(b"\n") == 1 + 600
         assert full.startswith(fitted)
         assert set(json.loads((rates / "verdict.json").read_text())) == VERDICT_KEYS
 

@@ -112,6 +112,14 @@ def test_spectrum_out_of_the_float_range_at_n_129(p, geometry, extent, N,
     assert rc == code and named in err
 
 
+@pytest.mark.parametrize("N, radius", [(344, 7.0), (360, 6.5), (400, 5.85)])
+def test_ball_whose_sphere_area_overflows_exits_2_at_n_33(N, radius):
+    # h^N and R^N are finite normal floats here, but Gamma(N/2) in the
+    # area of S^(N-1) is not: from N = 344 on it overflows a float
+    rc, err = spectrum_exit(33, 1.005, "ball", radius, N)
+    assert rc == 2 and "domain.dimension" in err
+
+
 def _base_name(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
 

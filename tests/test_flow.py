@@ -481,11 +481,11 @@ class TestEvolve:
 
     def test_buffer_is_sized_once_without_a_stop_and_doubles_with_one(
             self, interval_p2_small, monkeypatch):
-        # at n = 129 a block holds 63 samples, and the run to t = 0.3 holds
-        # 300.  The sampler sees the buffer of the blocks before its own:
-        # without a stop it is sized once, to the 300 samples at the
-        # horizon; with one it doubles from the first block, up to 300; the
-        # rows survive each growth
+        # at n = 129 a block holds 63 samples, or 8 (_STOP_BLOCK) in a run
+        # with a stop, and the run to t = 0.3 holds 300.  The sampler sees
+        # the buffer of the blocks before its own: without a stop it is
+        # sized once, to the 300 samples at the horizon; with one it doubles
+        # from the first block, up to 300; the rows survive each growth
         s = interval_p2_small
         march, trajs = fdelab.flow.march, []
 
@@ -512,7 +512,9 @@ class TestEvolve:
             return seen + [len(traj.diagnostics.base)]
 
         assert sizes() == [300] * 5
-        assert sizes(lambda traj: False) == [63, 126, 252, 252, 300]
+        assert sizes(lambda traj: False) == ([8, 16] + [32] * 2 + [64] * 4
+                                             + [128] * 8 + [256] * 16
+                                             + [300] * 6)
 
     @staticmethod
     def one_sample_blocks(monkeypatch, grid, run):
@@ -575,7 +577,7 @@ class TestEvolve:
                                                         interval_p2_small,
                                                         monkeypatch):
         # a stop between the 99th and 100th samples' sup fires at the
-        # 100th sample, 37 samples into evolve's second block
+        # 100th sample, 4 samples into evolve's thirteenth block of 8
         s = interval_p2_small
 
         def run(sizes, horizon, stop=None):
@@ -592,7 +594,7 @@ class TestEvolve:
         sizes = []
         traj = run(sizes, 10.0, stop=lambda traj: traj.sups[-1] < level)
         assert len(traj.sample_times) == 100
-        self.assert_same_records(traj, stepped, sizes, [63, 37])
+        self.assert_same_records(traj, stepped, sizes, [8] * 12 + [4])
 
     def test_rescale_scales_the_state_and_the_start(self, interval_p2_small):
         # a rule that scales by 2 at t = 0 and by 1.0 after every sample

@@ -181,15 +181,16 @@ def rate_case_p5():
 
 
 @pytest.mark.parametrize("fitted_case, horizon, cadence, samples, total", [
-    ("rate_case_p2", 12.0, 0.02, 341, 600),
-    ("rate_case_p15", 8.0, 0.02, 248, 400),
-    ("rate_case_ball", 14.0, 0.02, 403, 700),
+    ("rate_case_p2", 12.0, 0.02, 320, 600),
+    ("rate_case_p15", 8.0, 0.02, 240, 400),
+    ("rate_case_ball", 14.0, 0.02, 384, 700),
     ("rate_case_p5", 12.0, 0.05, 240, 240)])
 def test_fitted_run_stops_once_its_fit_window_has_closed(
         request, fitted_case, horizon, cadence, samples, total):
-    # a fitted run halts at the end of the block of samples (31 at n = 257)
-    # in which its first band passage closed; it is a prefix of the run
-    # taken to the horizon, with that run's verdict bit for bit
+    # a fitted run halts at the end of the block of samples (8,
+    # flow._STOP_BLOCK) in which its first band passage closed; it is a
+    # prefix of the run taken to the horizon, with that run's verdict bit
+    # for bit
     setup, fitted = request.getfixturevalue(fitted_case)
     full = (request.getfixturevalue("calibrated_trace_p2")[1]
             if fitted_case == "rate_case_p2"
@@ -204,7 +205,7 @@ def test_fitted_run_stops_once_its_fit_window_has_closed(
     assert fitted.verdict == F.sharp_rate_verdict(fit, setup.gap, setup.exps.p,
                                                   0.05, 1e-3, cadence)
     assert fitted.trivial_fixed_point is full.trivial_fixed_point is False
-    block = fdelab.flow._BLOCK_VALUES // setup.grid.n
+    block = fdelab.flow._STOP_BLOCK
     assert F.band_passage_closed(E[:samples], band) is (samples < total)
     assert not F.band_passage_closed(E[:samples - block], band)
 
@@ -276,6 +277,45 @@ def test_reports_are_recorded_in_blocks_by_evolve_alone(monkeypatch,
     assert all(size == block for sizes in per_call for size in sizes[:-1])
     monkeypatch.undo()
     assert_replayed(res, setup, base, 3.0)
+
+
+@pytest.mark.parametrize("nodes", [129, 257])
+def test_fitted_run_records_blocks_of_at_most_the_stop_block(monkeypatch,
+                                                             nodes):
+    # a fitted run hands its sampler at most flow._STOP_BLOCK = 8 samples at
+    # once, and its last block holds the sample that closed the passage; the
+    # run not fitted records blocks of flow._BLOCK_VALUES // n (63 or 31)
+    setup = interval_setup(2.0, nodes)
+    base = F.mode_perturbed_field(setup, [(2, 0.1)])
+    evolve = pipeline.evolve
+
+    def run(want_fit, horizon):
+        sizes = []
+
+        def recorded(*args, **kwargs):    # run_rescaled passes its sampler 7th
+            sampler = args[6]
+
+            def sized(times, fields):
+                sizes.append(len(times))
+                return sampler(times, fields)
+
+            return evolve(*args[:6], sized, *args[7:], **kwargs)
+
+        monkeypatch.setattr(pipeline, "evolve", recorded)
+        res = F.run_nonlinear_rate_case(setup, base, horizon=horizon,
+                                        cadence=0.02, want_fit=want_fit)
+        return res, sizes
+
+    fitted, sizes = run(True, 12.0)
+    stop = fdelab.flow._STOP_BLOCK
+    assert stop == 8 and sizes == [stop] * (len(sizes) - 1) + sizes[-1:]
+    assert 1 <= sizes[-1] <= stop and sum(sizes) == len(fitted.reports) < 600
+    E, band = fitted.reports.E_nl, F.EntropyBand()
+    assert F.band_passage_closed(E, band)
+    assert not F.band_passage_closed(E[:-sizes[-1]], band)
+    _, sizes = run(False, 3.0)
+    block = fdelab.flow._BLOCK_VALUES // nodes
+    assert sizes == [block] * (150 // block) + [150 % block]
 
 
 @pytest.mark.parametrize("match_clock", [True, False])
