@@ -28,12 +28,11 @@ from .diagnostics import (ComparisonConstants, EntropyReport, EntropyTrace,
                           power_difference, production_residual,
                           quotient_smallness_times, rayleigh_compare,
                           sandwich_check, smoothing_check,
-                          time_monotonicity_check, trace_csv, trace_rows)
+                          time_monotonicity_check, trace_csv)
 from .rates import (DelayOdeRun, EntropyBand, ExplicitWindow, RateFit,
                     RateVerdict, band_passage_closed, delay_supersolution,
                     fit_rate, integrate_delay_ode, sharp_rate_verdict,
                     supersolution_residual)
-from .pipeline import (ClockCalibration, StageSetup, clock_rule,
-                       match_extinction_clock, mode_perturbed_field, prepare,
-                       run_extinction_pipeline, run_linearized,
-                       run_nonlinear_rate_case, run_rescaled)
+from .pipeline import (ClockCalibration, StageSetup, match_extinction_clock,
+                       mode_perturbed_field, prepare, run_extinction_pipeline,
+                       run_linearized, run_nonlinear_rate_case, run_rescaled)

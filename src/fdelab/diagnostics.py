@@ -490,34 +490,17 @@ def benilan_crandall_margin(times, fields, V, exps: Exponents):
     return float(np.max(rate - 2.0 * exps.c * exps.m * (H[:-1] + 1.0)))
 
 
-def _trace_header(k_p: int) -> list:
+def trace_csv(trace: EntropyTrace) -> tuple:
+    """The trace CSV of an EntropyTrace, read from its columns: the header
+    and an iterator over the rows, formed _CSV_ROWS rows at a time, so that
+    a writer holds no more of them at once.  Column names and their order
+    are part of the stable interface: t, E_lin, I_lin, E_nl, h_inf, then
+    Q_k, Qn_k, A_k per tracked mode k (Qn cells are empty when the quotient
+    is undefined), then h_L2V_sq and cubic; an empty trace tracks no mode."""
+    k_p = trace.k_p if len(trace) else 0
     header = ["t", "E_lin", "I_lin", "E_nl", "h_inf"]
     header += [f"{name}_{k}" for name in ("Q", "Qn", "A")
                for k in range(1, k_p + 1)]
-    return header + ["h_L2V_sq", "cubic"]
-
-
-def trace_rows(reports) -> tuple:
-    """Flatten reports into (header, rows) for the trace CSV.  Column names
-    and their order are part of the stable interface: t, E_lin, I_lin, E_nl,
-    h_inf, then Q_k, Qn_k, A_k per tracked mode k (Qn cells are empty when
-    the quotient is undefined), then auxiliary columns."""
-    if not reports:
-        return _trace_header(0), []
-    k_p = reports[0].Q_lin.size
-    rows = []
-    for r in reports:
-        qn = [None] * k_p if r.Q_nl is None else r.Q_nl.tolist()
-        rows.append([r.t, r.E_lin, r.I_lin, r.E_nl, r.h_inf, *r.Q_lin.tolist(),
-                     *qn, *r.A_nl.tolist(), r.h_L2V_sq, r.cubic])
-    return _trace_header(k_p), rows
-
-
-def trace_csv(trace: EntropyTrace) -> tuple:
-    """trace_rows of an EntropyTrace, read from its columns: the header and
-    an iterator over the rows, formed _CSV_ROWS rows at a time, so that a
-    writer holds no more of them at once."""
-    k_p = trace.k_p if len(trace) else 0    # the header of trace_rows([])
     qn = slice(5 + k_p, 5 + 2 * k_p)
 
     def rows():
@@ -528,7 +511,7 @@ def trace_csv(trace: EntropyTrace) -> tuple:
                 out[j][qn] = [None] * k_p
             yield from out
 
-    return _trace_header(k_p), rows()
+    return header + ["h_L2V_sq", "cubic"], rows()
 
 
 def linear_trace_rows(trace) -> tuple:

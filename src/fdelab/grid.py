@@ -74,6 +74,8 @@ class DomainSpec:
                 raise ConfigError(f"{name} = {self.extent!r} gives the grid "
                                   f"spacing h = {h!r}, and {x!r}^{k} is not a "
                                   f"finite normal float")
+        if self.geometry == "ball":
+            _check_shells(self, h)
 
     @property
     def extent(self) -> float:
@@ -125,6 +127,25 @@ class Grid:
 def _ball_surface(ndim: int) -> float:
     # |S^(N-1)| = 2 pi^(N/2) / Gamma(N/2)
     return 2.0 * pi ** (ndim / 2.0) / gamma(ndim / 2.0)
+
+
+def _check_shells(spec: DomainSpec, h: float) -> None:
+    """Refuse a ball whose innermost or outermost shell, as build_domain
+    forms it, has a quadrature weight or a diagonal entry of A (the largest
+    of its row) that is not a positive finite float.  Every other shell's
+    entries lie between these two, and the ratios in -lap are finite, as
+    1/h^2 is."""
+    N, n, s = spec.dimension, spec.nodes, _ball_surface(spec.dimension)
+    r_in, r_mid, r_out = (h * np.float64(k) for k in (1.5, n - 0.5, n + 0.5))
+    with np.errstate(all="ignore"):
+        shells = {"innermost": (s * r_in ** N / N, s * r_in ** (N - 1) / h),
+                  "outermost": (s * (r_out ** N - r_mid ** N) / N,
+                                s * (r_mid ** (N - 1) + r_out ** (N - 1)) / h)}
+    for shell, (quad, diag) in shells.items():
+        if not all(0.0 < x <= float_info.max for x in (quad, diag)):
+            raise ConfigError(f"radius = {spec.radius!r} gives the {shell} "
+                              f"shell the weight {float(quad)!r} and A entry "
+                              f"{float(diag)!r}, not both positive and finite")
 
 
 def build_domain(spec: DomainSpec) -> Grid:

@@ -50,15 +50,15 @@ shifted in t by a constant, which leaves the decay rate alone.  Once the
 state is on the manifold, each later sigma is 1 up to the O(f^3) error and
 the step's (7e-11 on the reference p = 2 run).
 
-The clock-matched run is run_rescaled with the rescale rule clock_rule,
-after match_extinction_clock has checked its step; like every run here, it
+The clock-matched run is run_rescaled with the ClockCalibration that
+match_extinction_clock returns as its rescale rule; like every run here, it
 is one flow.evolve call, taken to the horizon once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,38 +111,29 @@ def _mode1_coefficient(setup: StageSetup, dev: np.ndarray) -> float:
     return float(project_coefficients(setup.grid, setup.eigs, dev, 1)[0])
 
 
-def clock_rule(setup: StageSetup, sigmas: list):
-    """The clock-matched run's rescale rule (see the module docstring): v ->
-    sigma with sigma^p = (int V^p phi_1 + A*) / int v^p phi_1, A* from the
-    a_k = <v - V, phi_k>_V of every computed mode k >= 2; each sigma is
-    appended to sigmas."""
-    grid, eigs, V = setup.grid, setup.eigs, setup.profile.V
-    p, c = setup.exps.p, setup.exps.c
-    K = len(eigs.eigenvalues)
-    q_phi1 = grid.quad_weights * eigs.mode(1)     # int g phi_1 dx = q_phi1 @ g
-    on_profile = float(q_phi1 @ V ** p)
-    alpha = 1.0 / _mode1_coefficient(setup, V)    # <V, phi_1>_V = 1/alpha
-    gamma, mu = c * (p - 1.0) / p, (eigs.eigenvalues[1:] - c * p) / p
-    weight = 0.5 * c * alpha * (p - 1.0) / (gamma + 2.0 * mu)   # A* = -weight @ a^2
-
-    def rule(v):
-        a = project_coefficients(grid, eigs, v - V, K)[1:]
-        sigma = ((on_profile - float(weight @ (a * a)))
-                 / float(q_phi1 @ v ** p)) ** (1.0 / p)
-        sigmas.append(sigma)
-        return sigma
-
-    return rule
-
-
 @dataclass(frozen=True)
 class ClockCalibration:
-    """A clock-matched run's scalings, which its clock_rule appends as the
-    run marches: sigmas[0] at t = 0, then one after every sample but the
-    last."""
+    """The clock-matched run's rescale rule, v -> sigma (see the module
+    docstring), and the sigmas it has applied: sigmas[0] at t = 0, then one
+    after every sample but the last.  Its terms, which match_extinction_clock
+    forms once, take no part in equality: an unused rule equals
+    ClockCalibration(sigmas=[])."""
 
     sigmas: list
     trials: int = 0     # no trial runs; benchmarks/tracing.py sums this count
+    setup: StageSetup | None = field(default=None, compare=False, repr=False)
+    q_phi1: np.ndarray | None = field(default=None, compare=False, repr=False)
+    on_profile: float = field(default=0.0, compare=False, repr=False)
+    weight: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __call__(self, v) -> float:
+        setup, p = self.setup, self.setup.exps.p
+        a = project_coefficients(setup.grid, setup.eigs, v - setup.profile.V,
+                                 len(setup.eigs.eigenvalues))[1:]
+        sigma = ((self.on_profile - float(self.weight @ (a * a)))
+                 / float(self.q_phi1 @ v ** p)) ** (1.0 / p)
+        self.sigmas.append(sigma)
+        return sigma
 
     @property
     def scale(self) -> float:
@@ -157,31 +148,37 @@ class ClockCalibration:
 
 def match_extinction_clock(setup: StageSetup, dt: float = 1e-3,
                            cadence: float = 0.05) -> ClockCalibration:
-    """The empty calibration of a clock-matched run stepping dt and sampled
-    every cadence, whose rescale rule clock_rule(setup, sigmas) holds it on
-    the stable manifold of V at t = 0 and after each sample, so that its
-    extinction time stays matched to T = p/((p-1)c).  A longest step
-    flow.lattice_step(dt, cadence) of at least T, where the unstable mode's
-    implicit step is singular, raises ValueError."""
+    """The rescale rule of a clock-matched run stepping dt and sampled every
+    cadence, with no sigma yet, which holds the run on V's stable manifold
+    so that its extinction time stays matched to T = p/((p-1)c).  A longest
+    step flow.lattice_step(dt, cadence) of at least T, where the unstable
+    mode's implicit step is singular, raises ValueError first."""
     T, step = setup.exps.T, lattice_step(dt, cadence)
     if step >= T:
         raise ValueError(f"the clock-matched run steps min(dt, cadence) = "
                          f"{step!r}, which must be below T = {T!r}")
-    return ClockCalibration(sigmas=[])
+    eigs, p, c = setup.eigs, setup.exps.p, setup.exps.c
+    q_phi1 = setup.grid.quad_weights * eigs.mode(1)   # int g phi_1 = q_phi1 @ g
+    alpha = 1.0 / _mode1_coefficient(setup, setup.profile.V)  # <V, phi_1>_V
+    gamma, mu = c * (p - 1.0) / p, (eigs.eigenvalues[1:] - c * p) / p
+    weight = 0.5 * c * alpha * (p - 1.0) / (gamma + 2.0 * mu)  # A* = -weight @ a^2
+    return ClockCalibration(sigmas=[], setup=setup, q_phi1=q_phi1,
+                            on_profile=float(q_phi1 @ setup.profile.V ** p),
+                            weight=weight)
 
 
 def run_rescaled(setup: StageSetup, v0, horizon: float, dt: float = 1e-3,
                  cadence: float = 0.05, rescale=None, stop=None):
     """The rescaled flow from v0 taken to the horizon by flow.evolve, with
-    the rescale rule, if given (clock_rule for the clock-matched run): its
-    Trajectory and its entropy reports at every sample (i + 1) cadence, from
-    report weights formed once per run, as an EntropyTrace over the run's
-    recorded rows (a view of its buffer, not a copy).  stop(reports), if
-    given, is called at every sample with the EntropyTrace of the rows
-    recorded so far (evolve records a block of at most flow._STOP_BLOCK = 8
-    samples at a time in a run with a stop), and the run halts after the
-    first sample where it is true, at most 8 samples past the report that
-    made it so."""
+    the rescale rule, if given (a ClockCalibration for the clock-matched
+    run): its Trajectory and its entropy reports at every sample (i + 1)
+    cadence, from report weights formed once per run, as an EntropyTrace
+    over the run's recorded rows (a view of its buffer, not a copy).
+    stop(reports), if given, is called at every sample with the EntropyTrace
+    of the rows recorded so far (evolve records a block of at most
+    flow._STOP_BLOCK = 8 samples at a time in a run with a stop), and the
+    run halts after the first sample where it is true, at most 8 samples
+    past the report that made it so."""
     weights = ReportWeights.make(setup.grid, setup.profile.V, setup.exps,
                                  setup.eigs, setup.gap)
     k = setup.gap.k_p
@@ -248,9 +245,9 @@ def run_extinction_pipeline(setup: StageSetup, dt_original: float = 2e-4,
     (flow.EXTINCTION_FIT_FLOOR sup u0), extrapolate T from sup(u)^(1-m);
     then rebuild the whole rescaled stage (as many modes) with
     c = p/((p-1) T_est) and check that the rescaled flow from the original
-    datum relaxes to the new stationary profile.  The rerun is the
-    clock-matched run from the original datum, sampled every 0.1 to
-    rerun_horizon."""
+    datum relaxes to the new stationary profile.  The rerun is
+    run_nonlinear_rate_case's clock-matched run from the original datum,
+    sampled every 0.1 to rerun_horizon and not fitted."""
     exps = setup.exps
     u0 = setup.profile.S.copy()
     T_true = exps.T
@@ -265,14 +262,12 @@ def run_extinction_pipeline(setup: StageSetup, dt_original: float = 2e-4,
 
     exps_est = Exponents.make(p=exps.p, T=est.T_est)
     setup_est = prepare(setup.grid.spec, exps_est, len(setup.eigs.eigenvalues))
-    v0 = u0 ** exps.m
-    cal = match_extinction_clock(setup_est, dt=rerun_dt, cadence=0.1)
-    _, reports = run_rescaled(setup_est, v0, rerun_horizon, rerun_dt, 0.1,
-                              clock_rule(setup_est, cal.sigmas))
+    rerun = run_nonlinear_rate_case(setup_est, u0 ** exps.m, rerun_horizon,
+                                    rerun_dt, 0.1, want_fit=False)
     return ExtinctionPipelineResult(T_est=est.T_est, T_true=T_true, estimate=est,
                                     closed_loop_setup=setup_est,
-                                    closed_loop_reports=reports,
-                                    closed_loop_calibration=cal)
+                                    closed_loop_reports=rerun.reports,
+                                    closed_loop_calibration=rerun.calibration)
 
 
 def _trivial(E: np.ndarray) -> bool:
@@ -355,8 +350,7 @@ def run_nonlinear_rate_case(setup: StageSetup, base_field, horizon: float,
     cal = (match_extinction_clock(setup, dt, cadence) if match_clock
            else ClockCalibration(sigmas=[]))
     traj, reports = run_rescaled(setup, base, horizon, dt, cadence,
-                                 clock_rule(setup, cal.sigmas) if match_clock
-                                 else None,
+                                 cal if match_clock else None,
                                  _fit_settled(band) if want_fit else None)
     trivial = _trivial(reports.E_nl)
     verdict = None

@@ -1,12 +1,12 @@
 """Shared fixtures: prepared stages and one long calibrated nonlinear trace;
-and two reference helpers that the library does not need.
+and three reference helpers that the library does not need.
 
 The calibrated trace is expensive (clock matching plus a long horizon), so it
 is session-scoped and reused by the diagnostics tests and by acceptance
 criteria 8-10; criterion 6 reads the fitted rate cases, which stop once their
 fit window has closed.  The helpers, written apart from the library's weighted
-projections and steppers, check them independently:
-`from conftest import inner_product_weighted, solve_poisson`.
+projections, steppers and trace CSV, check them independently:
+`from conftest import inner_product_weighted, solve_poisson, trace_rows`.
 """
 
 import numpy as np
@@ -29,6 +29,22 @@ def solve_poisson(grid, rhs) -> np.ndarray:
     r = grid.check_field(rhs)
     return solve_tridiagonal(grid.lap_offdiag.copy(), grid.lap_diag.copy(),
                              grid.lap_offdiag.copy(), grid.quad_weights * r)
+
+
+def trace_rows(reports) -> tuple:
+    """The trace CSV's (header, rows) of a list of reports, one report at a
+    time: the reference that diagnostics.trace_csv of their columns must
+    equal (Qn cells are None when the quotient is undefined)."""
+    k_p = reports[0].Q_lin.size if reports else 0
+    header = ["t", "E_lin", "I_lin", "E_nl", "h_inf"]
+    header += [f"{name}_{k}" for name in ("Q", "Qn", "A")
+               for k in range(1, k_p + 1)]
+    rows = []
+    for r in reports:
+        qn = [None] * k_p if r.Q_nl is None else r.Q_nl.tolist()
+        rows.append([r.t, r.E_lin, r.I_lin, r.E_nl, r.h_inf, *r.Q_lin.tolist(),
+                     *qn, *r.A_nl.tolist(), r.h_L2V_sq, r.cubic])
+    return header + ["h_L2V_sq", "cubic"], rows
 
 
 @pytest.fixture(scope="session")
@@ -97,11 +113,11 @@ def calibrated_fields_p2(calibrated_trace_p2):
     need them."""
     setup, result = calibrated_trace_p2
     base = F.mode_perturbed_field(setup, [(2, 0.1)])
-    sigmas = []
+    clock = F.match_extinction_clock(setup, 1e-3, 0.02)
     states = F.march(setup.grid, setup.exps,
                      F.FlowState(kind="rescaled", field=base, time=0.0),
                      dt=1e-3, targets=[r.t for r in result.reports],
-                     rescale=F.clock_rule(setup, sigmas))
+                     rescale=clock)
     times, fields = [], []
     for state in states:
         times.append(state.time)
@@ -109,7 +125,7 @@ def calibrated_fields_p2(calibrated_trace_p2):
     V = setup.profile.V
     assert [float(np.max(np.abs((v - V) / V))) for v in fields] \
         == [r.h_inf for r in result.reports]      # the same run, bit for bit
-    assert sigmas == result.calibration.sigmas
+    assert clock.sigmas == result.calibration.sigmas
     return times, fields
 
 

@@ -16,6 +16,8 @@ import fdelab.cli as cli
 from fdelab.config import (ConfigError, _parse_token, load_config,
                            parse_config_text, resolve_config)
 
+from conftest import trace_rows
+
 BASE_CFG = """\
 domain.geometry   = interval
 domain.nodes      = 129
@@ -362,7 +364,7 @@ class TestDeterminism:
         columns = F.entropy_report(weights, np.stack(fields), times)
         monkeypatch.setattr(F.diagnostics, "_CSV_ROWS", 4)
         cli.write_csv(tmp_path / "columns.csv", *F.trace_csv(columns))
-        cli.write_csv(tmp_path / "reports.csv", *F.trace_rows(
+        cli.write_csv(tmp_path / "reports.csv", *trace_rows(
             [F.entropy_report(weights, v, t) for v, t in zip(fields, times)]))
         text = (tmp_path / "columns.csv").read_text()
         assert text == (tmp_path / "reports.csv").read_text()
@@ -384,7 +386,7 @@ class TestDeterminism:
         states = F.march(s.grid, s.exps, F.FlowState(
             kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.1)]),
             time=0.0), 2e-3, [(i + 1) * 2e-3 for i in range(600)])
-        cli.write_csv(tmp_path / "replayed.csv", *F.trace_rows(
+        cli.write_csv(tmp_path / "replayed.csv", *trace_rows(
             [F.entropy_report(weights, state.field, state.time)
              for state in states]))
         text = (out / "trace.csv").read_text()
@@ -679,7 +681,7 @@ class TestMain:
     def test_passage_ending_at_a_floor_is_a_numerical_failure(self, tmp_path,
                                                                capsys):
         # the rate-p2 shape at n = 129, horizon 12, at p = 1.1: E_nl floors
-        # at about 9e-7, inside the band, and its first passage closes by a
+        # at about 7e-7, inside the band, and its first passage closes by a
         # rise there; a fit over it was a wrong FAIL (exit 4), 13 % off
         cfg = set_key(set_key(RATE_P2_CFG, "domain.nodes", "129"),
                       "exponents.p", "1.1")

@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 import fdelab as F
 from fdelab.diagnostics import (EntropyReport, _gauss_legendre, _kernel_sums,
                                 _node_count, ao_window, decaying_prefix,
-                                entropy_density, power_difference, trace_rows)
+                                entropy_density, power_difference)
 from fdelab.flow import _BLOCK_VALUES
+
+from conftest import trace_rows
 
 
 def analytic_remainder_kappa(p, c):

@@ -120,6 +120,16 @@ def test_ball_whose_sphere_area_overflows_exits_2_at_n_33(N, radius):
     assert rc == 2 and "domain.dimension" in err
 
 
+@pytest.mark.parametrize("N, radius", [(150, 0.34), (3, 5.6e102)])
+def test_ball_whose_extreme_shell_leaves_the_float_range_exits_2_at_n_33(
+        N, radius):
+    # h^N and R^N are finite normal floats here, but the shell volumes
+    # |S^(N-1)| (r_out^N - r_in^N) / N are not: at N = 150 the innermost
+    # underflows to 0, at N = 3 the outermost overflows
+    rc, err = spectrum_exit(33, 1.005, "ball", radius, N)
+    assert rc == 2 and "domain.radius" in err
+
+
 def _base_name(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
 

@@ -268,6 +268,17 @@ class TestDiscreteRate:
         assert F.sample_rate(mu2, dt, cadence) == pytest.approx(decay, rel=1e-11)
 
 
+def lattice_run(setup, kind, dt, cadence):
+    """A run of the given kind to horizon 1 stepping dt, sampled every
+    cadence: rescaled from V + 0.1 phi_2, or original from S, which becomes
+    extinct at T = 2."""
+    field = (F.mode_perturbed_field(setup, [(2, 0.1)]) if kind == "rescaled"
+             else setup.profile.S.copy())
+    return F.evolve(setup.grid, setup.exps,
+                    F.FlowState(kind=kind, field=field, time=0.0),
+                    horizon=1.0, dt=dt, sample_every=cadence)
+
+
 class TestEvolve:
     def test_fixed_point_entropy_stays_tiny(self, interval_p2_small):
         s = interval_p2_small
@@ -284,23 +295,22 @@ class TestEvolve:
                         sample_every=0.1)
         assert traj.sample_times.tolist() == [(i + 1) * 0.1 for i in range(10)]
 
-    @pytest.mark.parametrize("cadence, dt", [(0.02, 1e-3), (0.1, 2e-3),
-                                             (5e-4, 5e-4), (2.5e-4, 2.5e-4)])
-    def test_a_cadence_of_k_dt_is_k_steps_of_dt(self, interval_p2_small,
+    @pytest.mark.parametrize("kind, cadence, dt", [
+        pytest.param(kind, cadence, dt, id=f"{prefix}{cadence}-{dt}")
+        for kind, prefix in (("rescaled", ""), ("original", "original-"))
+        for cadence, dt in [(0.02, 1e-3), (0.1, 2e-3), (5e-4, 5e-4),
+                            (2.5e-4, 2.5e-4)]])
+    def test_a_cadence_of_k_dt_is_k_steps_of_dt(self, interval_p2_small, kind,
                                                 cadence, dt):
         # no step is clipped to its sample by a rounding ulp
-        s = interval_p2_small
-        traj = F.evolve(s.grid, s.exps, F.FlowState(
-            kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.1)]),
-            time=0.0), horizon=1.0, dt=dt, sample_every=cadence)
+        traj = lattice_run(interval_p2_small, kind, dt, cadence)
         assert set(traj.dt_history) == {dt}
 
+    @pytest.mark.parametrize("kind", ["rescaled", "original"])
     def test_another_cadence_is_whole_steps_and_one_remainder(
-            self, interval_p2_small):
-        s, cadence, dt = interval_p2_small, 0.01, 3e-3
-        traj = F.evolve(s.grid, s.exps, F.FlowState(
-            kind="rescaled", field=F.mode_perturbed_field(s, [(2, 0.1)]),
-            time=0.0), horizon=1.0, dt=dt, sample_every=cadence)
+            self, interval_p2_small, kind):
+        cadence, dt = 0.01, 3e-3
+        traj = lattice_run(interval_p2_small, kind, dt, cadence)
         k = fdelab.flow.sample_count(cadence, dt)
         steps = np.asarray(traj.dt_history).reshape(-1, k + 1)   # per sample
         assert len(steps) == len(traj.sample_times) == 100

@@ -99,7 +99,7 @@ def test_second_order_term_sets_the_scale(amp3_calibrated_traces):
        n=st.integers(33, 200), seed=st.integers(0, 2 ** 32 - 1))
 def test_predicted_slope_is_positive(dim, p, n, seed):
     # phi_1 is positive (fdelab.spectrum), so <base, phi_1>_V > 0 for any
-    # positive base; so is int v^p phi_1, the denominator of clock_rule
+    # positive base; so is int v^p phi_1, the denominator of the clock's sigma
     if dim is None:
         spec = F.DomainSpec(geometry="interval", nodes=n)
     else:
@@ -212,22 +212,23 @@ def test_fitted_run_stops_once_its_fit_window_has_closed(
 
 def assert_replayed(res, setup, base, horizon, cadence=0.05):
     """res's reports, step summary and sigmas are those of the rescaled flow
-    from base replayed through march with clock_rule, one report per
-    field, bit for bit."""
+    from base replayed through march with match_extinction_clock's rule,
+    one report per field, bit for bit."""
     weights = F.ReportWeights.make(setup.grid, setup.profile.V, setup.exps,
                                    setup.eigs, setup.gap)
-    traj, sigmas = F.Trajectory(kind="rescaled", initial_sup=0.0), []
+    traj = F.Trajectory(kind="rescaled", initial_sup=0.0)
+    clock = F.match_extinction_clock(setup, 1e-3, cadence)
     n = round(horizon / cadence)
     states = F.march(setup.grid, setup.exps,
                      F.FlowState(kind="rescaled", field=base, time=0.0), 1e-3,
                      [(i + 1) * float(cadence) for i in range(n)], traj=traj,
-                     rescale=F.clock_rule(setup, sigmas))
+                     rescale=clock)
     reports = [F.entropy_report(weights, state.field, state.time)
                for state in states]
     assert len(res.reports) == n
     assert [pickle.dumps(r) for r in res.reports] == [pickle.dumps(r) for r in reports]
     assert res.step_summary == {**traj.step_summary(), "samples": n}
-    assert res.calibration.sigmas == sigmas
+    assert res.calibration.sigmas == clock.sigmas
 
 
 @pytest.mark.parametrize("horizon, cadence", [(12.0, 0.05), (3.0, 0.05),
@@ -241,6 +242,20 @@ def test_clock_matched_run_is_the_rule_replayed(interval_p2_small, horizon,
                                     cadence=cadence, want_fit=False)
     assert_replayed(res, setup, base, horizon, cadence)
     assert pickle.loads(pickle.dumps(res)).calibration == res.calibration
+
+
+def test_extinction_rerun_is_the_unfitted_clock_matched_run():
+    # the closed loop's rerun from S^m on the estimated stage, sampled
+    # every 0.1, is run_nonlinear_rate_case's unfitted run, bit for bit
+    setup = interval_setup(2.0, nodes=65)
+    result = F.run_extinction_pipeline(setup, rerun_horizon=2.0)
+    rerun = F.run_nonlinear_rate_case(result.closed_loop_setup,
+                                      setup.profile.S ** setup.exps.m, 2.0,
+                                      1e-3, 0.1, want_fit=False)
+    assert len(rerun.reports) == len(rerun.calibration.sigmas) == 20
+    assert (pickle.dumps(result.closed_loop_reports)
+            == pickle.dumps(rerun.reports))
+    assert result.closed_loop_calibration.sigmas == rerun.calibration.sigmas
 
 
 def test_reports_are_recorded_in_blocks_by_evolve_alone(monkeypatch,
