@@ -62,6 +62,8 @@ MUTANTS = {
         "flow.py", 'FlowState(kind="original", field=u_new, time=state.time + dt,',
         'FlowState(kind="original", field=u_new, '
         'time=state.time + dt * (1 + 1e-4),'),
+    "largest returns the argmin's element": (
+        "grid.py", "return a.item(a.argmax())", "return a.item(a.argmin())"),
 }
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

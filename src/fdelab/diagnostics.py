@@ -52,7 +52,7 @@ from math import ceil
 import numpy as np
 
 from .errors import NumericalFailure
-from .grid import Grid, integrate
+from .grid import Grid, integrate, smallest
 from .spectrum import (EigenSystem, GapReport, linear_entropy,
                        project_coefficients)
 from .stationary import Exponents
@@ -87,9 +87,14 @@ def _kernel_sums(V, f, q: float):
     int_0^1 (V + s f)^(q-1) s ds, as (..., 2, n) for a field or a stack of
     fields f (..., n): the powers (V + x_i f)^(q-1) formed as one (..., N, n)
     array, and both sums taken by one product with the (2, N) weights, one
-    gemm per field, as for a single field."""
+    gemm per field, as for a single field.  The powers are one array, formed
+    and raised in place with the bits of (V + x_i f) ** (q - 1): + commutes,
+    and numpy's ** and **= take the same path at every exponent."""
     x, wx = _gauss_legendre(_node_count(q))
-    return np.matmul(wx, (V + x * f[..., None, :]) ** (q - 1.0))
+    powers = x * f[..., None, :]
+    powers += V
+    powers **= q - 1.0
+    return np.matmul(wx, powers)
 
 
 def power_difference(V, f, q: float) -> np.ndarray:
@@ -215,7 +220,7 @@ def entropy_report(weights: ReportWeights, v, t):
     any stack (see the module docstring)."""
     w = weights
     v = w.grid.check_fields(v)
-    if v.min() <= 0:
+    if smallest(v) <= 0:
         raise ValueError("rescaled field must be positive")
     p, V, wq, k = w.p, w.V, w.grid.quad_weights, w.gap.k_p
     f = v.reshape(-1, V.size) - V

@@ -20,8 +20,10 @@ accepted fields (floored at half the current field), which lies O(dt^2)
 from the root instead of O(dt); the step solves the same equation to the
 same residual, and a step that fails from that start is retried from the
 old state before dt is halved.  A step's fixed cost is mostly Python, not
-its LAPACK solve, so the stepper makes no array pass that changes no bit
-(see _implicit_euler and march).
+its LAPACK solve, so the stepper makes no array pass that changes no bit,
+reads each max and min as the element at argmax / argmin (grid.largest,
+grid.smallest) and passes its constant operands as 0-d arrays (see
+_implicit_euler and march).
 
 A run keeps no field beyond one block of samples and no Python object per
 sample or step: typed columns of each sample's time and sup|field| and each
@@ -47,10 +49,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalFailure, StepFailure
-from .grid import Grid, apply_A, solve_tridiagonal
+from .grid import Grid, apply_A, largest, smallest, solve_tridiagonal
 from .stationary import Exponents
 
 _FLOOR = 1e-300
+# the step's constant array operands as 0-d float64 arrays: numpy converts
+# a Python float operand on every call, and these on none, with the same bits
+_FLOOR_0D = np.array(_FLOOR)
+_HALF_0D = np.array(0.5)
 _EPS = np.finfo(float).eps
 _DT_MIN = 1e-8       # evolve halves dt on StepFailure down to this,
 _DT_GROW = 1.2       # then regrows it by this factor, up to the given dt,
@@ -150,7 +156,7 @@ def _residual(grid: Grid, w: np.ndarray, w_old: np.ndarray, dt: float,
 
 
 def _accepted(x: np.ndarray, xm: np.ndarray, iters: int):
-    if np.minimum.reduce(x) <= _FLOOR * 10:
+    if smallest(x) <= _FLOOR * 10:
         raise NumericalFailure("converged step is not strictly positive")
     return x, xm, iters
 
@@ -180,8 +186,9 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
     round-to-nearest is odd-symmetric and dgtsv, which pivots on the matrix
     alone, is odd in its right-hand side (a zero's sign is lost in + w > 0).
     scale, its floor and guard and the residual norms are Python floats, the
-    norms taken by np.maximum.reduce (what ndarray.max calls); Python's
-    float ** and numpy's scalar ** both call C pow, so scale has numpy's bits.
+    norms and w_max read by grid.largest (the element at argmax, which is
+    ndarray.max's value; a NaN still propagates); Python's float ** and
+    numpy's scalar ** both call C pow, so scale has numpy's bits.
     """
     if not math.isfinite(w_max):   # w_old - w_old would form inf - inf
         raise NumericalFailure("implicit step residual is not finite")
@@ -193,9 +200,9 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
     one_minus = 1.0 - dt * c
     m_minus = m - 1.0
 
-    x = np.maximum(w_old if start is None else start, _FLOOR)
+    x = np.maximum(w_old if start is None else start, _FLOOR_0D)
     res, xm = _residual(grid, x, w_old, dt, m, c)
-    rnorm = float(np.maximum.reduce(np.abs(res)))
+    rnorm = largest(np.abs(res))
     if not math.isfinite(rnorm):
         raise NumericalFailure("implicit step residual is not finite")
     for it in range(1, _MAX_ITERS + 1):
@@ -210,9 +217,9 @@ def _implicit_euler(grid: Grid, w_old: np.ndarray, dt: float, m: float, c: float
         lam = 1.0
         while lam >= 1e-12:
             xt = x - (s if lam == 1.0 else lam * s)
-            np.maximum(xt, _FLOOR, out=xt)
+            np.maximum(xt, _FLOOR_0D, out=xt)
             rt, xtm = _residual(grid, xt, w_old, dt, m, c)
-            rtn = float(np.maximum.reduce(np.abs(rt)))
+            rtn = largest(np.abs(rt))
             if rtn < rnorm:
                 x, xm, res, rnorm = xt, xtm, rt, rtn
                 break
@@ -235,11 +242,11 @@ def step_rescaled(grid: Grid, exps: Exponents, state: FlowState, dt: float,
     if state.kind != "rescaled":
         raise ValueError("step_rescaled needs a rescaled state")
     v = grid.check_field(state.field)
-    if np.minimum.reduce(v) <= 0:
+    if smallest(v) <= 0:
         raise NumericalFailure("rescaled state must be positive")
     w_old = v ** exps.p
     _, v_new, iters = _implicit_euler(grid, w_old, dt, exps.m, exps.c,
-                                      float(np.maximum.reduce(w_old)),
+                                      largest(w_old),
                                       None if start is None else start ** exps.p)
     return FlowState(kind="rescaled", field=v_new, time=state.time + dt,
                      newton_iters=iters)
@@ -252,9 +259,9 @@ def step_original(grid: Grid, exps: Exponents, state: FlowState, dt: float,
     if state.kind != "original":
         raise ValueError("step_original needs an original state")
     u_old = grid.check_field(state.field)
-    if np.minimum.reduce(u_old) < 0:
+    if smallest(u_old) < 0:
         raise NumericalFailure("original state must be nonnegative")
-    u_max = float(np.maximum.reduce(u_old))
+    u_max = largest(u_old)
     if u_max == 0.0:
         return FlowState(kind="original", field=u_old.copy(), time=state.time + dt)
     u_new, _, iters = _implicit_euler(grid, u_old, dt, exps.m, 0.0, u_max,
@@ -325,7 +332,7 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
                 if ratio != 1.0:
                     start *= ratio
                 start += f
-                np.maximum(start, 0.5 * f, out=start)
+                np.maximum(start, _HALF_0D * f, out=start)
             try:
                 if state.kind == "linearized":
                     new_state = step_linearized(grid, W, exps, state, dt_eff)
@@ -346,7 +353,8 @@ def march(grid: Grid, exps: Exponents, state: FlowState, dt: float, targets,
             if traj is not None:
                 traj.dt_history.append(dt_eff)
                 traj.newton_history.append(state.newton_iters)
-            if not clipped and state.newton_iters <= _EASY_ITERS:
+            if (dt_now != dt and not clipped
+                    and state.newton_iters <= _EASY_ITERS):
                 dt_now = min(dt, dt_now * _DT_GROW)
         state.time = target
         yield state
@@ -417,7 +425,7 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
     if stop is not None:     # the caller's: the default below reads no rows
         per_block = min(per_block, _STOP_BLOCK)
     traj = Trajectory(kind=initial.kind,
-                      initial_sup=float(np.max(np.abs(initial.field))))
+                      initial_sup=largest(np.abs(initial.field)))
     if stop is None and initial.kind == "original":
         # near-extinction stop: extrapolate, never simulate the degenerate limit
         level = 1e-6 * traj.initial_sup
@@ -453,7 +461,7 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
                            ((i + 1) * cadence for i in range(total)), W, traj,
                            rescale):
             traj.sample_times.append(state.time)
-            traj.sups.append(float(np.maximum.reduce(np.abs(state.field))))
+            traj.sups.append(largest(np.abs(state.field)))
             times.append(state.time)
             fields.append(state.field)
             if len(times) == per_block:

@@ -132,7 +132,8 @@ def _ball_surface(ndim: int) -> float:
 def _check_shells(spec: DomainSpec, h: float) -> None:
     """Refuse a ball whose innermost or outermost shell, as build_domain
     forms it, has a quadrature weight or a diagonal entry of A (the largest
-    of its row) that is not a positive finite float.  Every other shell's
+    of its row) that is not a finite normal float, as h^N must be (a
+    subnormal one carries fewer than 53 bits).  Every other shell's
     entries lie between these two, and the ratios in -lap are finite, as
     1/h^2 is."""
     N, n, s = spec.dimension, spec.nodes, _ball_surface(spec.dimension)
@@ -142,10 +143,10 @@ def _check_shells(spec: DomainSpec, h: float) -> None:
                   "outermost": (s * (r_out ** N - r_mid ** N) / N,
                                 s * (r_mid ** (N - 1) + r_out ** (N - 1)) / h)}
     for shell, (quad, diag) in shells.items():
-        if not all(0.0 < x <= float_info.max for x in (quad, diag)):
+        if not all(float_info.min <= x <= float_info.max for x in (quad, diag)):
             raise ConfigError(f"radius = {spec.radius!r} gives the {shell} "
                               f"shell the weight {float(quad)!r} and A entry "
-                              f"{float(diag)!r}, not both positive and finite")
+                              f"{float(diag)!r}, not both finite normal floats")
 
 
 def build_domain(spec: DomainSpec) -> Grid:
@@ -232,6 +233,21 @@ def weighted_eigenpairs(grid: Grid, W, k: int):
 def integrate(grid: Grid, field) -> float:
     """Quadrature realization of int_Omega field dx."""
     return float(np.dot(grid.quad_weights, grid.check_field(field)))
+
+
+def largest(a) -> float:
+    """max(a) over every element of a field or a stack, as a Python float:
+    the element at argmax, which is what ufunc.reduce returns for about a
+    third of its per-call cost.  A NaN anywhere is returned, as argmax finds
+    the first one.  Only a +0/-0 tie may return the other zero: every caller
+    compares the value with <=, < or ==, or takes it of absolute values or of
+    positive powers, where no zero's sign can show."""
+    return a.item(a.argmax())
+
+
+def smallest(a) -> float:
+    """min(a) as the element at argmin: see largest."""
+    return a.item(a.argmin())
 
 
 def per_field(x):

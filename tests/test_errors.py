@@ -130,6 +130,13 @@ def test_ball_whose_extreme_shell_leaves_the_float_range_exits_2_at_n_33(
     assert rc == 2 and "domain.radius" in err
 
 
+def test_ball_whose_innermost_weight_is_subnormal_exits_2_at_n_8():
+    # h^N, R^N and the shell are positive here, but the innermost weight
+    # |S^60| r^61 / 61 is 3.37e-310, a subnormal float with fewer than 53 bits
+    rc, err = spectrum_exit(8, 1.005, "ball", 1e-4, 61)
+    assert rc == 2 and "domain.radius" in err and "3.37485434150173e-310" in err
+
+
 def _base_name(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
 

@@ -931,6 +931,22 @@ class TestSharedStepper:
                            match="implicit step residual is not finite"):
             step(s.grid, s.exps, state, 1e-3, start=start)
 
+    @pytest.mark.parametrize("kind", ["rescaled", "original"])
+    def test_nan_in_the_start_is_a_numerical_failure(self, interval_p2_small,
+                                                     kind):
+        # a finite state, but a start with a NaN: the first residual holds
+        # the NaN, and its norm, the element at argmax, is that NaN
+        s = interval_p2_small
+        V = s.profile.V
+        field = V if kind == "rescaled" else V ** s.exps.p
+        start = field.copy()
+        start[5] = np.nan
+        step = F.step_rescaled if kind == "rescaled" else F.step_original
+        state = F.FlowState(kind=kind, field=field.copy(), time=0.0)
+        with pytest.raises(F.NumericalFailure,
+                           match="implicit step residual is not finite"):
+            step(s.grid, s.exps, state, 1e-3, start=start)
+
     def test_negative_original_state_is_a_numerical_failure(self,
                                                             interval_p2_small):
         s = interval_p2_small

@@ -1,12 +1,14 @@
 """Grid, quadrature and discrete Laplacian contracts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fdelab as F
-from fdelab.grid import apply_A
+from fdelab.grid import apply_A, largest, smallest
 
 from conftest import inner_product_weighted, solve_poisson
 
@@ -73,6 +75,27 @@ def test_every_accepted_ball_builds(nodes):
                 continue
             assert N <= 343
             assert F.build_domain(spec).n == nodes
+
+
+# finite floats of every size, subnormals, signed zeros and infinities
+_EXTREMES = st.sampled_from([np.inf, -np.inf, 5e-324, -5e-324, 3.37e-310,
+                             -2.2e-308, 0.0, -0.0, 1.7e308, -1.7e308])
+_FLOATS = st.one_of(_EXTREMES, st.floats(allow_nan=False, width=64))
+_SHAPES = st.one_of(st.tuples(st.integers(1, 40)),
+                    st.tuples(st.integers(1, 6), st.integers(1, 12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_largest_and_smallest_are_max_and_min_with_nan(data):
+    # a field (n,) or a stack (B, n): the flat argmax / argmin covers both
+    a = data.draw(arrays(np.float64, data.draw(_SHAPES), elements=_FLOATS))
+    big, small = largest(a), smallest(a)
+    assert type(big) is float and type(small) is float
+    assert big == np.max(a) and small == np.min(a)   # a zero of either sign
+    # a NaN anywhere is the answer, as it is np.max's and np.min's
+    a.flat[data.draw(st.integers(0, a.size - 1))] = np.nan
+    assert math.isnan(largest(a)) and math.isnan(smallest(a))
 
 
 def test_interval_coords_and_uniform_trapezoid_weights():
