@@ -64,6 +64,14 @@ MUTANTS = {
         'time=state.time + dt * (1 + 1e-4),'),
     "largest returns the argmin's element": (
         "grid.py", "return a.item(a.argmax())", "return a.item(a.argmin())"),
+    # a run sampled in a forked child: each block's rows are written when
+    # the next block is sent, so the last block's never are
+    "forked rows written one block late": (
+        "flow.py", "        if last and child.pending:\n"
+                   "            write(child.receive())\n", ""),
+    "forked run's last partial block not flushed": (
+        "flow.py", "        if block_times:\n            child.send(",
+        "        if block_times and not last:\n            child.send("),
 }
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

@@ -29,9 +29,11 @@ A run keeps no field beyond one block of samples and no Python object per
 sample or step: typed columns of each sample's time and sup|field| and each
 step's dt and Newton count, and one float buffer for the sampler's rows.
 evolve is the one loop that takes a run to its horizon, halting early after
-a sample where a stop rule holds; a caller that needs the fields iterates
-march instead.  A run may carry a rescale rule, which march applies at t = 0
-and after every sample (the clock-matched rescaled run of fdelab.pipeline).
+a sample where a stop rule holds, and samples a run of many blocks with no
+stop in a forked child process while it marches, where the host allows; a
+caller that needs the fields iterates march instead.  A run may carry a
+rescale rule, which march applies at t = 0 and after every sample (the
+clock-matched rescaled run of fdelab.pipeline).
 
 Original runs stop near extinction (default sup u < 1e-6 sup u0); the
 extinction time itself is always extrapolated from the exact linearity of
@@ -43,6 +45,8 @@ at the first sample below it.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from array import array
 from dataclasses import dataclass, field
 
@@ -399,6 +403,16 @@ def sample_rate(mu: float, dt: float, cadence: float) -> float:
     return (k * np.log1p(dt * mu) + np.log1p(r * mu)) / cadence
 
 
+def _forks() -> bool:
+    """Whether this process can sample a run in a forked child while it
+    marches: Linux os.fork, at least two CPUs it may run on, and no thread
+    but its own (/proc/self/task lists every thread, a BLAS pool's too; a
+    child forked from threads can deadlock, and Python 3.12 warns of it)."""
+    return (sys.platform == "linux" and hasattr(os, "fork")
+            and len(os.sched_getaffinity(0)) >= 2
+            and len(os.listdir("/proc/self/task")) == 1)
+
+
 def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
            dt: float, sample_every: float, sampler=None, W=None, rescale=None,
            stop=None) -> Trajectory:
@@ -410,40 +424,46 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
     with no stop halts near extinction, once sup|u| < 1e-6 sup|u0|.
 
     The sampler takes a block, sampler(times, fields) with fields a (B, n)
-    stack, and returns a (B, W) float block, one row per sample: evolve
-    records up to _BLOCK_VALUES // n samples at once, and at most
+    stack, and returns a (B, W) float block, one row per sample, that
+    depends on (times, fields) alone, as every library sampler's does:
+    evolve records up to _BLOCK_VALUES // n samples at once, and at most
     _STOP_BLOCK if given a stop, the last block before it returns or raises,
     into one float buffer whose filled rows traj.diagnostics views.  The
     buffer is sized once to the samples within the horizon if nothing can
     stop the run, and otherwise doubled as needed, up to that count.  A
     sampler that forms each row along the last axis, as
     diagnostics.entropy_report does, gives rows that do not depend on the
-    block, so the buffer does not either."""
+    block, so the buffer does not either.
+
+    A run of more than one block with no stop of the caller's (whose rule
+    would read rows while the run marches) samples in a forked child
+    process (forked.ChildSampler) if this process can fork one (_forks): the
+    child computes a block's rows on the same bytes while the parent
+    marches the next, and evolve writes them in order, reaps the child and
+    raises the sampler's error, if any, before it returns."""
     if initial.kind == "linearized" and W is None:
         raise ValueError("a linearized run needs the weight W")
     per_block = max(1, _BLOCK_VALUES // grid.n)
     if stop is not None:     # the caller's: the default below reads no rows
         per_block = min(per_block, _STOP_BLOCK)
+    cadence = float(sample_every)
+    total = sample_count(horizon, cadence)
     traj = Trajectory(kind=initial.kind,
                       initial_sup=largest(np.abs(initial.field)))
+    child = None
+    if sampler is not None and stop is None and total > per_block and _forks():
+        from .forked import ChildSampler   # only a run that forks loads it
+
+        child = ChildSampler(sampler, grid.n, per_block)
     if stop is None and initial.kind == "original":
         # near-extinction stop: extrapolate, never simulate the degenerate limit
         level = 1e-6 * traj.initial_sup
         stop = lambda traj: traj.sups[-1] < level
-    cadence = float(sample_every)
-    total = sample_count(horizon, cadence)
     buf, times, fields = np.empty((0, 0)), [], []   # samples not yet recorded
 
-    def record():
-        """Write the sampler's rows of the samples not yet recorded after
-        those recorded, growing the buffer when it is full."""
-        nonlocal buf, times, fields
-        # emptied before the call: a sampler that raises leaves nothing
-        # for finally to record twice
-        block_times, block_fields, times, fields = times, fields, [], []
-        if sampler is None or not block_times:
-            return
-        rows = sampler(block_times, np.array(block_fields))
+    def write(rows):
+        """Write rows after those recorded, growing the buffer when full."""
+        nonlocal buf
         done = traj.diagnostics
         start = 0 if done is None else len(done)
         end = start + len(rows)
@@ -455,6 +475,25 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
                 buf[:start] = done
         buf[start:end] = rows
         traj.diagnostics = buf[:end]
+
+    def record(last=False):
+        """Record the samples not yet recorded: in-process, write their
+        rows; forked, write the rows of the block sent before, send theirs,
+        and, if last, write those too."""
+        nonlocal times, fields
+        # emptied before the call: a sampler that raises leaves nothing
+        # for finally to record twice
+        block_times, block_fields, times, fields = times, fields, [], []
+        if child is None:
+            if sampler is not None and block_times:
+                write(sampler(block_times, np.array(block_fields)))
+            return
+        if child.pending:
+            write(child.receive())
+        if block_times:
+            child.send(block_times, block_fields)
+        if last and child.pending:
+            write(child.receive())
 
     try:
         for state in march(grid, exps, initial, dt,
@@ -469,7 +508,11 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
             if stop is not None and stop(traj):
                 break
     finally:
-        record()
+        try:
+            record(last=True)
+        finally:
+            if child is not None:
+                child.close()
     return traj
 
 

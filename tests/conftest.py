@@ -1,5 +1,6 @@
 """Shared fixtures: prepared stages and one long calibrated nonlinear trace;
-and three reference helpers that the library does not need.
+three reference helpers that the library does not need, and a sampler
+wrapper that shows evolve's blocks in its rows.
 
 The calibrated trace is expensive (clock matching plus a long horizon), so it
 is session-scoped and reused by the diagnostics tests and by acceptance
@@ -7,6 +8,9 @@ criteria 8-10; criterion 6 reads the fitted rate cases, which stop once their
 fit window has closed.  The helpers, written apart from the library's weighted
 projections, steppers and trace CSV, check them independently:
 `from conftest import inner_product_weighted, solve_poisson, trace_rows`.
+A sampler's side effects show evolve's blocks only in-process, not when a
+run samples in a forked child; `sized` and `block_sizes` read them from the
+rows instead.
 """
 
 import numpy as np
@@ -45,6 +49,26 @@ def trace_rows(reports) -> tuple:
         rows.append([r.t, r.E_lin, r.I_lin, r.E_nl, r.h_inf, *r.Q_lin.tolist(),
                      *qn, *r.A_nl.tolist(), r.h_L2V_sq, r.cubic])
     return header + ["h_L2V_sq", "cubic"], rows
+
+
+def sized(sampler):
+    """sampler with the size of its block appended to each row: a pure
+    sampler, whose rows show evolve's blocks on either path."""
+    def sized_sampler(times, fields):
+        rows = sampler(times, fields)
+        return np.column_stack([rows, np.full(len(rows), len(times))])
+    return sized_sampler
+
+
+def block_sizes(rows) -> list:
+    """The sizes of the blocks whose rows a sized sampler returned."""
+    sizes = []
+    while len(rows):
+        size = int(rows[0, -1])
+        assert size >= 1 and (rows[:size, -1] == size).all()
+        sizes.append(size)
+        rows = rows[size:]
+    return sizes
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import fdelab as F
 import fdelab.flow
 from fdelab import pipeline
 
-from conftest import inner_product_weighted
+from conftest import block_sizes, inner_product_weighted, sized
 
 
 def interval_setup(p, nodes=129):
@@ -308,13 +308,13 @@ def test_fitted_run_records_blocks_of_at_most_the_stop_block(monkeypatch,
         sizes = []
 
         def recorded(*args, **kwargs):    # run_rescaled passes its sampler 7th
-            sampler = args[6]
-
-            def sized(times, fields):
-                sizes.append(len(times))
-                return sampler(times, fields)
-
-            return evolve(*args[:6], sized, *args[7:], **kwargs)
+            # a pure sampler, whose rows carry each block's size: a run
+            # not fitted may sample in a forked child.  The sizes column
+            # is dropped before run_rescaled reads the rows
+            traj = evolve(*args[:6], sized(args[6]), *args[7:], **kwargs)
+            sizes.extend(block_sizes(traj.diagnostics))
+            traj.diagnostics = traj.diagnostics[:, :-1]
+            return traj
 
         monkeypatch.setattr(pipeline, "evolve", recorded)
         res = F.run_nonlinear_rate_case(setup, base, horizon=horizon,
