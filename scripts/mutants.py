@@ -72,6 +72,11 @@ MUTANTS = {
     "forked run's last partial block not flushed": (
         "flow.py", "        if block_times:\n            child.send(",
         "        if block_times and not last:\n            child.send("),
+    # a child that ends before a block's rows: its error is the sampler's
+    # only if the parent samples that block itself
+    "forked child's end raised without sampling its block": (
+        "forked.py", "        self.sampler(times, self.fields[:len(times)])\n"
+                     "        raise EOFError", "        raise EOFError"),
 }
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

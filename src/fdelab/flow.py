@@ -407,10 +407,14 @@ def _forks() -> bool:
     """Whether this process can sample a run in a forked child while it
     marches: Linux os.fork, at least two CPUs it may run on, and no thread
     but its own (/proc/self/task lists every thread, a BLAS pool's too; a
-    child forked from threads can deadlock, and Python 3.12 warns of it)."""
-    return (sys.platform == "linux" and hasattr(os, "fork")
-            and len(os.sched_getaffinity(0)) >= 2
-            and len(os.listdir("/proc/self/task")) == 1)
+    child forked from threads can deadlock, and Python 3.12 warns of it);
+    False where /proc/self/task cannot be read."""
+    try:
+        return (sys.platform == "linux" and hasattr(os, "fork")
+                and len(os.sched_getaffinity(0)) >= 2
+                and len(os.listdir("/proc/self/task")) == 1)
+    except OSError:
+        return False
 
 
 def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
@@ -437,10 +441,12 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
 
     A run of more than one block with no stop of the caller's (whose rule
     would read rows while the run marches) samples in a forked child
-    process (forked.ChildSampler) if this process can fork one (_forks): the
-    child computes a block's rows on the same bytes while the parent
-    marches the next, and evolve writes them in order, reaps the child and
-    raises the sampler's error, if any, before it returns."""
+    process (forked.ChildSampler) if this process can fork one (_forks),
+    and in-process if the fork fails: the child computes a block's rows on
+    the same bytes while the parent marches the next, and evolve writes
+    them in order and reaps the child before it returns.  A block whose
+    child ended before its rows is sampled here, so a sampler's error is
+    raised as in-process."""
     if initial.kind == "linearized" and W is None:
         raise ValueError("a linearized run needs the weight W")
     per_block = max(1, _BLOCK_VALUES // grid.n)
@@ -454,7 +460,10 @@ def evolve(grid: Grid, exps: Exponents, initial: FlowState, horizon: float,
     if sampler is not None and stop is None and total > per_block and _forks():
         from .forked import ChildSampler   # only a run that forks loads it
 
-        child = ChildSampler(sampler, grid.n, per_block)
+        try:
+            child = ChildSampler(sampler, grid.n, per_block)
+        except OSError:     # no process to fork (EAGAIN, ENOMEM): sample here
+            pass
     if stop is None and initial.kind == "original":
         # near-extinction stop: extrapolate, never simulate the degenerate limit
         level = 1e-6 * traj.initial_sup

@@ -12,6 +12,7 @@ test does with monkeypatch, and prints one JSON object of what it saw.
 import hashlib
 import json
 import os
+import signal
 import sys
 
 import numpy as np
@@ -105,16 +106,56 @@ def flipped_after(samples):
     return lambda field: next(signs, 1.0)
 
 
-def evolved(setup, horizon=1.0, step=5e-3, sampler=None, flip=None):
+def evolved(setup, horizon=1.0, step=5e-3, sampler=None, rule=None):
+    """evolve from V + 0.1 phi_2, sampled every step; rule(), if given,
+    makes each run's rescale rule."""
     def run():
         traj = F.evolve(setup.grid, setup.exps, F.FlowState(
             kind="rescaled", field=F.mode_perturbed_field(setup, [(2, 0.1)]),
             time=0.0), horizon=horizon, dt=step, sample_every=step,
             sampler=sampler or entropy_sampler(setup),
-            rescale=flip and flipped_after(flip))
+            rescale=rule and rule())
         return {"rows": digest(traj.diagnostics, traj.sample_times),
                 "shape": traj.diagnostics.shape}
     return run
+
+
+class Bad(Exception):
+    """An error that does not survive pickling: its __init__ takes two
+    arguments, and unpickling calls it with its one message."""
+
+    def __init__(self, which, what):
+        super().__init__(f"{which} {what}")
+
+
+def on_second_block(setup, act):
+    """entropy_report's sampler that first calls act() on the second block
+    (samples 64 to 126 at n = 129 and a step of 5e-3)."""
+    sampler = entropy_sampler(setup)
+
+    def sample(times, v):
+        if 0.3 < times[0] < 0.6:
+            act()
+        return sampler(times, v)
+    return sample
+
+
+def killing_the_child_after(samples):
+    """A rescale rule that changes no bit and SIGKILLs the run's sampler
+    process after the given samples, which it finds by wrapping os.fork."""
+    children, fork, calls = [], os.fork, iter(range(samples + 1))
+
+    def forked():
+        pid = fork()
+        children.append(pid)
+        return pid
+
+    def rule(field):
+        if next(calls, None) == samples:
+            os.kill(children[0], signal.SIGKILL)
+        return 1.0
+    os.fork = forked
+    return rule
 
 
 def both(run):
@@ -156,7 +197,30 @@ def scenario(name):
         s = interval(2.0)
         return {"sampler": both(evolved(
                     s, sampler=entropy_sampler(s, positive_until=0.6))),
-                "march": both(evolved(s, flip=100))}
+                "march": both(evolved(s, rule=lambda: flipped_after(100)))}
+    if name == "unpickled":
+        def fail():
+            raise Bad("second", "block")
+        s = interval(2.0)
+        return both(evolved(s, sampler=on_second_block(s, fail)))
+    if name == "killed":
+        # only a child kills itself: the run's own process samples on
+        run_pid = os.getpid()
+
+        def die():
+            if os.getpid() != run_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+        s, s8 = interval(2.0), interval(2.0, n=8, modes=2)
+        # at n = 8 the child has long written the 64 KiB a pipe holds of the
+        # first block's 90 KB rows, and waits to write the rest, when the
+        # run kills it, 976 samples into the second block; a killed child
+        # that runs only once the parent has drained the pipe finishes that
+        # write first, and the parent's next send finds a broken pipe
+        return {"in_sampler": on_path(True, evolved(
+                    s, sampler=on_second_block(s, die))),
+                "writing_rows": on_path(True, evolved(
+                    s8, horizon=3.0, step=1e-3,
+                    rule=lambda: killing_the_child_after(2000)))}
     if name == "n8":
         # one block is 1,024 rows of 11 floats (90 KB), more than a pipe holds
         s = interval(2.0, n=8, modes=2)

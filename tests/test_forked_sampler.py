@@ -4,14 +4,17 @@ process can fork one (flow._forks).  Each test runs tests/forked_runs.py in
 a fresh interpreter with a single-threaded BLAS, which runs the same run
 in-process and forked, holding the path choice as monkeypatch would."""
 
+import errno
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fdelab as F
 import fdelab.flow
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,3 +88,48 @@ def test_blocks_larger_than_a_pipe_finish():
     # at n = 8 a block is 1,024 samples, whose 11-column rows are 90 KB
     forked = assert_same(forked_runs("n8", timeout=60))
     assert forked["shape"] == [3000, 11]
+
+
+def test_an_error_that_does_not_pickle_keeps_its_type():
+    # the child that raised it ends, and the parent samples its block
+    assert assert_same(forked_runs("unpickled"))["error"] == [
+        "Bad", "second block"]
+
+
+@pytest.fixture(scope="module")
+def killed():
+    return forked_runs("killed", timeout=60)
+
+
+@pytest.mark.parametrize("when", ["in_sampler", "writing_rows"])
+def test_a_killed_child_ends_the_run_with_an_eof_error(killed, when):
+    # the child is killed before its rows, or part way through writing
+    # them; the parent samples that block without error, and so names the
+    # child's end
+    assert killed[when] == {
+        "error": ["EOFError", "the sampler process ended before its rows"],
+        "child_left": False}
+
+
+def test_a_failed_fork_samples_in_process(monkeypatch):
+    # no process is started: the fork fails as at a process limit, and the
+    # run samples here, with its four pipe ends closed
+    setup = F.prepare(F.DomainSpec(geometry="interval", nodes=129),
+                      F.Exponents.make(p=2.0, c=1.0))
+
+    def rows():
+        _, reports = F.run_rescaled(
+            setup, F.mode_perturbed_field(setup, [(2, 0.1)]), horizon=1.0,
+            dt=5e-3, cadence=5e-3)
+        return reports.data
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(fdelab.flow, "_forks", lambda: False)
+    in_process = rows()
+    monkeypatch.setattr(fdelab.flow, "_forks", lambda: True)
+    monkeypatch.setattr(os, "fork", no_fork)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    assert rows().tobytes() == in_process.tobytes()
+    assert len(os.listdir("/proc/self/fd")) == open_fds
