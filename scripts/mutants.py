@@ -77,6 +77,15 @@ MUTANTS = {
     "forked child's end raised without sampling its block": (
         "forked.py", "        self.sampler(times, self.fields[:len(times)])\n"
                      "        raise EOFError", "        raise EOFError"),
+    # the child pins itself to one CPU, and samples unpinned if it cannot
+    # (the second mutant's except clause catches nothing the pin raises)
+    "forked child not pinned": (
+        "forked.py", "os.sched_setaffinity(0, {max(cpus - {on} or cpus)})",
+        "pass"),
+    "child's affinity error not caught": (
+        "forked.py", "            except OSError:     # a mask it may not "
+                     "set: sample unpinned\n                pass\n",
+        "            except ZeroDivisionError:\n                pass\n"),
 }
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

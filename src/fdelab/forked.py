@@ -38,7 +38,16 @@ class ChildSampler:
     and so to raise the sampler's own error.  pending is cleared before a
     read and set after a write, so after an error mid-message (the
     sampler's, an interrupt) the parent has no block left to send or
-    receive."""
+    receive.
+
+    The child confines itself to one CPU of the mask it inherits, one the
+    parent is not on if there is one.  A pipe write wakes its reader as if
+    the writer would now sleep, so the scheduler tends to put the woken
+    child on the parent's CPU; the parent marches on, and both share that
+    CPU until the load balancer moves one, which it may not do for the
+    whole run.  Only the child pins itself: it ends with the run, while a
+    mask set on the parent would have to be restored on every way out of
+    the run.  A child whose mask cannot be set samples unpinned."""
 
     def __init__(self, sampler, n: int, per_block: int):
         self.sampler = sampler
@@ -60,6 +69,13 @@ class ChildSampler:
             return
         status = 1
         try:
+            try:    # the parent's CPU now is the 39th field of its stat
+                with open(f"/proc/{os.getppid()}/stat", "rb") as stat:
+                    on = int(stat.read().rsplit(b")", 1)[1].split()[36])
+                cpus = os.sched_getaffinity(0)
+                os.sched_setaffinity(0, {max(cpus - {on} or cpus)})
+            except OSError:     # a mask it may not set: sample unpinned
+                pass
             # Ctrl-C reaches the child too: it waits to be closed instead,
             # so that the parent's KeyboardInterrupt is the run's error; and
             # the parent's garbage is its own to collect (a finalizer run

@@ -9,6 +9,7 @@ but its own.  Each scenario chooses the path by setting flow._forks, as a
 test does with monkeypatch, and prints one JSON object of what it saw.
 """
 
+import errno
 import hashlib
 import json
 import os
@@ -175,6 +176,32 @@ def pids(setup, **kw):
     return on_path(True, run)
 
 
+def where_sampled(setup, fail=False):
+    """A run of 200 samples in 4 blocks whose rows are the sampling
+    process's pid and the size of its CPU mask (the sampler raises on the
+    second block if fail), and this process's mask after it returned or
+    raised."""
+    def sample(times, v):
+        if fail and 0.3 < times[0] < 0.6:
+            raise ValueError("second block")
+        row = [os.getpid(), len(os.sched_getaffinity(0))]
+        return np.tile(np.array(row, dtype=float), (len(times), 1))
+
+    def run():
+        try:
+            rows = F.evolve(setup.grid, setup.exps, F.FlowState(
+                kind="rescaled", field=setup.profile.V.copy(), time=0.0),
+                horizon=1.0, sample_every=5e-3, dt=5e-3,
+                sampler=sample).diagnostics
+            out = {"pids": sorted(set(rows[:, 0].tolist())),
+                   "cpus": sorted(set(rows[:, 1].tolist()))}
+        except ValueError as exc:
+            out = {"error": str(exc)}
+        out["mask_after"] = sorted(os.sched_getaffinity(0))
+        return out
+    return run
+
+
 def scenario(name):
     if name == "host":
         return {"forks": flow._forks(),
@@ -221,6 +248,18 @@ def scenario(name):
                 "writing_rows": on_path(True, evolved(
                     s8, horizon=3.0, step=1e-3,
                     rule=lambda: killing_the_child_after(2000)))}
+    if name == "pinned":
+        s = interval(2.0)
+        return {"pid": os.getpid(), "mask": sorted(os.sched_getaffinity(0)),
+                "returned": both(where_sampled(s)),
+                "raised": both(where_sampled(s, fail=True))}
+    if name == "unpinnable":
+        # only a forked child sets a mask, so only the child sees this
+        def refuse(pid, mask):
+            raise OSError(errno.EINVAL, "Invalid argument")
+        os.sched_setaffinity = refuse
+        s = interval(2.0)
+        return both(evolved(s))
     if name == "n8":
         # one block is 1,024 rows of 11 floats (90 KB), more than a pipe holds
         s = interval(2.0, n=8, modes=2)

@@ -133,3 +133,22 @@ def test_a_failed_fork_samples_in_process(monkeypatch):
     open_fds = len(os.listdir("/proc/self/fd"))
     assert rows().tobytes() == in_process.tobytes()
     assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_the_child_samples_on_one_cpu_and_the_parent_keeps_its_mask():
+    # each row is the sampling process's pid and the size of its CPU mask
+    runs = forked_runs("pinned")
+    pid, mask = runs["pid"], runs["mask"]
+    forked, here = runs["returned"]["forked"], runs["returned"]["in_process"]
+    assert len(forked["pids"]) == 1 and forked["pids"] != [pid]
+    assert forked["cpus"] == [1]
+    assert here["pids"] == [pid] and here["cpus"] == [len(mask)]
+    assert forked["child_left"] is here["child_left"] is False
+    assert assert_same(runs["raised"])["error"] == "second block"
+    for out in (forked, here, *runs["raised"].values()):
+        assert out["mask_after"] == mask
+
+
+def test_a_child_that_cannot_set_its_mask_samples_unpinned():
+    # os.sched_setaffinity raises EINVAL in the child
+    assert assert_same(forked_runs("unpinnable"))["shape"] == [200, 11]
